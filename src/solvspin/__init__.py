@@ -5,7 +5,6 @@ from .exact import (
     IncompatibleExtensionError,
     TowerScalar,
     sqrt_to_tower,
-    tower_arithmetic,
 )
 from .liealg import (
     Connection,

@@ -130,6 +130,8 @@ def parse_algebra_text(text: str):
                 coeff = Fraction(parts[3])
             except ValueError:
                 raise AlgebraFileError("malformed bracket line", line_no)
+            except ZeroDivisionError:
+                raise AlgebraFileError("zero denominator in bracket coefficient", line_no)
             if dim is None:
                 raise AlgebraFileError("bracket line before dim line", line_no)
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):

@@ -4,20 +4,24 @@ Generators gamma_a of size 2^floor(n/2) satisfy
 
     gamma_a gamma_b + gamma_b gamma_a = -2 eps_a delta_ab I,
 
-so a frame vector acts with v.v.psi = -g(v, v) psi.  Matrices have entries in
-Q(i) (stored as TowerScalar) and are built by iterated doubling, which keeps
-them signed-permutation sparse; for odd n the representation is pinned down by
-normalizing the volume element to act as +1 or +i.
+so a frame vector acts with v.v.psi = -g(v, v) psi.  Iterated doubling only
+produces monomial matrices (one entry per row, a unit of Z[i]), so a
+representation stores each gamma_a once, as a column permutation perm[a] and
+phases phase[a] in Z/4: row i holds i**phase[a][i] at column perm[a][i].
+Products compose permutations and add phases; the dense matrices over Q(i)
+(`CliffordRep.gammas`) are a view derived from that form.  For odd n the
+representation is pinned down by normalizing the volume element to act as
++1 or +i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
-from .exact import TS_I, TS_ONE, TS_ZERO, TowerScalar
+from .exact import TS_I, TS_ONE, TS_ZERO, TowerScalar, to_tower
 from .linalg import mat_from_rows, nullspace
 from .liealg import is_metric_skew
 
@@ -25,11 +29,14 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 QUARTER = Fraction(1, 4)
 
+_UNITS = (TS_ONE, TS_I, -TS_ONE, -TS_I)   # i**k for k in Z/4
+
 
 @dataclass(frozen=True)
 class CliffordRep:
     signs: tuple
-    gammas: tuple                  # n dense N x N matrices over Q(i)
+    perm: tuple                    # perm[a][i]: column of row i's entry in gamma_a
+    phase: tuple                   # phase[a][i]: that entry is i**phase[a][i]
     volume_power: int | None       # odd n: volume element acts as i**k
 
     @property
@@ -38,100 +45,75 @@ class CliffordRep:
 
     @property
     def spinor_dim(self) -> int:
-        return len(self.gammas[0]) if self.gammas else 1
+        return len(self.perm[0]) if self.perm else 1
 
-    def sparse_rows(self, a: int) -> tuple:
-        cache = self.__dict__.get("_sparse")
-        if cache is None:
-            cache = tuple(_sparse_rows(g) for g in self.gammas)
-            object.__setattr__(self, "_sparse", cache)
-        return cache[a]
-
-
-def _sparse_rows(mat) -> tuple:
-    return tuple(
-        tuple((j, v) for j, v in enumerate(row) if not v.is_zero) for row in mat
-    )
-
-
-def _sparse_mul(A_rows, B_rows, ncols: int):
-    """Product of sparse-row matrices, returned in sparse-row form."""
-    out = []
-    for entries in A_rows:
-        acc: dict[int, TowerScalar] = {}
-        for k, val in entries:
-            for j, w in B_rows[k]:
-                prev = acc.get(j)
-                nv = val * w if prev is None else prev + val * w
-                if nv.is_zero:
-                    acc.pop(j, None)
-                else:
-                    acc[j] = nv
-        out.append(tuple(sorted(acc.items())))
-    return tuple(out)
+    @cached_property
+    def gammas(self) -> tuple:
+        """The n dense N x N matrices over Q(i), built from perm and phase."""
+        N = self.spinor_dim
+        out = []
+        for perm, phase in zip(self.perm, self.phase):
+            rows = []
+            for j, q in zip(perm, phase):
+                row = [TS_ZERO] * N
+                row[j] = _UNITS[q]
+                rows.append(tuple(row))
+            out.append(tuple(rows))
+        return tuple(out)
 
 
-def _dense(rows_sparse, ncols: int) -> tuple:
-    out = []
-    for entries in rows_sparse:
-        row = [TS_ZERO] * ncols
-        for j, v in entries:
-            row[j] = v
-        out.append(tuple(row))
-    return tuple(out)
+# Monomial matrices below are (perm, phase) pairs, as for one generator.
+
+def _compose(x, y) -> tuple:
+    """The product x y."""
+    (px, qx), (py, qy) = x, y
+    return tuple(py[j] for j in px), tuple((q + qy[j]) % 4 for q, j in zip(qx, px))
 
 
-def _tensor(small, big) -> tuple:
-    """Kronecker product small (x) big for dense TowerScalar matrices."""
-    sn = len(small)
-    bn = len(big)
-    out = []
-    for i in range(sn):
-        for bi in range(bn):
-            row = []
-            for j in range(sn):
-                s = small[i][j]
-                if s.is_zero:
-                    row.extend([TS_ZERO] * bn)
-                else:
-                    row.extend([s * x for x in big[bi]])
-            out.append(tuple(row))
-    return tuple(out)
+def _kron(x, y) -> tuple:
+    """The Kronecker product x (x) y."""
+    (px, qx), (py, qy) = x, y
+    m = len(py)
+    return tuple(j * m + k for j in px for k in py), tuple((q + r) % 4 for q in qx for r in qy)
 
 
-_PAULI_Z = ((TS_ONE, TS_ZERO), (TS_ZERO, -TS_ONE))
+def _times_i(x, k: int) -> tuple:
+    """i**k x."""
+    return x[0], tuple((q + k) % 4 for q in x[1])
+
+
+def _scalar_phase(x) -> int | None:
+    """k when x = i**k I, else None."""
+    perm, phase = x
+    if perm == tuple(range(len(perm))) and len(set(phase)) == 1:
+        return phase[0]
+    return None
+
+
+_J = ((1, 0), (0, 2))   # [[0, 1], [-1, 0]]
+_Z = ((0, 1), (0, 2))   # diag(1, -1)
+_X = ((1, 0), (0, 0))   # [[0, 1], [1, 0]]
 
 
 @lru_cache(maxsize=None)
 def _definite_generators(n: int) -> tuple:
     """Generators squaring to -I for the all-plus signature, even n (cached)."""
-    g1 = ((TS_ZERO, TS_ONE), (-TS_ONE, TS_ZERO))
-    g2 = ((TS_ZERO, TS_I), (TS_I, TS_ZERO))
-    gens = [g1, g2]
+    gens = [_J, ((1, 0), (1, 1))]
     size = 2
     while len(gens) < n:
-        eye = tuple(
-            tuple(TS_ONE if i == j else TS_ZERO for j in range(size)) for i in range(size)
-        )
-        new = [_tensor(_PAULI_Z, g) for g in gens]
-        ieye = tuple(tuple(TS_I if i == j else TS_ZERO for j in range(size)) for i in range(size))
-        new.append(_tensor(((TS_ZERO, TS_ONE), (TS_ONE, TS_ZERO)), ieye))
-        new.append(_tensor(((TS_ZERO, TS_ONE), (-TS_ONE, TS_ZERO)), eye))
-        gens = new
+        eye = (tuple(range(size)), (0,) * size)
+        gens = [_kron(_Z, g) for g in gens] + [_kron(_X, _times_i(eye, 1)), _kron(_J, eye)]
         size *= 2
     return tuple(gens)
 
 
-def _scalar_of(mat) -> TowerScalar | None:
-    """The scalar s when mat = s I, else None."""
-    n = len(mat)
-    s = mat[0][0]
-    for i in range(n):
-        for j in range(n):
-            want = s if i == j else TS_ZERO
-            if not mat[i][j] == want:
-                return None
-    return s
+@lru_cache(maxsize=None)
+def _odd_definite_generators(n: int) -> tuple:
+    """Odd n: the even set plus a normalized product of all of them (cached)."""
+    gens = _definite_generators(n - 1)
+    prod = reduce(_compose, gens)
+    square = _scalar_phase(_compose(prod, prod))
+    return gens + (_times_i(prod, 0 if square == 2 else 1),)
 
 
 def build_gammas(signs: Sequence[int]) -> CliffordRep:
@@ -143,146 +125,95 @@ def build_gammas(signs: Sequence[int]) -> CliffordRep:
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signature entries must be +-1")
     if n == 1:
-        gens = [((TS_I,),)]
+        gens = (((0,), (1,)),)
     elif n % 2 == 0:
-        gens = list(_definite_generators(n))
+        gens = _definite_generators(n)
     else:
-        gens = list(_odd_definite_generators(n))
+        gens = _odd_definite_generators(n)
     # sign fix: gamma_a -> i gamma_a wherever eps_a = -1
-    gammas = []
-    for a in range(n):
-        g = gens[a]
-        if signs[a] == -1:
-            g = tuple(
-                tuple(TS_I * x if not x.is_zero else TS_ZERO for x in row) for row in g
-            )
-        gammas.append(g)
+    gammas = [_times_i(g, 1) if s == -1 else g for g, s in zip(gens, signs)]
     volume_power = None
     if n % 2 == 1:
-        size = len(gammas[0])
-        rows = _sparse_rows(gammas[0])
-        for g in gammas[1:]:
-            rows = _sparse_mul(rows, _sparse_rows(g), size)
-        s = _scalar_of(_dense(rows, size))
-        if s is None:
+        k = _scalar_phase(reduce(_compose, gammas))
+        if k is None:
             raise RuntimeError("volume element is not scalar")
-        if s == TowerScalar.rational(-1) or s == -TS_I:
-            gammas[-1] = tuple(
-                tuple(-x if not x.is_zero else TS_ZERO for x in row) for row in gammas[-1]
-            )
-            s = -s
-        volume_power = 0 if s == TS_ONE else 1
-    return CliffordRep(signs, tuple(gammas), volume_power)
+        if k >= 2:  # volume acts as -1 or -i: flip the last generator
+            gammas[-1] = _times_i(gammas[-1], 2)
+            k -= 2
+        volume_power = k
+    return CliffordRep(signs, tuple(p for p, _ in gammas), tuple(q for _, q in gammas),
+                       volume_power)
 
 
-@lru_cache(maxsize=None)
-def _odd_definite_generators(n: int) -> tuple:
-    """Odd n: the even set plus a normalized product of all of them (cached)."""
-    gens = list(_definite_generators(n - 1))
-    size = len(gens[0])
-    rows = _sparse_rows(gens[0])
-    for g in gens[1:]:
-        rows = _sparse_mul(rows, _sparse_rows(g), size)
-    prod = _dense(rows, size)
-    sq_rows = _sparse_mul(_sparse_rows(prod), _sparse_rows(prod), size)
-    s = _scalar_of(_dense(sq_rows, size))
-    factor = TS_ONE if s == TowerScalar.rational(-1) else TS_I
-    gens.append(tuple(
-        tuple(factor * x if not x.is_zero else TS_ZERO for x in row) for row in prod
-    ))
-    return tuple(gens)
+def _generators(rep: CliffordRep) -> list:
+    return list(zip(rep.perm, rep.phase))
 
 
 def clifford_violations(rep: CliffordRep) -> list[tuple[int, int]]:
     """Pairs (a, b) where the anticommutator relation fails (exact check).
 
-    The doubling construction yields signed-permutation matrices (one entry
-    per row), so the anticommutator of a pair touches at most two columns per
-    row; a dict-based fallback covers general matrices.
+    gamma_a gamma_b + gamma_b gamma_a is a sum of two monomial matrices.  For
+    a = b it is 2 gamma_a^2, which must be the identity permutation with phase
+    2 (eps_a = +1) or 0 (eps_a = -1); for a != b the two products must share
+    their permutation and differ by the phase 2 in every row.
     """
-    n = rep.n
-    N = rep.spinor_dim
-    perms = []
-    for a in range(n):
-        rows = rep.sparse_rows(a)
-        if any(len(r) != 1 for r in rows):
-            perms = None
-            break
-        perms.append(([r[0][0] for r in rows], [r[0][1] for r in rows]))
+    gens = _generators(rep)
     bad = []
-    for a in range(n):
-        for b in range(a, n):
-            if perms is not None:
-                ok = _anticommutator_ok_perm(perms[a], perms[b], rep.signs[a], a == b, N)
+    for a in range(rep.n):
+        for b in range(a, rep.n):
+            ab = _compose(gens[a], gens[b])
+            if a == b:
+                ok = _scalar_phase(ab) == 1 + rep.signs[a]
             else:
-                ok = _anticommutator_ok_dict(rep, a, b, N)
+                ba = _compose(gens[b], gens[a])
+                ok = ab[0] == ba[0] and all((p - q) % 4 == 2 for p, q in zip(ab[1], ba[1]))
             if not ok:
                 bad.append((a, b))
     return bad
 
 
-def _anticommutator_ok_perm(pa, pb, sign_a, diagonal, N) -> bool:
-    col_a, val_a = pa
-    col_b, val_b = pb
-    if diagonal:
-        want = TowerScalar.rational(-sign_a)  # each of the two equal terms
-        for i in range(N):
-            j = col_b[col_a[i]]
-            if j != i:
-                return False
-            if not val_a[i] * val_b[col_a[i]] == want:
-                return False
-        return True
-    for i in range(N):
-        j1 = col_b[col_a[i]]
-        j2 = col_a[col_b[i]]
-        if j1 != j2:
-            return False  # unit entries cannot cancel across columns
-        v = val_a[i] * val_b[col_a[i]] + val_b[i] * val_a[col_b[i]]
-        if not v.is_zero:
-            return False
-    return True
+def _monomial_sum(N: int, terms) -> tuple:
+    """Dense sum of c x over (x, c) pairs of monomial matrices and scalars.
+
+    i**q c adds +-c to the real (q even) or the imaginary (q odd) part of one
+    entry, so the coefficients are summed as they come and the tower
+    arithmetic runs once per entry.
+    """
+    re = [[F0] * N for _ in range(N)]
+    im = [[F0] * N for _ in range(N)]
+    for (perm, phase), c in terms:
+        if c == 0:
+            continue
+        signed = (c, -c)
+        for i, (j, q) in enumerate(zip(perm, phase)):
+            part = im[i] if q % 2 else re[i]
+            part[j] += signed[q // 2]
+    return tuple(
+        tuple(to_tower(r) if m == 0 else TS_I * m + r for r, m in zip(re_row, im_row))
+        for re_row, im_row in zip(re, im))
 
 
-def _anticommutator_ok_dict(rep, a, b, N) -> bool:
-    ab = _sparse_mul(rep.sparse_rows(a), rep.sparse_rows(b), N)
-    ba = _sparse_mul(rep.sparse_rows(b), rep.sparse_rows(a), N) if b != a else ab
-    want = TowerScalar.rational(-2 * rep.signs[a]) if a == b else TS_ZERO
-    for i in range(N):
-        acc = {j: v for j, v in ab[i]}
-        for j, v in ba[i]:
-            acc[j] = acc.get(j, TS_ZERO) + v
-        for j in range(N):
-            expect = want if (j == i and a == b) else TS_ZERO
-            if not acc.get(j, TS_ZERO) == expect:
-                return False
-    return True
+def _pair_sum(rep: CliffordRep, terms) -> tuple:
+    """Dense sum of c gamma_a gamma_b over (a, b, c) terms."""
+    gens = _generators(rep)
+    return _monomial_sum(rep.spinor_dim, (
+        (_compose(gens[a], gens[b]), c) for a, b, c in terms if c != 0))
 
 
 def gamma_of_vector(rep: CliffordRep, v: Sequence) -> tuple:
     """Dense matrix of Clifford multiplication by the frame vector v."""
-    N = rep.spinor_dim
-    acc = [[TS_ZERO] * N for _ in range(N)]
-    for a, coeff in enumerate(v):
-        if coeff == 0:
-            continue
-        for i, entries in enumerate(rep.sparse_rows(a)):
-            for j, val in entries:
-                acc[i][j] = acc[i][j] + coeff * val
-    return mat_from_rows(acc)
+    return _monomial_sum(rep.spinor_dim, zip(_generators(rep), v))
 
 
 def clifford_mul(rep: CliffordRep, v: Sequence, psi: Sequence) -> tuple:
     """v . psi, linear in both arguments; v.v.psi = -g(v, v) psi."""
-    N = rep.spinor_dim
-    out = [TS_ZERO] * N
-    for a, coeff in enumerate(v):
+    out = [TS_ZERO] * rep.spinor_dim
+    for perm, phase, coeff in zip(rep.perm, rep.phase, v):
         if coeff == 0:
             continue
-        for i, entries in enumerate(rep.sparse_rows(a)):
-            for j, val in entries:
-                term = coeff * val * psi[j]
-                out[i] = out[i] + term
+        multiples = [coeff * u for u in _UNITS]
+        for i, (j, q) in enumerate(zip(perm, phase)):
+            out[i] = out[i] + multiples[q] * psi[j]
     return tuple(out)
 
 
@@ -294,25 +225,9 @@ def spin_lift(rep: CliffordRep, A) -> tuple:
     """
     if not is_metric_skew(A, rep.signs):
         raise ValueError("endomorphism is not metric-skew")
-    return _spin_lift_unchecked(rep, A)
-
-
-def _spin_lift_unchecked(rep: CliffordRep, A) -> tuple:
     n = rep.n
-    N = rep.spinor_dim
-    acc: dict[tuple[int, int], TowerScalar] = {}
-    prods = _pair_products(rep)
-    for j in range(n):
-        col = [A[k][j] for k in range(n)]
-        for k in range(n):
-            coeff = col[k]
-            if coeff == 0:
-                continue
-            c = QUARTER * rep.signs[j] * coeff
-            for (i, jj), val in prods[(j, k)]:
-                key = (i, jj)
-                acc[key] = acc.get(key, TS_ZERO) + c * val
-    return _dense_from_dict(acc, N)
+    return _pair_sum(rep, (
+        (j, k, QUARTER * rep.signs[j] * A[k][j]) for j in range(n) for k in range(n)))
 
 
 def spin_lift_basis_form(rep: CliffordRep, A) -> tuple:
@@ -321,64 +236,15 @@ def spin_lift_basis_form(rep: CliffordRep, A) -> tuple:
     (1/2) sum_{k<j} theta_kj eps_j gamma_j gamma_k with theta = A; equals
     spin_lift exactly when A is metric-skew.
     """
-    n = rep.n
-    N = rep.spinor_dim
-    acc: dict[tuple[int, int], TowerScalar] = {}
-    prods = _pair_products(rep)
     half = Fraction(1, 2)
-    for j in range(n):
-        for k in range(j):
-            coeff = A[k][j]
-            if coeff == 0:
-                continue
-            c = half * rep.signs[j] * coeff
-            for (i, jj), val in prods[(j, k)]:
-                key = (i, jj)
-                acc[key] = acc.get(key, TS_ZERO) + c * val
-    return _dense_from_dict(acc, N)
-
-
-def _pair_products(rep: CliffordRep) -> dict:
-    """Per-rep cache of gamma_a gamma_b as sparse (i, j) -> value listings."""
-    cached = rep.__dict__.get("_products")
-    if cached is not None:
-        return cached
-    n = rep.n
-    N = rep.spinor_dim
-    sparse = [rep.sparse_rows(a) for a in range(n)]
-    out = {}
-    for a in range(n):
-        for b in range(n):
-            rows = _sparse_mul(sparse[a], sparse[b], N)
-            out[(a, b)] = tuple(
-                ((i, j), v) for i, entries in enumerate(rows) for j, v in entries
-            )
-    object.__setattr__(rep, "_products", out)
-    return out
-
-
-def _dense_from_dict(acc: dict, N: int) -> tuple:
-    out = [[TS_ZERO] * N for _ in range(N)]
-    for (i, j), v in acc.items():
-        if not v.is_zero:
-            out[i][j] = v
-    return mat_from_rows(out)
+    return _pair_sum(rep, (
+        (j, k, half * rep.signs[j] * A[k][j]) for j in range(rep.n) for k in range(j)))
 
 
 def two_tensor_action(rep: CliffordRep, T) -> tuple:
     """Action of a 2-tensor sum_ij T_ij e_i (x) e_j as sum_ij T_ij gamma_i gamma_j."""
     n = rep.n
-    N = rep.spinor_dim
-    acc: dict[tuple[int, int], TowerScalar] = {}
-    prods = _pair_products(rep)
-    for a in range(n):
-        for b in range(n):
-            coeff = T[a][b]
-            if coeff == 0:
-                continue
-            for (i, j), val in prods[(a, b)]:
-                acc[(i, j)] = acc.get((i, j), TS_ZERO) + coeff * val
-    return _dense_from_dict(acc, N)
+    return _pair_sum(rep, ((a, b, T[a][b]) for a in range(n) for b in range(n)))
 
 
 def raise_endomorphism(signs: Sequence[int], f) -> tuple:
@@ -395,8 +261,7 @@ def _real_component_rows(row: Sequence) -> list[list[Fraction]]:
     """Split one Q(i)(w)-linear equation in rational unknowns into rational rows."""
     comps = [[], [], [], []]
     for x in row:
-        if not isinstance(x, TowerScalar):
-            x = TowerScalar.rational(x)
+        x = to_tower(x)
         comps[0].append(x.a)
         comps[1].append(x.b)
         comps[2].append(x.c)

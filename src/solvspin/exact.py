@@ -321,15 +321,9 @@ def sqrt_to_tower(m: RationalLike) -> TowerScalar:
     return TowerScalar(0, 0, 0, s, f)
 
 
-def tower_arithmetic(a: TowerScalar, b: TowerScalar, op: str) -> TowerScalar:
-    """Dispatch form of the tower field operations: add, mul, inv."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError("unknown op %r" % op)
+def to_tower(x) -> TowerScalar:
+    """x as a TowerScalar; ints and Fractions become rational tower elements."""
+    return x if isinstance(x, TowerScalar) else TowerScalar.rational(x)
 
 
 class FloatScalar:

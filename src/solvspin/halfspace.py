@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import TowerScalar
+from .exact import to_tower
 from .clifford import CliffordRep, build_gammas
 from .killing import invariant_spin_connection
 from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation
@@ -73,6 +73,8 @@ def parse_halfspace_spec(text: str) -> HalfSpaceModel:
         signs = tuple(int(s) for s in fields["signs"].split(","))
     except KeyError as exc:
         raise ValueError("half-space spec needs n=, r=, signs=") from exc
+    except ZeroDivisionError as exc:
+        raise ValueError("half-space spec r=%s has a zero denominator" % fields["r"]) from exc
     return HalfSpaceModel(n, signs, r)
 
 
@@ -246,8 +248,7 @@ class CoordSpinorField:
             entries = {}
             for (k, m), coeff in comp.sorted_terms():
                 key = "t^%d/2" % k + "".join(";x%d^%d" % (i + 1, e) for i, e in enumerate(m) if e)
-                c = coeff if isinstance(coeff, TowerScalar) else TowerScalar.rational(coeff)
-                entries[key] = c.to_dict()
+                entries[key] = to_tower(coeff).to_dict()
             out["u_%d" % h] = entries
         return out
 
@@ -281,6 +282,9 @@ def solve_killing_halfspace(
     (enlarging the window must not increase the dimension).  Solutions are
     normalized so their first nonzero coefficient is one.
     """
+    for name, bound in (("kmax", kmax), ("mmax", mmax)):
+        if bound < 0:
+            raise ValueError("window bound %s = %d is negative" % (name, bound))
     n = model.n
     N = rep.spinor_dim
     monos = _monomials(n - 1, kmax, mmax)
@@ -329,7 +333,7 @@ def solve_killing_halfspace(
             for q, mono in enumerate(monos):
                 coeff = scaled[q * N + h]
                 if not coeff == 0:
-                    terms[mono] = coeff if isinstance(coeff, TowerScalar) else TowerScalar.rational(coeff)
+                    terms[mono] = to_tower(coeff)
             comps.append(CoordFunction(terms))
         fields.append(CoordSpinorField(comps))
     return fields

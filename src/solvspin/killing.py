@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import TS_ZERO, TowerScalar, format_rational, sqrt_to_tower
-from .clifford import CliffordRep, gamma_of_vector
+from .exact import TS_ZERO, TowerScalar, format_rational, sqrt_to_tower, to_tower
+from .clifford import CliffordRep, gamma_of_vector, spin_lift
 from .liealg import (
     MetricLieAlgebra,
     StandardDecomposition,
@@ -30,7 +30,6 @@ from .liealg import (
 from .linalg import (
     identity,
     mat_equal,
-    mat_from_rows,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -39,7 +38,6 @@ from .linalg import (
 )
 
 F0 = Fraction(0)
-QUARTER = Fraction(1, 4)
 
 
 @dataclass(frozen=True)
@@ -81,31 +79,17 @@ def invariant_spin_connection(M: MetricLieAlgebra, rep: CliffordRep) -> list[tup
     """Spinor-space operator of nabla_{e_i} on invariant spinors, per direction.
 
     For constant coefficients the derivative term drops and the operator is
+    the spin lift of the metric-skew endomorphism nabla_{e_i}, that is
     (1/4) sum_j eps_j gamma_j gamma(nabla_{e_i} e_j).
     """
     if tuple(rep.signs) != tuple(M.signs):
         raise ValueError("representation signature does not match the metric")
     n = M.dim
-    N = rep.spinor_dim
     conn = levi_civita(M)
-    ops = []
-    for i in range(n):
-        acc = [[TS_ZERO] * N for _ in range(N)]
-        for j in range(n):
-            dv = conn.derivative(i, j)
-            if all(x == 0 for x in dv):
-                continue
-            gd = gamma_of_vector(rep, dv)
-            coeff = QUARTER * M.signs[j]
-            for r, entries in enumerate(rep.sparse_rows(j)):
-                for cidx, val in entries:
-                    f = coeff * val
-                    row = gd[cidx]
-                    for cc in range(N):
-                        if not row[cc].is_zero:
-                            acc[r][cc] = acc[r][cc] + f * row[cc]
-        ops.append(mat_from_rows(acc))
-    return ops
+    return [
+        spin_lift(rep, tuple(tuple(conn.derivative(i, j)[k] for j in range(n)) for k in range(n)))
+        for i in range(n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -158,7 +142,7 @@ def solve_invariant_killing(M: MetricLieAlgebra, rep: CliffordRep) -> KillingRep
             mats.append(mat)
             rows.extend([list(r) for r in mat])
         basis = [normalize_vector(v) for v in nullspace(rows, N)]
-        basis = tuple(tuple(_to_tower(x) for x in v) for v in basis)
+        basis = tuple(tuple(to_tower(x) for x in v) for v in basis)
         for psi in basis:
             for mat in mats:
                 image = [sum((mat[r][c] * psi[c] for c in range(N)), TS_ZERO) for r in range(N)]
@@ -168,10 +152,6 @@ def solve_invariant_killing(M: MetricLieAlgebra, rep: CliffordRep) -> KillingRep
             CandidateResult(cand, basis, ricci_filter(M, rep, cand.lam))
         )
     return KillingReport(tuple(results))
-
-
-def _to_tower(x) -> TowerScalar:
-    return x if isinstance(x, TowerScalar) else TowerScalar.rational(x)
 
 
 def ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam) -> int:
@@ -302,9 +282,9 @@ def classify_pseudo_iwasawa(M: MetricLieAlgebra, decomp: StandardDecomposition) 
                 Verdict("NoKillingSpinor",
                         reason="phi_alpha^2 != -4 eps_alpha lambda^2 id"),
                 tuple(checks))
-        assert not absurd_count_has_solutions(max(ng, k))
         checks.append(Check("abelian_rank", False,
-                            "dim a = %d > 1: (n+k)(n+k-1) = nk has no solutions" % k))
+                            "dim a = %d > 1: (n+k)(n+k-1) = nk has no solutions, since "
+                            "(n+k)(n+k-1) - nk = n(n-1) + k(k-1) + nk > 0" % k))
         return ObstructionReport(
             Verdict("NoKillingSpinor",
                     reason="dim a = %d > 1: (n+k)(n+k-1) = nk has no integer solutions" % k),
@@ -348,7 +328,8 @@ def classify_pseudo_iwasawa(M: MetricLieAlgebra, decomp: StandardDecomposition) 
             Verdict("NoKillingSpinor", reason="phi_0 is not +-(1/r) id"),
             tuple(checks))
     # cross-check r = 1/(2|lambda|): r^2 * 4 |lambda^2| = 1 exactly
-    assert r * r * 4 * abs(lam_sq) == 1
+    if r * r * 4 * abs(lam_sq) != 1:
+        raise RuntimeError("half-space radius r = %s is not 1/(2|lambda|)" % format_rational(r))
     epsilon = tuple(M.signs[i] for i in nil) + (eps0,)
     return ObstructionReport(
         Verdict("HyperbolicHalfSpace", r=r, epsilon=epsilon, sign_flipped=bool(flipped)),

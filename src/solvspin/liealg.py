@@ -23,7 +23,6 @@ from .linalg import (
     mat_scale,
     mat_sub,
     rref,
-    transpose,
     vec_add,
     zeros,
 )
@@ -96,11 +95,6 @@ class LieAlgebra:
         """Matrix of ad e_i: v -> [e_i, v]."""
         n = self.dim
         return tuple(tuple(self.structure[i][j][k] for j in range(n)) for k in range(n))
-
-    def ad(self, v: Sequence) -> tuple:
-        n = self.dim
-        cols = [self.bracket(v, _basis_vec(n, j)) for j in range(n)]
-        return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
 
 
 def _basis_vec(n: int, i: int) -> tuple:

@@ -28,15 +28,8 @@ def transpose(mat) -> tuple:
     return tuple(zip(*[tuple(r) for r in mat])) if mat else ()
 
 
-def mat_add(A, B) -> tuple:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_sub(A, B) -> tuple:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-def mat_neg(A) -> tuple:
-    return tuple(tuple(-a for a in row) for row in A)
 
 
 def mat_scale(c, A) -> tuple:
@@ -84,22 +77,6 @@ def mat_vec(A, v) -> tuple:
 
 def vec_add(u, v) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v) -> tuple:
-    return tuple(c * x for x in v)
-
-
-def is_zero_matrix(A) -> bool:
-    return all(all(x == 0 for x in row) for row in A)
-
-
-def is_zero_vector(v) -> bool:
-    return all(x == 0 for x in v)
 
 
 def mat_equal(A, B) -> bool:

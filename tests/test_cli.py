@@ -54,6 +54,11 @@ class TestParsing:
             parse_algebra_text("dim 3\nsigns +1 +1 +1\n1 2 oops 1\n")
         assert err.value.line_no == 3
 
+    def test_zero_denominator_reports_line(self):
+        with pytest.raises(AlgebraFileError) as err:
+            parse_algebra_text("dim 3\nsigns +1 +1 +1\n1 2 3 1/0\n")
+        assert err.value.line_no == 3
+
     def test_abelian_line_attaches_decomposition(self):
         text = "dim 4\nsigns +1 +1 +1 +1\n1 2 3 1\n1 4 1 1/2\n2 4 2 1/2\n3 4 3 1\nabelian: 4\n"
         M, decomp = parse_algebra_text(text)
@@ -125,6 +130,19 @@ class TestCommands:
         for b in data["results"]["branches"]:
             assert b["residual_zero"] and b["amended_identity"]
 
+    def test_killing_halfspace_negative_bounds_exit_one(self, capsys):
+        code = main(["killing-halfspace", "halfspace n=3 r=1 signs=1,1,1", "--json",
+                     "--kmax", "-1", "--mmax", "-2"])
+        assert code == 1
+        data = json.loads(capsys.readouterr().out)
+        assert "kmax = -1" in data["error"]
+        assert "results" not in data
+
+    def test_classify_zero_denominator_radius_exits_one(self, capsys):
+        assert main(["classify", "halfspace n=3 r=1/0 signs=1,1,1", "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert "zero denominator" in data["error"]
+
     def test_classify_needs_decomposition(self, heis3_file):
         assert main(["classify", heis3_file]) == 1
 
@@ -182,3 +200,14 @@ class TestBatch:
         assert names == ["bad.alg", "good.alg"]
         assert "error" in rep["batch"][0]
         assert "error" not in rep["batch"][1]
+
+    def test_zero_denominator_does_not_abort(self, tmp_path, capsys):
+        (tmp_path / "bad.alg").write_text("dim 3\nsigns +1 +1 +1\n1 2 3 1/0\n")
+        (tmp_path / "good.alg").write_text(HEIS3)
+        code = main(["validate", str(tmp_path), "--json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert data["summary"] == {"total": 2, "succeeded": 1, "failed": 1}
+        bad, good = data["batch"]
+        assert bad["error"] == "line 3: zero denominator in bracket coefficient"
+        assert good["results"]["jacobi_violations"] == []

@@ -1,6 +1,9 @@
 """Gamma matrices, Clifford multiplication, spin lifts, spinor kernels."""
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -93,6 +96,34 @@ class TestBuild:
 
     def test_even_dimension_has_no_volume_power(self):
         assert build_gammas((1, -1)).volume_power is None
+
+    def test_matrices_match_golden_digest(self):
+        # pins the exact matrices of every signature with n <= 8
+        h = hashlib.sha256()
+        for n in range(1, 9):
+            for signs in itertools.product((1, -1), repeat=n):
+                text = json.dumps(rep_to_json_dict(build_gammas(signs)), sort_keys=True) + "\n"
+                h.update(text.encode("utf-8"))
+        assert h.hexdigest() == "7b36bcf9eafdcbbff93c36a5ee8ab11b1b3266b66ead1596cd729cddf5374504"
+
+
+class TestViolations:
+    def test_generator_times_i_breaks_only_its_square(self):
+        # i gamma_a still anticommutes with the others but squares to +eps_a I
+        for signs in [(1, -1, 1), (1, 1, -1, -1), (-1, 1, 1, 1, -1)]:
+            rep = build_gammas(signs)
+            for a in range(len(signs)):
+                phase = list(rep.phase)
+                phase[a] = tuple((q + 1) % 4 for q in phase[a])
+                bad = dataclasses.replace(rep, phase=tuple(phase))
+                assert clifford_violations(bad) == [(a, a)]
+
+    def test_repeated_generator_breaks_anticommutation(self):
+        rep = build_gammas((1, 1, -1, 1))
+        perm = (rep.perm[0], rep.perm[0]) + rep.perm[2:]
+        phase = (rep.phase[0], rep.phase[0]) + rep.phase[2:]
+        bad = clifford_violations(dataclasses.replace(rep, perm=perm, phase=phase))
+        assert (0, 1) in bad
 
 
 class TestCliffordMul:

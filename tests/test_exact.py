@@ -13,7 +13,6 @@ from solvspin.exact import (
     split_square,
     sqrt_scalar,
     sqrt_to_tower,
-    tower_arithmetic,
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -64,10 +63,10 @@ def test_incompatible_radicands_raise():
 def test_tower_arithmetic_dispatch():
     one_plus_i = TowerScalar(1, 1)
     one_minus_i = TowerScalar(1, -1)
-    assert tower_arithmetic(one_plus_i, one_minus_i, "mul") == 2
+    assert one_plus_i * one_minus_i == 2
     w = sqrt_to_tower(2)
-    assert tower_arithmetic(w, w, "inv") * w == 1
-    assert tower_arithmetic(w, w, "inv") == w / 2
+    assert w.inverse() * w == 1
+    assert w.inverse() == w / 2
 
 
 def test_inverse_of_zero():

@@ -57,6 +57,8 @@ class TestModel:
             parse_halfspace_spec("halfspace n=4")
         with pytest.raises(ValueError):
             parse_halfspace_spec("ellipsoid n=4 r=1 signs=+1")
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_halfspace_spec("halfspace n=3 r=1/0 signs=1,1,1")
 
 
 class TestFrameDerivative:
@@ -160,6 +162,15 @@ class TestSolver:
             d1 = len(solve_killing_halfspace(model, rep, cand.lam, 1, 1))
             d2 = len(solve_killing_halfspace(model, rep, cand.lam, 2, 2))
             assert d1 == d2
+
+    def test_negative_window_bound_rejected(self):
+        model = HalfSpaceModel(3, (1, 1, 1), F(1))
+        rep = model.clifford_rep()
+        lam = lambda_candidates(model.algebra)[0].lam
+        with pytest.raises(ValueError, match="kmax = -1"):
+            solve_killing_halfspace(model, rep, lam, -1, 1)
+        with pytest.raises(ValueError, match="mmax = -2"):
+            solve_killing_halfspace(model, rep, lam, 1, -2)
 
     def test_wrong_lambda_gives_nothing(self):
         model = HalfSpaceModel(2, (1, 1), F(1))
