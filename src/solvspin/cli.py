@@ -31,7 +31,8 @@ from .liealg import (
     LieAlgebra,
     MetricLieAlgebra,
     StructureError,
-    einstein_check,
+    curvature,
+    einstein_constant,
     einstein_extension,
     jacobi_check,
     levi_civita,
@@ -263,7 +264,7 @@ def _cmd_validate(M, decomp, model, job):
 
 def _cmd_curvature(M, decomp, model, job):
     conn = levi_civita(M)
-    data = ricci(M)
+    data = ricci(M, curvature(M, conn))
     nonzero = []
     n = M.dim
     for i in range(n):
@@ -272,7 +273,7 @@ def _cmd_curvature(M, decomp, model, job):
                 val = conn.gamma[i][j][k]
                 if not val == 0:
                     nonzero.append([i + 1, j + 1, k + 1, scalar_json(val)])
-    lam = einstein_check(M)
+    lam = einstein_constant(M, data)
     return {
         "connection": nonzero,
         "ricci": matrix_json(data.ric),
@@ -365,6 +366,10 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+# errors reported by message alone; any other exception also names its type
+_INPUT_ERRORS = (AlgebraFileError, StructureError, ValueError, OSError)
+
+
 def run_single(job: JobSpec, input_spec: str) -> tuple[dict, int]:
     started = time.perf_counter()
     report = {
@@ -384,8 +389,10 @@ def run_single(job: JobSpec, input_spec: str) -> tuple[dict, int]:
         report["results"] = results
         report["timing_ms"] = _elapsed(started)
         return report, 0 if ok else 1
-    except (AlgebraFileError, StructureError, ValueError, OSError) as exc:
+    except Exception as exc:  # a failure stays with its own item; a batch goes on
         report["error"] = str(exc)
+        if not isinstance(exc, _INPUT_ERRORS):
+            report["error_type"] = type(exc).__name__
         report["timing_ms"] = _elapsed(started)
         return report, 1
 

@@ -8,8 +8,10 @@ so a frame vector acts with v.v.psi = -g(v, v) psi.  Iterated doubling only
 produces monomial matrices (one entry per row, a unit of Z[i]), so a
 representation stores each gamma_a once, as a column permutation perm[a] and
 phases phase[a] in Z/4: row i holds i**phase[a][i] at column perm[a][i].
-Products compose permutations and add phases; the dense matrices over Q(i)
-(`CliffordRep.gammas`) are a view derived from that form.  For odd n the
+Products compose permutations and add phases.  Sums of such products (spin
+lifts, Clifford multiplication by a vector, 2-tensor actions) accumulate into
+sparse rows {column: coefficient}; the dense matrices over Q(i), including
+`CliffordRep.gammas`, are views derived from those forms.  For odd n the
 representation is pinned down by normalizing the volume element to act as
 +1 or +i.
 """
@@ -172,37 +174,85 @@ def clifford_violations(rep: CliffordRep) -> list[tuple[int, int]]:
     return bad
 
 
-def _monomial_sum(N: int, terms) -> tuple:
-    """Dense sum of c x over (x, c) pairs of monomial matrices and scalars.
+def _monomial_rows(N: int, terms) -> list[dict]:
+    """Sparse rows {column: coefficient} of the sum of c x over (x, c) pairs
+    of monomial matrices and scalars.
 
     i**q c adds +-c to the real (q even) or the imaginary (q odd) part of one
     entry, so the coefficients are summed as they come and the tower
-    arithmetic runs once per entry.
+    arithmetic runs once per nonzero entry.
     """
-    re = [[F0] * N for _ in range(N)]
-    im = [[F0] * N for _ in range(N)]
+    re = [{} for _ in range(N)]
+    im = [{} for _ in range(N)]
     for (perm, phase), c in terms:
         if c == 0:
             continue
         signed = (c, -c)
         for i, (j, q) in enumerate(zip(perm, phase)):
             part = im[i] if q % 2 else re[i]
-            part[j] += signed[q // 2]
-    return tuple(
-        tuple(to_tower(r) if m == 0 else TS_I * m + r for r, m in zip(re_row, im_row))
-        for re_row, im_row in zip(re, im))
+            part[j] = part.get(j, F0) + signed[q // 2]
+    rows = []
+    for re_row, im_row in zip(re, im):
+        row = {}
+        for j in sorted(re_row.keys() | im_row.keys()):
+            r = re_row.get(j, F0)
+            m = im_row.get(j, F0)
+            if m == 0:
+                if not r == 0:
+                    row[j] = to_tower(r)
+            else:
+                row[j] = TS_I * m + r
+        rows.append(row)
+    return rows
 
 
-def _pair_sum(rep: CliffordRep, terms) -> tuple:
-    """Dense sum of c gamma_a gamma_b over (a, b, c) terms."""
+def dense_rows(rows: Sequence[dict]) -> tuple:
+    """The square matrix over Q(i) with the given sparse rows."""
+    N = len(rows)
+    out = []
+    for row in rows:
+        dense = [TS_ZERO] * N
+        for j, x in row.items():
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
+
+
+def _pair_rows(rep: CliffordRep, terms) -> list[dict]:
+    """Sparse rows of the sum of c gamma_a gamma_b over (a, b, c) terms."""
     gens = _generators(rep)
-    return _monomial_sum(rep.spinor_dim, (
+    return _monomial_rows(rep.spinor_dim, (
         (_compose(gens[a], gens[b]), c) for a, b, c in terms if c != 0))
+
+
+def gamma_of_vector_rows(rep: CliffordRep, v: Sequence) -> list[dict]:
+    """Sparse rows of Clifford multiplication by the frame vector v."""
+    return _monomial_rows(rep.spinor_dim, zip(_generators(rep), v))
 
 
 def gamma_of_vector(rep: CliffordRep, v: Sequence) -> tuple:
     """Dense matrix of Clifford multiplication by the frame vector v."""
-    return _monomial_sum(rep.spinor_dim, zip(_generators(rep), v))
+    return dense_rows(gamma_of_vector_rows(rep, v))
+
+
+def add_gamma(rep: CliffordRep, rows: Sequence[dict], a: int, c) -> list[dict]:
+    """New sparse rows for rows + c gamma_a.
+
+    Row i of gamma_a holds i**phase at column perm, so the four multiples
+    c i**q are formed once and each row gains one of them.
+    """
+    multiples = [c * u for u in _UNITS]
+    out = []
+    for row, j, q in zip(rows, rep.perm[a], rep.phase[a]):
+        row = dict(row)
+        cur = row.get(j)
+        nv = multiples[q] if cur is None else cur + multiples[q]
+        if nv == 0:
+            row.pop(j, None)
+        else:
+            row[j] = nv
+        out.append(row)
+    return out
 
 
 def clifford_mul(rep: CliffordRep, v: Sequence, psi: Sequence) -> tuple:
@@ -217,8 +267,8 @@ def clifford_mul(rep: CliffordRep, v: Sequence, psi: Sequence) -> tuple:
     return tuple(out)
 
 
-def spin_lift(rep: CliffordRep, A) -> tuple:
-    """Spinor action of a metric-skew endomorphism.
+def spin_lift_rows(rep: CliffordRep, A) -> list[dict]:
+    """Sparse rows {column: coefficient} of the spinor action of a metric-skew A.
 
     lift(A) = (1/4) sum_j eps_j gamma_j gamma(A e_j); it satisfies
     [lift(A), v.] = (A v). for all vectors v.
@@ -226,8 +276,13 @@ def spin_lift(rep: CliffordRep, A) -> tuple:
     if not is_metric_skew(A, rep.signs):
         raise ValueError("endomorphism is not metric-skew")
     n = rep.n
-    return _pair_sum(rep, (
+    return _pair_rows(rep, (
         (j, k, QUARTER * rep.signs[j] * A[k][j]) for j in range(n) for k in range(n)))
+
+
+def spin_lift(rep: CliffordRep, A) -> tuple:
+    """Dense matrix of `spin_lift_rows`."""
+    return dense_rows(spin_lift_rows(rep, A))
 
 
 def spin_lift_basis_form(rep: CliffordRep, A) -> tuple:
@@ -237,14 +292,14 @@ def spin_lift_basis_form(rep: CliffordRep, A) -> tuple:
     spin_lift exactly when A is metric-skew.
     """
     half = Fraction(1, 2)
-    return _pair_sum(rep, (
-        (j, k, half * rep.signs[j] * A[k][j]) for j in range(rep.n) for k in range(j)))
+    return dense_rows(_pair_rows(rep, (
+        (j, k, half * rep.signs[j] * A[k][j]) for j in range(rep.n) for k in range(j))))
 
 
 def two_tensor_action(rep: CliffordRep, T) -> tuple:
     """Action of a 2-tensor sum_ij T_ij e_i (x) e_j as sum_ij T_ij gamma_i gamma_j."""
     n = rep.n
-    return _pair_sum(rep, ((a, b, T[a][b]) for a in range(n) for b in range(n)))
+    return dense_rows(_pair_rows(rep, ((a, b, T[a][b]) for a in range(n) for b in range(n))))
 
 
 def raise_endomorphism(signs: Sequence[int], f) -> tuple:

@@ -7,7 +7,9 @@ fields are expanded in the monomial lattice t^(k/2) x^m, which is closed under
 the left-invariant frame derivations: the t-derivation is diagonal on
 monomials, an x-derivation raises the t-exponent by one and lowers one
 x-degree.  Solving the Killing equation inside a bounded window of that
-lattice is an exact sparse linear problem.
+lattice is an exact sparse linear problem.  Its matrix part comes from the
+sparse operator rows of `killing.killing_operator_rows`, built from one
+Levi-Civita computation per solve; `killing_residual` applies the same rows.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Sequence
 
 from .exact import to_tower
 from .clifford import CliffordRep, build_gammas
-from .killing import invariant_spin_connection
+from .killing import killing_operator_rows
 from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation
-from .linalg import identity, mat_scale, mat_sub, sparse_nullspace
+from .linalg import identity, mat_scale, sparse_nullspace
 
 F0 = Fraction(0)
 
@@ -217,19 +219,19 @@ class CoordSpinorField:
     def scale(self, factor) -> "CoordSpinorField":
         return CoordSpinorField(tuple(c.scale(factor) for c in self.components))
 
-    def apply_matrix(self, mat) -> "CoordSpinorField":
-        """Constant endomorphism of the fiber acting componentwise."""
-        N = len(self.components)
+    def apply_rows(self, rows) -> "CoordSpinorField":
+        """Constant endomorphism of the fiber given as sparse rows {column: coefficient}."""
         out = []
-        for i in range(N):
+        for row in rows:
             acc = CoordFunction()
-            for j in range(N):
-                coeff = mat[i][j]
-                if coeff == 0:
-                    continue
+            for j, coeff in row.items():
                 acc = acc + self.components[j].scale(coeff)
             out.append(acc)
         return CoordSpinorField(out)
+
+    def apply_matrix(self, mat) -> "CoordSpinorField":
+        """Constant endomorphism of the fiber acting componentwise."""
+        return self.apply_rows([{j: x for j, x in enumerate(row) if not x == 0} for row in mat])
 
     def derivative(self, model: HalfSpaceModel, direction: int) -> "CoordSpinorField":
         return CoordSpinorField(
@@ -257,15 +259,11 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
     """Per-direction residual nabla_X psi - lambda X . psi.
 
     Vanishing of every monomial coefficient in every direction is exactly the
-    Killing equation with constant lambda.
+    Killing equation with constant lambda.  The matrix part applies the
+    sparse operator rows, built from one Levi-Civita computation.
     """
-    ops = invariant_spin_connection(model.algebra, rep)
-    out = []
-    for d in range(model.n):
-        mat = mat_sub(ops[d], mat_scale(lam, rep.gammas[d]))
-        res = psi.derivative(model, d) + psi.apply_matrix(mat)
-        out.append(res)
-    return out
+    ops = killing_operator_rows(model.algebra, rep, lam)
+    return [psi.derivative(model, d) + psi.apply_rows(rows) for d, rows in enumerate(ops)]
 
 
 def solve_killing_halfspace(
@@ -279,7 +277,9 @@ def solve_killing_halfspace(
 
     The ansatz runs over t^(k/2) x^m with k in [-kmax, kmax] and |m| <= mmax;
     completeness inside the window is checked by the caller via saturation
-    (enlarging the window must not increase the dimension).  Solutions are
+    (enlarging the window must not increase the dimension).  The matrix part
+    of the equations copies the nonzero entries of the sparse operator rows,
+    built from one Levi-Civita computation per call.  Solutions are
     normalized so their first nonzero coefficient is one.
     """
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
@@ -293,18 +293,14 @@ def solve_killing_halfspace(
         for h in range(N):
             var_index[(mono, h)] = q * N + h
     nvars = len(monos) * N
-    ops = invariant_spin_connection(model.algebra, rep)
+    ops = killing_operator_rows(model.algebra, rep, lam)
     equations: dict = {}
-    for d in range(n):
-        mat = mat_sub(ops[d], mat_scale(lam, rep.gammas[d]))
+    for d, rows in enumerate(ops):
         for mono in monos:
             k, m = mono
             # matrix part keeps the monomial
-            for i in range(N):
-                for j in range(N):
-                    coeff = mat[i][j]
-                    if coeff == 0:
-                        continue
+            for i, row in enumerate(rows):
+                for j, coeff in row.items():
                     _acc_eq(equations, (d, mono, i), var_index[(mono, j)], coeff)
             # derivative part shifts it
             if d == n - 1:

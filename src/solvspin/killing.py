@@ -8,6 +8,13 @@ identity, abelian rank one, trace normalization, and finally phi_0 a scalar.
 A metric that passes everything is the hyperbolic half-space H^eps_r with
 r = 1/(2|lambda|); the solver, in contrast, handles only invariant spinors,
 whose equation is a finite linear system on the fiber.
+
+One solve computes the Levi-Civita connection and the Ricci data once.  Each
+per-direction operator nabla_{e_i} - lambda gamma_i is built as sparse rows
+{column: coefficient} straight from the monomial gammas, and the stacked rows
+go to `sparse_nullspace`, which stops as soon as the rank reaches the spinor
+dimension N: the usual outcome, since the system has only the zero solution
+even on the half-spaces.  The same rows serve the half-space solver.
 """
 
 from __future__ import annotations
@@ -17,11 +24,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import TS_ZERO, TowerScalar, format_rational, sqrt_to_tower, to_tower
-from .clifford import CliffordRep, gamma_of_vector, spin_lift
+from .clifford import CliffordRep, add_gamma, dense_rows, gamma_of_vector_rows, spin_lift_rows
 from .liealg import (
     MetricLieAlgebra,
+    RicciData,
     StandardDecomposition,
     check_standard,
+    curvature,
     levi_civita,
     restrict,
     ricci,
@@ -32,9 +41,8 @@ from .linalg import (
     mat_equal,
     mat_mul,
     mat_scale,
-    mat_sub,
     normalize_vector,
-    nullspace,
+    sparse_nullspace,
 )
 
 F0 = Fraction(0)
@@ -55,10 +63,14 @@ def lambda_candidates(M: MetricLieAlgebra) -> list[LambdaCandidate]:
     s = 4 n (n-1) lambda^2 forces lambda^2; the degenerate lambda = 0 case
     (parallel spinors) is excluded, so s = 0 yields no candidates.
     """
+    return _lambda_candidates(M, ricci(M))
+
+
+def _lambda_candidates(M: MetricLieAlgebra, data: RicciData) -> list[LambdaCandidate]:
     n = M.dim
     if n < 2:
         raise ValueError("need dimension >= 2")
-    s = _as_fraction(ricci(M).scalar)
+    s = _as_fraction(data.scalar)
     if s == 0:
         return []
     lam_sq = s / (4 * n * (n - 1))
@@ -75,21 +87,34 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _spin_connection_rows(M: MetricLieAlgebra, rep: CliffordRep, conn) -> list[list[dict]]:
+    """Sparse rows of the spin lift of nabla_{e_i}, per direction i."""
+    if tuple(rep.signs) != tuple(M.signs):
+        raise ValueError("representation signature does not match the metric")
+    return [spin_lift_rows(rep, conn.nabla(i)) for i in range(M.dim)]
+
+
 def invariant_spin_connection(M: MetricLieAlgebra, rep: CliffordRep) -> list[tuple]:
     """Spinor-space operator of nabla_{e_i} on invariant spinors, per direction.
 
     For constant coefficients the derivative term drops and the operator is
     the spin lift of the metric-skew endomorphism nabla_{e_i}, that is
-    (1/4) sum_j eps_j gamma_j gamma(nabla_{e_i} e_j).
+    (1/4) sum_j eps_j gamma_j gamma(nabla_{e_i} e_j).  Dense view of the rows
+    that `killing_operator_rows` starts from.
     """
-    if tuple(rep.signs) != tuple(M.signs):
-        raise ValueError("representation signature does not match the metric")
-    n = M.dim
-    conn = levi_civita(M)
-    return [
-        spin_lift(rep, tuple(tuple(conn.derivative(i, j)[k] for j in range(n)) for k in range(n)))
-        for i in range(n)
-    ]
+    return [dense_rows(rows) for rows in _spin_connection_rows(M, rep, levi_civita(M))]
+
+
+def killing_operator_rows(M: MetricLieAlgebra, rep: CliffordRep, lam, lifts=None) -> list[list[dict]]:
+    """Sparse rows {column: coefficient} of nabla_{e_i} - lam gamma_i, per direction i.
+
+    `lifts` are the spin-connection rows of one Levi-Civita computation,
+    shared between the lambda branches of a solve; without them the
+    connection is computed here, once.
+    """
+    if lifts is None:
+        lifts = _spin_connection_rows(M, rep, levi_civita(M))
+    return [add_gamma(rep, rows, i, -lam) for i, rows in enumerate(lifts)]
 
 
 @dataclass(frozen=True)
@@ -126,31 +151,27 @@ class KillingReport:
 def solve_invariant_killing(M: MetricLieAlgebra, rep: CliffordRep) -> KillingReport:
     """Joint kernel of (nabla_{e_i} - lambda gamma_i) over all frame directions.
 
-    Every returned basis spinor is re-substituted into the equation; exact
-    arithmetic throughout.
+    The connection and the Ricci data are computed once; the operator rows are
+    stacked sparsest direction first, so a direction with nabla_{e_i} = 0
+    (the abelian direction of a pseudo-Iwasawa algebra) reaches rank N on its
+    own and ends the elimination.  Every returned basis spinor is
+    re-substituted into every row; exact arithmetic throughout.
     """
-    ops = invariant_spin_connection(M, rep)
-    n = M.dim
+    conn = levi_civita(M)
+    lifts = _spin_connection_rows(M, rep, conn)
+    data = ricci(M, curvature(M, conn))
     N = rep.spinor_dim
     results = []
-    for cand in lambda_candidates(M):
-        rows = []
-        mats = []
-        for i in range(n):
-            gi = rep.gammas[i]
-            mat = mat_sub(ops[i], mat_scale(cand.lam, gi))
-            mats.append(mat)
-            rows.extend([list(r) for r in mat])
-        basis = [normalize_vector(v) for v in nullspace(rows, N)]
-        basis = tuple(tuple(to_tower(x) for x in v) for v in basis)
+    for cand in _lambda_candidates(M, data):
+        ops = killing_operator_rows(M, rep, cand.lam, lifts)
+        eqs = [row for rows in sorted(ops, key=lambda rows: sum(map(len, rows))) for row in rows]
+        basis = tuple(tuple(to_tower(x) for x in normalize_vector(v))
+                      for v in sparse_nullspace(eqs, N))
         for psi in basis:
-            for mat in mats:
-                image = [sum((mat[r][c] * psi[c] for c in range(N)), TS_ZERO) for r in range(N)]
-                if any(not x == 0 for x in image):
+            for row in eqs:
+                if not sum((c * psi[j] for j, c in row.items()), TS_ZERO) == 0:
                     raise RuntimeError("solver returned a non-solution spinor")
-        results.append(
-            CandidateResult(cand, basis, ricci_filter(M, rep, cand.lam))
-        )
+        results.append(CandidateResult(cand, basis, _ricci_filter(M, rep, cand.lam, data)))
     return KillingReport(tuple(results))
 
 
@@ -160,21 +181,23 @@ def ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam) -> int:
     Any Killing spinor with constant lambda lies in this space pointwise, so
     the dimension upper-bounds existence, invariant or not.
     """
+    return _ricci_filter(M, rep, lam, ricci(M))
+
+
+def _ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam, data: RicciData) -> int:
     n = M.dim
     N = rep.spinor_dim
     lam_sq = _as_fraction(lam * lam) if isinstance(lam, TowerScalar) else Fraction(lam) ** 2
-    data = ricci(M)
     rows = []
     factor = 4 * (n - 1) * lam_sq
     for i in range(n):
         w = [data.operator[k][i] - (factor if k == i else F0) for k in range(n)]
         if all(x == 0 for x in w):
             continue
-        gw = gamma_of_vector(rep, w)
-        rows.extend([list(r) for r in gw])
+        rows.extend(gamma_of_vector_rows(rep, w))
     if not rows:
         return N
-    return len(nullspace(rows, N))
+    return len(sparse_nullspace(rows, N))
 
 
 def phi_square_check(M: MetricLieAlgebra, decomp: StandardDecomposition, lam_sq: Fraction) -> list[bool]:

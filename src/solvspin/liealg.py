@@ -629,7 +629,11 @@ def extend_by_derivation(M: MetricLieAlgebra, D, eps0: int):
 
 def einstein_check(M: MetricLieAlgebra):
     """Return lam with ric = lam g (exact entrywise), or None."""
-    data = ricci(M)
+    return einstein_constant(M, ricci(M))
+
+
+def einstein_constant(M: MetricLieAlgebra, data: RicciData):
+    """lam with ric = lam g for already computed Ricci data, or None."""
     n = M.dim
     lam = None
     for i in range(n):

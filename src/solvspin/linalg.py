@@ -154,18 +154,17 @@ def solve_linear(A, b):
 def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
     """Kernel basis for a sparse system given as dicts {column: coefficient}.
 
-    Designed for the half-space Killing solve, where each equation touches a
-    handful of unknowns; pivoting is by lowest column index for determinism.
+    Built for the Killing solves, where each equation touches a handful of
+    unknowns.  Each pivot row is keyed by its lowest column and the rows are
+    fully back-reduced, so the result is the unique reduced echelon form and
+    the basis equals that of `nullspace`.  Returns [] as soon as the rank
+    reaches ncols, without reading the remaining equations.
     """
     pivots: dict[int, dict] = {}
     for eq in eqs:
         row = {c: v for c, v in eq.items() if not v == 0}
         while row:
-            hit = None
-            for c in sorted(row):
-                if c in pivots:
-                    hit = c
-                    break
+            hit = min((c for c in row if c in pivots), default=None)
             if hit is None:
                 break
             f = row.pop(hit)
@@ -183,6 +182,8 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
         pc = min(row)
         pv = row[pc]
         pivots[pc] = {c: v / pv for c, v in row.items()}
+        if len(pivots) == ncols:
+            return []
     # full reduction: clear pivot columns from every other pivot row
     for pc in sorted(pivots, reverse=True):
         prow = pivots[pc]

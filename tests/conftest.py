@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from solvspin.liealg import (
     LieAlgebra,
@@ -16,6 +17,11 @@ from solvspin.liealg import (
 from solvspin.linalg import nullspace
 
 F = Fraction
+
+# Deterministic gates: every run draws the same hypothesis examples (each
+# test keeps its own max_examples) and no example database is read or written.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def heisenberg3(signs=(1, 1, 1), coeff=F(1)) -> MetricLieAlgebra:

@@ -211,3 +211,33 @@ class TestBatch:
         bad, good = data["batch"]
         assert bad["error"] == "line 3: zero denominator in bracket coefficient"
         assert good["results"]["jacobi_violations"] == []
+
+    def test_unlisted_exception_stays_with_its_item(self, tmp_path, capsys, monkeypatch):
+        import solvspin.cli as cli
+
+        real = cli.solve_invariant_killing
+
+        def flaky(M, rep):
+            if M.signs[-1] == -1:
+                raise RuntimeError("solver returned a non-solution spinor")
+            return real(M, rep)
+
+        monkeypatch.setattr(cli, "solve_invariant_killing", flaky)
+        (tmp_path / "a.alg").write_text(HEIS3.replace("+1 +1 +1", "+1 +1 -1"))
+        (tmp_path / "b.alg").write_text(HEIS3)
+        code = main(["killing-invariant", str(tmp_path), "--json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert data["summary"] == {"total": 2, "succeeded": 1, "failed": 1}
+        bad, good = data["batch"]
+        assert bad["error"] == "solver returned a non-solution spinor"
+        assert bad["error_type"] == "RuntimeError"
+        assert "results" not in bad
+        assert len(good["results"]["killing"]["candidates"]) == 2
+        assert "error_type" not in good
+
+    def test_listed_errors_carry_no_type(self, tmp_path, capsys):
+        (tmp_path / "bad.alg").write_text("dim oops\n")
+        main(["validate", str(tmp_path), "--json"])
+        bad = json.loads(capsys.readouterr().out)["batch"][0]
+        assert "error" in bad and "error_type" not in bad

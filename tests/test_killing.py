@@ -1,18 +1,20 @@
 """Lambda candidates, invariant solver, Ricci filter, and the classifier."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import abelian_metric, heisenberg3, semidirect_metric
-from solvspin.exact import TowerScalar
-from solvspin.clifford import build_gammas
+from conftest import abelian_metric, heisenberg3, random_pseudo_iwasawa, semidirect_metric
+from solvspin.exact import TowerScalar, to_tower
+from solvspin.clifford import build_gammas, dense_rows, gamma_of_vector
 from solvspin.halfspace import HalfSpaceModel
 from solvspin.killing import (
     absurd_count_has_solutions,
     classify_pseudo_iwasawa,
     invariant_spin_connection,
+    killing_operator_rows,
     lambda_candidates,
     phi_square_check,
     ricci_filter,
@@ -26,7 +28,7 @@ from solvspin.liealg import (
     ricci,
     standard_decomposition,
 )
-from solvspin.linalg import mat_equal, mat_mul, mat_scale
+from solvspin.linalg import mat_equal, mat_mul, mat_scale, mat_sub, normalize_vector, nullspace
 
 F = Fraction
 
@@ -139,6 +141,83 @@ class TestInvariantSolver:
         assert data["invariant_only"] is True
         assert len(data["candidates"]) == 2
         assert all("lambda_squared" in c for c in data["candidates"])
+
+
+SU2 = LieAlgebra.from_brackets(3, {(0, 1): {2: F(1)}, (1, 2): {0: F(1)}, (0, 2): {1: F(-1)}})
+SL2 = LieAlgebra.from_brackets(3, {(0, 1): {2: F(-1)}, (1, 2): {0: F(1)}, (0, 2): {1: F(-1)}})
+
+
+def _sparse_path_algebras():
+    """Random pseudo-Iwasawa instances, half-space models, Einstein extensions,
+    and algebras with nonempty invariant kernels or a proper Ricci filter."""
+    rng = random.Random(20261018)
+    out = [random_pseudo_iwasawa(rng)[0] for _ in range(12)]
+    out += [HalfSpaceModel(n, signs, r).algebra
+            for n, signs, r in ((2, (1, -1), F(1)), (3, (1, 1, 1), F(2, 3)),
+                                (4, (1, -1, 1, -1), F(2, 3)), (5, (1, 1, 1, 1, -1), F(2, 5)))]
+    for M in (heisenberg3(), heisenberg3(signs=(1, 1, -1)), heisenberg3(coeff=F(2, 3))):
+        out.append(einstein_extension(M)[0])
+    # round S^3 in both overall signs and anti-de Sitter AdS_3 carry invariant
+    # Killing spinors; heis3 is not Einstein, so its Ricci filter is proper
+    out += [MetricLieAlgebra(SU2, (1, 1, 1)), MetricLieAlgebra(SU2, (-1, -1, -1)),
+            MetricLieAlgebra(SL2, (1, 1, -1)), heisenberg3()]
+    return out
+
+
+def _branches(M):
+    lams = [c.lam for c in lambda_candidates(M)]
+    return lams or [TowerScalar(F(1, 2), F(1, 3)), -TowerScalar(F(1, 2), F(1, 3))]
+
+
+def _dense_invariant_solve(M, rep):
+    """The stacked dense solve, kept as an oracle for the sparse rows."""
+    ops = invariant_spin_connection(M, rep)
+    out = []
+    for cand in lambda_candidates(M):
+        rows = []
+        for i in range(M.dim):
+            rows.extend(list(r) for r in mat_sub(ops[i], mat_scale(cand.lam, rep.gammas[i])))
+        basis = [normalize_vector(v) for v in nullspace(rows, rep.spinor_dim)]
+        out.append(tuple(tuple(to_tower(x) for x in v) for v in basis))
+    return out
+
+
+def _dense_ricci_filter(M, rep, lam):
+    n = M.dim
+    op = ricci(M).operator
+    lam_sq = (lam * lam).as_fraction()
+    rows = []
+    for i in range(n):
+        w = [op[k][i] - (4 * (n - 1) * lam_sq if k == i else 0) for k in range(n)]
+        if any(x != 0 for x in w):
+            rows.extend(list(r) for r in gamma_of_vector(rep, w))
+    return len(nullspace(rows, rep.spinor_dim)) if rows else rep.spinor_dim
+
+
+class TestSparseOperatorRows:
+    def test_rows_equal_dense_operators(self):
+        for M in _sparse_path_algebras():
+            rep = build_gammas(M.signs)
+            ops = invariant_spin_connection(M, rep)
+            for lam in _branches(M):
+                rows = killing_operator_rows(M, rep, lam)
+                assert len(rows) == M.dim
+                for i, op_rows in enumerate(rows):
+                    assert all(not x == 0 for row in op_rows for x in row.values())
+                    want = mat_sub(ops[i], mat_scale(lam, rep.gammas[i]))
+                    assert mat_equal(dense_rows(op_rows), want), (M, lam, i)
+
+    def test_solve_matches_dense_oracle(self):
+        nonempty = 0
+        for M in _sparse_path_algebras():
+            rep = build_gammas(M.signs)
+            report = solve_invariant_killing(M, rep)
+            oracle = _dense_invariant_solve(M, rep)
+            assert [c.kernel_basis for c in report.candidates] == oracle
+            for c in report.candidates:
+                assert c.ricci_filter_dimension == _dense_ricci_filter(M, rep, c.candidate.lam)
+            nonempty += sum(1 for basis in oracle if basis)
+        assert nonempty == 3   # the kernel and re-substitution path is exercised
 
 
 class TestRicciFilter:

@@ -61,10 +61,44 @@ def test_sparse_matches_dense_on_random_systems():
         ]
         nd = nullspace([list(r) for r in dense], ncols)
         ns = sparse_nullspace(sparse, ncols)
-        assert len(nd) == len(ns)
-        # same span: every sparse-basis vector reduces to zero against the system
+        # both reduce to the unique reduced echelon form, so the bases agree
+        assert ns == nd
         for v in ns:
             assert all(sum((row[c] * v[c] for c in range(ncols)), F(0)) == 0 for row in dense)
+
+
+def _tower_entry(rng):
+    if rng.random() < 0.4:
+        return TowerScalar.rational(0)
+    return TowerScalar(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-1, 1),
+                       rng.randint(-1, 1), 3)
+
+
+def test_sparse_matches_dense_over_tower():
+    rng = random.Random(7)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        dense = [[_tower_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5 and nrows > 1:
+            # a dependent row: i times the first plus the second
+            dense.append([TowerScalar.imaginary(1) * a + b for a, b in zip(dense[0], dense[1])])
+        sparse = [{c: v for c, v in enumerate(row) if not v == 0} for row in dense]
+        assert sparse_nullspace(sparse, ncols) == nullspace([list(r) for r in dense], ncols)
+
+
+def test_sparse_full_rank_stops_early():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        # an invertible triangular block first, then rows the early exit never reads
+        tri = [{c: F(rng.choice([-2, -1, 1, 3])) if c == r else F(rng.randint(-3, 3))
+                for c in range(r, n)} for r in range(n)]
+        poisoned = {0: object()}  # arithmetic on it would raise
+        assert sparse_nullspace(tri + [poisoned], n) == []
+        dense = [[row.get(c, F(0)) for c in range(n)] for row in tri]
+        assert nullspace(dense, n) == []
+    i = TowerScalar.imaginary(1)
+    eqs = [{1: i}, {0: TowerScalar(0, 0, 1, 0, 2), 1: TowerScalar.rational(1)}]
+    assert sparse_nullspace(eqs, 2) == []
 
 
 def test_sparse_nullspace_over_tower():
