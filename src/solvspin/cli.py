@@ -31,7 +31,6 @@ from .liealg import (
     LieAlgebra,
     MetricLieAlgebra,
     StructureError,
-    curvature,
     einstein_constant,
     einstein_extension,
     jacobi_check,
@@ -264,7 +263,7 @@ def _cmd_validate(M, decomp, model, job):
 
 def _cmd_curvature(M, decomp, model, job):
     conn = levi_civita(M)
-    data = ricci(M, curvature(M, conn))
+    data = ricci(M, conn)
     nonzero = []
     n = M.dim
     for i in range(n):

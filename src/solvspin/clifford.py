@@ -277,7 +277,8 @@ def spin_lift_rows(rep: CliffordRep, A) -> list[dict]:
         raise ValueError("endomorphism is not metric-skew")
     n = rep.n
     return _pair_rows(rep, (
-        (j, k, QUARTER * rep.signs[j] * A[k][j]) for j in range(n) for k in range(n)))
+        (j, k, QUARTER * rep.signs[j] * A[k][j])
+        for j in range(n) for k in range(n) if not A[k][j] == 0))
 
 
 def spin_lift(rep: CliffordRep, A) -> tuple:

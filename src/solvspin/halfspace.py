@@ -322,14 +322,14 @@ def solve_killing_halfspace(
         lead = next((x for x in vec if not x == 0), None)
         if lead is None:
             continue
-        scaled = [x / lead for x in vec]
+        inv = 1 / lead
         comps = []
         for h in range(N):
             terms = {}
             for q, mono in enumerate(monos):
-                coeff = scaled[q * N + h]
+                coeff = vec[q * N + h]
                 if not coeff == 0:
-                    terms[mono] = to_tower(coeff)
+                    terms[mono] = to_tower(coeff * inv)
             comps.append(CoordFunction(terms))
         fields.append(CoordSpinorField(comps))
     return fields

@@ -30,7 +30,6 @@ from .liealg import (
     RicciData,
     StandardDecomposition,
     check_standard,
-    curvature,
     levi_civita,
     restrict,
     ricci,
@@ -159,7 +158,7 @@ def solve_invariant_killing(M: MetricLieAlgebra, rep: CliffordRep) -> KillingRep
     """
     conn = levi_civita(M)
     lifts = _spin_connection_rows(M, rep, conn)
-    data = ricci(M, curvature(M, conn))
+    data = ricci(M, conn)
     N = rep.spinor_dim
     results = []
     for cand in _lambda_candidates(M, data):

@@ -5,6 +5,13 @@ Frames are always pseudo-orthonormal: the metric is diag(eps_1, ..., eps_n)
 with eps_i = +-1.  Structure constants c[i][j][k] give [e_i, e_j] = sum_k
 c[i][j][k] e_k; entries may be Fractions, TowerScalars or FloatScalars, and
 every operation below is generic over those.
+
+The geometry comes straight from the structure constants.  `levi_civita`
+scatters each nonzero c_ijk into the three slots of the Koszul formula, and
+`ricci` contracts the connection table Gamma directly, summing over pairs of
+nonzero entries; neither forms ad matrices or the Riemann tensor.  The full
+tensor is still available from `curvature`.  Zero entries are taken from the
+algebra's own scalars, so the float backend reports FloatScalar zeros.
 """
 
 from __future__ import annotations
@@ -195,11 +202,18 @@ def is_metric_symmetric(f, signs) -> bool:
     return mat_equal(f, metric_transpose(f, signs))
 
 
+def _is_exact_zero(x) -> bool:
+    """Zero exactly; a FloatScalar counts only at value 0.0, not within tolerance."""
+    return x.value == 0 if isinstance(x, FloatScalar) else not x
+
+
 def is_metric_skew(f, signs) -> bool:
-    ft = metric_transpose(f, signs)
+    """f + f* = 0, tested where f_ij or f_ji is not exactly zero (elsewhere 0 + 0 = 0)."""
+    n = len(signs)
     return all(
-        all(f[i][j] + ft[i][j] == 0 for j in range(len(signs)))
-        for i in range(len(signs))
+        f[i][j] + signs[i] * signs[j] * f[j][i] == 0
+        for i in range(n) for j in range(n)
+        if not (_is_exact_zero(f[i][j]) and _is_exact_zero(f[j][i]))
     )
 
 
@@ -225,49 +239,79 @@ class Connection:
         return self.gamma[i][j]
 
 
-def levi_civita(M: MetricLieAlgebra) -> Connection:
-    """Connection from the operator form of the Koszul formula.
+def _nonzeros(table) -> list:
+    """(i, j, k, value) for every entry of an n x n x n table that is not exactly zero."""
+    return [(i, j, k, v)
+            for i, plane in enumerate(table)
+            for j, row in enumerate(plane)
+            for k, v in enumerate(row)
+            if not _is_exact_zero(v)]
 
-    nabla_w v = -ad(v)^s w - (1/2) ad(w)* v for left-invariant fields; the
-    result is checked to be torsion-free and metric-compatible.
+
+def _accumulate(acc: dict, key, v):
+    acc[key] = acc[key] + v if key in acc else v
+
+
+def _zero_of(M: MetricLieAlgebra):
+    """Zero of the algebra's own scalars (a FloatScalar for the float backend)."""
+    s = M.algebra.structure[0][0][0] if M.dim else F0
+    return s - s
+
+
+def levi_civita(M: MetricLieAlgebra) -> Connection:
+    """Connection from the Koszul formula on the structure constants.
+
+    Gamma_ijk = (c_ijk - eps_i eps_k c_jki + eps_j eps_k c_kij) / 2, so each
+    nonzero c_abd lands in three slots: c/2 at (a, b, d), -eps_b eps_d c/2 at
+    (d, a, b) and eps_a eps_d c/2 at (b, d, a).  The result is checked to be
+    torsion-free and metric-compatible.
     """
-    L, signs = M.algebra, M.signs
-    n = L.dim
-    ads = [L.ad_basis(i) for i in range(n)]
-    ad_sym = [symmetric_part(a, signs) for a in ads]
-    ad_star = [metric_transpose(a, signs) for a in ads]
-    gamma = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            v1 = mat_vec(ad_sym[j], _basis_vec(n, i))
-            v2 = mat_vec(ad_star[i], _basis_vec(n, j))
-            plane.append(tuple(-(a) - HALF * b for a, b in zip(v1, v2)))
-        gamma.append(tuple(plane))
-    conn = Connection(tuple(gamma))
+    n, eps = M.dim, M.signs
+    acc = {}
+    for a, b, d, c in _nonzeros(M.algebra.structure):
+        h = c * HALF
+        _accumulate(acc, (a, b, d), h)
+        _accumulate(acc, (d, a, b), h if eps[b] != eps[d] else -h)
+        _accumulate(acc, (b, d, a), h if eps[a] == eps[d] else -h)
+    zero = _zero_of(M)
+    conn = Connection(tuple(
+        tuple(tuple(acc.get((i, j, k), zero) for k in range(n)) for j in range(n))
+        for i in range(n)))
     _check_connection(M, conn)
     return conn
 
 
 def _check_connection(M: MetricLieAlgebra, conn: Connection):
-    n = M.dim
-    g = conn.gamma
-    eps = M.signs
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # metric compatibility: g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
-                if not (g[i][j][k] * eps[k] + g[i][k][j] * eps[j]) == 0:
-                    raise StructureError("connection is not metric-compatible")
-                # zero torsion: nabla_i e_j - nabla_j e_i = [e_i, e_j]
-                if not (g[i][j][k] - g[j][i][k]) == M.algebra.structure[i][j][k]:
-                    raise StructureError("connection has torsion")
+    """Raise StructureError unless conn is metric-compatible and torsion-free.
+
+    Both conditions are checked at every index triple where they read an entry
+    that is not exactly zero.  At any other triple they read 0 eps_k + 0 eps_j
+    = 0 and 0 - 0 = 0 = c_ijk, which hold, so this is the full n^3 check.  The
+    metric condition at (i, k, j) is the one at (i, j, k), so the nonzero
+    Gamma_ijk cover it; the torsion condition also runs at (j, i, k) and
+    wherever c_ijk is nonzero.
+    """
+    g, eps, c = conn.gamma, M.signs, M.algebra.structure
+    nz = _nonzeros(g)
+    # metric compatibility: g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
+    for i, j, k, v in nz:
+        if not (v * eps[k] + g[i][k][j] * eps[j]) == 0:
+            raise StructureError("connection is not metric-compatible")
+    # zero torsion: nabla_i e_j - nabla_j e_i = [e_i, e_j]
+    triples = {(i, j, k) for i, j, k, _ in nz}
+    triples.update([(j, i, k) for i, j, k in triples])
+    triples.update((i, j, k) for i, j, k, _ in _nonzeros(c))
+    for i, j, k in triples:
+        if not (g[i][j][k] - g[j][i][k]) == c[i][j][k]:
+            raise StructureError("connection has torsion")
 
 
 def curvature(M: MetricLieAlgebra, conn: Connection) -> tuple:
     """R[i][j][k][l]: coefficient of e_l in R(e_i, e_j) e_k.
 
-    R(x, y) = nabla_x nabla_y - nabla_y nabla_x - nabla_{[x, y]}.
+    R(x, y) = nabla_x nabla_y - nabla_y nabla_x - nabla_{[x, y]}.  The full
+    tensor costs n^2 dense matrix products; `ricci` contracts the connection
+    directly and does not call this.
     """
     n = M.dim
     A = [conn.nabla(i) for i in range(n)]
@@ -302,23 +346,46 @@ def _ricci_from_form(ric, signs) -> RicciData:
     return RicciData(mat_from_rows(ric), op, s)
 
 
-def ricci(M: MetricLieAlgebra, R=None) -> RicciData:
-    """Ricci tensor as the trace of curvature, ric(y, z) = sum_i R[i][y][z][i].
+def ricci(M: MetricLieAlgebra, conn: Optional[Connection] = None) -> RicciData:
+    """Ricci tensor ric(y, z) = sum_i R[i][y][z][i], contracted from Gamma.
+
+    With tr_m = sum_i Gamma_imi, writing out the trace of
+    R(e_i, e_y) = nabla_i nabla_y - nabla_y nabla_i - nabla_[e_i, e_y] gives
+
+        ric(y, z) = sum_m Gamma_yzm tr_m - sum_{i,m} Gamma_izm Gamma_ymi
+                    - sum_{i,p} c_iyp Gamma_pzi,
+
+    and each sum runs over pairs of nonzero entries only.  `conn` is the
+    Levi-Civita connection of M when the caller has it already.
 
     The sign convention makes heis3 with the definite metric give
     ric = diag(-1/2, -1/2, 1/2) and hyperbolic models a negative Einstein
     constant.
     """
-    if R is None:
-        R = curvature(M, levi_civita(M))
+    if conn is None:
+        conn = levi_civita(M)
     n = M.dim
-    ric = [[F0] * n for _ in range(n)]
-    for y in range(n):
-        for z in range(n):
-            acc = F0
-            for i in range(n):
-                acc = acc + R[i][y][z][i]
-            ric[y][z] = acc
+    g = _nonzeros(conn.gamma)
+    tr = {}
+    by_jk = {}         # (j, k) -> [(i, Gamma_ijk)]
+    by_ik = {}         # (i, k) -> [(j, Gamma_ijk)]
+    for i, j, k, v in g:
+        if i == k:
+            _accumulate(tr, j, v)
+        by_jk.setdefault((j, k), []).append((i, v))
+        by_ik.setdefault((i, k), []).append((j, v))
+    acc = {}
+    for y, z, m, v in g:
+        if m in tr:
+            _accumulate(acc, (y, z), v * tr[m])
+    for i, z, m, v in g:
+        for y, w in by_jk.get((m, i), ()):
+            _accumulate(acc, (y, z), -(v * w))
+    for i, y, p, c in _nonzeros(M.algebra.structure):
+        for z, w in by_ik.get((p, i), ()):
+            _accumulate(acc, (y, z), -(c * w))
+    zero = _zero_of(M)
+    ric = [[acc.get((y, z), zero) for z in range(n)] for y in range(n)]
     return _ricci_from_form(ric, M.signs)
 
 

@@ -180,8 +180,8 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
         if not row:
             continue
         pc = min(row)
-        pv = row[pc]
-        pivots[pc] = {c: v / pv for c, v in row.items()}
+        inv = 1 / row[pc]
+        pivots[pc] = {c: v * inv for c, v in row.items()}
         if len(pivots) == ncols:
             return []
     # full reduction: clear pivot columns from every other pivot row
@@ -215,8 +215,13 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
 
 
 def normalize_vector(v) -> tuple:
-    """Scale so the first nonzero entry is 1 (deterministic bases)."""
+    """Scale so the first nonzero entry is 1 (deterministic bases).
+
+    The lead is inverted once and only nonzero entries are multiplied; zero
+    entries are kept as they are.
+    """
     for x in v:
         if not x == 0:
-            return tuple(y / x for y in v)
+            inv = 1 / x
+            return tuple(y if y == 0 else y * inv for y in v)
     return tuple(v)

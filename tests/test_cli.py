@@ -1,9 +1,15 @@
 """File format, command dispatch, exit codes, JSON report stability."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvspin.cli import (
     AlgebraFileError,
@@ -157,6 +163,27 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert abs(data["results"]["ricci"][2][2] - 0.5) < 1e-9
 
+    def test_float_backend_ricci_entries_are_numbers(self, tmp_path, capsys):
+        # every entry is a JSON number and agrees with the exact report
+        texts = {
+            "heis3": HEIS3,
+            "heis5": "dim 5\n1 2 5 1\n3 4 5 1\n",
+            "fil4": "dim 4\n1 2 3 1\n1 3 4 1\n",
+            "sl2": "dim 3\nsigns +1 -1 +1\n1 2 3 1/3\n2 3 1 2/7\n1 3 2 -5/3\n",
+        }
+        for name, text in texts.items():
+            p = tmp_path / (name + ".alg")
+            p.write_text(text)
+            assert main(["curvature", str(p), "--json"]) == 0
+            exact = json.loads(capsys.readouterr().out)["results"]["ricci"]
+            assert main(["curvature", str(p), "--backend", "float", "--json"]) == 0
+            results = json.loads(capsys.readouterr().out)["results"]
+            assert all(type(x) is float for row in results["ricci"] for x in row), name
+            assert type(results["scalar_curvature"]) is float, name
+            for got_row, want_row in zip(results["ricci"], exact):
+                for got, want in zip(got_row, want_row):
+                    assert abs(got - float(Fraction(want))) <= 1e-9 * max(1.0, abs(got)), name
+
     def test_env_var_backend(self, heis3_file, capsys, monkeypatch):
         monkeypatch.setenv("SOLVSPIN_BACKEND", "float")
         assert main(["curvature", heis3_file, "--json"]) == 0
@@ -241,3 +268,66 @@ class TestBatch:
         main(["validate", str(tmp_path), "--json"])
         bad = json.loads(capsys.readouterr().out)["batch"][0]
         assert "error" in bad and "error_type" not in bad
+
+
+# Fuzzed .alg text: mostly a file of the documented shape (dim <= 8) with
+# arbitrary coefficients and indices, then lines of every kind the parser
+# knows, or free text, inserted anywhere; else a half-space spec with arbitrary
+# fields.
+# No token or free text contains "d", so every dim line comes from _DIM_LINE.
+_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="d")
+_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["+1", "-1", "1/2", "-3/4", "1/0", "0/0", "1.5", "1e2", "nan",
+                     "x", "/", "#", ":", ",", "abelian:"]),
+    st.text(_CHARS, max_size=3),
+)
+_DIM_LINE = st.one_of(
+    st.integers(-1, 8).map(str),
+    st.sampled_from(["", "x", "1/2", "2.0", "+3", "08", "\u0663", "4 5", "#"]),
+).map(lambda t: ("dim " + t).strip())
+_NOISE = st.one_of(
+    _DIM_LINE,
+    st.lists(_TOKENS, max_size=9).map(lambda t: " ".join(["signs"] + t)),
+    st.lists(_TOKENS, max_size=4).map(lambda t: "abelian: " + " ".join(t)),
+    st.lists(_TOKENS, max_size=5).map(" ".join),
+    st.text(_CHARS, max_size=20),
+)
+
+
+@st.composite
+def _alg_texts(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return "halfspace n=%d r=%s signs=%s" % (
+            draw(st.integers(-1, 8)), draw(_TOKENS), ",".join(draw(st.lists(_TOKENS, max_size=8))))
+    dim = draw(st.integers(1, 8))
+    index = st.integers(1, dim)
+    coeff = st.one_of(st.sampled_from(["1", "-1", "1/2", "-2/3"]), _TOKENS)
+    lines = ["dim %d" % dim,
+             "signs " + " ".join(draw(st.lists(st.sampled_from(["+1", "-1"]),
+                                               min_size=dim, max_size=dim)))]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = sorted((draw(index), draw(index)))
+        lines.append("%d %d %d %s" % (i, j + (i == j), draw(index), draw(coeff)))
+    if draw(st.booleans()):
+        lines.append("abelian: %d" % draw(index))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NOISE))
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_alg_texts())
+def test_validate_fuzzed_text_exits_cleanly(text):
+    """Any text gives exit 0 or 1; a rejection is an input error, never a crash."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.alg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["validate", path, "--json"])
+    assert code in (0, 1)
+    report = json.loads(out.getvalue())
+    assert "error_type" not in report, report
+    assert (code == 0) == ("error" not in report and report["results"]["jacobi_violations"] == [])

@@ -5,14 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import abelian_metric, heisenberg3, random_pseudo_iwasawa, semidirect_metric
+from conftest import (
+    NILPOTENT_SHAPES,
+    abelian_metric,
+    heisenberg3,
+    random_nilpotent,
+    random_pseudo_iwasawa,
+    semidirect_metric,
+)
 from solvspin.exact import TowerScalar
 from solvspin.liealg import (
+    Connection,
     DerivationError,
     IsotropicPivotError,
     LieAlgebra,
     MetricLieAlgebra,
     NotStandardError,
+    StructureError,
+    _check_connection,
     check_standard,
     curvature,
     einstein_check,
@@ -103,6 +113,35 @@ class TestLeviCivita:
             M, decomp = random_pseudo_iwasawa(rng)
             assert standard_connection_identities(M, decomp) == []
 
+    def test_check_rejects_metric_defect(self, rng):
+        # one entry Gamma_iik moved: torsion reads it only as Gamma_iik - Gamma_iik
+        for _ in range(10):
+            M, _ = random_pseudo_iwasawa(rng)
+            i, k = rng.sample(range(M.dim), 2)
+            bad = tampered(levi_civita(M), {(i, i, k): F(1)})
+            with pytest.raises(StructureError, match="metric-compatible"):
+                _check_connection(M, bad)
+
+    def test_check_rejects_torsion_defect(self, rng):
+        # one entry of the metric-skew nabla_{e_i} moved, with its mirror
+        # Gamma_ikj, so only the torsion condition at (i, j, k) can see it
+        for _ in range(10):
+            M, _ = random_pseudo_iwasawa(rng)
+            i, j = rng.sample(range(M.dim), 2)
+            k = rng.choice([q for q in range(M.dim) if q != j])
+            e = M.signs
+            bad = tampered(levi_civita(M), {(i, j, k): F(1), (i, k, j): F(-e[j] * e[k])})
+            with pytest.raises(StructureError, match="torsion"):
+                _check_connection(M, bad)
+
+
+def tampered(conn, changes):
+    """Copy of a connection with the given amounts added to single entries."""
+    g = [[list(row) for row in plane] for plane in conn.gamma]
+    for (i, j, k), delta in changes.items():
+        g[i][j][k] = g[i][j][k] + delta
+    return Connection(tuple(tuple(tuple(row) for row in plane) for plane in g))
+
 
 class TestCurvature:
     def test_abelian_flat(self):
@@ -154,7 +193,43 @@ class TestCurvature:
                         assert got == tuple(want)
 
 
+def ricci_trace_oracle(M):
+    """ric(y, z) = sum_i R[i][y][z][i] from the full curvature tensor."""
+    n = M.dim
+    R = curvature(M, levi_civita(M))
+    return tuple(
+        tuple(sum((R[i][y][z][i] for i in range(n)), F(0)) for z in range(n))
+        for y in range(n)
+    )
+
+
 class TestRicci:
+    def test_matches_curvature_trace_on_pseudo_iwasawa(self, rng):
+        for _ in range(20):
+            M, _ = random_pseudo_iwasawa(rng)
+            assert ricci(M).ric == ricci_trace_oracle(M)
+
+    def test_matches_curvature_trace_on_nilpotent_catalog(self, rng):
+        for _ in range(20):
+            alg = random_nilpotent(rng)
+            M = MetricLieAlgebra(alg, tuple(rng.choice([1, -1]) for _ in range(alg.dim)))
+            assert ricci(M).ric == ricci_trace_oracle(M)
+
+    def test_matches_curvature_trace_on_irrational_einstein_extension(self):
+        # heis3 + R and filiform 4: the Einstein scaling needs a square root
+        for dim, slots in NILPOTENT_SHAPES:
+            if dim != 4:
+                continue
+            brackets = {pair: {k: F(1)} for pair, k in slots}
+            M = MetricLieAlgebra(LieAlgebra.from_brackets(dim, brackets), (1,) * dim)
+            ext, _, lam = einstein_extension(M)
+            assert any(isinstance(x, TowerScalar) and not x.is_rational
+                       for plane in ext.algebra.structure for row in plane for x in row)
+            data = ricci(ext, levi_civita(ext))
+            assert data.ric == ricci_trace_oracle(ext)
+            assert all(data.ric[i][j] == (lam * ext.signs[i] if i == j else 0)
+                       for i in range(ext.dim) for j in range(ext.dim))
+
     def test_heis3_frozen(self):
         data = ricci(heisenberg3())
         assert data.ric == (
