@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import FloatScalar, TowerScalar, format_rational
+from .exact import FloatScalar, TowerScalar, format_rational, parse_rational
 from .liealg import (
     LieAlgebra,
     MetricLieAlgebra,
@@ -127,7 +127,7 @@ def parse_algebra_text(text: str):
                 raise AlgebraFileError("bracket line needs 'i j k p/q'", line_no)
             try:
                 i, j, k = (int(p) for p in parts[:3])
-                coeff = Fraction(parts[3])
+                coeff = parse_rational(parts[3])
             except ValueError:
                 raise AlgebraFileError("malformed bracket line", line_no)
             except ZeroDivisionError:

@@ -235,6 +235,11 @@ def gamma_of_vector(rep: CliffordRep, v: Sequence) -> tuple:
     return dense_rows(gamma_of_vector_rows(rep, v))
 
 
+def gamma_rows(rep: CliffordRep, a: int) -> list[dict]:
+    """Sparse rows of gamma_a: row i holds i**phase[a][i] at column perm[a][i]."""
+    return [{j: _UNITS[q]} for j, q in zip(rep.perm[a], rep.phase[a])]
+
+
 def add_gamma(rep: CliffordRep, rows: Sequence[dict], a: int, c) -> list[dict]:
     """New sparse rows for rows + c gamma_a.
 

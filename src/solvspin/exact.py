@@ -4,7 +4,12 @@ A TowerScalar represents a + b*i + c*w + d*i*w with rational coefficients,
 where i**2 = -1 and w**2 = m for a radicand m that is a squarefree integer > 1.
 A single radicand is allowed per computation: combining scalars bound to
 different radicands raises IncompatibleExtensionError instead of silently
-widening the field.
+widening the field.  The coefficients are stored as integer numerators over
+one shared denominator, the tuple (a, b, c, d, q, m) for the value
+(a + b*i + c*w + d*i*w) / q, kept reduced: q > 0, gcd(a, b, c, d, q) = 1 and
+m is None when c = d = 0.  That form is canonical, so equality and hashing
+compare the tuple, and arithmetic is integer arithmetic with one gcd per
+result; the coefficients read back as Fractions.
 
 FloatScalar is a tolerance-carrying float fallback for stress tests with
 non-rational metric data; equality means agreement up to a relative tolerance.
@@ -18,17 +23,21 @@ from typing import Union
 
 RationalLike = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class IncompatibleExtensionError(ValueError):
     """Two scalars live in towers with different radicands."""
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into a Fraction."""
-    return Fraction(text.strip())
+    """Parse 'p/q', 'p' or a decimal into a Fraction.
+
+    Exponent notation is rejected before Fraction sees it, since Fraction
+    would expand a literal such as 1e4000000 digit by digit.
+    """
+    text = text.strip()
+    if "e" in text or "E" in text:
+        raise ValueError("exponent notation in %r; write p/q" % text)
+    return Fraction(text)
 
 
 def format_rational(x: Fraction) -> str:
@@ -62,16 +71,16 @@ def split_square(m: Fraction) -> tuple[Fraction, int]:
 
 
 class TowerScalar:
-    """Element of Q(i)(w), w**2 = radicand; immutable value semantics."""
+    """Element of Q(i)(w), w**2 = radicand; immutable value semantics.
 
-    __slots__ = ("a", "b", "c", "d", "radicand")
+    _t is the reduced tuple (a, b, c, d, q, radicand) of the module docstring.
+    """
+
+    __slots__ = ("_t",)
 
     def __init__(self, a=0, b=0, c=0, d=0, radicand=None):
-        a = a if type(a) is Fraction else Fraction(a)
-        b = b if type(b) is Fraction else Fraction(b)
-        c = c if type(c) is Fraction else Fraction(c)
-        d = d if type(d) is Fraction else Fraction(d)
-        if not c and not d:
+        parts = [x if type(x) is Fraction else Fraction(x) for x in (a, b, c, d)]
+        if not (parts[2] or parts[3]):
             radicand = None
         elif radicand is None:
             raise ValueError("w-component present but no radicand given")
@@ -79,161 +88,118 @@ class TowerScalar:
             radicand = int(radicand)
             if radicand <= 1:
                 raise ValueError("radicand must be a squarefree integer > 1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "radicand", radicand)
+        # the lcm of the reduced denominators leaves gcd(a, b, c, d, q) = 1
+        q = math.lcm(*(x.denominator for x in parts))
+        _set(self, (*(x.numerator * (q // x.denominator) for x in parts), q, radicand))
 
     def __setattr__(self, name, value):
         raise AttributeError("TowerScalar is immutable")
 
     @classmethod
-    def _raw(cls, a, b, c, d, radicand):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "a", a)
-        object.__setattr__(obj, "b", b)
-        object.__setattr__(obj, "c", c)
-        object.__setattr__(obj, "d", d)
-        object.__setattr__(obj, "radicand", radicand if (c or d) else None)
-        return obj
-
-    @classmethod
     def rational(cls, x: RationalLike) -> "TowerScalar":
-        return cls._raw(Fraction(x), _ZERO, _ZERO, _ZERO, None)
+        x = Fraction(x)
+        return _make((x.numerator, 0, 0, 0, x.denominator, None))
 
     @classmethod
     def imaginary(cls, x: RationalLike = 1) -> "TowerScalar":
-        return cls._raw(_ZERO, Fraction(x), _ZERO, _ZERO, None)
+        x = Fraction(x)
+        return _make((0, x.numerator, 0, 0, x.denominator, None))
+
+    # ---- components ----------------------------------------------------
+
+    a = property(lambda self: Fraction(self._t[0], self._t[4]))
+    b = property(lambda self: Fraction(self._t[1], self._t[4]))
+    c = property(lambda self: Fraction(self._t[2], self._t[4]))
+    d = property(lambda self: Fraction(self._t[3], self._t[4]))
+    radicand = property(lambda self: self._t[5])
 
     # ---- predicates ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        t = self._t
+        return not (t[0] or t[1] or t[2] or t[3])
 
     @property
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        t = self._t
+        return not (t[1] or t[2] or t[3])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("scalar %r is not rational" % (self,))
         return self.a
 
-    # ---- coercion helpers ----------------------------------------------
-
-    @staticmethod
-    def _coerce(x):
-        if type(x) is TowerScalar:
-            return x
-        if isinstance(x, (int, Fraction)):
-            return TowerScalar._raw(Fraction(x), _ZERO, _ZERO, _ZERO, None)
-        if isinstance(x, TowerScalar):
-            return x
-        return None
-
-    def _merge_radicand(self, other: "TowerScalar"):
-        if self.radicand is None:
-            return other.radicand
-        if other.radicand is None or other.radicand == self.radicand:
-            return self.radicand
-        raise IncompatibleExtensionError(
-            "incompatible extension: radicands %d and %d"
-            % (self.radicand, other.radicand)
-        )
-
     # ---- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _tuple(other)
         if o is None:
             return NotImplemented
-        m = self._merge_radicand(o)
-        return TowerScalar._raw(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d, m)
+        return _sum(self._t, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerScalar._raw(-self.a, -self.b, -self.c, -self.d, self.radicand)
+        a, b, c, d, q, m = self._t
+        return _make((-a, -b, -c, -d, q, m))
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _tuple(other)
         if o is None:
             return NotImplemented
-        m = self._merge_radicand(o)
-        return TowerScalar._raw(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d, m)
+        return _sum(self._t, (-o[0], -o[1], -o[2], -o[3], o[4], o[5]))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _tuple(other)
         if o is None:
             return NotImplemented
-        return o.__sub__(self)
+        a, b, c, d, q, m = self._t
+        return _sum(o, (-a, -b, -c, -d, q, m))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _tuple(other)
         if o is None:
             return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        if not (c1 or d1 or c2 or d2):
-            # pure Q(i) fast path
-            if not (b1 or b2):
-                return TowerScalar._raw(a1 * a2, _ZERO, _ZERO, _ZERO, None)
-            return TowerScalar._raw(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, _ZERO, _ZERO, None)
-        m = self._merge_radicand(o)
-        mf = Fraction(m)
-        # (u1 + v1 w)(u2 + v2 w) = (u1 u2 + m v1 v2) + (u1 v2 + v1 u2) w over Q(i)
-        ra = a1 * a2 - b1 * b2 + mf * (c1 * c2 - d1 * d2)
-        rb = a1 * b2 + b1 * a2 + mf * (c1 * d2 + d1 * c2)
-        rc = a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
-        rd = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-        return TowerScalar._raw(ra, rb, rc, rd, m)
+        return _product(self._t, o)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TowerScalar":
-        if self.is_zero:
-            raise ZeroDivisionError("division by zero")
-        a, b, c, d = self.a, self.b, self.c, self.d
+        a, b, c, d, q, m = self._t
         if not (c or d):
             n = a * a + b * b
-            return TowerScalar._raw(a / n, -b / n, _ZERO, _ZERO, None)
-        m = Fraction(self.radicand)
+            if not n:
+                raise ZeroDivisionError("division by zero")
+            return _reduced(q * a, -q * b, 0, 0, n, None)
         # conjugate over w: (u - v w); norm = u^2 - m v^2 in Q(i)
         na = a * a - b * b - m * (c * c - d * d)
-        nb = 2 * a * b - m * 2 * c * d
+        nb = 2 * (a * b - m * c * d)
         nn = na * na + nb * nb
         if not nn:
             raise ZeroDivisionError("norm form is zero; element not invertible")
-        # 1/z = conj_w(z) * conj_i(norm) / |norm|^2
-        ia, ib = na / nn, -nb / nn
-        return TowerScalar._raw(
-            a * ia - b * ib,
-            a * ib + b * ia,
-            -(c * ia - d * ib),
-            -(c * ib + d * ia),
-            self.radicand,
-        )
+        # 1/z = q conj_w(z) conj_i(norm) / |norm|^2
+        return _reduced(q * (a * na + b * nb), q * (b * na - a * nb),
+                        -q * (c * na + d * nb), q * (c * nb - d * na), nn, m)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _tuple(other)
         if o is None:
             return NotImplemented
-        return self.__mul__(o.inverse())
+        return _product(self._t, _make(o).inverse()._t)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _tuple(other)
         if o is None:
             return NotImplemented
-        return o.__mul__(self.inverse())
+        return _product(o, self.inverse()._t)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = TowerScalar.rational(1)
+        out = TS_ONE
         base = self
         while k:
             if k & 1:
@@ -245,20 +211,23 @@ class TowerScalar:
     # ---- comparison -----------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        t = self._t
+        if type(other) is int:
+            return t[4] == 1 and t[0] == other and not (t[1] or t[2] or t[3])
+        o = _tuple(other)
         if o is None:
             return NotImplemented
-        if self.radicand is not None and o.radicand is not None and self.radicand != o.radicand:
-            return False
-        return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
+        return t == o
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.a)
-        return hash((self.a, self.b, self.c, self.d, self.radicand))
+        a, b, c, d, q, m = self._t
+        if b or c or d:
+            return hash(self._t)
+        return hash(a) if q == 1 else hash(Fraction(a, q))
 
     def __bool__(self):
-        return not self.is_zero
+        t = self._t
+        return bool(t[0] or t[1] or t[2] or t[3])
 
     # ---- formatting -----------------------------------------------------
 
@@ -294,6 +263,73 @@ class TowerScalar:
             parse_rational(data["d"]),
             data.get("radicand"),
         )
+
+
+_set = TowerScalar._t.__set__
+_new = object.__new__
+
+
+def _make(t: tuple) -> TowerScalar:
+    """The scalar with the stored tuple t, which must already be reduced."""
+    x = _new(TowerScalar)
+    _set(x, t)
+    return x
+
+
+def _reduced(a: int, b: int, c: int, d: int, q: int, m) -> TowerScalar:
+    """Reduce (a + b i + c w + d i w) / q, q > 0, to the stored form."""
+    g = math.gcd(a, b, c, d, q)
+    if g != 1:
+        a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
+    return _make((a, b, c, d, q, m if (c or d) else None))
+
+
+def _tuple(x):
+    """The stored tuple of x as a tower element, or None for other types."""
+    if type(x) is TowerScalar:
+        return x._t
+    if isinstance(x, int):
+        return (int(x), 0, 0, 0, 1, None)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, 0, 0, x.denominator, None)
+    return None
+
+
+def _common_radicand(m1, m2):
+    if m1 is None or m1 == m2:
+        return m2
+    if m2 is None:
+        return m1
+    raise IncompatibleExtensionError("incompatible extension: radicands %d and %d" % (m1, m2))
+
+
+def _sum(s: tuple, o: tuple) -> TowerScalar:
+    a1, b1, c1, d1, q1, m1 = s
+    a2, b2, c2, d2, q2, m2 = o
+    m = _common_radicand(m1, m2)
+    if q1 == q2:
+        if q1 == 1:
+            c, d = c1 + c2, d1 + d2
+            return _make((a1 + a2, b1 + b2, c, d, 1, m if (c or d) else None))
+        return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1, m)
+    return _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1,
+                    d1 * q2 + d2 * q1, q1 * q2, m)
+
+
+def _product(s: tuple, o: tuple) -> TowerScalar:
+    a1, b1, c1, d1, q1, m1 = s
+    a2, b2, c2, d2, q2, m2 = o
+    q = q1 * q2
+    if m1 is None and m2 is None:
+        # pure Q(i); over Z[i], the common case, there is nothing to reduce
+        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        return _make((a, b, 0, 0, 1, None)) if q == 1 else _reduced(a, b, 0, 0, q, None)
+    m = _common_radicand(m1, m2)
+    # (u1 + v1 w)(u2 + v2 w) = (u1 u2 + m v1 v2) + (u1 v2 + v1 u2) w over Q(i)
+    return _reduced(a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2),
+                    a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
+                    a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+                    a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q, m)
 
 
 TS_ZERO = TowerScalar.rational(0)

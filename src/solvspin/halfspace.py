@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import to_tower
-from .clifford import CliffordRep, build_gammas
+from .exact import parse_rational, to_tower
+from .clifford import CliffordRep, build_gammas, gamma_rows
 from .killing import killing_operator_rows
 from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation
 from .linalg import identity, mat_scale, sparse_nullspace
@@ -71,12 +71,16 @@ def parse_halfspace_spec(text: str) -> HalfSpaceModel:
         fields[key] = val
     try:
         n = int(fields["n"])
-        r = Fraction(fields["r"])
-        signs = tuple(int(s) for s in fields["signs"].split(","))
+        r_text, signs_text = fields["r"], fields["signs"]
     except KeyError as exc:
         raise ValueError("half-space spec needs n=, r=, signs=") from exc
+    try:
+        r = parse_rational(r_text)
     except ZeroDivisionError as exc:
-        raise ValueError("half-space spec r=%s has a zero denominator" % fields["r"]) from exc
+        raise ValueError("half-space spec r=%s has a zero denominator" % r_text) from exc
+    except ValueError as exc:
+        raise ValueError("half-space spec r=%s: %s" % (r_text, exc)) from exc
+    signs = tuple(int(s) for s in signs_text.split(","))
     return HalfSpaceModel(n, signs, r)
 
 
@@ -229,10 +233,6 @@ class CoordSpinorField:
             out.append(acc)
         return CoordSpinorField(out)
 
-    def apply_matrix(self, mat) -> "CoordSpinorField":
-        """Constant endomorphism of the fiber acting componentwise."""
-        return self.apply_rows([{j: x for j, x in enumerate(row) if not x == 0} for row in mat])
-
     def derivative(self, model: HalfSpaceModel, direction: int) -> "CoordSpinorField":
         return CoordSpinorField(
             tuple(frame_derivative(model, c, direction) for c in self.components))
@@ -371,15 +371,16 @@ def verify_amended_identity(model: HalfSpaceModel, rep: CliffordRep, psi: CoordS
     Runs over all frame vectors v transverse to the t-direction; for the
     half-space phi_0 is a scalar multiple of the identity, so phi_0 v is
     proportional to v and the derivative term is a rescaled frame derivative.
+    The gamma matrices act through their sparse rows, one entry per row.
     """
     n = model.n
     phi_scalar = model.decomposition.phi[0][0][0]
     lam_sq2 = 2 * lam * lam
-    g_t = rep.gammas[n - 1]
+    g_t = gamma_rows(rep, n - 1)
     for i in range(n - 1):
-        gi = rep.gammas[i]
-        lhs = psi.apply_matrix(g_t).apply_matrix(gi).scale(lam_sq2)
-        rhs = psi.apply_matrix(gi).scale(lam * phi_scalar) - psi.derivative(model, i).scale(phi_scalar)
+        gi = gamma_rows(rep, i)
+        lhs = psi.apply_rows(g_t).apply_rows(gi).scale(lam_sq2)
+        rhs = psi.apply_rows(gi).scale(lam * phi_scalar) - psi.derivative(model, i).scale(phi_scalar)
         if not lhs == rhs:
             return False
     return True

@@ -1,10 +1,12 @@
 """File format, command dispatch, exit codes, JSON report stability."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -59,6 +61,15 @@ class TestParsing:
         with pytest.raises(AlgebraFileError) as err:
             parse_algebra_text("dim 3\nsigns +1 +1 +1\n1 2 oops 1\n")
         assert err.value.line_no == 3
+
+    def test_exponent_notation_reports_line(self):
+        # Fraction would expand 1e4000000 in full before anything else ran
+        for coeff in ("1e5000", "1e4000000", "2E3", "1.5e-2"):
+            started = time.perf_counter()
+            with pytest.raises(AlgebraFileError) as err:
+                parse_algebra_text("dim 3\n1 2 3 %s\n" % coeff)
+            assert err.value.line_no == 2
+            assert time.perf_counter() - started < 0.5
 
     def test_zero_denominator_reports_line(self):
         with pytest.raises(AlgebraFileError) as err:
@@ -148,6 +159,17 @@ class TestCommands:
         assert main(["classify", "halfspace n=3 r=1/0 signs=1,1,1", "--json"]) == 1
         data = json.loads(capsys.readouterr().out)
         assert "zero denominator" in data["error"]
+
+    def test_exponent_coefficient_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "exp.alg"
+        for coeff in ("1e5000", "1e4000000"):
+            p.write_text("dim 3\n1 2 3 %s\n" % coeff)
+            started = time.perf_counter()
+            assert main(["validate", str(p), "--json"]) == 1
+            assert time.perf_counter() - started < 1.0
+            data = json.loads(capsys.readouterr().out)
+            assert data["error"].startswith("line 2: ")
+            assert "error_type" not in data and "results" not in data
 
     def test_classify_needs_decomposition(self, heis3_file):
         assert main(["classify", heis3_file]) == 1
@@ -331,3 +353,47 @@ def test_validate_fuzzed_text_exits_cleanly(text):
     report = json.loads(out.getvalue())
     assert "error_type" not in report, report
     assert (code == 0) == ("error" not in report and report["results"]["jacobi_violations"] == [])
+
+
+# sha256 of each --json report over a fixed corpus, timing_ms blanked and file
+# inputs relative to their directory: any change to an answer, a scalar's
+# printed form or the report layout shows here
+HEIS5_MIXED = "dim 5\nsigns +1 -1 +1 -1 +1\n1 2 5 2/3\n3 4 5 1/3\n"
+GOLDEN_REPORTS = (
+    ("curvature", "heis3.alg", (),
+     "c10810347c2d364de8dcaa4923a9712e9da1fb60a0d2490d97c658c3aeeb685c"),
+    ("extend", "heis3.alg", ("--out", "ext.alg"),
+     "6bcbf6c11d88005eba60051ffa87cc110e15cdeaf588082c1a654c3527e4901d"),
+    ("killing-invariant", "ext.alg", (),
+     "8ae107a9ac8f112fd62bf813686ed10d3f5731b6a1c76c3fcde8fd1a8baf9b3e"),
+    ("classify", "ext.alg", (),
+     "1526dedf54ae98edbdec71e1ffbc1ea654200e37bbeae5c953eecfe94577c965"),
+    ("curvature", "heis5.alg", (),
+     "93eb73672a16b4ef8e20e50c9aa3e94a98c36d2def4d3d2e0803789dda993d93"),
+    ("nilsoliton", "heis5.alg", (),
+     "2df716b735b0438d20fa6cedadfdb16112fda50fec37f506ed5ed4878f41ccda"),
+    ("curvature", "heis5.alg", ("--backend", "float"),
+     "89b7bebcc53da7ebe5e7789130e53cee11b3ccd18fcd786ce4638f94846429b0"),
+    ("killing-halfspace", "halfspace n=4 r=2/3 signs=1,-1,1,-1", ("--kmax", "2", "--mmax", "2"),
+     "1f301a214fb77900990ac856e9e9354721dff6eddad5e936be0da8464037b9b4"),
+    ("killing-invariant", "halfspace n=5 r=1/2 signs=1,-1,1,1,-1", (),
+     "c0469fcd5c97367298691a102b8ac6ce0847e3975240d75120321a3584aeb5ed"),
+)
+
+
+def test_reports_match_golden_digests(tmp_path, capsys):
+    (tmp_path / "heis3.alg").write_text(HEIS3)
+    (tmp_path / "heis5.alg").write_text(HEIS5_MIXED)
+    got, want = [], []
+    for command, source, extra, digest in GOLDEN_REPORTS:  # in order: extend writes ext.alg
+        source = source if source.startswith("halfspace") else str(tmp_path / source)
+        extra = tuple(str(tmp_path / a) if a.endswith(".alg") else a for a in extra)
+        assert main([command, source, "--json", *extra]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report["timing_ms"] = 0
+        if os.path.isabs(report["input"]):
+            report["input"] = os.path.relpath(report["input"], tmp_path)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        got.append((command, source, hashlib.sha256(text.encode("utf-8")).hexdigest()))
+        want.append((command, source, digest))
+    assert got == want

@@ -1,5 +1,7 @@
 """Field properties of the exact scalar tower and the float fallback."""
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvspin.exact import (
+    TS_I,
     FloatScalar,
     IncompatibleExtensionError,
     TowerScalar,
@@ -14,6 +17,8 @@ from solvspin.exact import (
     sqrt_scalar,
     sqrt_to_tower,
 )
+
+from reference_tower import FractionTower
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -162,3 +167,142 @@ class TestFloatScalar:
 def test_sqrt_scalar_dispatch():
     assert sqrt_scalar(Fraction(1, 4)) == Fraction(1, 2)
     assert sqrt_scalar(TowerScalar.rational(4)) == 2
+
+
+# ---- the stored integer form against the Fraction-component reference -----
+
+# components: 0 and +-1 often, then ordinary and large numerators/denominators
+components = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    rationals,
+    st.fractions(max_denominator=10**12).filter(lambda x: abs(x) < 10**15),
+    st.integers(-10**30, 10**30).map(Fraction),
+)
+
+
+@st.composite
+def scalar_parts(draw):
+    """(a, b, c, d, radicand) of an element of Q(i) or of Q(i)(sqrt 5)."""
+    a, b = draw(components), draw(components)
+    if draw(st.booleans()):
+        return a, b, Fraction(0), Fraction(0), None
+    return a, b, draw(components), draw(components), 5
+
+
+mixed_operands = st.one_of(st.integers(-5, 5), st.integers(-10**20, 10**20), components)
+
+
+def _both(parts):
+    return TowerScalar(*parts), FractionTower(*parts)
+
+
+def _assert_stored_form(x):
+    a, b, c, d, q, m = x._t
+    assert q > 0 and math.gcd(a, b, c, d, q) == 1
+    assert (m is None) == (c == 0 and d == 0)
+
+
+def _assert_same(got, want):
+    """got (a TowerScalar) is the value want (a FractionTower), seen every way."""
+    assert type(got) is TowerScalar
+    _assert_stored_form(got)
+    assert (got.a, got.b, got.c, got.d, got.radicand) == (want.a, want.b, want.c, want.d, want.radicand)
+    assert got.to_dict() == want.to_dict()
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert got.is_zero == want.is_zero and got.is_rational == want.is_rational
+    if want.is_rational:
+        assert hash(got) == hash(want) == hash(want.a)
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except (ZeroDivisionError, ValueError) as exc:
+        return None, type(exc)
+
+
+def _compare(fn_new, fn_ref):
+    got, got_exc = _outcome(fn_new)
+    want, want_exc = _outcome(fn_ref)
+    assert got_exc is want_exc
+    if want_exc is None:
+        _assert_same(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_parts(), scalar_parts())
+def test_operations_match_fraction_reference(p, r):
+    x, rx = _both(p)
+    y, ry = _both(r)
+    _assert_same(x, rx)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        _compare(lambda: op(x, y), lambda: op(rx, ry))
+    _compare(lambda: -x, lambda: -rx)
+    _compare(x.inverse, rx.inverse)
+    _compare(lambda: x ** 3, lambda: rx ** 3)
+    assert (x == y) == (rx == ry)
+    assert (x == y) == (x._t == y._t)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert TowerScalar.from_dict(x.to_dict())._t == x._t
+
+
+@settings(max_examples=250, deadline=None)
+@given(scalar_parts(), mixed_operands)
+def test_mixed_int_and_fraction_operands(p, k):
+    x, rx = _both(p)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        _compare(lambda: op(x, k), lambda: op(rx, k))
+        _compare(lambda: op(k, x), lambda: op(k, rx))
+    assert (x == k) == (rx == k) == (k == x)
+    if x == k:
+        assert hash(x) == hash(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(components)
+def test_rational_hash_is_the_fraction_hash(x):
+    assert hash(TowerScalar.rational(x)) == hash(x)
+    assert TowerScalar.rational(x) == x and x == TowerScalar.rational(x)
+    assert hash(TowerScalar.imaginary(x) * TS_I) == hash(-x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_parts(), scalar_parts(), scalar_parts())
+def test_equal_values_have_equal_stored_tuples(p, r, s):
+    x, y, z = TowerScalar(*p), TowerScalar(*r), TowerScalar(*s)
+    for left, right in (((x * y) * z, x * (y * z)), ((x + y) - y, x), (x * (y + z), x * y + x * z)):
+        assert left == right
+        assert left._t == right._t and hash(left) == hash(right)
+
+
+def test_zero_has_no_radicand():
+    w = sqrt_to_tower(5)
+    for zero in (w - w, w * 0, 0 * w, TowerScalar(0, 0, 0, 0, 5), TowerScalar()):
+        assert zero.radicand is None
+        assert zero._t == (0, 0, 0, 0, 1, None)
+    assert (w * w).radicand is None and w * w == 5
+
+
+def test_mixed_radicands():
+    w2, w3 = sqrt_to_tower(2), sqrt_to_tower(3)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(IncompatibleExtensionError):
+            op(w2 + 1, w3)
+    assert not (w2 == w3) and w2 != w3
+    assert not (TowerScalar(1, 0, 1, 0, 2) == TowerScalar(1, 0, 1, 0, 3))
+
+
+def test_int_equality_fast_path():
+    assert TowerScalar() == 0 and not (TowerScalar() == 1)
+    assert TowerScalar(3) == 3 and not (TowerScalar(Fraction(3, 2)) == 1)
+    assert not (TowerScalar(0, 1) == 0) and not (sqrt_to_tower(2) == 0)
+    assert TowerScalar(1) == True and TowerScalar.rational(-7) == -7
+
+
+def test_assignment_raises():
+    x = TowerScalar(1, 2)
+    for name in ("a", "radicand", "_t", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    assert x == TowerScalar(1, 2)

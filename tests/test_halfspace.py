@@ -1,9 +1,12 @@
 """Coordinate spinor fields on the hyperbolic half-space and the exact solver."""
 
+import json
+import time
 from fractions import Fraction
 
 import pytest
 
+from solvspin.cli import main
 from solvspin.exact import TS_I, TS_ONE, TowerScalar
 from solvspin.killing import lambda_candidates
 from solvspin.liealg import curvature, levi_civita, ricci
@@ -59,6 +62,22 @@ class TestModel:
             parse_halfspace_spec("ellipsoid n=4 r=1 signs=+1")
         with pytest.raises(ValueError, match="zero denominator"):
             parse_halfspace_spec("halfspace n=3 r=1/0 signs=1,1,1")
+
+    def test_parse_rejects_exponent_radius(self):
+        # Fraction would expand 1e4000000 in full before anything else ran
+        for r in ("1e4000000", "2E-3"):
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="r=%s" % r):
+                parse_halfspace_spec("halfspace n=3 r=%s signs=1,1,1" % r)
+            assert time.perf_counter() - started < 0.5
+
+    def test_exponent_radius_exits_one(self, capsys):
+        started = time.perf_counter()
+        assert main(["classify", "halfspace n=3 r=1e4000000 signs=1,1,1", "--json"]) == 1
+        assert time.perf_counter() - started < 1.0
+        data = json.loads(capsys.readouterr().out)
+        assert "r=1e4000000" in data["error"]
+        assert "error_type" not in data and "results" not in data
 
 
 class TestFrameDerivative:
