@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -160,11 +161,6 @@ def parse_algebra_text(text: str):
             raise AlgebraFileError("abelian index out of range")
         decomp = standard_decomposition(M, abelian)
     return M, decomp
-
-
-def parse_algebra_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra_text(fh.read())
 
 
 def serialize_algebra(M: MetricLieAlgebra, decomp=None) -> str:
@@ -495,7 +491,12 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `parse_args` keeps no state.
+
+    `--backend` has no default here: `main` reads SOLVSPIN_BACKEND on each call.
+    """
     parser = argparse.ArgumentParser(
         prog="solvspin",
         description="Exact toolkit for pseudo-Riemannian solvmanifolds and Killing spinors.",
@@ -504,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("inputs", nargs="+",
                         help="algebra file, directory of .alg files, or inline 'halfspace n=.. r=.. signs=..'")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--backend", choices=("exact", "float"),
-                        default=os.environ.get("SOLVSPIN_BACKEND", "exact"))
+    parser.add_argument("--backend", choices=("exact", "float"), default=None)
     parser.add_argument("--tolerance", type=float, default=1e-9)
     parser.add_argument("--eps0", type=int, choices=(1, -1), default=None)
     parser.add_argument("--kmax", type=int, default=1)
@@ -521,7 +521,7 @@ def main(argv=None) -> int:
         command=args.command,
         inputs=tuple(args.inputs),
         output_format="json" if args.json else "text",
-        backend=args.backend,
+        backend=args.backend or os.environ.get("SOLVSPIN_BACKEND", "exact"),
         tolerance=args.tolerance,
         eps0=args.eps0,
         kmax=args.kmax,

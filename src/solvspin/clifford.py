@@ -23,12 +23,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
-from .exact import TS_I, TS_ONE, TS_ZERO, TowerScalar, to_tower
-from .linalg import mat_from_rows, nullspace
+from .exact import TS_I, TS_ONE, TS_ZERO, to_tower
+from .linalg import mat_from_rows, sparse_nullspace
 from .liealg import is_metric_skew
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 QUARTER = Fraction(1, 4)
 
 _UNITS = (TS_ONE, TS_I, -TS_ONE, -TS_I)   # i**k for k in Z/4
@@ -291,17 +290,6 @@ def spin_lift(rep: CliffordRep, A) -> tuple:
     return dense_rows(spin_lift_rows(rep, A))
 
 
-def spin_lift_basis_form(rep: CliffordRep, A) -> tuple:
-    """Same operator from the half-sum over ordered index pairs.
-
-    (1/2) sum_{k<j} theta_kj eps_j gamma_j gamma_k with theta = A; equals
-    spin_lift exactly when A is metric-skew.
-    """
-    half = Fraction(1, 2)
-    return dense_rows(_pair_rows(rep, (
-        (j, k, half * rep.signs[j] * A[k][j]) for j in range(rep.n) for k in range(j))))
-
-
 def two_tensor_action(rep: CliffordRep, T) -> tuple:
     """Action of a 2-tensor sum_ij T_ij e_i (x) e_j as sum_ij T_ij gamma_i gamma_j."""
     n = rep.n
@@ -318,35 +306,35 @@ def raise_endomorphism(signs: Sequence[int], f) -> tuple:
 # kernels attached to a spinor
 # ---------------------------------------------------------------------------
 
-def _real_component_rows(row: Sequence) -> list[list[Fraction]]:
-    """Split one Q(i)(w)-linear equation in rational unknowns into rational rows."""
-    comps = [[], [], [], []]
-    for x in row:
-        x = to_tower(x)
-        comps[0].append(x.a)
-        comps[1].append(x.b)
-        comps[2].append(x.c)
-        comps[3].append(x.d)
-    return [c for c in comps if any(v != 0 for v in c)]
-
-
 def annihilator_kernel(rep: CliffordRep, psi: Sequence) -> list[tuple]:
-    """Basis of V_psi = {real vectors v with v . psi = 0}."""
-    n = rep.n
-    N = rep.spinor_dim
-    images = [clifford_mul(rep, _unit(n, a), psi) for a in range(n)]
-    rows = []
-    for h in range(N):
-        rows.extend(_real_component_rows([images[a][h] for a in range(n)]))
-    if not rows:
-        return [tuple(_unit(n, a)) for a in range(n)]
-    return nullspace(rows, n)
+    """Basis of V_psi = {real vectors v with v . psi = 0}.
 
-
-def _unit(n: int, a: int) -> list:
-    v = [F0] * n
-    v[a] = F1
-    return v
+    Entry h of v . psi is sum_a v_a i**phase[a][h] psi[perm[a][h]].  Its four
+    rational parts (along 1, i, w and i w) are the equations, one sparse row
+    {a: coefficient} each; multiplying by i**q rotates those parts.
+    """
+    rotations = []
+    for x in psi:
+        x = to_tower(x)
+        if x.is_zero:
+            rotations.append(None)
+            continue
+        a, b = x.a, x.b
+        if x.radicand is None:
+            rotations.append(((a, b), (-b, a), (-a, -b), (b, -a)))
+        else:
+            c, d = x.c, x.d
+            rotations.append(((a, b, c, d), (-b, a, -d, c), (-a, -b, -c, -d), (b, -a, d, -c)))
+    eqs = [{} for _ in range(4 * rep.spinor_dim)]
+    for col, (perm, phase) in enumerate(zip(rep.perm, rep.phase)):
+        for h, (j, q) in enumerate(zip(perm, phase)):
+            rot = rotations[j]
+            if rot is None:
+                continue
+            for eq, x in zip(eqs[4 * h:4 * h + 4], rot[q]):
+                if x:
+                    eq[col] = x
+    return sparse_nullspace([eq for eq in eqs if eq], rep.n)
 
 
 @dataclass(frozen=True)
@@ -369,17 +357,14 @@ class CommutantKernel:
         return not self.homogeneous_basis
 
 
-def symmetric_commutant_kernel(rep: CliffordRep, psi: Sequence, method: str = "factored") -> CommutantKernel:
+def symmetric_commutant_kernel(rep: CliffordRep, psi: Sequence) -> CommutantKernel:
     """Exact affine solution set of f(X).psi = X.psi over symmetric f.
 
-    `factored` solves via the annihilator V_psi (columns of f - id must land in
-    V_psi); `dense` eliminates the n(n+1)/2 symmetric unknowns directly and is
-    kept as an independent cross-check.
+    Solved via the annihilator V_psi: the columns of f - id must land in
+    V_psi, and f - id must be metric-symmetric.
     """
     if all(x == 0 for x in psi):
         raise ValueError("psi must be nonzero")
-    if method == "dense":
-        return _commutant_dense(rep, psi)
     n = rep.n
     V = annihilator_kernel(rep, psi)
     d = len(V)
@@ -387,16 +372,15 @@ def symmetric_commutant_kernel(rep: CliffordRep, psi: Sequence, method: str = "f
         return CommutantKernel((), 0)
     # columns u_k of the homogeneous f lie in V_psi: u_k = sum_j t[j][k] V_j;
     # symmetry of f means eps_i u_k[i] = eps_k u_i[k].
-    nvars = d * n
-    rows = []
+    eqs = []
     for i in range(n):
         for k in range(i + 1, n):
-            row = [F0] * nvars
+            eq = {}
             for j in range(d):
-                row[j * n + k] += rep.signs[i] * V[j][i]
-                row[j * n + i] -= rep.signs[k] * V[j][k]
-            rows.append(row)
-    sols = nullspace(rows, nvars) if rows else [tuple(_unit(nvars, q)) for q in range(nvars)]
+                eq[j * n + k] = rep.signs[i] * V[j][i]
+                eq[j * n + i] = -rep.signs[k] * V[j][k]
+            eqs.append(eq)
+    sols = sparse_nullspace(eqs, d * n)
     basis = []
     for t in sols:
         f = [[F0] * n for _ in range(n)]
@@ -410,52 +394,3 @@ def symmetric_commutant_kernel(rep: CliffordRep, psi: Sequence, method: str = "f
         if any(any(x != 0 for x in row) for row in f):
             basis.append(mat_from_rows(f))
     return CommutantKernel(tuple(basis), d)
-
-
-def _commutant_dense(rep: CliffordRep, psi: Sequence) -> CommutantKernel:
-    n = rep.n
-    N = rep.spinor_dim
-    images = [clifford_mul(rep, _unit(n, a), psi) for a in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {p: q for q, p in enumerate(pairs)}
-    rows = []
-    # unknowns h_ij = h_ji with f[i][k] = eps_i h_ik; f(e_k).psi = 0
-    for k in range(n):
-        for h in range(N):
-            row_c = []
-            for (i, j) in pairs:
-                coeff = TS_ZERO
-                if j == k:
-                    coeff = coeff + rep.signs[i] * images[i][h]
-                if i == k and i != j:
-                    coeff = coeff + rep.signs[j] * images[j][h]
-                row_c.append(coeff)
-            rows.extend(_real_component_rows(row_c))
-    sols = nullspace(rows, len(pairs)) if rows else []
-    basis = []
-    for sol in sols:
-        f = [[F0] * n for _ in range(n)]
-        for (i, j), q in index.items():
-            f[i][j] = rep.signs[i] * sol[q]
-            f[j][i] = rep.signs[j] * sol[q]
-        basis.append(mat_from_rows(f))
-    V = annihilator_kernel(rep, psi)
-    return CommutantKernel(tuple(basis), len(V))
-
-
-# ---------------------------------------------------------------------------
-# JSON export
-# ---------------------------------------------------------------------------
-
-def rep_to_json_dict(rep: CliffordRep) -> dict:
-    """Gamma matrices as arrays of [re, im] rational-string pairs."""
-    def entry(x: TowerScalar):
-        return [str(x.a), str(x.b)]
-
-    return {
-        "n": rep.n,
-        "signs": list(rep.signs),
-        "spinor_dim": rep.spinor_dim,
-        "volume_power": rep.volume_power,
-        "gammas": [[[entry(x) for x in row] for row in g] for g in rep.gammas],
-    }

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from .exact import FloatScalar, TowerScalar, _square_part, sqrt_scalar
 from .linalg import (
+    _sparse_echelon,
     identity,
     mat_equal,
     mat_mul,
@@ -29,7 +30,6 @@ from .linalg import (
     mat_from_rows,
     mat_scale,
     mat_sub,
-    rref,
     vec_add,
     zeros,
 )
@@ -129,25 +129,33 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
 
 
 def lower_central_series(L: LieAlgebra) -> tuple[list[int], bool]:
-    """Dimensions of the descending series g, [g,g], [g,[g,g]], ...; nilpotency flag."""
+    """Dimensions of the descending series g, [g,g], [g,[g,g]], ...; nilpotency flag.
+
+    Each term is spanned by the brackets [e_i, w], kept as sparse rows
+    {k: coefficient}, over the echelon rows w of the term before.
+    """
     n = L.dim
+    brackets = {}
+    for i, j, k, c in _nonzeros(L.structure):
+        brackets.setdefault((i, j), []).append((k, c))
     dims = [n]
-    current = [_basis_vec(n, i) for i in range(n)]
+    current = [{i: F1} for i in range(n)]
     while True:
         gens = []
         for i in range(n):
             for w in current:
-                v = L.bracket(_basis_vec(n, i), w)
-                if any(not x == 0 for x in v):
-                    gens.append(list(v))
-        if not gens:
-            dims.append(0)
+                v = {}
+                for j, wj in w.items():
+                    for k, c in brackets.get((i, j), ()):
+                        _accumulate(v, k, wj * c)
+                gens.append(v)
+        echelon = _sparse_echelon(gens, n)
+        dims.append(len(echelon))
+        if not echelon:
             return dims, True
-        d = len(rref(gens, n))
-        dims.append(d)
-        if d == dims[-2]:
+        if len(echelon) == dims[-2]:
             return dims, False
-        current = [tuple(row) for row in gens[:d]]
+        current = list(echelon.values())
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,13 @@
 
 Everything here works for Fraction, TowerScalar and FloatScalar entries alike:
 the only requirements are +, -, *, / and an `== 0` test (exact for the first
-two, tolerance-based for floats).  Matrices are sequences of rows; functions
-return tuples of tuples so results stay hashable and immutable.
+two, tolerance-based for floats).  Dense matrices are sequences of rows;
+functions return tuples of tuples so results stay hashable and immutable.
+
+Elimination is sparse: systems are lists of rows {column: coefficient}.
+`_sparse_echelon` is the one elimination loop; it gives ranks and spanning
+rows, and `sparse_nullspace` back-reduces its rows to the kernel basis.  The
+dense `rref` is kept only as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -84,7 +89,11 @@ def mat_equal(A, B) -> bool:
 
 
 def rref(rows: list[list], ncols: int) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list."""
+    """In-place dense reduced row echelon form; returns the pivot column list.
+
+    The solvers all eliminate with `sparse_nullspace`; this is the dense
+    reference the tests check it against.
+    """
     pivots = []
     r = 0
     for c in range(ncols):
@@ -109,56 +118,13 @@ def rref(rows: list[list], ncols: int) -> list[int]:
     return pivots
 
 
-def matrix_rank(mat) -> int:
-    rows = [list(r) for r in mat]
-    if not rows:
-        return 0
-    return len(rref(rows, len(rows[0])))
+def _sparse_echelon(eqs: Sequence[dict], ncols: int) -> dict[int, dict]:
+    """Forward elimination of sparse rows {column: coefficient}.
 
-
-def nullspace(mat, ncols: int | None = None) -> list[tuple]:
-    """Basis of the right kernel; free variables get 1, pivots back-substituted."""
-    rows = [list(r) for r in mat]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            coeff = rows[r][free]
-            if not coeff == 0:
-                vec[pc] = -coeff
-        basis.append(tuple(vec))
-    return basis
-
-
-def solve_linear(A, b):
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    rows = [list(ra) + [bv] for ra, bv in zip(A, b)]
-    ncols = len(A[0]) if A else 0
-    pivots = rref(rows, ncols)
-    for row in rows[len(pivots):]:
-        if not row[-1] == 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][-1]
-    return tuple(x)
-
-
-def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
-    """Kernel basis for a sparse system given as dicts {column: coefficient}.
-
-    Built for the Killing solves, where each equation touches a handful of
-    unknowns.  Each pivot row is keyed by its lowest column and the rows are
-    fully back-reduced, so the result is the unique reduced echelon form and
-    the basis equals that of `nullspace`.  Returns [] as soon as the rank
-    reaches ncols, without reading the remaining equations.
+    Returns {pivot column: row}, each row reduced against the earlier pivots,
+    keyed by its lowest column and scaled to 1 there.  The rows span the same
+    space as eqs, so their number is the rank.  Stops, without reading the
+    remaining equations, as soon as the rank reaches ncols.
     """
     pivots: dict[int, dict] = {}
     for eq in eqs:
@@ -183,7 +149,21 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
         inv = 1 / row[pc]
         pivots[pc] = {c: v * inv for c, v in row.items()}
         if len(pivots) == ncols:
-            return []
+            break
+    return pivots
+
+
+def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
+    """Kernel basis for a sparse system given as dicts {column: coefficient}.
+
+    `_sparse_echelon` followed by back-reduction, so the pivot rows reach the
+    unique reduced echelon form: free variables get 1 and pivots are
+    back-substituted, the basis dense elimination gives.  Returns [] as soon
+    as the rank reaches ncols.
+    """
+    pivots = _sparse_echelon(eqs, ncols)
+    if len(pivots) == ncols:
+        return []
     # full reduction: clear pivot columns from every other pivot row
     for pc in sorted(pivots, reverse=True):
         prow = pivots[pc]

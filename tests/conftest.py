@@ -14,7 +14,8 @@ from solvspin.liealg import (
     jacobi_check,
     standard_decomposition,
 )
-from solvspin.linalg import nullspace
+
+from reference_linalg import nullspace
 
 F = Fraction
 

@@ -1,0 +1,142 @@
+"""Dense elimination, kept as the oracle for the sparse eliminator.
+
+`solvspin` eliminates only with `linalg.sparse_nullspace` (and its forward
+pass `_sparse_echelon`).  The routines here build on the dense `linalg.rref`,
+which clears every row at every pivot, and on dense Clifford multiplication,
+so they share no elimination code with the package: the dense Clifford
+kernels solve the same systems from the dense gamma images, and the lower
+central series takes its ranks from `rref` on dense bracket vectors.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from solvspin.clifford import CommutantKernel, clifford_mul
+from solvspin.exact import TS_ZERO, to_tower
+from solvspin.linalg import mat_from_rows, rref
+
+
+def matrix_rank(mat) -> int:
+    rows = [list(r) for r in mat]
+    if not rows:
+        return 0
+    return len(rref(rows, len(rows[0])))
+
+
+def nullspace(mat, ncols: int | None = None) -> list[tuple]:
+    """Basis of the right kernel; free variables get 1, pivots back-substituted."""
+    rows = [list(r) for r in mat]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            coeff = rows[r][free]
+            if not coeff == 0:
+                vec[pc] = -coeff
+        basis.append(tuple(vec))
+    return basis
+
+
+def solve_linear(A, b):
+    """One exact solution of A x = b (free variables set to 0), or None."""
+    rows = [list(ra) + [bv] for ra, bv in zip(A, b)]
+    ncols = len(A[0]) if A else 0
+    pivots = rref(rows, ncols)
+    for row in rows[len(pivots):]:
+        if not row[-1] == 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][-1]
+    return tuple(x)
+
+
+def real_component_rows(row) -> list[list[Fraction]]:
+    """Split one Q(i)(w)-linear equation in rational unknowns into rational rows."""
+    comps = [[], [], [], []]
+    for x in row:
+        x = to_tower(x)
+        comps[0].append(x.a)
+        comps[1].append(x.b)
+        comps[2].append(x.c)
+        comps[3].append(x.d)
+    return [c for c in comps if any(v != 0 for v in c)]
+
+
+def _unit(n: int, a: int) -> list:
+    v = [Fraction(0)] * n
+    v[a] = Fraction(1)
+    return v
+
+
+def annihilator_dense(rep, psi) -> list[tuple]:
+    """V_psi from the dense images e_a . psi and dense elimination."""
+    n = rep.n
+    images = [clifford_mul(rep, _unit(n, a), psi) for a in range(n)]
+    rows = []
+    for h in range(rep.spinor_dim):
+        rows.extend(real_component_rows([images[a][h] for a in range(n)]))
+    if not rows:
+        return [tuple(_unit(n, a)) for a in range(n)]
+    return nullspace(rows, n)
+
+
+def commutant_dense(rep, psi) -> CommutantKernel:
+    """The symmetric commutant kernel from the n(n+1)/2 symmetric unknowns directly."""
+    n = rep.n
+    N = rep.spinor_dim
+    images = [clifford_mul(rep, _unit(n, a), psi) for a in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    rows = []
+    # unknowns h_ij = h_ji with f[i][k] = eps_i h_ik; f(e_k).psi = 0
+    for k in range(n):
+        for h in range(N):
+            row_c = []
+            for (i, j) in pairs:
+                coeff = TS_ZERO
+                if j == k:
+                    coeff = coeff + rep.signs[i] * images[i][h]
+                if i == k and i != j:
+                    coeff = coeff + rep.signs[j] * images[j][h]
+                row_c.append(coeff)
+            rows.extend(real_component_rows(row_c))
+    sols = nullspace(rows, len(pairs)) if rows else []
+    basis = []
+    for sol in sols:
+        f = [[Fraction(0)] * n for _ in range(n)]
+        for q, (i, j) in enumerate(pairs):
+            f[i][j] = rep.signs[i] * sol[q]
+            f[j][i] = rep.signs[j] * sol[q]
+        basis.append(mat_from_rows(f))
+    return CommutantKernel(tuple(basis), len(annihilator_dense(rep, psi)))
+
+
+def lower_central_series_dense(L) -> tuple[list[int], bool]:
+    """Dimensions of g, [g,g], [g,[g,g]], ... from `rref` on dense brackets."""
+    n = L.dim
+    basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    dims = [n]
+    current = basis
+    while True:
+        gens = []
+        for e in basis:
+            for w in current:
+                v = L.bracket(e, w)
+                if any(not x == 0 for x in v):
+                    gens.append(list(v))
+        if not gens:
+            dims.append(0)
+            return dims, True
+        d = len(rref(gens, n))
+        dims.append(d)
+        if d == dims[-2]:
+            return dims, False
+        current = [tuple(row) for row in gens[:d]]

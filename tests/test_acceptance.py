@@ -48,7 +48,9 @@ from solvspin.liealg import (
     ricci_standard,
     standard_connection_identities,
 )
-from solvspin.linalg import mat_equal, mat_scale, nullspace, solve_linear
+from solvspin.linalg import mat_equal, mat_scale
+
+from reference_linalg import nullspace, solve_linear
 
 F = Fraction
 SEED = 20260808

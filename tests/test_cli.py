@@ -222,6 +222,37 @@ class TestDeterminism:
         rep2.pop("timing_ms")
         assert rep1 == rep2 and code1 == code2 == 0
 
+    def test_consecutive_main_calls_share_no_state(self, heis3_file, capsys, monkeypatch):
+        # main reuses one parser per process; flags and SOLVSPIN_BACKEND must
+        # still be read afresh on every call
+        spec = "halfspace n=3 r=1 signs=1,1,1"
+        monkeypatch.delenv("SOLVSPIN_BACKEND", raising=False)
+        calls = [
+            (None, ["killing-halfspace", spec, "--json", "--kmax", "2"],
+             JobSpec(command="killing-halfspace", inputs=(spec,), output_format="json", kmax=2)),
+            ("float", ["curvature", heis3_file, "--json"],
+             JobSpec(command="curvature", inputs=(heis3_file,), output_format="json", backend="float")),
+            (None, ["killing-halfspace", spec, "--json"],
+             JobSpec(command="killing-halfspace", inputs=(spec,), output_format="json")),
+            (None, ["curvature", heis3_file, "--json"],
+             JobSpec(command="curvature", inputs=(heis3_file,), output_format="json")),
+        ]
+        for env, argv, job in calls:
+            if env is None:
+                monkeypatch.delenv("SOLVSPIN_BACKEND", raising=False)
+            else:
+                monkeypatch.setenv("SOLVSPIN_BACKEND", env)
+            assert main(argv) == 0
+            got = json.loads(capsys.readouterr().out)
+            want, code = run(job)
+            assert code == 0
+            got["timing_ms"] = want["timing_ms"] = 0
+            assert got == want, argv
+        assert main(["killing-halfspace", spec]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("command: killing-halfspace (exact backend)\n")
+        assert not text.lstrip().startswith("{")
+
     def test_report_carries_schema_and_digest(self, heis3_file):
         rep, _ = run(JobSpec(command="validate", inputs=(heis3_file,)))
         assert rep["schema"] == 1
@@ -359,6 +390,7 @@ def test_validate_fuzzed_text_exits_cleanly(text):
 # inputs relative to their directory: any change to an answer, a scalar's
 # printed form or the report layout shows here
 HEIS5_MIXED = "dim 5\nsigns +1 -1 +1 -1 +1\n1 2 5 2/3\n3 4 5 1/3\n"
+SU2 = "dim 3\nsigns +1 +1 +1\n1 2 3 1\n1 3 2 -1\n2 3 1 1\n"   # not nilpotent
 GOLDEN_REPORTS = (
     ("curvature", "heis3.alg", (),
      "c10810347c2d364de8dcaa4923a9712e9da1fb60a0d2490d97c658c3aeeb685c"),
@@ -378,12 +410,21 @@ GOLDEN_REPORTS = (
      "1f301a214fb77900990ac856e9e9354721dff6eddad5e936be0da8464037b9b4"),
     ("killing-invariant", "halfspace n=5 r=1/2 signs=1,-1,1,1,-1", (),
      "c0469fcd5c97367298691a102b8ac6ce0847e3975240d75120321a3584aeb5ed"),
+    ("validate", "heis5.alg", (),
+     "49440ac09c6bcc74eb2313dc43d1d9247c849f2d1b85a77a48324cdaa5884495"),
+    ("validate", "su2.alg", (),
+     "342cee962c05f2ea7d82c3da146aed1fd39f74696f463483689bd01582f89343"),
+    ("validate", "heis5.alg", ("--backend", "float"),
+     "e8db2e50b4950945bece83c7eda9ae4441311a250f34299c5b6294fe82f74938"),
+    ("validate", "su2.alg", ("--backend", "float"),
+     "ac8d93b5eba82782e52226005e929b25dad0f24beaf2a42250bd0df3c6499962"),
 )
 
 
 def test_reports_match_golden_digests(tmp_path, capsys):
     (tmp_path / "heis3.alg").write_text(HEIS3)
     (tmp_path / "heis5.alg").write_text(HEIS5_MIXED)
+    (tmp_path / "su2.alg").write_text(SU2)
     got, want = [], []
     for command, source, extra, digest in GOLDEN_REPORTS:  # in order: extend writes ext.alg
         source = source if source.startswith("halfspace") else str(tmp_path / source)

@@ -17,15 +17,45 @@ from solvspin.clifford import (
     clifford_violations,
     gamma_of_vector,
     raise_endomorphism,
-    rep_to_json_dict,
     spin_lift,
-    spin_lift_basis_form,
     symmetric_commutant_kernel,
     two_tensor_action,
 )
-from solvspin.linalg import identity, mat_equal, mat_mul, mat_scale, mat_sub, nullspace, mat_from_rows
+from solvspin.linalg import identity, mat_equal, mat_mul, mat_scale, mat_sub, mat_from_rows, zeros
+
+from reference_linalg import annihilator_dense, commutant_dense, matrix_rank, nullspace
 
 F = Fraction
+
+
+def rep_to_json_dict(rep):
+    """Gamma matrices as arrays of [re, im] rational-string pairs."""
+    def entry(x: TowerScalar):
+        return [str(x.a), str(x.b)]
+
+    return {
+        "n": rep.n,
+        "signs": list(rep.signs),
+        "spinor_dim": rep.spinor_dim,
+        "volume_power": rep.volume_power,
+        "gammas": [[[entry(x) for x in row] for row in g] for g in rep.gammas],
+    }
+
+
+def spin_lift_basis_form(rep, A):
+    """(1/2) sum_{k<j} A_kj eps_j gamma_j gamma_k from dense gamma products.
+
+    Equals spin_lift exactly when A is metric-skew.
+    """
+    N = rep.spinor_dim
+    out = zeros(N, N, TS_ZERO)
+    for j in range(rep.n):
+        for k in range(j):
+            if A[k][j] == 0:
+                continue
+            term = mat_scale(F(1, 2) * rep.signs[j] * A[k][j], mat_mul(rep.gammas[j], rep.gammas[k]))
+            out = tuple(tuple(x + y for x, y in zip(ro, rt)) for ro, rt in zip(out, term))
+    return out
 
 
 def rand_vector(rng, n):
@@ -267,23 +297,9 @@ class TestSpinorKernels:
 
     def _isotropic_annihilated(self, rep):
         """A spinor annihilated by the isotropic vector e_0 + e_1 in split signature."""
-        N = rep.spinor_dim
-        g = mat_from_rows([
-            [rep.gammas[0][i][j] + rep.gammas[1][i][j] for j in range(N)]
-            for i in range(N)
-        ])
-        rows = []
-        for i in range(N):
-            re_row, im_row = [], []
-            for j in range(N):
-                z = g[i][j]
-                re_row.extend([z.a, -z.b])
-                im_row.extend([z.b, z.a])
-            rows.extend([re_row, im_row])
-        sols = nullspace(rows, 2 * N)
-        assert sols, "split signature must have isotropic-annihilated spinors"
-        v = sols[0]
-        return [TowerScalar(v[2 * j], v[2 * j + 1]) for j in range(N)]
+        basis = _annihilated_by(rep, 0, 1)
+        assert basis, "split signature must have isotropic-annihilated spinors"
+        return basis[0]
 
     def test_split_signature_kernel_grows(self):
         for signs in [(1, -1), (1, -1, 1, -1)]:
@@ -302,19 +318,65 @@ class TestSpinorKernels:
                     assert all(x.is_zero for x in clifford_mul(rep, fv, psi))
 
     def test_factored_matches_dense(self):
+        # the sparse kernels against dense elimination in tests/reference_linalg.py
         rng = random.Random(13)
-        for signs in [(1, 1), (1, -1), (1, -1, 1)]:
+        nontrivial = 0
+        signatures = [s for n in range(1, 5) for s in itertools.product((1, -1), repeat=n)]
+        signatures += [(1, -1, 1, -1, 1), (-1, 1, 1, 1, -1), (1, 1, -1, -1, 1, -1)]
+        for signs in signatures:
             rep = build_gammas(signs)
-            for _ in range(5):
-                psi = rand_spinor(rng, rep.spinor_dim)
+            for psi in _oracle_spinors(rng, rep):
+                V = annihilator_kernel(rep, psi)
+                assert V == annihilator_dense(rep, psi), (signs, psi)
                 kf = symmetric_commutant_kernel(rep, psi)
-                kd = symmetric_commutant_kernel(rep, psi, method="dense")
+                kd = commutant_dense(rep, psi)
+                assert kf.v_psi_dimension == kd.v_psi_dimension == len(V)
                 assert kf.dimension == kd.dimension
-            psi = self._isotropic_annihilated(rep) if -1 in signs else None
-            if psi is not None:
-                kf = symmetric_commutant_kernel(rep, psi)
-                kd = symmetric_commutant_kernel(rep, psi, method="dense")
-                assert kf.dimension == kd.dimension
+                if kf.dimension:
+                    both = _flat(kf.homogeneous_basis) + _flat(kd.homogeneous_basis)
+                    assert matrix_rank(both) == kf.dimension, (signs, psi)
+                    nontrivial += 1
+        assert nontrivial >= 20
+
+
+def _annihilated_by(rep, a, b):
+    """Q(i)-basis of the spinors killed by e_a + e_b, from the dense gammas."""
+    N = rep.spinor_dim
+    rows = []
+    for i in range(N):
+        re_row, im_row = [], []
+        for j in range(N):
+            z = rep.gammas[a][i][j] + rep.gammas[b][i][j]
+            re_row.extend([z.a, -z.b])
+            im_row.extend([z.b, z.a])
+        rows.extend([re_row, im_row])
+    return [[TowerScalar(v[2 * j], v[2 * j + 1]) for j in range(N)] for v in nullspace(rows, 2 * N)]
+
+
+def _oracle_spinors(rng, rep):
+    """Random spinors over Q(i) and Q(i)(sqrt 5), and isotropic annihilated ones."""
+    N = rep.spinor_dim
+    out = [rand_spinor(rng, N) for _ in range(2)]
+    while len(out) < 4:
+        psi = [TowerScalar(*(rng.randint(-2, 2) for _ in range(4)), 5) for _ in range(N)]
+        if any(not x.is_zero for x in psi):
+            out.append(psi)
+    if 1 in rep.signs and -1 in rep.signs:
+        basis = _annihilated_by(rep, rep.signs.index(1), rep.signs.index(-1))
+        assert basis, "split signature must have isotropic-annihilated spinors"
+        out.append(basis[0])
+        combo = [TS_ZERO] * N
+        for v in basis:
+            c = TowerScalar(rng.randint(-2, 2), rng.randint(-2, 2))
+            combo = [x + c * y for x, y in zip(combo, v)]
+        if any(not x.is_zero for x in combo):
+            out.append(combo)
+        out.append([TowerScalar(1, 0, 1, 0, 5) * x for x in basis[-1]])
+    return out
+
+
+def _flat(mats):
+    return [[x for row in f for x in row] for f in mats]
 
 
 def test_json_export_shape():

@@ -28,7 +28,9 @@ from solvspin.liealg import (
     ricci,
     standard_decomposition,
 )
-from solvspin.linalg import mat_equal, mat_mul, mat_scale, mat_sub, normalize_vector, nullspace
+from solvspin.linalg import mat_equal, mat_mul, mat_scale, mat_sub, normalize_vector
+
+from reference_linalg import nullspace
 
 F = Fraction
 

@@ -13,7 +13,7 @@ from conftest import (
     random_pseudo_iwasawa,
     semidirect_metric,
 )
-from solvspin.exact import TowerScalar
+from solvspin.exact import FloatScalar, TowerScalar
 from solvspin.liealg import (
     Connection,
     DerivationError,
@@ -43,7 +43,9 @@ from solvspin.liealg import (
     symmetric_part,
     trace,
 )
-from solvspin.linalg import identity, mat_equal, mat_mul, mat_scale, mat_vec, solve_linear
+from solvspin.linalg import identity, mat_equal, mat_mul, mat_scale, mat_vec
+
+from reference_linalg import lower_central_series_dense, solve_linear
 
 F = Fraction
 
@@ -86,6 +88,51 @@ class TestJacobiAndSeries:
         dims, nilpotent = lower_central_series(L)
         assert not nilpotent
         assert dims[-1] == 1
+
+
+def _float_copy(L: LieAlgebra) -> LieAlgebra:
+    def conv(c):
+        return FloatScalar(float(c.as_fraction() if isinstance(c, TowerScalar) else c))
+
+    return LieAlgebra(L.dim, tuple(tuple(tuple(conv(c) for c in row) for row in plane)
+                                   for plane in L.structure))
+
+
+def _is_rational(L: LieAlgebra) -> bool:
+    return all(not isinstance(c, TowerScalar) or c.is_rational
+               for plane in L.structure for row in plane for c in row)
+
+
+class TestSeriesOracle:
+    """lower_central_series against dense rref ranks in tests/reference_linalg.py."""
+
+    def test_matches_dense_on_catalog_and_random_algebras(self, rng):
+        algebras = [LieAlgebra.from_brackets(dim, {pair: {k: F(1)} for pair, k in slots})
+                    for dim, slots in NILPOTENT_SHAPES]
+        algebras += [
+            LieAlgebra.from_brackets(3, {(0, 1): {2: F(1)}, (0, 2): {1: F(-1)}, (1, 2): {0: F(1)}}),
+            LieAlgebra.from_brackets(3, {(0, 1): {1: F(2)}, (0, 2): {2: F(-2)}, (1, 2): {0: F(1)}}),
+            LieAlgebra.from_brackets(2, {(0, 1): {1: F(1)}}),
+            # [e_0, e_2 + 2 e_3] = 0 only with the echelon row's coefficients
+            LieAlgebra.from_brackets(5, {(0, 1): {2: F(1), 3: F(2)}, (0, 2): {4: F(2)},
+                                         (0, 3): {4: F(-1)}}),
+        ]
+        algebras += [random_nilpotent(rng) for _ in range(30)]
+        algebras += [random_pseudo_iwasawa(rng)[0].algebra for _ in range(10)]
+        # heis3 + R: the Einstein extension has coefficients in Q(sqrt m)
+        heis3_r = LieAlgebra.from_brackets(4, {(0, 1): {2: F(1)}})
+        ext, _, _ = einstein_extension(MetricLieAlgebra(heis3_r, (1,) * 4))
+        algebras.append(ext.algebra)
+        floats = 0
+        for L in algebras:
+            want = lower_central_series_dense(L)
+            assert lower_central_series(L) == want, L
+            if _is_rational(L):
+                Lf = _float_copy(L)
+                assert lower_central_series(Lf) == lower_central_series_dense(Lf) == want, L
+                floats += 1
+        assert not _is_rational(algebras[-1]) and floats == len(algebras) - 1
+        assert {nilpotent for _, nilpotent in map(lower_central_series, algebras)} == {True, False}
 
 
 class TestLeviCivita:
