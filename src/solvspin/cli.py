@@ -27,7 +27,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
-from .exact import FloatScalar, TowerScalar, format_rational, parse_rational
+from .exact import FloatScalar, TowerScalar, format_rational, parse_rational, to_rational
 from .liealg import (
     LieAlgebra,
     MetricLieAlgebra,
@@ -168,15 +168,9 @@ def serialize_algebra(M: MetricLieAlgebra, decomp=None) -> str:
     n = M.dim
     lines = ["dim %d" % n]
     lines.append("signs " + " ".join("+1" if s == 1 else "-1" for s in M.signs))
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                coeff = M.algebra.structure[i][j][k]
-                if not coeff == 0:
-                    rows.append((i + 1, j + 1, k + 1, coeff))
-    for i, j, k, coeff in sorted(rows, key=lambda r: r[:3]):
-        lines.append("%d %d %d %s" % (i, j, k, _coeff_str(coeff)))
+    for i, j, k, coeff in M.algebra.brackets:
+        if i < j and not coeff == 0:
+            lines.append("%d %d %d %s" % (i + 1, j + 1, k + 1, _coeff_str(coeff)))
     if decomp is not None:
         lines.append("abelian: " + ",".join(str(a + 1) for a in decomp.abelian_indices))
     return "\n".join(lines) + "\n"
@@ -185,21 +179,12 @@ def serialize_algebra(M: MetricLieAlgebra, decomp=None) -> str:
 def _coeff_str(coeff) -> str:
     if isinstance(coeff, FloatScalar):
         return repr(coeff.value)
-    if isinstance(coeff, TowerScalar):
-        return format_rational(coeff.as_fraction())
-    return format_rational(coeff)
+    return format_rational(to_rational(coeff))
 
 
 def _to_float_backend(M: MetricLieAlgebra, tol: float) -> MetricLieAlgebra:
-    n = M.dim
-    structure = tuple(
-        tuple(
-            tuple(FloatScalar(float(c), tol) for c in row)
-            for row in plane
-        )
-        for plane in M.algebra.structure
-    )
-    return MetricLieAlgebra(LieAlgebra(n, structure), M.signs)
+    entries = [(i, j, k, FloatScalar(float(c), tol)) for i, j, k, c in M.algebra.brackets]
+    return MetricLieAlgebra(LieAlgebra(M.dim, entries, FloatScalar(0.0, tol)), M.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +192,12 @@ def _to_float_backend(M: MetricLieAlgebra, tol: float) -> MetricLieAlgebra:
 # ---------------------------------------------------------------------------
 
 def scalar_json(x):
-    if isinstance(x, TowerScalar):
-        if x.is_rational:
-            return format_rational(x.as_fraction())
-        return x.to_dict()
     if isinstance(x, FloatScalar):
         return x.value
-    if isinstance(x, Fraction) or isinstance(x, int):
-        return format_rational(Fraction(x))
+    if isinstance(x, TowerScalar) and not x.is_rational:
+        return x.to_dict()
+    if isinstance(x, (TowerScalar, Fraction, int)):
+        return format_rational(to_rational(x))
     return x
 
 
@@ -260,14 +243,8 @@ def _cmd_validate(M, decomp, model, job):
 def _cmd_curvature(M, decomp, model, job):
     conn = levi_civita(M)
     data = ricci(M, conn)
-    nonzero = []
-    n = M.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                val = conn.gamma[i][j][k]
-                if not val == 0:
-                    nonzero.append([i + 1, j + 1, k + 1, scalar_json(val)])
+    nonzero = [[i + 1, j + 1, k + 1, scalar_json(val)]
+               for i, j, k, val in conn.entries if not val == 0]
     lam = einstein_constant(M, data)
     return {
         "connection": nonzero,

@@ -10,8 +10,12 @@ representation stores each gamma_a once, as a column permutation perm[a] and
 phases phase[a] in Z/4: row i holds i**phase[a][i] at column perm[a][i].
 Products compose permutations and add phases.  Sums of such products (spin
 lifts, Clifford multiplication by a vector, 2-tensor actions) accumulate into
-sparse rows {column: coefficient}; the dense matrices over Q(i), including
-`CliffordRep.gammas`, are views derived from those forms.  For odd n the
+sparse rows {column: coefficient}: the coefficients, rational or in the tower
+Q(i)(sqrt m), are written as integer numerators over one common denominator,
+a phase i**q permutes and negates those integers, and each nonzero entry
+becomes one TowerScalar at the end.  Coefficients must be exact.  The dense
+matrices over Q(i), including `CliffordRep.gammas`, are views derived from
+those forms.  For odd n the
 representation is pinned down by normalizing the volume element to act as
 +1 or +i.
 """
@@ -23,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
-from .exact import TS_I, TS_ONE, TS_ZERO, to_tower
+from .exact import TS_I, TS_ONE, TS_ZERO, common_numerators, from_numerators, to_tower
 from .linalg import mat_from_rows, sparse_nullspace
 from .liealg import is_metric_skew
 
@@ -173,35 +177,37 @@ def clifford_violations(rep: CliffordRep) -> list[tuple[int, int]]:
     return bad
 
 
-def _monomial_rows(N: int, terms) -> list[dict]:
-    """Sparse rows {column: coefficient} of the sum of c x over (x, c) pairs
-    of monomial matrices and scalars.
+def _monomial_rows(N: int, terms, monomial) -> list[dict]:
+    """Sparse rows {column: coefficient} of the sum of c monomial(key) over
+    (key, c) pairs, where monomial(key) is a monomial matrix and c an exact
+    scalar.
 
-    i**q c adds +-c to the real (q even) or the imaginary (q odd) part of one
-    entry, so the coefficients are summed as they come and the tower
-    arithmetic runs once per nonzero entry.
+    The coefficients are written as integer numerators (a, b, c, d) over one
+    common denominator q; i**k c rotates those four integers, so each entry
+    is a sum of integer tuples, and one TowerScalar is built per nonzero
+    entry.  Monomials are formed for nonzero coefficients only.  A
+    coefficient that is not exact (a FloatScalar) raises TypeError.
     """
-    re = [{} for _ in range(N)]
-    im = [{} for _ in range(N)]
-    for (perm, phase), c in terms:
-        if c == 0:
+    terms = list(terms)
+    nums, q, m = common_numerators([c for _, c in terms])
+    acc = [{} for _ in range(N)]
+    for (key, _), (a, b, c, d) in zip(terms, nums):
+        if not (a or b or c or d):
             continue
-        signed = (c, -c)
-        for i, (j, q) in enumerate(zip(perm, phase)):
-            part = im[i] if q % 2 else re[i]
-            part[j] = part.get(j, F0) + signed[q // 2]
+        perm, phase = monomial(key)
+        rot = ((a, b, c, d), (-b, a, -d, c), (-a, -b, -c, -d), (b, -a, d, -c))
+        for row, j, k in zip(acc, perm, phase):
+            x = rot[k]
+            y = row.get(j)
+            row[j] = x if y is None else (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
     rows = []
-    for re_row, im_row in zip(re, im):
-        row = {}
-        for j in sorted(re_row.keys() | im_row.keys()):
-            r = re_row.get(j, F0)
-            m = im_row.get(j, F0)
-            if m == 0:
-                if not r == 0:
-                    row[j] = to_tower(r)
-            else:
-                row[j] = TS_I * m + r
-        rows.append(row)
+    for row in acc:
+        out = {}
+        for j in sorted(row):
+            a, b, c, d = row[j]
+            if a or b or c or d:
+                out[j] = from_numerators(a, b, c, d, q, m)
+        rows.append(out)
     return rows
 
 
@@ -220,13 +226,13 @@ def dense_rows(rows: Sequence[dict]) -> tuple:
 def _pair_rows(rep: CliffordRep, terms) -> list[dict]:
     """Sparse rows of the sum of c gamma_a gamma_b over (a, b, c) terms."""
     gens = _generators(rep)
-    return _monomial_rows(rep.spinor_dim, (
-        (_compose(gens[a], gens[b]), c) for a, b, c in terms if c != 0))
+    return _monomial_rows(rep.spinor_dim, (((a, b), c) for a, b, c in terms),
+                          lambda ab: _compose(gens[ab[0]], gens[ab[1]]))
 
 
 def gamma_of_vector_rows(rep: CliffordRep, v: Sequence) -> list[dict]:
     """Sparse rows of Clifford multiplication by the frame vector v."""
-    return _monomial_rows(rep.spinor_dim, zip(_generators(rep), v))
+    return _monomial_rows(rep.spinor_dim, enumerate(v), _generators(rep).__getitem__)
 
 
 def gamma_of_vector(rep: CliffordRep, v: Sequence) -> tuple:
@@ -280,9 +286,20 @@ def spin_lift_rows(rep: CliffordRep, A) -> list[dict]:
     if not is_metric_skew(A, rep.signs):
         raise ValueError("endomorphism is not metric-skew")
     n = rep.n
+    return skew_lift_rows(rep, ((k, j, A[k][j])
+                                for j in range(n) for k in range(n) if not A[k][j] == 0))
+
+
+def skew_lift_rows(rep: CliffordRep, entries) -> list[dict]:
+    """Sparse rows of (1/4) sum_j eps_j gamma_j gamma(A e_j) from entries (k, j, A_kj).
+
+    Entries left out are zero.  This is the spin lift of A only when A is
+    metric-skew, which the caller vouches for: `spin_lift_rows` tests it on
+    a dense A, and the Levi-Civita connection is checked metric-compatible
+    when it is built.
+    """
     return _pair_rows(rep, (
-        (j, k, QUARTER * rep.signs[j] * A[k][j])
-        for j in range(n) for k in range(n) if not A[k][j] == 0))
+        (j, k, QUARTER * x if rep.signs[j] == 1 else -QUARTER * x) for k, j, x in entries))
 
 
 def spin_lift(rep: CliffordRep, A) -> tuple:

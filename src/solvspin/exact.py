@@ -362,6 +362,54 @@ def to_tower(x) -> TowerScalar:
     return x if isinstance(x, TowerScalar) else TowerScalar.rational(x)
 
 
+def _exact_tuple(x) -> tuple:
+    """The stored tuple of an int, Fraction or TowerScalar; TypeError otherwise."""
+    t = _tuple(x)
+    if t is None:
+        raise TypeError("%s is not an exact scalar" % type(x).__name__)
+    return t
+
+
+def to_rational(x) -> Fraction:
+    """x as a Fraction: the one coercion from exact scalars to rationals.
+
+    An int or Fraction converts as it is and a TowerScalar must be rational
+    (ValueError otherwise); anything else, a FloatScalar included, raises
+    TypeError.
+    """
+    t = _exact_tuple(x)
+    if t[1] or t[2] or t[3]:
+        raise ValueError("scalar %r is not rational" % (x,))
+    return Fraction(t[0], t[4])
+
+
+def common_numerators(scalars) -> tuple:
+    """Exact scalars written over one denominator: (numerators, q, m).
+
+    numerators[k] is the integer tuple (a, b, c, d) with
+    scalars[k] = (a + b*i + c*w + d*i*w) / q, where q is the lcm of the
+    scalars' denominators and m their one radicand (None when no scalar has a
+    w-part).  ints, Fractions and TowerScalars are accepted; anything else, a
+    FloatScalar included, raises TypeError, and two radicands raise
+    IncompatibleExtensionError.  `from_numerators` reads a sum back.
+    """
+    parts = [_exact_tuple(x) for x in scalars]
+    q = math.lcm(*(t[4] for t in parts))
+    m = None
+    for t in parts:
+        m = _common_radicand(m, t[5])
+    nums = []
+    for a, b, c, d, qt, _ in parts:
+        s = q // qt
+        nums.append((a, b, c, d) if s == 1 else (a * s, b * s, c * s, d * s))
+    return nums, q, m
+
+
+def from_numerators(a: int, b: int, c: int, d: int, q: int, m) -> TowerScalar:
+    """The scalar (a + b*i + c*w + d*i*w) / q for integers with q > 0 and w**2 = m."""
+    return _reduced(a, b, c, d, q, m)
+
+
 class FloatScalar:
     """Float with a relative tolerance; equality is approximate."""
 
@@ -458,6 +506,4 @@ def sqrt_scalar(x):
     """Square root across backends: Fraction/int via the tower, floats numerically."""
     if isinstance(x, FloatScalar):
         return FloatScalar(math.sqrt(x.value), x.tol)
-    if isinstance(x, TowerScalar):
-        return sqrt_to_tower(x.as_fraction())
-    return sqrt_to_tower(Fraction(x))
+    return sqrt_to_tower(to_rational(x))

@@ -11,7 +11,8 @@ whose equation is a finite linear system on the fiber.
 
 One solve computes the Levi-Civita connection and the Ricci data once.  Each
 per-direction operator nabla_{e_i} - lambda gamma_i is built as sparse rows
-{column: coefficient} straight from the monomial gammas, and the stacked rows
+{column: coefficient} straight from the connection's nonzero Gamma entries
+and the monomial gammas, with no dense nabla matrix, and the stacked rows
 go to `sparse_nullspace`, which stops as soon as the rank reaches the spinor
 dimension N: the usual outcome, since the system has only the zero solution
 even on the half-spaces.  The same rows serve the half-space solver.
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import TS_ZERO, TowerScalar, format_rational, sqrt_to_tower, to_tower
-from .clifford import CliffordRep, add_gamma, dense_rows, gamma_of_vector_rows, spin_lift_rows
+from .exact import TS_ZERO, TowerScalar, format_rational, sqrt_to_tower, to_rational, to_tower
+from .clifford import CliffordRep, add_gamma, dense_rows, gamma_of_vector_rows, skew_lift_rows
 from .liealg import (
     MetricLieAlgebra,
     RicciData,
@@ -69,7 +70,7 @@ def _lambda_candidates(M: MetricLieAlgebra, data: RicciData) -> list[LambdaCandi
     n = M.dim
     if n < 2:
         raise ValueError("need dimension >= 2")
-    s = _as_fraction(data.scalar)
+    s = to_rational(data.scalar)
     if s == 0:
         return []
     lam_sq = s / (4 * n * (n - 1))
@@ -80,17 +81,19 @@ def _lambda_candidates(M: MetricLieAlgebra, data: RicciData) -> list[LambdaCandi
     ]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, TowerScalar):
-        return x.as_fraction()
-    return Fraction(x)
-
-
 def _spin_connection_rows(M: MetricLieAlgebra, rep: CliffordRep, conn) -> list[list[dict]]:
-    """Sparse rows of the spin lift of nabla_{e_i}, per direction i."""
+    """Sparse rows of the spin lift of nabla_{e_i}, per direction i.
+
+    Each lift is built from that direction's Gamma entries: nabla_{e_i} has
+    Gamma_ijk at row k, column j.  Metric-skewness of nabla_{e_i} is the
+    metric-compatibility condition `levi_civita` checked on the same entries.
+    """
     if tuple(rep.signs) != tuple(M.signs):
         raise ValueError("representation signature does not match the metric")
-    return [spin_lift_rows(rep, conn.nabla(i)) for i in range(M.dim)]
+    by_direction = [[] for _ in range(M.dim)]
+    for i, j, k, v in conn.entries:
+        by_direction[i].append((k, j, v))
+    return [skew_lift_rows(rep, entries) for entries in by_direction]
 
 
 def invariant_spin_connection(M: MetricLieAlgebra, rep: CliffordRep) -> list[tuple]:
@@ -186,7 +189,7 @@ def ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam) -> int:
 def _ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam, data: RicciData) -> int:
     n = M.dim
     N = rep.spinor_dim
-    lam_sq = _as_fraction(lam * lam) if isinstance(lam, TowerScalar) else Fraction(lam) ** 2
+    lam_sq = to_rational(lam * lam)
     rows = []
     factor = 4 * (n - 1) * lam_sq
     for i in range(n):
@@ -278,15 +281,12 @@ def classify_pseudo_iwasawa(M: MetricLieAlgebra, decomp: StandardDecomposition) 
     nil, ab = decomp.nil_indices, decomp.abelian_indices
     ng, k, n = len(nil), len(ab), M.dim
     sub = restrict(M, nil)
-    g_abelian = all(
-        all(x == 0 for x in sub.algebra.structure[i][j])
-        for i in range(ng) for j in range(ng)
-    )
+    g_abelian = all(x == 0 for *_, x in sub.algebra.brackets)
     checks.append(Check("nilradical_abelian", g_abelian))
     if not g_abelian:
         return ObstructionReport(
             Verdict("NoKillingSpinor", reason="g non-abelian"), tuple(checks))
-    s = _as_fraction(ricci(M).scalar)
+    s = to_rational(ricci(M).scalar)
     has_lambda = s != 0
     checks.append(Check("lambda_candidates", has_lambda,
                         "scalar curvature %s" % format_rational(s)))
@@ -314,7 +314,7 @@ def classify_pseudo_iwasawa(M: MetricLieAlgebra, decomp: StandardDecomposition) 
     # k = 1: trace normalization precedes the phi tests, mirroring the proof
     eps0 = M.signs[ab[0]]
     phi0 = decomp.phi[0]
-    tr_phi = _as_fraction(trace(phi0))
+    tr_phi = to_rational(trace(phi0))
     required_sq = -eps0 * (s - 4 * lam_sq * ng)
     trace_ok = tr_phi * tr_phi == required_sq
     checks.append(Check(

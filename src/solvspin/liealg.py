@@ -2,35 +2,40 @@
 nilsoliton solving and the Einstein extension construction.
 
 Frames are always pseudo-orthonormal: the metric is diag(eps_1, ..., eps_n)
-with eps_i = +-1.  Structure constants c[i][j][k] give [e_i, e_j] = sum_k
-c[i][j][k] e_k; entries may be Fractions, TowerScalars or FloatScalars, and
-every operation below is generic over those.
+with eps_i = +-1.  A `LieAlgebra` stores its structure constants as the
+sorted list of nonzero entries (i, j, k, c) with [e_i, e_j] = ... + c e_k,
+both orders of each pair, in the way a `CliffordRep` stores its gammas as
+permutations and phases; the dense n x n x n table `structure` is a view
+derived from that list for tests and callers that want it.  Entries may be
+Fractions, TowerScalars or FloatScalars, and every operation below is
+generic over those.
 
-The geometry comes straight from the structure constants.  `levi_civita`
-scatters each nonzero c_ijk into the three slots of the Koszul formula, and
-`ricci` contracts the connection table Gamma directly, summing over pairs of
-nonzero entries; neither forms ad matrices or the Riemann tensor.  The full
-tensor is still available from `curvature`.  Zero entries are taken from the
-algebra's own scalars, so the float backend reports FloatScalar zeros.
+The geometry reads the entries only.  `levi_civita` scatters each nonzero
+c_ijk into the three slots of the Koszul formula and returns a `Connection`
+that likewise stores its nonzero Gamma entries (the dense `gamma` table and
+the `nabla(i)` matrices are views); `ricci` contracts those entries,
+summing over pairs of nonzero entries.  Neither forms a dense table, ad
+matrices or the Riemann tensor; the full tensor is still available from
+`curvature`.  Zeros in the dense views and results are the algebra's own
+`zero`, so the float backend reports FloatScalar zeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import FloatScalar, TowerScalar, _square_part, sqrt_scalar
+from .exact import FloatScalar, _square_part, sqrt_scalar, to_rational
 from .linalg import (
     _sparse_echelon,
     identity,
     mat_equal,
     mat_mul,
-    mat_vec,
     mat_from_rows,
     mat_scale,
     mat_sub,
-    vec_add,
     zeros,
 )
 
@@ -57,15 +62,40 @@ class IsotropicPivotError(ValueError):
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Structure constants in a fixed frame; antisymmetry is enforced."""
+    """Structure constants in a fixed frame, stored as their nonzero entries.
+
+    `brackets` holds (i, j, k, c) for every c = c_ij^k that is not exactly
+    zero, both orders of each pair, sorted by (i, j, k); antisymmetry is
+    checked.  `zero` is the zero of the algebra's scalars (a FloatScalar for
+    the float backend); the dense `structure` table is a view built from
+    both on first use.
+    """
 
     dim: int
-    structure: tuple  # structure[i][j][k] = coefficient of e_k in [e_i, e_j]
+    brackets: tuple
+    zero: object = field(default=F0, compare=False, repr=False)
+
+    def __post_init__(self):
+        n = self.dim
+        entries = {}
+        for i, j, k, c in self.brackets:
+            if _is_exact_zero(c):
+                continue
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n) or i == j:
+                raise StructureError("bracket entry (%d, %d, %d) out of range" % (i, j, k))
+            if (i, j, k) in entries:
+                raise StructureError("duplicate bracket entry (%d, %d, %d)" % (i, j, k))
+            entries[(i, j, k)] = c
+        for (i, j, k), c in entries.items():
+            if (j, i, k) not in entries or not entries[(j, i, k)] == -c:
+                raise StructureError("bracket entries (%d, %d, %d) are not antisymmetric" % (i, j, k))
+        object.__setattr__(self, "brackets", tuple(
+            (i, j, k, entries[i, j, k]) for i, j, k in sorted(entries)))
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict) -> "LieAlgebra":
         """Build from {(i, j): {k: coeff}} with 0-based i < j."""
-        c = [[[F0 for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        entries = {}
         for (i, j), comps in brackets.items():
             if not (0 <= i < j < dim):
                 raise StructureError("bracket pair (%d, %d) needs 0 <= i < j < dim" % (i, j))
@@ -73,58 +103,60 @@ class LieAlgebra:
             for k, coeff in items:
                 if not (0 <= k < dim):
                     raise StructureError("component index %d out of range" % k)
-                c[i][j][k] = coeff
-                c[j][i][k] = -coeff
-        return cls(dim, tuple(tuple(tuple(row) for row in plane) for plane in c))
+                entries[(i, j, k)] = coeff
+        return cls(dim, [e for (i, j, k), c in entries.items()
+                         for e in ((i, j, k, c), (j, i, k, -c))])
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
-        return cls.from_brackets(dim, {})
+        return cls(dim, ())
 
-    def bracket_basis(self, i: int, j: int) -> tuple:
-        return self.structure[i][j]
-
-    def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        out = [F0] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                row = self.structure[i][j]
-                for k in range(self.dim):
-                    if not row[k] == 0:
-                        out[k] = out[k] + xi * yj * row[k]
-        return tuple(out)
+    @cached_property
+    def structure(self) -> tuple:
+        """Dense view: structure[i][j][k] = coefficient of e_k in [e_i, e_j]."""
+        n = self.dim
+        c = [[[self.zero] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, v in self.brackets:
+            c[i][j][k] = v
+        return tuple(tuple(tuple(row) for row in plane) for plane in c)
 
     def ad_basis(self, i: int) -> tuple:
         """Matrix of ad e_i: v -> [e_i, v]."""
         n = self.dim
-        return tuple(tuple(self.structure[i][j][k] for j in range(n)) for k in range(n))
+        m = [[self.zero] * n for _ in range(n)]
+        for a, j, k, c in self.brackets:
+            if a == i:
+                m[k][j] = c
+        return tuple(tuple(row) for row in m)
 
 
-def _basis_vec(n: int, i: int) -> tuple:
-    return tuple(F1 if j == i else F0 for j in range(n))
+def _pairs(L: LieAlgebra) -> dict:
+    """{(i, j): [(k, c_ij^k)]} over the nonzero entries."""
+    out = {}
+    for i, j, k, c in L.brackets:
+        out.setdefault((i, j), []).append((k, c))
+    return out
 
 
 def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
-    """Triples (i, j, k), i < j < k, where the Jacobi identity fails."""
+    """Triples (i, j, k), i < j < k, where the Jacobi identity fails.
+
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] can be nonzero
+    only if one of the three pairs brackets nontrivially, so only triples
+    containing a nonzero pair are summed.
+    """
     n = L.dim
+    pairs = _pairs(L)
+    triples = {tuple(sorted((i, j, k))) for i, j in pairs for k in range(n) if k != i and k != j}
     bad = []
-    for i in range(n):
-        ei = _basis_vec(n, i)
-        for j in range(i + 1, n):
-            ej = _basis_vec(n, j)
-            bij = L.structure[i][j]
-            for k in range(j + 1, n):
-                ek = _basis_vec(n, k)
-                total = vec_add(
-                    vec_add(L.bracket(bij, ek), L.bracket(L.structure[j][k], ei)),
-                    L.bracket(L.structure[k][i], ej),
-                )
-                if any(not t == 0 for t in total):
-                    bad.append((i, j, k))
+    for i, j, k in sorted(triples):
+        total = {}
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in pairs.get((a, b), ()):
+                for l, y in pairs.get((m, d), ()):
+                    _accumulate(total, l, x * y)
+        if any(not t == 0 for t in total.values()):
+            bad.append((i, j, k))
     return bad
 
 
@@ -135,9 +167,7 @@ def lower_central_series(L: LieAlgebra) -> tuple[list[int], bool]:
     {k: coefficient}, over the echelon rows w of the term before.
     """
     n = L.dim
-    brackets = {}
-    for i, j, k, c in _nonzeros(L.structure):
-        brackets.setdefault((i, j), []).append((k, c))
+    brackets = _pairs(L)
     dims = [n]
     current = [{i: F1} for i in range(n)]
     while True:
@@ -234,36 +264,46 @@ def trace(f):
 
 @dataclass(frozen=True)
 class Connection:
-    """Levi-Civita table: gamma[i][j][k] with nabla_{e_i} e_j = sum_k gamma[i][j][k] e_k."""
+    """Levi-Civita table, stored as its nonzero entries.
 
-    gamma: tuple
+    `entries` holds (i, j, k, Gamma_ijk), with nabla_{e_i} e_j = sum_k
+    Gamma_ijk e_k, for every Gamma_ijk that is not exactly zero, sorted by
+    (i, j, k).  The dense `gamma` table and the `nabla(i)` matrices are views;
+    `zero` is the zero of the scalars they are filled with.
+    """
+
+    dim: int
+    entries: tuple
+    zero: object = field(default=F0, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(sorted(
+            (e for e in self.entries if not _is_exact_zero(e[3])), key=lambda e: e[:3])))
+
+    @cached_property
+    def gamma(self) -> tuple:
+        """Dense view: gamma[i][j][k] = Gamma_ijk."""
+        n = self.dim
+        g = [[[self.zero] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, v in self.entries:
+            g[i][j][k] = v
+        return tuple(tuple(tuple(row) for row in plane) for plane in g)
 
     def nabla(self, i: int) -> tuple:
         """Matrix of w -> nabla_{e_i} w (covariant derivative in direction e_i)."""
-        n = len(self.gamma)
-        return tuple(tuple(self.gamma[i][j][k] for j in range(n)) for k in range(n))
+        n = self.dim
+        m = [[self.zero] * n for _ in range(n)]
+        for a, j, k, v in self.entries:
+            if a == i:
+                m[k][j] = v
+        return tuple(tuple(row) for row in m)
 
     def derivative(self, i: int, j: int) -> tuple:
         return self.gamma[i][j]
 
 
-def _nonzeros(table) -> list:
-    """(i, j, k, value) for every entry of an n x n x n table that is not exactly zero."""
-    return [(i, j, k, v)
-            for i, plane in enumerate(table)
-            for j, row in enumerate(plane)
-            for k, v in enumerate(row)
-            if not _is_exact_zero(v)]
-
-
 def _accumulate(acc: dict, key, v):
     acc[key] = acc[key] + v if key in acc else v
-
-
-def _zero_of(M: MetricLieAlgebra):
-    """Zero of the algebra's own scalars (a FloatScalar for the float backend)."""
-    s = M.algebra.structure[0][0][0] if M.dim else F0
-    return s - s
 
 
 def levi_civita(M: MetricLieAlgebra) -> Connection:
@@ -274,17 +314,14 @@ def levi_civita(M: MetricLieAlgebra) -> Connection:
     (d, a, b) and eps_a eps_d c/2 at (b, d, a).  The result is checked to be
     torsion-free and metric-compatible.
     """
-    n, eps = M.dim, M.signs
+    eps = M.signs
     acc = {}
-    for a, b, d, c in _nonzeros(M.algebra.structure):
+    for a, b, d, c in M.algebra.brackets:
         h = c * HALF
         _accumulate(acc, (a, b, d), h)
         _accumulate(acc, (d, a, b), h if eps[b] != eps[d] else -h)
         _accumulate(acc, (b, d, a), h if eps[a] == eps[d] else -h)
-    zero = _zero_of(M)
-    conn = Connection(tuple(
-        tuple(tuple(acc.get((i, j, k), zero) for k in range(n)) for j in range(n))
-        for i in range(n)))
+    conn = Connection(M.dim, [(i, j, k, v) for (i, j, k), v in acc.items()], M.algebra.zero)
     _check_connection(M, conn)
     return conn
 
@@ -299,18 +336,19 @@ def _check_connection(M: MetricLieAlgebra, conn: Connection):
     Gamma_ijk cover it; the torsion condition also runs at (j, i, k) and
     wherever c_ijk is nonzero.
     """
-    g, eps, c = conn.gamma, M.signs, M.algebra.structure
-    nz = _nonzeros(g)
+    eps, zero = M.signs, M.algebra.zero
+    g = {(i, j, k): v for i, j, k, v in conn.entries}
+    c = {(i, j, k): v for i, j, k, v in M.algebra.brackets}
     # metric compatibility: g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
-    for i, j, k, v in nz:
-        if not (v * eps[k] + g[i][k][j] * eps[j]) == 0:
+    for (i, j, k), v in g.items():
+        if not (v * eps[k] + g.get((i, k, j), zero) * eps[j]) == 0:
             raise StructureError("connection is not metric-compatible")
     # zero torsion: nabla_i e_j - nabla_j e_i = [e_i, e_j]
-    triples = {(i, j, k) for i, j, k, _ in nz}
+    triples = set(g)
     triples.update([(j, i, k) for i, j, k in triples])
-    triples.update((i, j, k) for i, j, k, _ in _nonzeros(c))
+    triples.update(c)
     for i, j, k in triples:
-        if not (g[i][j][k] - g[j][i][k]) == c[i][j][k]:
+        if not (g.get((i, j, k), zero) - g.get((j, i, k), zero)) == c.get((i, j, k), zero):
             raise StructureError("connection has torsion")
 
 
@@ -323,15 +361,14 @@ def curvature(M: MetricLieAlgebra, conn: Connection) -> tuple:
     """
     n = M.dim
     A = [conn.nabla(i) for i in range(n)]
+    pairs = _pairs(M.algebra)
     R = []
     for i in range(n):
         plane = []
         for j in range(n):
             op = mat_sub(mat_mul(A[i], A[j]), mat_mul(A[j], A[i]))
-            for k in range(n):
-                coeff = M.algebra.structure[i][j][k]
-                if not coeff == 0:
-                    op = mat_sub(op, mat_scale(coeff, A[k]))
+            for k, coeff in pairs.get((i, j), ()):
+                op = mat_sub(op, mat_scale(coeff, A[k]))
             # op columns are R(e_i, e_j) e_k
             plane.append(tuple(tuple(op[l][k] for l in range(n)) for k in range(n)))
         R.append(tuple(plane))
@@ -373,7 +410,7 @@ def ricci(M: MetricLieAlgebra, conn: Optional[Connection] = None) -> RicciData:
     if conn is None:
         conn = levi_civita(M)
     n = M.dim
-    g = _nonzeros(conn.gamma)
+    g = conn.entries
     tr = {}
     by_jk = {}         # (j, k) -> [(i, Gamma_ijk)]
     by_ik = {}         # (i, k) -> [(j, Gamma_ijk)]
@@ -389,10 +426,10 @@ def ricci(M: MetricLieAlgebra, conn: Optional[Connection] = None) -> RicciData:
     for i, z, m, v in g:
         for y, w in by_jk.get((m, i), ()):
             _accumulate(acc, (y, z), -(v * w))
-    for i, y, p, c in _nonzeros(M.algebra.structure):
+    for i, y, p, c in M.algebra.brackets:
         for z, w in by_ik.get((p, i), ()):
             _accumulate(acc, (y, z), -(c * w))
-    zero = _zero_of(M)
+    zero = M.algebra.zero
     ric = [[acc.get((y, z), zero) for z in range(n)] for y in range(n)]
     return _ricci_from_form(ric, M.signs)
 
@@ -435,20 +472,14 @@ def restrict(M: MetricLieAlgebra, indices: Sequence[int]) -> MetricLieAlgebra:
     """Metric subalgebra spanned by the given frame indices (must close)."""
     idx = list(indices)
     pos = {i: p for p, i in enumerate(idx)}
-    n = len(idx)
-    c = [[[F0] * n for _ in range(n)] for _ in range(n)]
-    full = M.algebra.structure
-    for p, i in enumerate(idx):
-        for q, j in enumerate(idx):
-            for k in range(M.dim):
-                coeff = full[i][j][k]
-                if coeff == 0:
-                    continue
-                if k not in pos:
-                    raise NotStandardError(
-                        "span of indices %r does not close under the bracket" % (idx,))
-                c[p][q][pos[k]] = coeff
-    alg = LieAlgebra(n, tuple(tuple(tuple(r) for r in pl) for pl in c))
+    entries = []
+    for i, j, k, coeff in M.algebra.brackets:
+        if i in pos and j in pos and not coeff == 0:
+            if k not in pos:
+                raise NotStandardError(
+                    "span of indices %r does not close under the bracket" % (idx,))
+            entries.append((pos[i], pos[j], pos[k], coeff))
+    alg = LieAlgebra(len(idx), entries, M.algebra.zero)
     return MetricLieAlgebra(alg, tuple(M.signs[i] for i in idx))
 
 
@@ -465,19 +496,17 @@ def check_standard(M: MetricLieAlgebra, decomp: StandardDecomposition) -> Standa
     nil, ab = decomp.nil_indices, decomp.abelian_indices
     if sorted(nil + ab) != list(range(n)):
         return StandardReport(False, False, ("index split must partition the frame",))
-    nil_set = set(nil)
-    full = M.algebra.structure
+    nil_set, ab_set = set(nil), set(ab)
     # a abelian
-    for a in ab:
-        for b in ab:
-            if any(not x == 0 for x in full[a][b]):
-                failures.append("abelian part brackets nontrivially: [e_%d, e_%d] != 0" % (a, b))
+    pairs = []
+    for a, b, _, x in M.algebra.brackets:
+        if a in ab_set and b in ab_set and not x == 0 and (a, b) not in pairs:
+            pairs.append((a, b))
+    failures.extend("abelian part brackets nontrivially: [e_%d, e_%d] != 0" % p for p in pairs)
     # g an ideal: [anything, g] stays in g
-    for i in range(n):
-        for j in nil:
-            for k in range(n):
-                if k not in nil_set and not full[i][j][k] == 0:
-                    failures.append("nil part is not an ideal: [e_%d, e_%d] leaks to e_%d" % (i, j, k))
+    for i, j, k, x in M.algebra.brackets:
+        if j in nil_set and k not in nil_set and not x == 0:
+            failures.append("nil part is not an ideal: [e_%d, e_%d] leaks to e_%d" % (i, j, k))
     nilpotent = True
     if not failures:
         sub = restrict(M, nil) if nil else None
@@ -602,26 +631,41 @@ class NilsolitonResult:
 
 
 def _sign_of(x) -> int:
-    if isinstance(x, FloatScalar):
-        v = x.value
-    elif isinstance(x, TowerScalar):
-        v = x.as_fraction()
-    else:
-        v = x
+    v = x.value if isinstance(x, FloatScalar) else to_rational(x)
     return 1 if v > 0 else (-1 if v < 0 else 0)
 
 
-def is_derivation(L: LieAlgebra, D) -> bool:
+def _derivation_sides(L: LieAlgebra, D) -> tuple[dict, dict]:
+    """Both sides of D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] for i < j.
+
+    Each side is a dict {(i, j, k): coefficient of e_k}, summed over the
+    nonzero brackets and the nonzero entries of D; a missing key is zero.
+    """
     n = L.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = mat_vec(D, L.structure[i][j])
-            di = tuple(D[k][i] for k in range(n))
-            dj = tuple(D[k][j] for k in range(n))
-            rhs = vec_add(L.bracket(di, _basis_vec(n, j)), L.bracket(_basis_vec(n, i), dj))
-            if any(not a == b for a, b in zip(lhs, rhs)):
-                return False
-    return True
+    cols, rows = {}, {}   # D e_b = sum_a D[a][b] e_a
+    for a in range(n):
+        for b in range(n):
+            d = D[a][b]
+            if not d == 0:
+                cols.setdefault(b, []).append((a, d))
+                rows.setdefault(a, []).append((b, d))
+    lhs, rhs = {}, {}
+    for i, j, k, c in L.brackets:
+        if i < j:
+            for a, d in cols.get(k, ()):
+                _accumulate(lhs, (i, j, a), d * c)
+        for p, d in rows.get(i, ()):     # D[i][p] [e_i, e_j] in [D e_p, e_j]
+            if p < j:
+                _accumulate(rhs, (p, j, k), d * c)
+        for q, d in rows.get(j, ()):     # D[j][q] [e_i, e_j] in [e_i, D e_q]
+            if i < q:
+                _accumulate(rhs, (i, q, k), d * c)
+    return lhs, rhs
+
+
+def is_derivation(L: LieAlgebra, D) -> bool:
+    lhs, rhs = _derivation_sides(L, D)
+    return all(lhs.get(key, F0) == rhs.get(key, F0) for key in lhs.keys() | rhs.keys())
 
 
 def nilsoliton_solve(M: MetricLieAlgebra) -> Optional[NilsolitonResult]:
@@ -640,23 +684,17 @@ def nilsoliton_solve(M: MetricLieAlgebra) -> Optional[NilsolitonResult]:
     n = L.dim
     ric_op = ricci(M).operator
     # condition: Ric[x,y] + lam [x,y] = [Ric x, y] + [x, Ric y]
-    lam = None
+    coefs = {(i, j, k): c for i, j, k, c in L.brackets if i < j}
+    lhs, rhs_sides = _derivation_sides(L, ric_op)
     pending = []  # (coef, rhs) with coef * lam = rhs
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = L.structure[i][j]
-            ri = tuple(ric_op[k][i] for k in range(n))
-            rj = tuple(ric_op[k][j] for k in range(n))
-            rhs_vec = vec_add(L.bracket(ri, _basis_vec(n, j)), L.bracket(_basis_vec(n, i), rj))
-            lhs_vec = mat_vec(ric_op, bij)
-            for k in range(n):
-                coef = bij[k]
-                rhs = rhs_vec[k] - lhs_vec[k]
-                if coef == 0:
-                    if not rhs == 0:
-                        return None
-                else:
-                    pending.append((coef, rhs))
+    for key in sorted(coefs.keys() | lhs.keys() | rhs_sides.keys()):
+        coef = coefs.get(key, F0)
+        rhs = rhs_sides.get(key, F0) - lhs.get(key, F0)
+        if coef == 0:
+            if not rhs == 0:
+                return None
+        else:
+            pending.append((coef, rhs))
     if not pending:
         zero = F0
         return NilsolitonResult(zero, zeros(n, n))
@@ -686,17 +724,12 @@ def extend_by_derivation(M: MetricLieAlgebra, D, eps0: int):
         raise DerivationError("D is not a derivation")
     if not is_metric_symmetric(D, M.signs):
         raise DerivationError("D is not metric-symmetric")
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            comps = {k: L.structure[i][j][k] for k in range(n) if not L.structure[i][j][k] == 0}
-            if comps:
-                brackets[(i, j)] = comps
+    entries = [e for e in L.brackets if not e[3] == 0]
     for j in range(n):
-        comps = {k: -D[k][j] for k in range(n) if not D[k][j] == 0}
-        if comps:
-            brackets[(j, n)] = {k: -v for k, v in comps.items()}
-    ext_alg = LieAlgebra.from_brackets(n + 1, brackets)
+        for k in range(n):
+            if not D[k][j] == 0:
+                entries += [(j, n, k, D[k][j]), (n, j, k, -D[k][j])]
+    ext_alg = LieAlgebra(n + 1, entries)
     ext = MetricLieAlgebra(ext_alg, tuple(M.signs) + (eps0,))
     decomp = standard_decomposition(ext, (n,))
     return ext, decomp

@@ -5,7 +5,8 @@ pass `_sparse_echelon`).  The routines here build on the dense `linalg.rref`,
 which clears every row at every pivot, and on dense Clifford multiplication,
 so they share no elimination code with the package: the dense Clifford
 kernels solve the same systems from the dense gamma images, and the lower
-central series takes its ranks from `rref` on dense bracket vectors.
+central series takes its ranks from `rref` on brackets summed over the dense
+`structure` table.
 """
 
 from __future__ import annotations
@@ -119,6 +120,21 @@ def commutant_dense(rep, psi) -> CommutantKernel:
     return CommutantKernel(tuple(basis), len(annihilator_dense(rep, psi)))
 
 
+def _dense_bracket(table, x, y) -> tuple:
+    """[x, y] summed over the dense table[i][j][k]."""
+    out = [Fraction(0)] * len(table)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            for k, c in enumerate(table[i][j]):
+                if not c == 0:
+                    out[k] = out[k] + xi * yj * c
+    return tuple(out)
+
+
 def lower_central_series_dense(L) -> tuple[list[int], bool]:
     """Dimensions of g, [g,g], [g,[g,g]], ... from `rref` on dense brackets."""
     n = L.dim
@@ -129,7 +145,7 @@ def lower_central_series_dense(L) -> tuple[list[int], bool]:
         gens = []
         for e in basis:
             for w in current:
-                v = L.bracket(e, w)
+                v = _dense_bracket(L.structure, e, w)
                 if any(not x == 0 for x in v):
                     gens.append(list(v))
         if not gens:

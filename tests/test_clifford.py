@@ -9,15 +9,20 @@ from fractions import Fraction
 
 import pytest
 
-from solvspin.exact import TS_I, TS_ONE, TS_ZERO, TowerScalar
+from solvspin.exact import TS_I, TS_ONE, TS_ZERO, FloatScalar, TowerScalar, sqrt_to_tower, to_tower
 from solvspin.clifford import (
+    _pair_rows,
     annihilator_kernel,
     build_gammas,
     clifford_mul,
     clifford_violations,
+    dense_rows,
     gamma_of_vector,
+    gamma_of_vector_rows,
     raise_endomorphism,
+    skew_lift_rows,
     spin_lift,
+    spin_lift_rows,
     symmetric_commutant_kernel,
     two_tensor_action,
 )
@@ -264,6 +269,105 @@ class TestTwoTensorAction:
             A = rand_metric_skew(rng, rep.signs)
             act = two_tensor_action(rep, raise_endomorphism(rep.signs, A))
             assert mat_equal(act, mat_scale(F(4), spin_lift(rep, A)))
+
+
+def dense_gamma_sum(rep, terms):
+    """sum c gamma_{a_1} ... gamma_{a_r} over ((a_1, ..., a_r), c), from dense products."""
+    N = rep.spinor_dim
+    out = zeros(N, N, TS_ZERO)
+    for word, c in terms:
+        prod = identity(N, TS_ONE, TS_ZERO)
+        for a in word:
+            prod = mat_mul(prod, rep.gammas[a])
+        term = mat_scale(c, prod)
+        out = tuple(tuple(x + y for x, y in zip(ro, rt)) for ro, rt in zip(out, term))
+    return out
+
+
+def _stores_no_zero(rows):
+    return all(not x.is_zero for row in rows for x in row.values())
+
+
+# mixed denominators, Q(i) and Q(i)(sqrt 5) values
+MIXED_COEFFS = (
+    F(1, 2), F(-2, 3), F(5, 7), F(3), TowerScalar(F(1, 3), F(-1, 4)),
+    TowerScalar(F(1, 6), 0, F(2, 5), F(-1, 3), 5), sqrt_to_tower(5) / 3, TowerScalar(0, F(7, 9), 0, 1, 5),
+)
+
+
+class TestMonomialRowsOracle:
+    """Integer-numerator monomial rows against dense sums of gamma products."""
+
+    SIGNS = [(1, 1), (1, -1, 1), (1, 1, -1, -1), (-1, 1, 1, 1, -1)]
+
+    def _coeff(self, rng):
+        return rng.choice(MIXED_COEFFS + (F(0),)) * rng.choice([1, -1])
+
+    def test_gamma_of_vector_rows(self):
+        rng = random.Random(31)
+        for signs in self.SIGNS:
+            rep = build_gammas(signs)
+            for _ in range(8):
+                v = [self._coeff(rng) for _ in signs]
+                rows = gamma_of_vector_rows(rep, v)
+                assert _stores_no_zero(rows)
+                want = dense_gamma_sum(rep, [((a,), c) for a, c in enumerate(v)])
+                assert mat_equal(dense_rows(rows), want)
+
+    def test_spin_lift_rows(self):
+        rng = random.Random(32)
+        for signs in self.SIGNS:
+            rep = build_gammas(signs)
+            n = len(signs)
+            for _ in range(8):
+                A = [[F(0)] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        A[i][j] = self._coeff(rng)
+                        A[j][i] = -signs[i] * signs[j] * A[i][j]
+                rows = spin_lift_rows(rep, A)
+                assert _stores_no_zero(rows)
+                want = dense_gamma_sum(rep, [((j, k), F(1, 4) * signs[j] * A[k][j])
+                                             for j in range(n) for k in range(n)])
+                assert mat_equal(dense_rows(rows), want)
+                assert mat_equal(dense_rows(rows), spin_lift_basis_form(rep, A))
+
+    def test_two_tensor_action(self):
+        rng = random.Random(33)
+        for signs in self.SIGNS:
+            rep = build_gammas(signs)
+            n = len(signs)
+            for _ in range(6):
+                T = [[self._coeff(rng) for _ in range(n)] for _ in range(n)]
+                want = dense_gamma_sum(rep, [((a, b), T[a][b]) for a in range(n) for b in range(n)])
+                assert mat_equal(two_tensor_action(rep, T), want)
+
+    def test_exact_cancellation_leaves_no_entry(self):
+        # gamma_0 gamma_1 + gamma_1 gamma_0 = 0, so with equal coefficients only
+        # the diagonal gamma_2^2 = -eps_2 I survives; the cancelled entries
+        # must be absent from the rows, not stored as zeros
+        for signs in self.SIGNS[1:]:
+            rep = build_gammas(signs)
+            for c in MIXED_COEFFS:
+                d = F(2, 7)
+                rows = _pair_rows(rep, [(0, 1, c), (1, 0, c), (2, 2, d)])
+                assert rows == [{i: to_tower(-signs[2] * d)} for i in range(rep.spinor_dim)]
+                assert _pair_rows(rep, [(0, 1, c), (1, 0, c)]) == [{} for _ in range(rep.spinor_dim)]
+                # a metric-symmetric off-diagonal pair has zero lift
+                x = c * F(3, 5)
+                entries = [(1, 0, x), (0, 1, signs[0] * signs[1] * x)]
+                assert skew_lift_rows(rep, entries) == [{} for _ in range(rep.spinor_dim)]
+
+    def test_float_coefficient_raises(self):
+        rep = build_gammas((1, -1, 1))
+        with pytest.raises(TypeError):
+            gamma_of_vector_rows(rep, [FloatScalar(0.5), F(1), F(0)])
+        with pytest.raises(TypeError):
+            two_tensor_action(rep, [[FloatScalar(1.0)] * 3 for _ in range(3)])
+        A = [[FloatScalar(0.0)] * 3 for _ in range(3)]
+        A[0][1], A[1][0] = FloatScalar(1.0), FloatScalar(1.0)
+        with pytest.raises(TypeError):
+            spin_lift_rows(rep, A)
 
 
 class TestSpinorKernels:

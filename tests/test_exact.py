@@ -13,14 +13,19 @@ from solvspin.exact import (
     FloatScalar,
     IncompatibleExtensionError,
     TowerScalar,
+    common_numerators,
+    from_numerators,
     split_square,
     sqrt_scalar,
     sqrt_to_tower,
+    to_rational,
 )
 
 from reference_tower import FractionTower
 
-rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+# every p/q with |p/q| <= 30 and q <= 12, and more: integer draws are cheap,
+# where st.fractions spends its time in hypothesis's own drawing
+rationals = st.builds(Fraction, st.integers(-360, 360), st.integers(1, 12))
 
 
 def tower_scalars(radicand=5):
@@ -274,6 +279,45 @@ def test_equal_values_have_equal_stored_tuples(p, r, s):
     for left, right in (((x * y) * z, x * (y * z)), ((x + y) - y, x), (x * (y + z), x * y + x * z)):
         assert left == right
         assert left._t == right._t and hash(left) == hash(right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(scalar_parts(), mixed_operands), max_size=6))
+def test_common_numerators_match_fraction_reference(items):
+    # each scalar and the sum of all of them, read back from the integer
+    # numerators over the one denominator, against the Fraction components
+    scalars = [TowerScalar(*x) if isinstance(x, tuple) else x for x in items]
+    refs = [FractionTower(*x) if isinstance(x, tuple) else FractionTower.rational(x) for x in items]
+    nums, q, m = common_numerators(scalars)
+    assert len(nums) == len(scalars) and q > 0
+    assert all(type(v) is int for t in nums for v in t)
+    assert m == (5 if any(r.radicand for r in refs) else None)
+    for (a, b, c, d), ref in zip(nums, refs):
+        _assert_same(from_numerators(a, b, c, d, q, m), ref)
+    total = [sum(t[i] for t in nums) for i in range(4)]
+    _assert_same(from_numerators(*total, q, m), sum(refs, FractionTower()))
+
+
+def test_common_numerators_rejects_inexact_and_mixed():
+    assert common_numerators([]) == ([], 1, None)
+    assert common_numerators([Fraction(1, 4), 2, TowerScalar(0, Fraction(1, 6))]) == (
+        [(3, 0, 0, 0), (24, 0, 0, 0), (0, 2, 0, 0)], 12, None)
+    with pytest.raises(TypeError):
+        common_numerators([Fraction(1), FloatScalar(0.5)])
+    with pytest.raises(IncompatibleExtensionError):
+        common_numerators([sqrt_to_tower(2), sqrt_to_tower(3)])
+
+
+def test_to_rational():
+    assert to_rational(3) == 3 and type(to_rational(3)) is Fraction
+    assert to_rational(Fraction(-2, 7)) == Fraction(-2, 7)
+    assert to_rational(TowerScalar(Fraction(5, 3))) == Fraction(5, 3)
+    with pytest.raises(ValueError):
+        to_rational(TS_I)
+    with pytest.raises(ValueError):
+        to_rational(sqrt_to_tower(2))
+    with pytest.raises(TypeError):
+        to_rational(FloatScalar(1.0))
 
 
 def test_zero_has_no_radicand():

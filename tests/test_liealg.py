@@ -1,5 +1,6 @@
 """Connection, curvature, Ricci, decompositions, nilsolitons, extensions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from conftest import (
     NILPOTENT_SHAPES,
     abelian_metric,
     heisenberg3,
+    random_diagonal_derivation,
     random_nilpotent,
     random_pseudo_iwasawa,
     semidirect_metric,
@@ -94,13 +96,11 @@ def _float_copy(L: LieAlgebra) -> LieAlgebra:
     def conv(c):
         return FloatScalar(float(c.as_fraction() if isinstance(c, TowerScalar) else c))
 
-    return LieAlgebra(L.dim, tuple(tuple(tuple(conv(c) for c in row) for row in plane)
-                                   for plane in L.structure))
+    return LieAlgebra(L.dim, [(i, j, k, conv(c)) for i, j, k, c in L.brackets], FloatScalar(0.0))
 
 
 def _is_rational(L: LieAlgebra) -> bool:
-    return all(not isinstance(c, TowerScalar) or c.is_rational
-               for plane in L.structure for row in plane for c in row)
+    return all(not isinstance(c, TowerScalar) or c.is_rational for *_, c in L.brackets)
 
 
 class TestSeriesOracle:
@@ -133,6 +133,131 @@ class TestSeriesOracle:
                 floats += 1
         assert not _is_rational(algebras[-1]) and floats == len(algebras) - 1
         assert {nilpotent for _, nilpotent in map(lower_central_series, algebras)} == {True, False}
+
+
+def dense_table(dim, brackets):
+    """The dense table from_brackets built before the sparse form: F0 everywhere,
+    then c[i][j][k] = coeff and c[j][i][k] = -coeff for each {(i, j): {k: coeff}}."""
+    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), comps in brackets.items():
+        for k, coeff in comps.items():
+            c[i][j][k] = coeff
+            c[j][i][k] = -coeff
+    return c
+
+
+def assert_same_table(got, want):
+    """Entrywise equal, with the same scalar type in every slot."""
+    n = len(want)
+    assert len(got) == n
+    for i in range(n):
+        for j in range(n):
+            assert len(got[i][j]) == n
+            for k in range(n):
+                x, y = got[i][j][k], want[i][j][k]
+                assert type(x) is type(y) and x == y, (i, j, k, x, y)
+
+
+def random_brackets(rng, dim):
+    """{(i, j): {k: coeff}} on a catalog nilpotent shape with random coefficients."""
+    shapes = [slots for d, slots in NILPOTENT_SHAPES if d == dim]
+    out = {}
+    for (i, j), k in rng.choice(shapes):
+        out.setdefault((i, j), {})[k] = F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
+    return out
+
+
+class TestSparseForm:
+    """The stored bracket list and the dense `structure` view derived from it."""
+
+    def test_dense_view_matches_from_brackets_table(self, rng):
+        cases = [(dim, {pair: {k: F(1)} for pair, k in slots}) for dim, slots in NILPOTENT_SHAPES]
+        cases += [(3, {(0, 1): {2: F(1)}, (0, 2): {1: F(-1)}, (1, 2): {0: F(1)}}),
+                  (5, {(0, 1): {2: F(1), 3: F(2)}, (0, 2): {4: F(2)}, (0, 3): {4: F(-1)}})]
+        cases += [(dim, random_brackets(rng, dim)) for dim in (3, 4, 5) for _ in range(10)]
+        for dim, brackets in cases:
+            L = LieAlgebra.from_brackets(dim, brackets)
+            assert_same_table(L.structure, dense_table(dim, brackets))
+            nonzero = sum(1 for comps in brackets.values() for c in comps.values() if c != 0)
+            assert len(L.brackets) == 2 * nonzero
+
+    def test_dense_view_of_pseudo_iwasawa_restrict_and_extension(self, rng):
+        for _ in range(15):
+            M, decomp = random_pseudo_iwasawa(rng)
+            n, nil, ab = M.dim, decomp.nil_indices, decomp.abelian_indices
+            full = M.algebra.structure
+            # semidirect_metric: [e_alpha, e_j] = -phi_alpha e_j on top of the nil table
+            want = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+            for p, i in enumerate(nil):
+                for q, j in enumerate(nil):
+                    for r, k in enumerate(nil):
+                        want[i][j][k] = full[i][j][k]
+            for a_pos, a in enumerate(ab):
+                for q, j in enumerate(nil):
+                    for p, k in enumerate(nil):
+                        if decomp.phi[a_pos][p][q] != 0:
+                            want[j][a][k] = decomp.phi[a_pos][p][q]
+                            want[a][j][k] = -decomp.phi[a_pos][p][q]
+            assert_same_table(full, want)
+            sub = restrict(M, nil).algebra
+            assert_same_table(sub.structure, [[[full[i][j][k] for k in nil] for j in nil] for i in nil])
+            D = random_diagonal_derivation(rng, sub)
+            ext, _ = extend_by_derivation(restrict(M, nil), D, 1)
+            m = len(nil)
+            want = [[[sub.structure[i][j][k] if i < m and j < m and k < m else F(0)
+                      for k in range(m + 1)] for j in range(m + 1)] for i in range(m + 1)]
+            for j in range(m):
+                for k in range(m):
+                    if D[k][j] != 0:
+                        want[j][m][k], want[m][j][k] = D[k][j], -D[k][j]
+            assert_same_table(ext.algebra.structure, want)
+
+    def test_dense_view_of_float_backend(self, rng):
+        from solvspin.cli import _to_float_backend
+
+        for _ in range(10):
+            M, _ = random_pseudo_iwasawa(rng)
+            Mf = _to_float_backend(M, 1e-7)
+            full = M.algebra.structure
+            got = Mf.algebra.structure
+            for i in range(M.dim):
+                for j in range(M.dim):
+                    for k in range(M.dim):
+                        x = got[i][j][k]
+                        assert type(x) is FloatScalar and x.tol == 1e-7
+                        assert x.value == float(full[i][j][k])
+            assert len(Mf.algebra.brackets) == len(M.algebra.brackets)
+
+    def test_bracket_order_does_not_matter(self, rng):
+        for _ in range(20):
+            dim = rng.choice([4, 5])
+            brackets = random_brackets(rng, dim)
+            L = LieAlgebra.from_brackets(dim, brackets)
+            flipped = LieAlgebra.from_brackets(
+                dim, {pair: dict(reversed(list(comps.items())))
+                      for pair, comps in reversed(list(brackets.items()))})
+            entries = list(L.brackets)
+            rng.shuffle(entries)
+            shuffled = LieAlgebra(dim, entries)
+            towers = LieAlgebra(dim, [(i, j, k, TowerScalar(c)) for i, j, k, c in entries])
+            for other in (flipped, shuffled, towers):
+                assert other == L and hash(other) == hash(L)
+                assert other.brackets == L.brackets
+        assert LieAlgebra.from_brackets(3, {(0, 1): {2: F(1)}}) != LieAlgebra.from_brackets(3, {(0, 1): {2: F(2)}})
+
+    def test_zero_coefficients_are_not_stored(self):
+        L = LieAlgebra.from_brackets(3, {(0, 1): {2: F(0), 1: F(1)}, (0, 2): {}})
+        assert L.brackets == ((0, 1, 1, F(1)), (1, 0, 1, F(-1)))
+        assert L == LieAlgebra.from_brackets(3, {(0, 1): {1: F(1)}})
+
+    def test_malformed_entries_rejected(self):
+        for entries in ([(0, 1, 2, F(1))],                                   # no mirror
+                        [(0, 1, 2, F(1)), (1, 0, 2, F(1))],                  # not antisymmetric
+                        [(0, 0, 1, F(1))],                                   # i == j
+                        [(0, 3, 1, F(1)), (3, 0, 1, F(-1))],                 # out of range
+                        [(0, 1, 2, F(1)), (0, 1, 2, F(2)), (1, 0, 2, F(-1))]):  # duplicate
+            with pytest.raises(StructureError):
+                LieAlgebra(3, entries)
 
 
 class TestLeviCivita:
@@ -182,12 +307,55 @@ class TestLeviCivita:
                 _check_connection(M, bad)
 
 
+    def test_check_rejects_dropped_entry(self, rng):
+        for _ in range(10):
+            M, _ = random_pseudo_iwasawa(rng)
+            conn = levi_civita(M)
+            if not conn.entries:
+                continue
+            i, j, k, v = rng.choice(conn.entries)
+            bad = tampered(conn, {(i, j, k): -v})
+            assert len(bad.entries) == len(conn.entries) - 1
+            with pytest.raises(StructureError):
+                _check_connection(M, bad)
+
+    def test_check_rejects_new_entry(self, rng):
+        for _ in range(10):
+            M, _ = random_pseudo_iwasawa(rng)
+            conn = levi_civita(M)
+            n = M.dim
+            stored = {e[:3] for e in conn.entries}
+            i, j, k = rng.choice([t for t in itertools.product(range(n), repeat=3) if t not in stored])
+            bad = tampered(conn, {(i, j, k): F(1, 3)})
+            assert len(bad.entries) == len(conn.entries) + 1
+            with pytest.raises(StructureError):
+                _check_connection(M, bad)
+
+    def test_connection_views(self, rng):
+        for _ in range(10):
+            M, _ = random_pseudo_iwasawa(rng)
+            conn = levi_civita(M)
+            n = M.dim
+            assert all(not v == 0 for *_, v in conn.entries)
+            assert [e[:3] for e in conn.entries] == sorted(e[:3] for e in conn.entries)
+            for i in range(n):
+                A = conn.nabla(i)
+                for j in range(n):
+                    assert conn.derivative(i, j) == conn.gamma[i][j]
+                    for k in range(n):
+                        assert A[k][j] == conn.gamma[i][j][k]
+
+
 def tampered(conn, changes):
-    """Copy of a connection with the given amounts added to single entries."""
-    g = [[list(row) for row in plane] for plane in conn.gamma]
-    for (i, j, k), delta in changes.items():
-        g[i][j][k] = g[i][j][k] + delta
-    return Connection(tuple(tuple(tuple(row) for row in plane) for plane in g))
+    """Copy of a connection with the given amounts added to single entries.
+
+    An entry that sums to zero leaves the stored list; one added where Gamma
+    was zero joins it.
+    """
+    g = {(i, j, k): v for i, j, k, v in conn.entries}
+    for key, delta in changes.items():
+        g[key] = g.get(key, F(0)) + delta
+    return Connection(conn.dim, [(*key, v) for key, v in g.items()])
 
 
 class TestCurvature:

@@ -31,3 +31,28 @@ def _traced_names():
 def test_traced_names_resolve(module, attr):
     # the traced benchmark run looks each name up and crashes on a missing one
     assert callable(getattr(importlib.import_module(module), attr, None)), "%s.%s" % (module, attr)
+
+
+# solver-path functions that read the stored entries only: the dense views
+# (`LieAlgebra.structure`, `Connection.gamma`, `Connection.nabla(i)`) build an
+# n^3 or n^2 table, which these must not pay for
+ENTRIES_ONLY = [
+    ("liealg.py", "levi_civita"),
+    ("liealg.py", "_check_connection"),
+    ("liealg.py", "ricci"),
+    ("liealg.py", "lower_central_series"),
+    ("killing.py", "_spin_connection_rows"),
+    ("killing.py", "killing_operator_rows"),
+]
+DENSE_VIEWS = ("structure", "gamma", "nabla")
+
+
+@pytest.mark.parametrize("filename,func", ENTRIES_ONLY, ids=lambda x: x)
+def test_solver_path_reads_no_dense_view(filename, func):
+    path = SRC / filename
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == func]
+    assert len(defs) == 1, "%s defines no top-level %s" % (filename, func)
+    reads = sorted({(node.lineno, node.attr) for node in ast.walk(defs[0])
+                    if isinstance(node, ast.Attribute) and node.attr in DENSE_VIEWS})
+    assert reads == [], "%s.%s reads dense views at %s" % (filename, func, reads)
