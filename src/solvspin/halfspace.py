@@ -8,20 +8,21 @@ the left-invariant frame derivations: the t-derivation is diagonal on
 monomials, an x-derivation raises the t-exponent by one and lowers one
 x-degree.  Solving the Killing equation inside a bounded window of that
 lattice is an exact sparse linear problem.  Its matrix part comes from the
-sparse operator rows of `killing.killing_operator_rows`, built from one
-Levi-Civita computation per solve; `killing_residual` applies the same rows.
+sparse operator rows of `killing.killing_operator_rows`, built from the
+model's one cached Levi-Civita connection; `killing_residual` applies the
+same rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exact import parse_rational, to_tower
 from .clifford import CliffordRep, build_gammas, gamma_rows
-from .killing import killing_operator_rows
-from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation
+from .killing import _spin_connection_rows, killing_operator_rows
+from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation, levi_civita
 from .linalg import identity, mat_scale, sparse_nullspace
 
 F0 = Fraction(0)
@@ -30,7 +31,10 @@ Monomial = tuple  # (k, m): t^(k/2) * x^m with m a multi-index over x_1..x_{n-1}
 
 
 class HalfSpaceModel:
-    """H^eps_r as a metric Lie algebra plus its coordinate frame data."""
+    """H^eps_r as a metric Lie algebra plus its coordinate frame data.
+
+    Read-only after construction, so the cached connection cannot go stale.
+    """
 
     def __init__(self, n: int, signs: Sequence[int], r: Fraction):
         if n < 2:
@@ -41,15 +45,23 @@ class HalfSpaceModel:
         r = Fraction(r)
         if r <= 0:
             raise ValueError("r must be positive")
-        self.n = n
-        self.signs = signs
-        self.r = r
         base = MetricLieAlgebra(LieAlgebra.abelian(n - 1), signs[:-1])
         # The orthonormal frame (t/r dx_1, ..., t/r dx_{n-1}, t/r dt) brackets
         # as [e_i, e_t] = -(1/r) e_i, so the t-direction acts by -(1/r) id and
         # the monomial calculus below has L_{e_t} t^(k/2) = +(k/2r) t^(k/2).
         D = mat_scale(Fraction(-1) / r, identity(n - 1))
-        self.algebra, self.decomposition = extend_by_derivation(base, D, signs[-1])
+        algebra, decomposition = extend_by_derivation(base, D, signs[-1])
+        for name, value in (("n", n), ("signs", signs), ("r", r), ("algebra", algebra),
+                            ("decomposition", decomposition)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HalfSpaceModel is immutable")
+
+    @cached_property
+    def connection(self):
+        """Levi-Civita connection of the algebra, computed once per model."""
+        return levi_civita(self.algebra)
 
     def clifford_rep(self) -> CliffordRep:
         return build_gammas(self.signs)
@@ -59,7 +71,10 @@ class HalfSpaceModel:
 
 
 def parse_halfspace_spec(text: str) -> HalfSpaceModel:
-    """Parse 'halfspace n=<int> r=<p/q> signs=<+1,-1,...>'."""
+    """Parse 'halfspace n=<int> r=<p/q> signs=<+1,-1,...>'.
+
+    Each of n, r and signs is given exactly once; any other key is an error.
+    """
     tokens = text.split()
     if not tokens or tokens[0] != "halfspace":
         raise ValueError("half-space spec must start with 'halfspace'")
@@ -68,6 +83,10 @@ def parse_halfspace_spec(text: str) -> HalfSpaceModel:
         if "=" not in tok:
             raise ValueError("bad half-space token %r" % tok)
         key, val = tok.split("=", 1)
+        if key not in ("n", "r", "signs"):
+            raise ValueError("half-space spec has unknown key %r" % key)
+        if key in fields:
+            raise ValueError("half-space spec repeats key %r" % key)
         fields[key] = val
     try:
         n = int(fields["n"])
@@ -85,7 +104,12 @@ def parse_halfspace_spec(text: str) -> HalfSpaceModel:
 
 
 class CoordFunction:
-    """Finite sum of monomials t^(k/2) x^m with scalar coefficients."""
+    """Finite sum of monomials t^(k/2) x^m with scalar coefficients.
+
+    The constructor validates its terms; the arithmetic builds its results,
+    which hold no zero coefficient and only (int, tuple) keys, through
+    `_from_clean` without a second pass.
+    """
 
     __slots__ = ("terms",)
 
@@ -97,6 +121,13 @@ class CoordFunction:
                     k, m = mono
                     clean[(int(k), tuple(m))] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _from_clean(cls, terms: dict) -> "CoordFunction":
+        """Wrap a dict that already has no zero coefficient; it is not copied."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "terms", terms)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("CoordFunction is immutable")
@@ -116,16 +147,11 @@ class CoordFunction:
     def __add__(self, other: "CoordFunction") -> "CoordFunction":
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            cur = terms.get(mono)
-            nv = coeff if cur is None else cur + coeff
-            if nv == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = nv
-        return CoordFunction(terms)
+            _acc(terms, mono, coeff)
+        return CoordFunction._from_clean(terms)
 
     def __neg__(self) -> "CoordFunction":
-        return CoordFunction({m: -c for m, c in self.terms.items()})
+        return CoordFunction._from_clean({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "CoordFunction") -> "CoordFunction":
         return self + (-other)
@@ -133,7 +159,7 @@ class CoordFunction:
     def scale(self, factor) -> "CoordFunction":
         if factor == 0:
             return CoordFunction()
-        return CoordFunction({m: factor * c for m, c in self.terms.items()})
+        return CoordFunction._from_clean({m: factor * c for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, CoordFunction):
@@ -183,7 +209,7 @@ def frame_derivative(model: HalfSpaceModel, f: CoordFunction, direction: int) ->
                 _acc(out, (k + 2, m2), coeff * e / r)
     else:
         raise ValueError("direction out of range")
-    return CoordFunction(out)
+    return CoordFunction._from_clean(out)
 
 
 def _acc(store: dict, mono, coeff):
@@ -227,10 +253,11 @@ class CoordSpinorField:
         """Constant endomorphism of the fiber given as sparse rows {column: coefficient}."""
         out = []
         for row in rows:
-            acc = CoordFunction()
+            acc: dict = {}
             for j, coeff in row.items():
-                acc = acc + self.components[j].scale(coeff)
-            out.append(acc)
+                for mono, c in self.components[j].terms.items():
+                    _acc(acc, mono, coeff * c)
+            out.append(CoordFunction._from_clean(acc))
         return CoordSpinorField(out)
 
     def derivative(self, model: HalfSpaceModel, direction: int) -> "CoordSpinorField":
@@ -260,9 +287,9 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
 
     Vanishing of every monomial coefficient in every direction is exactly the
     Killing equation with constant lambda.  The matrix part applies the
-    sparse operator rows, built from one Levi-Civita computation.
+    sparse operator rows, built from the model's cached connection.
     """
-    ops = killing_operator_rows(model.algebra, rep, lam)
+    ops = _operator_rows(model, rep, lam)
     return [psi.derivative(model, d) + psi.apply_rows(rows) for d, rows in enumerate(ops)]
 
 
@@ -279,7 +306,8 @@ def solve_killing_halfspace(
     completeness inside the window is checked by the caller via saturation
     (enlarging the window must not increase the dimension).  The matrix part
     of the equations copies the nonzero entries of the sparse operator rows,
-    built from one Levi-Civita computation per call.  Solutions are
+    built from the model's cached connection, so the Levi-Civita connection
+    is computed once per model, not once per solve.  Solutions are
     normalized so their first nonzero coefficient is one.
     """
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
@@ -293,7 +321,7 @@ def solve_killing_halfspace(
         for h in range(N):
             var_index[(mono, h)] = q * N + h
     nvars = len(monos) * N
-    ops = killing_operator_rows(model.algebra, rep, lam)
+    ops = _operator_rows(model, rep, lam)
     equations: dict = {}
     for d, rows in enumerate(ops):
         for mono in monos:
@@ -333,6 +361,11 @@ def solve_killing_halfspace(
             comps.append(CoordFunction(terms))
         fields.append(CoordSpinorField(comps))
     return fields
+
+
+def _operator_rows(model: HalfSpaceModel, rep: CliffordRep, lam) -> list[list[dict]]:
+    lifts = _spin_connection_rows(model.algebra, rep, model.connection)
+    return killing_operator_rows(model.algebra, rep, lam, lifts)
 
 
 def _monomials(nx: int, kmax: int, mmax: int) -> list[Monomial]:

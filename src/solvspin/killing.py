@@ -111,8 +111,9 @@ def killing_operator_rows(M: MetricLieAlgebra, rep: CliffordRep, lam, lifts=None
     """Sparse rows {column: coefficient} of nabla_{e_i} - lam gamma_i, per direction i.
 
     `lifts` are the spin-connection rows of one Levi-Civita computation,
-    shared between the lambda branches of a solve; without them the
-    connection is computed here, once.
+    shared between the lambda branches of a solve or, for a half-space
+    model, built from its cached connection; without them the connection is
+    computed here, once.
     """
     if lifts is None:
         lifts = _spin_connection_rows(M, rep, levi_civita(M))

@@ -7,8 +7,9 @@ functions return tuples of tuples so results stay hashable and immutable.
 
 Elimination is sparse: systems are lists of rows {column: coefficient}.
 `_sparse_echelon` is the one elimination loop; it gives ranks and spanning
-rows, and `sparse_nullspace` back-reduces its rows to the kernel basis.  The
-dense `rref` is kept only as the reference the tests compare against.
+rows, and `sparse_nullspace` back-substitutes its rows, each once, to the
+kernel basis.  The dense `rref` is kept only as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -156,42 +157,40 @@ def _sparse_echelon(eqs: Sequence[dict], ncols: int) -> dict[int, dict]:
 def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
     """Kernel basis for a sparse system given as dicts {column: coefficient}.
 
-    `_sparse_echelon` followed by back-reduction, so the pivot rows reach the
-    unique reduced echelon form: free variables get 1 and pivots are
-    back-substituted, the basis dense elimination gives.  Returns [] as soon
+    `_sparse_echelon` followed by back-substitution: each pivot row, highest
+    pivot first, is rewritten once over the free columns from the rows of the
+    later pivots it references, which are already rewritten.  That is the
+    unique reduced echelon form, so free variables get 1 and pivots minus
+    their coefficient, the basis dense elimination gives.  Returns [] as soon
     as the rank reaches ncols.
     """
     pivots = _sparse_echelon(eqs, ncols)
     if len(pivots) == ncols:
         return []
-    # full reduction: clear pivot columns from every other pivot row
+    reduced: dict[int, dict] = {}
     for pc in sorted(pivots, reverse=True):
         prow = pivots[pc]
-        for qc, qrow in pivots.items():
-            if qc == pc or pc not in qrow:
-                continue
-            f = qrow.pop(pc)
-            for c, v in prow.items():
-                if c == pc:
-                    continue
-                nv = qrow.get(c)
+        row = {c: v for c, v in prow.items() if c not in pivots}
+        for qc in sorted((c for c in prow if c != pc and c in pivots), reverse=True):
+            f = prow[qc]
+            for c, v in reduced[qc].items():
+                nv = row.get(c)
                 nv = -f * v if nv is None else nv - f * v
                 if nv == 0:
-                    qrow.pop(c, None)
+                    row.pop(c, None)
                 else:
-                    qrow[c] = nv
-    basis = []
+                    row[c] = nv
+        reduced[pc] = row
+    basis = {}
     for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for pc, prow in pivots.items():
-            coeff = prow.get(free)
-            if coeff is not None and not coeff == 0:
-                vec[pc] = -coeff
-        basis.append(tuple(vec))
-    return basis
+        if free not in pivots:
+            vec = basis[free] = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+    for pc, row in reduced.items():
+        for free, coeff in row.items():
+            if not coeff == 0:  # a float pivot row may keep an entry within tolerance of 0
+                basis[free][pc] = -coeff
+    return [tuple(vec) for vec in basis.values()]
 
 
 def normalize_vector(v) -> tuple:

@@ -160,6 +160,14 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert "zero denominator" in data["error"]
 
+    def test_halfspace_spec_unknown_or_repeated_key_exits_one(self, capsys):
+        for spec, key in (("halfspace n=2 r=1 signs=1,1 extra=3", "extra"),
+                          ("halfspace n=2 r=1 signs=1,1 r=2", "r")):
+            assert main(["killing-halfspace", spec, "--json"]) == 1
+            data = json.loads(capsys.readouterr().out)
+            assert repr(key) in data["error"]
+            assert "error_type" not in data and "results" not in data
+
     def test_exponent_coefficient_exits_one(self, tmp_path, capsys):
         p = tmp_path / "exp.alg"
         for coeff in ("1e5000", "1e4000000"):
@@ -408,6 +416,10 @@ GOLDEN_REPORTS = (
      "89b7bebcc53da7ebe5e7789130e53cee11b3ccd18fcd786ce4638f94846429b0"),
     ("killing-halfspace", "halfspace n=4 r=2/3 signs=1,-1,1,-1", ("--kmax", "2", "--mmax", "2"),
      "1f301a214fb77900990ac856e9e9354721dff6eddad5e936be0da8464037b9b4"),
+    ("killing-halfspace", "halfspace n=5 r=2/3 signs=1,1,-1,1,1", ("--kmax", "2", "--mmax", "2"),
+     "5572a58b93ad2e8d516c70b507b387116584eaeee5adbc82bf7efeeadc8d8b19"),
+    ("killing-halfspace", "halfspace n=3 r=1/2 signs=1,1,1", ("--kmax", "2", "--mmax", "2"),
+     "ca9b9a0c7ff54555e56ffbab65eba8874439e178106e995a8910c57a19e0849d"),
     ("killing-invariant", "halfspace n=5 r=1/2 signs=1,-1,1,1,-1", (),
      "c0469fcd5c97367298691a102b8ac6ce0847e3975240d75120321a3584aeb5ed"),
     ("validate", "heis5.alg", (),

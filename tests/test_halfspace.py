@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import solvspin.halfspace
+import solvspin.killing
+import solvspin.liealg
 from solvspin.cli import main
 from solvspin.exact import TS_I, TS_ONE, TowerScalar
 from solvspin.killing import lambda_candidates
@@ -63,6 +66,47 @@ class TestModel:
         with pytest.raises(ValueError, match="zero denominator"):
             parse_halfspace_spec("halfspace n=3 r=1/0 signs=1,1,1")
 
+    def test_parse_rejects_unknown_and_repeated_keys(self):
+        # both used to parse: the unknown key was dropped, the later r won
+        with pytest.raises(ValueError, match="unknown key 'extra'"):
+            parse_halfspace_spec("halfspace n=2 r=1 signs=1,1 extra=3")
+        with pytest.raises(ValueError, match="repeats key 'r'"):
+            parse_halfspace_spec("halfspace n=2 r=1 signs=1,1 r=2")
+
+    def test_model_is_read_only(self):
+        model = HalfSpaceModel(3, (1, 1, 1), F(1))
+        conn = model.connection
+        for name, value in (("r", F(2)), ("signs", (1, 1, -1)), ("connection", None)):
+            with pytest.raises(AttributeError):
+                setattr(model, name, value)
+        assert model.r == F(1) and model.signs == (1, 1, 1)
+        assert model.connection is conn and conn == levi_civita(model.algebra)
+
+    def test_one_levi_civita_per_model(self, monkeypatch):
+        # solve both lambda branches in two windows and check every solution:
+        # the connection is computed once, on first use
+        model = HalfSpaceModel(4, (1, -1, 1, 1), F(2, 3))
+        rep = model.clifford_rep()
+        lams = [c.lam for c in lambda_candidates(model.algebra)]
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return levi_civita(M)
+
+        for module in (solvspin.halfspace, solvspin.killing, solvspin.liealg):
+            monkeypatch.setattr(module, "levi_civita", counted)
+        found = 0
+        for lam in lams:
+            for window in (1, 2):
+                sols = solve_killing_halfspace(model, rep, lam, window, window)
+                found += len(sols)
+                for psi in sols:
+                    assert all(r.is_zero for r in killing_residual(model, rep, psi, lam))
+                    assert verify_amended_identity(model, rep, psi, lam)
+        assert found > 0
+        assert calls == [model.algebra]
+
     def test_parse_rejects_exponent_radius(self):
         # Fraction would expand 1e4000000 in full before anything else ran
         for r in ("1e4000000", "2E-3"):
@@ -112,6 +156,30 @@ class TestFrameDerivative:
             for (k, m) in out.terms:
                 assert isinstance(k, int)
                 assert all(e >= 0 for e in m)
+
+
+class TestCoordArithmetic:
+    def test_constructor_validates(self):
+        f = CoordFunction({(True, (1,)): F(0), (2.0, (0,)): F(3)})
+        assert f.terms == {(2, (0,)): F(3)}
+        assert all(type(k) is int and type(m) is tuple for k, m in f.terms)
+
+    def test_apply_rows_cancellation_stores_no_zero(self):
+        f = CoordFunction({(1, (2,)): F(3), (0, (1,)): TS_I})
+        g = CoordFunction({(1, (2,)): F(-3, 2)})
+        psi = CoordSpinorField((f, f, g))
+        out = psi.apply_rows([{0: F(1), 1: F(-1)}, {0: F(1), 2: F(2)}, {1: TS_I, 2: F(0)}])
+        assert out.components[0].is_zero and out.components[0].terms == {}
+        assert out.components[1].terms == {(0, (1,)): TS_I}
+        assert out.components[2] == f.scale(TS_I)
+        assert all(not c == 0 for comp in out.components for c in comp.terms.values())
+
+    def test_sums_drop_cancelled_terms(self):
+        f = CoordFunction({(1, (2,)): F(3), (0, (1,)): F(1)})
+        g = CoordFunction({(1, (2,)): F(3)})
+        for h in (f - g, f + g.scale(F(-1)), f + (-g)):
+            assert h.terms == {(0, (1,)): F(1)}
+        assert (f - f).terms == {} and f.scale(0).terms == {}
 
 
 class TestResidual:

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
-from solvspin.exact import TowerScalar
+import pytest
+
+from solvspin.exact import FloatScalar, TowerScalar
 from solvspin.linalg import (
+    _sparse_echelon,
     identity,
     mat_mul,
     mat_vec,
@@ -107,6 +110,110 @@ def test_sparse_nullspace_over_tower():
     assert len(basis) == 1
     v = normalize_vector(basis[0])
     assert v[0] == 1 and v[1] * i == -1
+
+
+def _dense(eqs, ncols, zero):
+    return [[row.get(c, zero) for c in range(ncols)] for row in eqs]
+
+
+def _assert_matches_reference(eqs, ncols, zero):
+    dense = _dense(eqs, ncols, zero)
+    basis = sparse_nullspace(eqs, ncols)
+    assert basis == nullspace(dense, ncols)
+    for v in basis:
+        for row in eqs:
+            assert sum((a * v[c] for c, a in row.items()), zero) == 0
+    return basis
+
+
+# entry generators, one per field: Q, Q(i) and Q(i)(sqrt 5)
+FIELDS = {
+    "Q": (lambda rng: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)), F(0)),
+    "Q(i)": (lambda rng: TowerScalar(F(rng.randint(-2, 2), rng.randint(1, 2)),
+                                     rng.choice([-1, 1, 2])), TowerScalar.rational(0)),
+    "Q(i)(sqrt 5)": (lambda rng: TowerScalar(rng.randint(-2, 2), rng.randint(-1, 1),
+                                             rng.choice([-1, 1]), rng.randint(-1, 1), 5),
+                     TowerScalar.rational(0)),
+}
+
+
+def _random_system(rng, entry, ncols, nrows, density):
+    eqs = []
+    for _ in range(nrows):
+        cols = [c for c in range(ncols) if rng.random() < density] or [rng.randrange(ncols)]
+        eqs.append({c: entry(rng) for c in cols})
+    # dependent rows, which the forward pass reduces to nothing
+    for _ in range(nrows // 3):
+        a, b = rng.sample(eqs, 2) if len(eqs) > 1 else (eqs[0], eqs[0])
+        f = entry(rng)
+        row = dict(b)
+        for c, v in a.items():
+            nv = row.get(c, 0) + f * v
+            if nv == 0:
+                row.pop(c, None)
+            else:
+                row[c] = nv
+        if row:
+            eqs.insert(rng.randrange(len(eqs) + 1), row)
+    return eqs
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_back_substitution_matches_dense_on_seeded_systems(field):
+    entry, zero = FIELDS[field]
+    rng = random.Random("back-substitution:" + field)
+    for _ in range(4):
+        ncols = rng.randint(20, 40)
+        eqs = _random_system(rng, entry, ncols, rng.randint(ncols // 3, ncols - 2), 0.15)
+        _assert_matches_reference(eqs, ncols, zero)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_back_substitution_through_long_pivot_chains(field):
+    # row i has pivot i and references pivot i + 1, which references i + 2, ...;
+    # entered in this order the forward pass leaves every reference in place
+    entry, zero = FIELDS[field]
+    rng = random.Random("pivot-chain:" + field)
+    length, ncols = 28, 34
+    chain = []
+    for i in range(length):
+        row = {i: entry(rng), rng.randrange(length, ncols): entry(rng)}
+        if i + 1 < length:
+            row[i + 1] = entry(rng)
+        if i + 2 < length and rng.random() < 0.5:
+            row[i + 2] = entry(rng)
+        chain.append(row)
+    pivots = _sparse_echelon(chain, ncols)
+    assert all(i + 1 in pivots[i] for i in range(length - 1))
+    basis = _assert_matches_reference(chain, ncols, zero)
+    assert len(basis) == ncols - length
+    # pivot 0 reaches the free columns only through the whole chain
+    assert any(not v[0] == 0 for v in basis)
+    assert _assert_matches_reference(chain[::-1], ncols, zero) == basis
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_back_substitution_with_more_free_columns_than_pivots(field):
+    entry, zero = FIELDS[field]
+    rng = random.Random("wide:" + field)
+    for _ in range(3):
+        ncols = rng.randint(24, 36)
+        eqs = _random_system(rng, entry, ncols, rng.randint(3, ncols // 3), 0.25)
+        basis = _assert_matches_reference(eqs, ncols, zero)
+        assert len(basis) > ncols - len(basis)
+
+
+def test_back_substitution_over_floats():
+    rng = random.Random(5)
+    ncols = 24
+    eqs = _random_system(rng, lambda r: FloatScalar(r.uniform(-2.0, 2.0)), ncols, 10, 0.3)
+    basis = _assert_matches_reference(eqs, ncols, FloatScalar(0.0))
+    assert len(basis) == ncols - matrix_rank(_dense(eqs, ncols, FloatScalar(0.0)))
+    # scaled by its pivot, 1e-8 falls within tolerance of 0: the entry stays an
+    # exact 0, as dense elimination leaves it
+    eqs = [{0: FloatScalar(1000.0), 1: FloatScalar(1e-8)}]
+    got, want = sparse_nullspace(eqs, 2), nullspace(_dense(eqs, 2, FloatScalar(0.0)), 2)
+    assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want] == [[F, F]]
 
 
 def test_mat_mul_skips_zeros():
