@@ -9,14 +9,16 @@ monomials, an x-derivation raises the t-exponent by one and lowers one
 x-degree.  Solving the Killing equation inside a bounded window of that
 lattice is an exact sparse linear problem.  Its matrix part comes from the
 sparse operator rows of `killing.killing_operator_rows`, built from the
-model's one cached Levi-Civita connection; `killing_residual` applies the
-same rows.
+model's one cached Levi-Civita connection.  The model holds those rows, once
+per (representation, lambda) branch: the solve and `killing_residual` on
+every solution read the same rows, which no consumer changes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import Sequence
 
 from .exact import parse_rational, to_tower
@@ -27,13 +29,17 @@ from .linalg import identity, mat_scale, sparse_nullspace
 
 F0 = Fraction(0)
 
+# the most unknowns one window may have; past it a window is refused before anything is built
+MAX_UNKNOWNS = 100_000
+
 Monomial = tuple  # (k, m): t^(k/2) * x^m with m a multi-index over x_1..x_{n-1}
 
 
 class HalfSpaceModel:
     """H^eps_r as a metric Lie algebra plus its coordinate frame data.
 
-    Read-only after construction, so the cached connection cannot go stale.
+    Read-only after construction, so the cached connection and the operator
+    rows held per branch cannot go stale; they live as long as the model.
     """
 
     def __init__(self, n: int, signs: Sequence[int], r: Fraction):
@@ -52,7 +58,7 @@ class HalfSpaceModel:
         D = mat_scale(Fraction(-1) / r, identity(n - 1))
         algebra, decomposition = extend_by_derivation(base, D, signs[-1])
         for name, value in (("n", n), ("signs", signs), ("r", r), ("algebra", algebra),
-                            ("decomposition", decomposition)):
+                            ("decomposition", decomposition), ("_branch_rows", {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -62,6 +68,16 @@ class HalfSpaceModel:
     def connection(self):
         """Levi-Civita connection of the algebra, computed once per model."""
         return levi_civita(self.algebra)
+
+    def operator_rows(self, rep: CliffordRep, lam) -> list[list[dict]]:
+        """Sparse rows of nabla_{e_i} - lam gamma_i per direction i, built once
+        per (rep, lam) from the cached connection.  Callers must not change them."""
+        key = (rep, lam)
+        rows = self._branch_rows.get(key)
+        if rows is None:
+            lifts = _spin_connection_rows(self.algebra, rep, self.connection)
+            rows = self._branch_rows[key] = killing_operator_rows(self.algebra, rep, lam, lifts)
+        return rows
 
     def clifford_rep(self) -> CliffordRep:
         return build_gammas(self.signs)
@@ -89,18 +105,25 @@ def parse_halfspace_spec(text: str) -> HalfSpaceModel:
             raise ValueError("half-space spec repeats key %r" % key)
         fields[key] = val
     try:
-        n = int(fields["n"])
-        r_text, signs_text = fields["r"], fields["signs"]
+        n_text, r_text, signs_text = fields["n"], fields["r"], fields["signs"]
     except KeyError as exc:
         raise ValueError("half-space spec needs n=, r=, signs=") from exc
+    n = _spec_int("n", n_text, n_text)
     try:
         r = parse_rational(r_text)
     except ZeroDivisionError as exc:
         raise ValueError("half-space spec r=%s has a zero denominator" % r_text) from exc
     except ValueError as exc:
         raise ValueError("half-space spec r=%s: %s" % (r_text, exc)) from exc
-    signs = tuple(int(s) for s in signs_text.split(","))
+    signs = tuple(_spec_int("signs", signs_text, s) for s in signs_text.split(","))
     return HalfSpaceModel(n, signs, r)
+
+
+def _spec_int(key: str, text: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("half-space spec %s=%s: %r is not an integer" % (key, text, token)) from None
 
 
 class CoordFunction:
@@ -287,9 +310,10 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
 
     Vanishing of every monomial coefficient in every direction is exactly the
     Killing equation with constant lambda.  The matrix part applies the
-    sparse operator rows, built from the model's cached connection.
+    sparse operator rows the model holds for this branch, the rows the solve
+    read; they are built once per (model, rep, lambda), not per solution.
     """
-    ops = _operator_rows(model, rep, lam)
+    ops = model.operator_rows(rep, lam)
     return [psi.derivative(model, d) + psi.apply_rows(rows) for d, rows in enumerate(ops)]
 
 
@@ -304,24 +328,30 @@ def solve_killing_halfspace(
 
     The ansatz runs over t^(k/2) x^m with k in [-kmax, kmax] and |m| <= mmax;
     completeness inside the window is checked by the caller via saturation
-    (enlarging the window must not increase the dimension).  The matrix part
-    of the equations copies the nonzero entries of the sparse operator rows,
-    built from the model's cached connection, so the Levi-Civita connection
-    is computed once per model, not once per solve.  Solutions are
-    normalized so their first nonzero coefficient is one.
+    (enlarging the window must not increase the dimension).  A window of
+    more than MAX_UNKNOWNS unknowns, (2 kmax + 1) C(n - 1 + mmax, mmax) N, is
+    refused before anything is built.  The matrix part of the equations
+    copies the nonzero entries of the sparse operator rows the model holds
+    for this branch, so the connection and the rows are built once per
+    (model, rep, lambda), shared by every window and every `killing_residual`
+    on the solutions.  Solutions are normalized so their first nonzero
+    coefficient is one.
     """
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
         if bound < 0:
             raise ValueError("window bound %s = %d is negative" % (name, bound))
     n = model.n
     N = rep.spinor_dim
+    unknowns = (2 * kmax + 1) * comb(n - 1 + mmax, mmax) * N
+    if unknowns > MAX_UNKNOWNS:
+        raise ValueError("window kmax = %d, mmax = %d has %d unknowns, more than the limit of %d"
+                         % (kmax, mmax, unknowns, MAX_UNKNOWNS))
     monos = _monomials(n - 1, kmax, mmax)
     var_index = {}
     for q, mono in enumerate(monos):
         for h in range(N):
             var_index[(mono, h)] = q * N + h
-    nvars = len(monos) * N
-    ops = _operator_rows(model, rep, lam)
+    ops = model.operator_rows(rep, lam)
     equations: dict = {}
     for d, rows in enumerate(ops):
         for mono in monos:
@@ -344,7 +374,7 @@ def solve_killing_halfspace(
                     target = (k + 2, m2)
                     for h in range(N):
                         _acc_eq(equations, (d, target, h), var_index[(mono, h)], c)
-    basis = sparse_nullspace(list(equations.values()), nvars)
+    basis = sparse_nullspace(list(equations.values()), unknowns)
     fields = []
     for vec in basis:
         lead = next((x for x in vec if not x == 0), None)
@@ -361,11 +391,6 @@ def solve_killing_halfspace(
             comps.append(CoordFunction(terms))
         fields.append(CoordSpinorField(comps))
     return fields
-
-
-def _operator_rows(model: HalfSpaceModel, rep: CliffordRep, lam) -> list[list[dict]]:
-    lifts = _spin_connection_rows(model.algebra, rep, model.connection)
-    return killing_operator_rows(model.algebra, rep, lam, lifts)
 
 
 def _monomials(nx: int, kmax: int, mmax: int) -> list[Monomial]:
@@ -409,10 +434,10 @@ def verify_amended_identity(model: HalfSpaceModel, rep: CliffordRep, psi: CoordS
     n = model.n
     phi_scalar = model.decomposition.phi[0][0][0]
     lam_sq2 = 2 * lam * lam
-    g_t = gamma_rows(rep, n - 1)
+    et_psi = psi.apply_rows(gamma_rows(rep, n - 1))
     for i in range(n - 1):
         gi = gamma_rows(rep, i)
-        lhs = psi.apply_rows(g_t).apply_rows(gi).scale(lam_sq2)
+        lhs = et_psi.apply_rows(gi).scale(lam_sq2)
         rhs = psi.apply_rows(gi).scale(lam * phi_scalar) - psi.derivative(model, i).scale(phi_scalar)
         if not lhs == rhs:
             return False

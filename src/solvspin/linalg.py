@@ -7,9 +7,11 @@ functions return tuples of tuples so results stay hashable and immutable.
 
 Elimination is sparse: systems are lists of rows {column: coefficient}.
 `_sparse_echelon` is the one elimination loop; it gives ranks and spanning
-rows, and `sparse_nullspace` back-substitutes its rows, each once, to the
-kernel basis.  The dense `rref` is kept only as the reference the tests
-compare against.
+rows.  `sparse_nullspace` first pins every column that an equation with one
+nonzero entry sets to 0, repeating while removing pinned columns leaves new
+such equations, so only the rest pay for arithmetic in that loop; it then
+back-substitutes the pivot rows, each once, to the kernel basis.  The dense
+`rref` is kept only as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -127,13 +129,24 @@ def _sparse_echelon(eqs: Sequence[dict], ncols: int) -> dict[int, dict]:
     space as eqs, so their number is the rank.  Stops, without reading the
     remaining equations, as soon as the rank reaches ncols.
     """
+    return _echelon(map(_nonzero, eqs), ncols)
+
+
+def _nonzero(eq: dict) -> dict:
+    """eq itself if it holds no zero coefficient, else a copy without them."""
+    if 0 in eq.values():
+        return {c: v for c, v in eq.items() if not v == 0}
+    return eq
+
+
+def _echelon(rows, ncols: int) -> dict[int, dict]:
+    """`_sparse_echelon` on rows that hold no zero coefficient; they are not changed."""
     pivots: dict[int, dict] = {}
-    for eq in eqs:
-        row = {c: v for c, v in eq.items() if not v == 0}
-        while row:
-            hit = min((c for c in row if c in pivots), default=None)
-            if hit is None:
-                break
+    for row in rows:
+        hit = min((c for c in row if c in pivots), default=None)
+        if hit is not None:
+            row = dict(row)
+        while hit is not None:
             f = row.pop(hit)
             for c, v in pivots[hit].items():
                 if c == hit:
@@ -144,6 +157,7 @@ def _sparse_echelon(eqs: Sequence[dict], ncols: int) -> dict[int, dict]:
                     row.pop(c, None)
                 else:
                     row[c] = nv
+            hit = min((c for c in row if c in pivots), default=None)
         if not row:
             continue
         pc = min(row)
@@ -157,15 +171,48 @@ def _sparse_echelon(eqs: Sequence[dict], ncols: int) -> dict[int, dict]:
 def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
     """Kernel basis for a sparse system given as dicts {column: coefficient}.
 
-    `_sparse_echelon` followed by back-substitution: each pivot row, highest
-    pivot first, is rewritten once over the free columns from the rows of the
-    later pivots it references, which are already rewritten.  That is the
-    unique reduced echelon form, so free variables get 1 and pivots minus
-    their coefficient, the basis dense elimination gives.  Returns [] as soon
-    as the rank reaches ncols.
+    First the pin pass: each equation is cleaned of its zero coefficients
+    once, and one left with a single entry pins that column to 0.  Pinned
+    columns are removed from the other equations until no new singleton
+    appears.  A pinned column is a pivot whose reduced row is empty, so it
+    needs no scaling and no back-substitution, and the basis has 0 there.
+    The pass reads every equation but does no arithmetic once the pins reach
+    rank ncols.  The equations left go to the forward elimination
+    (`_sparse_echelon`'s loop), then to back-substitution: each pivot row,
+    highest pivot first, is rewritten once over the free columns from the
+    rows of the later pivots it references, which are already rewritten.
+    That is the unique reduced echelon form, so free variables get 1 and
+    pivots minus their coefficient, the basis dense elimination gives.
+    Returns [] as soon as pins and pivots reach ncols.
     """
-    pivots = _sparse_echelon(eqs, ncols)
-    if len(pivots) == ncols:
+    pinned: set = set()
+    rows = []
+    for eq in eqs:
+        row = _nonzero(eq)
+        if len(row) > 1:
+            rows.append(row)
+        elif row:
+            pinned.update(row)
+            if len(pinned) == ncols:
+                return []
+    fresh = set(pinned)
+    while fresh and rows:
+        found = set()
+        kept = []
+        for row in rows:
+            if not fresh.isdisjoint(row):
+                row = {c: v for c, v in row.items() if c not in fresh}
+                if len(row) < 2:
+                    found.update(row)
+                    continue
+            kept.append(row)
+        fresh = found - pinned
+        pinned |= fresh
+        if len(pinned) == ncols:
+            return []
+        rows = kept
+    pivots = _echelon(rows, ncols - len(pinned))
+    if len(pivots) + len(pinned) == ncols:
         return []
     reduced: dict[int, dict] = {}
     for pc in sorted(pivots, reverse=True):
@@ -183,7 +230,7 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
         reduced[pc] = row
     basis = {}
     for free in range(ncols):
-        if free not in pivots:
+        if free not in pivots and free not in pinned:
             vec = basis[free] = [Fraction(0)] * ncols
             vec[free] = Fraction(1)
     for pc, row in reduced.items():

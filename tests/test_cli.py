@@ -168,6 +168,25 @@ class TestCommands:
             assert repr(key) in data["error"]
             assert "error_type" not in data and "results" not in data
 
+    def test_halfspace_spec_bad_integer_exits_one(self, capsys):
+        for spec, text in (("halfspace n=x r=1 signs=1,1,1", "n=x"),
+                           ("halfspace n=3 r=1 signs=", "signs="),
+                           ("halfspace n=3 r=1 signs=1,,1", "signs=1,,1")):
+            assert main(["killing-halfspace", spec, "--json"]) == 1
+            data = json.loads(capsys.readouterr().out)
+            assert "spec %s:" % text in data["error"] and "invalid literal" not in data["error"]
+            assert "error_type" not in data and "results" not in data
+
+    def test_killing_halfspace_window_over_limit_exits_one(self, capsys):
+        started = time.perf_counter()
+        code = main(["killing-halfspace", "halfspace n=3 r=1 signs=1,1,1", "--json",
+                     "--kmax", "100000", "--mmax", "100"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        data = json.loads(capsys.readouterr().out)
+        assert "kmax = 100000, mmax = 100" in data["error"] and "limit" in data["error"]
+        assert "error_type" not in data and "results" not in data
+
     def test_exponent_coefficient_exits_one(self, tmp_path, capsys):
         p = tmp_path / "exp.alg"
         for coeff in ("1e5000", "1e4000000"):
@@ -420,8 +439,12 @@ GOLDEN_REPORTS = (
      "5572a58b93ad2e8d516c70b507b387116584eaeee5adbc82bf7efeeadc8d8b19"),
     ("killing-halfspace", "halfspace n=3 r=1/2 signs=1,1,1", ("--kmax", "2", "--mmax", "2"),
      "ca9b9a0c7ff54555e56ffbab65eba8874439e178106e995a8910c57a19e0849d"),
+    ("killing-halfspace", "halfspace n=6 r=2/3 signs=1,-1,1,1,-1,-1", ("--kmax", "2", "--mmax", "2"),
+     "995347eef49874281a8b6e208daafbf5942ee04c6e25bcb458d1fc06394337a4"),
     ("killing-invariant", "halfspace n=5 r=1/2 signs=1,-1,1,1,-1", (),
      "c0469fcd5c97367298691a102b8ac6ce0847e3975240d75120321a3584aeb5ed"),
+    ("killing-invariant", "halfspace n=9 r=1/2 signs=1,1,1,1,1,1,1,1,1", (),
+     "1b4d3867432c5f038964f772c833bfe3f78c982543317cc75029f464713c4184"),
     ("validate", "heis5.alg", (),
      "49440ac09c6bcc74eb2313dc43d1d9247c849f2d1b85a77a48324cdaa5884495"),
     ("validate", "su2.alg", (),

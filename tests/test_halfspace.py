@@ -1,6 +1,7 @@
 """Coordinate spinor fields on the hyperbolic half-space and the exact solver."""
 
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -11,9 +12,10 @@ import solvspin.killing
 import solvspin.liealg
 from solvspin.cli import main
 from solvspin.exact import TS_I, TS_ONE, TowerScalar
-from solvspin.killing import lambda_candidates
+from solvspin.killing import killing_operator_rows, lambda_candidates
 from solvspin.liealg import curvature, levi_civita, ricci
 from solvspin.halfspace import (
+    MAX_UNKNOWNS,
     CoordFunction,
     CoordSpinorField,
     HalfSpaceModel,
@@ -66,6 +68,15 @@ class TestModel:
         with pytest.raises(ValueError, match="zero denominator"):
             parse_halfspace_spec("halfspace n=3 r=1/0 signs=1,1,1")
 
+    def test_parse_errors_name_the_key(self):
+        # these used to surface int()'s own message, which names neither key
+        for spec, text in (("halfspace n=x r=1 signs=1,1,1", "n=x"),
+                           ("halfspace n=3 r=1 signs=", "signs="),
+                           ("halfspace n=3 r=1 signs=1,,1", "signs=1,,1"),
+                           ("halfspace n=3 r=1 signs=1,+,1", "signs=1,+,1")):
+            with pytest.raises(ValueError, match="spec %s: .* is not an integer" % re.escape(text)):
+                parse_halfspace_spec(spec)
+
     def test_parse_rejects_unknown_and_repeated_keys(self):
         # both used to parse: the unknown key was dropped, the later r won
         with pytest.raises(ValueError, match="unknown key 'extra'"):
@@ -106,6 +117,34 @@ class TestModel:
                     assert verify_amended_identity(model, rep, psi, lam)
         assert found > 0
         assert calls == [model.algebra]
+
+    def test_operator_rows_built_once_per_branch(self, monkeypatch):
+        # the solve in two windows and the residual of every solution, on both
+        # lambda branches, read one set of rows per (rep, lambda)
+        model = HalfSpaceModel(4, (1, -1, 1, 1), F(2, 3))
+        rep = model.clifford_rep()
+        lams = [c.lam for c in lambda_candidates(model.algebra)]
+        built = []
+
+        def counted(M, rep, lam, lifts=None):
+            built.append(lam)
+            return killing_operator_rows(M, rep, lam, lifts)
+
+        monkeypatch.setattr(solvspin.halfspace, "killing_operator_rows", counted)
+        residuals = 0
+        for lam in lams:
+            for window in (1, 2):
+                sols = solve_killing_halfspace(model, rep, lam, window, window)
+                for psi in sols:
+                    assert all(r.is_zero for r in killing_residual(model, rep, psi, lam))
+                    residuals += 1
+        assert residuals > len(lams) * 2
+        assert built == lams
+        # a rep equal to the first shares its rows; the held rows are unchanged
+        assert model.operator_rows(model.clifford_rep(), lams[0]) is model.operator_rows(rep, lams[0])
+        assert built == lams
+        for lam in lams:
+            assert model.operator_rows(rep, lam) == killing_operator_rows(model.algebra, rep, lam)
 
     def test_parse_rejects_exponent_radius(self):
         # Fraction would expand 1e4000000 in full before anything else ran
@@ -258,6 +297,25 @@ class TestSolver:
             solve_killing_halfspace(model, rep, lam, -1, 1)
         with pytest.raises(ValueError, match="mmax = -2"):
             solve_killing_halfspace(model, rep, lam, 1, -2)
+
+    def test_window_over_the_limit_is_refused_before_building(self, monkeypatch):
+        model = HalfSpaceModel(3, (1, 1, 1), F(1))
+        rep = model.clifford_rep()
+        lam = lambda_candidates(model.algebra)[0].lam
+        monkeypatch.setattr(solvspin.halfspace, "_monomials", None)  # never reached
+        # (2 * 100000 + 1) * C(102, 100) * 2 unknowns, about 1e9
+        count = 200001 * 5151 * 2
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="kmax = 100000, mmax = 100 has %d unknowns.*limit of %d"
+                           % (count, MAX_UNKNOWNS)):
+            solve_killing_halfspace(model, rep, lam, 100000, 100)
+        assert time.perf_counter() - started < 0.5
+        # with mmax = 0 a window has (2 kmax + 1) * 2 unknowns: one step past the limit
+        kmax = MAX_UNKNOWNS // 4
+        assert (2 * kmax - 1) * 2 <= MAX_UNKNOWNS < (2 * kmax + 1) * 2
+        with pytest.raises(ValueError, match="kmax = %d, mmax = 0 has %d unknowns"
+                           % (kmax, (2 * kmax + 1) * 2)):
+            solve_killing_halfspace(model, rep, lam, kmax, 0)
 
     def test_wrong_lambda_gives_nothing(self):
         model = HalfSpaceModel(2, (1, 1), F(1))

@@ -118,7 +118,9 @@ def _dense(eqs, ncols, zero):
 
 def _assert_matches_reference(eqs, ncols, zero):
     dense = _dense(eqs, ncols, zero)
+    before = [dict(row) for row in eqs]
     basis = sparse_nullspace(eqs, ncols)
+    assert eqs == before  # the equations are read, never changed
     assert basis == nullspace(dense, ncols)
     for v in basis:
         for row in eqs:
@@ -214,6 +216,70 @@ def test_back_substitution_over_floats():
     eqs = [{0: FloatScalar(1000.0), 1: FloatScalar(1e-8)}]
     got, want = sparse_nullspace(eqs, 2), nullspace(_dense(eqs, 2, FloatScalar(0.0)), 2)
     assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want] == [[F, F]]
+
+
+# the pin pass: an equation with one nonzero entry fixes that column to 0, and
+# removing fixed columns can leave further equations with one entry
+PIN_FIELDS = dict(FIELDS, float=(lambda rng: FloatScalar(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0)),
+                                 FloatScalar(0.0)))
+
+
+@pytest.mark.parametrize("field", PIN_FIELDS)
+def test_pins_cascade_to_a_fixpoint(field):
+    # row k ties column k to column k + 1, and only the last column of the
+    # chain is pinned outright, at the end: every other pin comes from the
+    # fixpoint, one link per round; the rows over both chain ends then empty
+    entry, zero = PIN_FIELDS[field]
+    rng = random.Random("pin-chain:" + field)
+    length, ncols = 12, 20
+    chain = [{k: entry(rng), k + 1: entry(rng)} for k in range(length - 1)]
+    chain.append({length - 1: entry(rng)})
+    emptied = {0: entry(rng), length - 1: entry(rng)}
+    rest = _random_system(rng, entry, ncols - length, 4, 0.4)
+    rest = [{c + length: v for c, v in row.items()} for row in rest]
+    eqs = chain + [emptied] + rest
+    basis = _assert_matches_reference(eqs, ncols, zero)
+    assert basis and all(v[c] == 0 for v in basis for c in range(length))
+    for order in (eqs[::-1], rng.sample(eqs, len(eqs))):
+        assert _assert_matches_reference(order, ncols, zero) == basis
+
+
+@pytest.mark.parametrize("field", PIN_FIELDS)
+def test_zero_coefficients_and_zero_rows_pin_nothing(field):
+    entry, zero = PIN_FIELDS[field]
+    rng = random.Random("pin-zero:" + field)
+    ncols = 6
+    eqs = [{}, {2: zero}, {0: zero, 3: zero},
+           {0: zero, 1: entry(rng)},  # pins column 1, not column 0
+           {0: entry(rng), 2: entry(rng), 3: entry(rng)},
+           {4: entry(rng), 5: zero, 1: entry(rng)}]  # column 4 after the pin of 1
+    basis = _assert_matches_reference(eqs, ncols, zero)
+    assert len(basis) == 3
+    assert any(not v[0] == 0 for v in basis)
+    assert all(v[1] == 0 and v[4] == 0 for v in basis)
+    assert sparse_nullspace([{}, {0: zero}, {1: zero, 2: zero}], 3) == nullspace(
+        [[zero] * 3] * 3, 3)
+
+
+@pytest.mark.parametrize("field", PIN_FIELDS)
+def test_singletons_reaching_full_rank_stop_the_arithmetic(field):
+    entry, zero = PIN_FIELDS[field]
+    rng = random.Random("pin-full:" + field)
+    ncols = 9
+    singles = [{c: entry(rng)} for c in range(ncols)] + [{c: entry(rng)} for c in range(0, ncols, 3)]
+    rng.shuffle(singles)
+    poisoned = {0: object(), 1: object()}  # arithmetic on these would raise
+    assert sparse_nullspace(singles + [poisoned], ncols) == []
+    # pins of the first pass, then the rest through the fixpoint: the poisoned
+    # equation is read and emptied, never computed with
+    chain = [{k: entry(rng), k + 1: entry(rng)} for k in range(ncols - 1)] + [{ncols - 1: entry(rng)}]
+    assert sparse_nullspace([poisoned] + chain, ncols) == []
+    # pins and pivots together reach rank ncols; the elimination then stops
+    # before an equation over columns that nothing pinned
+    mixed = [{c: entry(rng)} for c in range(4)] + [
+        {c: entry(rng) for c in range(4, ncols)} for _ in range(4, ncols)]
+    assert sparse_nullspace(mixed + [{5: object(), 6: object()}], ncols) == []
+    assert nullspace(_dense(singles + chain + mixed, ncols, zero), ncols) == []
 
 
 def test_mat_mul_skips_zeros():
