@@ -12,6 +12,14 @@ sparse operator rows of `killing.killing_operator_rows`, built from the
 model's one cached Levi-Civita connection.  The model holds those rows, once
 per (representation, lambda) branch: the solve and `killing_residual` on
 every solution read the same rows, which no consumer changes.
+
+The window's equations are assembled per monomial block: each operator row
+becomes one equation over that monomial's columns, the t-derivative sits on
+its diagonal, and each x-derivative writes one entry into the equation of
+the monomial it lands on.  The two certificates never read those equations:
+`killing_residual` re-substitutes a solution through `frame_derivative` and
+the operator rows, and `verify_amended_identity` checks the amended identity
+with one Clifford product per transverse direction.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ class HalfSpaceModel:
         signs = tuple(signs)
         if len(signs) != n:
             raise ValueError("need one sign per dimension")
+        if any(s not in (1, -1) for s in signs):
+            raise ValueError("signs must each be +1 or -1, got %s" % ",".join(map(str, signs)))
         r = Fraction(r)
         if r <= 0:
             raise ValueError("r must be positive")
@@ -216,6 +226,9 @@ def frame_derivative(model: HalfSpaceModel, f: CoordFunction, direction: int) ->
 
     direction < n-1 is (t/r) d/dx_{direction+1}; the last direction is
     (t/r) d/dt, which is diagonal with eigenvalue k/(2r) on t^(k/2) x^m.
+    Both maps are one-to-one on the monomials they do not kill, and a
+    product of nonzero exact scalars is nonzero, so no term needs summing
+    or dropping.
     """
     n = model.n
     r = model.r
@@ -223,13 +236,12 @@ def frame_derivative(model: HalfSpaceModel, f: CoordFunction, direction: int) ->
     if direction == n - 1:
         for (k, m), coeff in f.terms.items():
             if k:
-                _acc(out, (k, m), coeff * Fraction(k, 2) / r)
+                out[(k, m)] = coeff * (Fraction(k, 2) / r)
     elif 0 <= direction < n - 1:
         for (k, m), coeff in f.terms.items():
             e = m[direction]
             if e:
-                m2 = m[:direction] + (e - 1,) + m[direction + 1:]
-                _acc(out, (k + 2, m2), coeff * e / r)
+                out[(k + 2, m[:direction] + (e - 1,) + m[direction + 1:])] = coeff * (e / r)
     else:
         raise ValueError("direction out of range")
     return CoordFunction._from_clean(out)
@@ -263,15 +275,6 @@ class CoordSpinorField:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    def __add__(self, other: "CoordSpinorField") -> "CoordSpinorField":
-        return CoordSpinorField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "CoordSpinorField") -> "CoordSpinorField":
-        return CoordSpinorField(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def scale(self, factor) -> "CoordSpinorField":
-        return CoordSpinorField(tuple(c.scale(factor) for c in self.components))
-
     def apply_rows(self, rows) -> "CoordSpinorField":
         """Constant endomorphism of the fiber given as sparse rows {column: coefficient}."""
         out = []
@@ -282,10 +285,6 @@ class CoordSpinorField:
                     _acc(acc, mono, coeff * c)
             out.append(CoordFunction._from_clean(acc))
         return CoordSpinorField(out)
-
-    def derivative(self, model: HalfSpaceModel, direction: int) -> "CoordSpinorField":
-        return CoordSpinorField(
-            tuple(frame_derivative(model, c, direction) for c in self.components))
 
     def __eq__(self, other):
         if not isinstance(other, CoordSpinorField):
@@ -309,12 +308,25 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
     """Per-direction residual nabla_X psi - lambda X . psi.
 
     Vanishing of every monomial coefficient in every direction is exactly the
-    Killing equation with constant lambda.  The matrix part applies the
-    sparse operator rows the model holds for this branch, the rows the solve
-    read; they are built once per (model, rep, lambda), not per solution.
+    Killing equation with constant lambda.  Component i of direction d sums,
+    into one dict, the terms of `frame_derivative` of psi_i and those of
+    sum_j row_i[j] psi_j over the sparse operator rows the model holds for
+    this branch.  It never reads the solver's assembled equations, so it
+    certifies the assembly too; the rows are built once per
+    (model, rep, lambda), not per solution.
     """
-    ops = model.operator_rows(rep, lam)
-    return [psi.derivative(model, d) + psi.apply_rows(rows) for d, rows in enumerate(ops)]
+    comps = psi.components
+    out = []
+    for d, rows in enumerate(model.operator_rows(rep, lam)):
+        res = []
+        for comp, row in zip(comps, rows):
+            acc = dict(frame_derivative(model, comp, d).terms)
+            for j, coeff in row.items():
+                for mono, c in comps[j].terms.items():
+                    _acc(acc, mono, coeff * c)
+            res.append(CoordFunction._from_clean(acc))
+        out.append(CoordSpinorField(res))
+    return out
 
 
 def solve_killing_halfspace(
@@ -330,12 +342,12 @@ def solve_killing_halfspace(
     completeness inside the window is checked by the caller via saturation
     (enlarging the window must not increase the dimension).  A window of
     more than MAX_UNKNOWNS unknowns, (2 kmax + 1) C(n - 1 + mmax, mmax) N, is
-    refused before anything is built.  The matrix part of the equations
-    copies the nonzero entries of the sparse operator rows the model holds
+    refused before anything is built.  The equations come from
+    `_window_equations`, which reads the sparse operator rows the model holds
     for this branch, so the connection and the rows are built once per
     (model, rep, lambda), shared by every window and every `killing_residual`
-    on the solutions.  Solutions are normalized so their first nonzero
-    coefficient is one.
+    on the solutions.  Each kernel basis vector has a 1 at its free column;
+    solutions are scaled so their first nonzero coefficient is one.
     """
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
         if bound < 0:
@@ -347,50 +359,74 @@ def solve_killing_halfspace(
         raise ValueError("window kmax = %d, mmax = %d has %d unknowns, more than the limit of %d"
                          % (kmax, mmax, unknowns, MAX_UNKNOWNS))
     monos = _monomials(n - 1, kmax, mmax)
-    var_index = {}
-    for q, mono in enumerate(monos):
-        for h in range(N):
-            var_index[(mono, h)] = q * N + h
-    ops = model.operator_rows(rep, lam)
-    equations: dict = {}
-    for d, rows in enumerate(ops):
-        for mono in monos:
-            k, m = mono
-            # matrix part keeps the monomial
-            for i, row in enumerate(rows):
-                for j, coeff in row.items():
-                    _acc_eq(equations, (d, mono, i), var_index[(mono, j)], coeff)
-            # derivative part shifts it
-            if d == n - 1:
-                if k:
-                    c = Fraction(k, 2) / model.r
-                    for h in range(N):
-                        _acc_eq(equations, (d, mono, h), var_index[(mono, h)], c)
-            else:
-                e = m[d]
-                if e:
-                    m2 = m[:d] + (e - 1,) + m[d + 1:]
-                    c = Fraction(e) / model.r
-                    target = (k + 2, m2)
-                    for h in range(N):
-                        _acc_eq(equations, (d, target, h), var_index[(mono, h)], c)
-    basis = sparse_nullspace(list(equations.values()), unknowns)
+    basis = sparse_nullspace(_window_equations(model, rep, lam, monos), unknowns)
     fields = []
     for vec in basis:
-        lead = next((x for x in vec if not x == 0), None)
-        if lead is None:
-            continue
-        inv = 1 / lead
-        comps = []
-        for h in range(N):
-            terms = {}
-            for q, mono in enumerate(monos):
-                coeff = vec[q * N + h]
-                if not coeff == 0:
-                    terms[mono] = to_tower(coeff * inv)
-            comps.append(CoordFunction(terms))
-        fields.append(CoordSpinorField(comps))
+        inv = 1 / next(x for x in vec if not x == 0)
+        comps = [{} for _ in range(N)]
+        for col, x in enumerate(vec):
+            if not x == 0:
+                q, h = divmod(col, N)
+                comps[h][monos[q]] = to_tower(x * inv)
+        fields.append(CoordSpinorField([CoordFunction._from_clean(terms) for terms in comps]))
     return fields
+
+
+def _window_equations(model: HalfSpaceModel, rep: CliffordRep, lam, monos: list) -> list[dict]:
+    """The window's Killing equations as sparse rows {column: coefficient}.
+
+    Column q N + h is component h at monomial monos[q].  Operator row i of
+    direction d at monomial q gives the equation {q N + j: row_i[j]}.  In the
+    t-direction the derivative adds k/(2r) to its diagonal entry q N + i,
+    once per k, and an entry that cancels is dropped.  The x-direction d
+    maps source q = (k, m) to target (k + 2, m - e_d), one source per target,
+    so e/r is written straight into column q N + i of the target's equation;
+    a target outside the window gives the singleton {q N + i: e/r}, which
+    the pin pass of `sparse_nullspace` consumes.  No equation is empty.
+    """
+    N = rep.spinor_dim
+    r = model.r
+    t_dir = model.n - 1
+    position = {mono: q for q, mono in enumerate(monos)}
+    eqs = []
+    for d, rows in enumerate(model.operator_rows(rep, lam)):
+        if d == t_dir:
+            # the rows with k/(2r) on the diagonal, built once per k
+            shifted = {}
+            for k in {k for k, _ in monos}:
+                c = Fraction(k, 2) / r
+                block = []
+                for i, row in enumerate(rows):
+                    row = dict(row)
+                    if k:
+                        v = row.get(i)
+                        v = c if v is None else v + c
+                        if v == 0:
+                            del row[i]
+                        else:
+                            row[i] = v
+                    block.append(row)
+                shifted[k] = block
+            for q, (k, _) in enumerate(monos):
+                base = q * N
+                eqs.extend({base + j: v for j, v in row.items()} for row in shifted[k] if row)
+            continue
+        targets = [[{base + j: v for j, v in row.items()} for row in rows]
+                   for base in range(0, len(monos) * N, N)]
+        for q, (k, m) in enumerate(monos):
+            e = m[d]
+            if not e:
+                continue
+            c = e / r
+            base = q * N
+            p = position.get((k + 2, m[:d] + (e - 1,) + m[d + 1:]))
+            if p is None:
+                eqs.extend({base + h: c} for h in range(N))
+            else:
+                for h, eq in enumerate(targets[p]):
+                    eq[base + h] = c
+        eqs.extend(eq for target in targets for eq in target if eq)
+    return eqs
 
 
 def _monomials(nx: int, kmax: int, mmax: int) -> list[Monomial]:
@@ -413,32 +449,37 @@ def _multi_indices(nx: int, total: int) -> list[tuple]:
     return sorted(set(out))
 
 
-def _acc_eq(equations: dict, eq_key, var: int, coeff):
-    row = equations.setdefault(eq_key, {})
-    cur = row.get(var)
-    nv = coeff if cur is None else cur + coeff
-    if nv == 0:
-        row.pop(var, None)
-    else:
-        row[var] = nv
-
-
 def verify_amended_identity(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorField, lam) -> bool:
     """Check 2 lambda^2 v.e_0.psi = lambda phi_0 v.psi - L_{phi_0 v} psi.
 
     Runs over all frame vectors v transverse to the t-direction; for the
     half-space phi_0 is a scalar multiple of the identity, so phi_0 v is
     proportional to v and the derivative term is a rescaled frame derivative.
-    The gamma matrices act through their sparse rows, one entry per row.
+    Clifford multiplication is linear and the arithmetic exact, so the
+    identity for v = e_i is gamma_i w + phi_0 d_i psi = 0 with
+    w = 2 lambda^2 gamma_t psi - lambda phi_0 psi, formed once: one Clifford
+    product per direction.  gamma_i acts through its sparse rows, one entry
+    per row.
     """
     n = model.n
-    phi_scalar = model.decomposition.phi[0][0][0]
+    phi = model.decomposition.phi[0][0][0]
+    comps = psi.components
     lam_sq2 = 2 * lam * lam
-    et_psi = psi.apply_rows(gamma_rows(rep, n - 1))
+    minus_lam_phi = -(lam * phi)
+    w = []
+    for row, comp in zip(gamma_rows(rep, n - 1), comps):
+        (j, unit), = row.items()
+        f = lam_sq2 * unit
+        acc = {mono: f * c for mono, c in comps[j].terms.items()}
+        for mono, c in comp.terms.items():
+            _acc(acc, mono, minus_lam_phi * c)
+        w.append(acc)
     for i in range(n - 1):
-        gi = gamma_rows(rep, i)
-        lhs = et_psi.apply_rows(gi).scale(lam_sq2)
-        rhs = psi.apply_rows(gi).scale(lam * phi_scalar) - psi.derivative(model, i).scale(phi_scalar)
-        if not lhs == rhs:
-            return False
+        for row, comp in zip(gamma_rows(rep, i), comps):
+            (j, unit), = row.items()
+            acc = {mono: phi * c for mono, c in frame_derivative(model, comp, i).terms.items()}
+            for mono, c in w[j].items():
+                _acc(acc, mono, unit * c)
+            if acc:
+                return False
     return True

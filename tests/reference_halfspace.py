@@ -1,0 +1,75 @@
+"""Per-entry references for the half-space solver's window assembly and its
+amended-identity certificate, kept to check the block assembly and the
+one-product identity in `solvspin.halfspace` against."""
+
+from fractions import Fraction
+
+from solvspin.clifford import gamma_rows
+from solvspin.halfspace import frame_derivative
+
+
+def window_equations_per_entry(model, rep, lam, monos):
+    """(equations, cancelled) of one window, summed one entry at a time.
+
+    Equations are keyed by (direction, monomial, row) and every operator-row
+    entry and derivative coefficient is accumulated into its key, so a
+    derivative that lands outside the window opens an equation of its own.
+    Empty equations are kept.  `cancelled` counts the entries the sums
+    dropped, which happens only where k/(2r) cancels a diagonal entry.
+    """
+    n = model.n
+    N = rep.spinor_dim
+    var_index = {}
+    for q, mono in enumerate(monos):
+        for h in range(N):
+            var_index[(mono, h)] = q * N + h
+    equations = {}
+    cancelled = 0
+
+    def acc(key, var, coeff):
+        nonlocal cancelled
+        row = equations.setdefault(key, {})
+        cur = row.get(var)
+        nv = coeff if cur is None else cur + coeff
+        if nv == 0:
+            cancelled += row.pop(var, None) is not None
+        else:
+            row[var] = nv
+
+    for d, rows in enumerate(model.operator_rows(rep, lam)):
+        for mono in monos:
+            k, m = mono
+            for i, row in enumerate(rows):
+                for j, coeff in row.items():
+                    acc((d, mono, i), var_index[(mono, j)], coeff)
+            if d == n - 1:
+                if k:
+                    c = Fraction(k, 2) / model.r
+                    for h in range(N):
+                        acc((d, mono, h), var_index[(mono, h)], c)
+            else:
+                e = m[d]
+                if e:
+                    m2 = m[:d] + (e - 1,) + m[d + 1:]
+                    c = Fraction(e) / model.r
+                    for h in range(N):
+                        acc((d, (k + 2, m2), h), var_index[(mono, h)], c)
+    return list(equations.values()), cancelled
+
+
+def amended_identity_three_term(model, rep, psi, lam):
+    """2 lambda^2 gamma_i gamma_t psi == lambda phi gamma_i psi - phi d_i psi,
+    with both sides built term by term, for every transverse direction i."""
+    n = model.n
+    phi = model.decomposition.phi[0][0][0]
+    lam_sq2 = 2 * lam * lam
+    et_psi = psi.apply_rows(gamma_rows(rep, n - 1))
+    for i in range(n - 1):
+        gi = gamma_rows(rep, i)
+        lhs = et_psi.apply_rows(gi).components
+        gi_psi = psi.apply_rows(gi).components
+        for h, comp in enumerate(psi.components):
+            rhs = gi_psi[h].scale(lam * phi) - frame_derivative(model, comp, i).scale(phi)
+            if not lhs[h].scale(lam_sq2) == rhs:
+                return False
+    return True

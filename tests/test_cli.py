@@ -177,6 +177,16 @@ class TestCommands:
             assert "spec %s:" % text in data["error"] and "invalid literal" not in data["error"]
             assert "error_type" not in data and "results" not in data
 
+    def test_halfspace_bad_sign_exits_one(self, capsys):
+        # the t-direction sign used to be reported as "eps0 must be +-1"
+        for spec in ("halfspace n=2 r=1 signs=1,2", "halfspace n=3 r=1 signs=2,1,1",
+                     "halfspace n=3 r=1 signs=1,0,-1"):
+            assert main(["killing-halfspace", spec, "--json"]) == 1
+            data = json.loads(capsys.readouterr().out)
+            assert data["error"].startswith("signs must each be +1 or -1, got ")
+            assert "eps0" not in data["error"]
+            assert "error_type" not in data and "results" not in data
+
     def test_killing_halfspace_window_over_limit_exits_one(self, capsys):
         started = time.perf_counter()
         code = main(["killing-halfspace", "halfspace n=3 r=1 signs=1,1,1", "--json",

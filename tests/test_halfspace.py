@@ -3,6 +3,7 @@
 import json
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ import solvspin.halfspace
 import solvspin.killing
 import solvspin.liealg
 from solvspin.cli import main
-from solvspin.exact import TS_I, TS_ONE, TowerScalar
+from solvspin.exact import TS_I, TS_ONE, TowerScalar, to_tower
 from solvspin.killing import killing_operator_rows, lambda_candidates
 from solvspin.liealg import curvature, levi_civita, ricci
 from solvspin.halfspace import (
@@ -21,10 +22,13 @@ from solvspin.halfspace import (
     HalfSpaceModel,
     frame_derivative,
     killing_residual,
+    _monomials,
+    _window_equations,
     parse_halfspace_spec,
     solve_killing_halfspace,
     verify_amended_identity,
 )
+from reference_halfspace import amended_identity_three_term, window_equations_per_entry
 
 F = Fraction
 
@@ -83,6 +87,13 @@ class TestModel:
             parse_halfspace_spec("halfspace n=2 r=1 signs=1,1 extra=3")
         with pytest.raises(ValueError, match="repeats key 'r'"):
             parse_halfspace_spec("halfspace n=2 r=1 signs=1,1 r=2")
+
+    def test_bad_sign_is_refused_by_name(self):
+        # a bad t-direction sign used to surface as "eps0 must be +-1", a bad
+        # x-sign as "signature entries must be +-1"
+        for signs in ((1, 2), (2, 1), (1, 0), (-1, -2)):
+            with pytest.raises(ValueError, match="^signs must each be"):
+                HalfSpaceModel(2, signs, F(1))
 
     def test_model_is_read_only(self):
         model = HalfSpaceModel(3, (1, 1, 1), F(1))
@@ -347,6 +358,94 @@ class TestSolver:
                 assert all(r.is_zero for r in killing_residual(model, rep, psi, cand.lam))
             total += len(sols)
         assert total >= rep.spinor_dim
+
+
+ASSEMBLY_MODELS = [
+    (2, (1, -1), F(1, 3)),
+    (3, (1, 1, 1), F(1)),
+    (3, (-1, 1, -1), F(2, 3)),
+    (4, (1, -1, 1, 1), F(1, 2)),
+    (5, (1, -1, 1, 1, -1), F(2, 3)),
+]
+
+
+def _equation_multiset(eqs):
+    return Counter(tuple(sorted((col, to_tower(v)) for col, v in eq.items())) for eq in eqs)
+
+
+class TestWindowAssembly:
+    def test_block_assembly_matches_per_entry_reference(self):
+        cancelled = 0
+        for n, signs, r in ASSEMBLY_MODELS:
+            model = HalfSpaceModel(n, signs, r)
+            rep = model.clifford_rep()
+            for cand in lambda_candidates(model.algebra):
+                for kmax, mmax in ((0, 0), (1, 1), (2, 1), (1, 2)):
+                    monos = _monomials(n - 1, kmax, mmax)
+                    got = _window_equations(model, rep, cand.lam, monos)
+                    want, dropped = window_equations_per_entry(model, rep, cand.lam, monos)
+                    cancelled += dropped
+                    assert all(eq and all(not v == 0 for v in eq.values()) for eq in got)
+                    assert _equation_multiset(got) == _equation_multiset(eq for eq in want if eq)
+        # the t-derivative k/(2r) cancels a diagonal entry somewhere in these
+        # windows, so the dropping is compared too
+        assert cancelled
+
+    def test_t_derivative_cancels_a_diagonal_entry(self):
+        # n = 3, r = 1: gamma_t is diagonal with entries +-i, so on either
+        # branch lam = +-i/2 the rows of -lam gamma_t hold +1/2 and -1/2 on the
+        # diagonal, which k/(2r) cancels at k = -1 and at k = +1
+        model = HalfSpaceModel(3, (1, 1, 1), F(1))
+        rep = model.clifford_rep()
+        monos = _monomials(2, 1, 0)
+        for cand in lambda_candidates(model.algebra):
+            want, dropped = window_equations_per_entry(model, rep, cand.lam, monos)
+            assert dropped == 2
+            got = _window_equations(model, rep, cand.lam, monos)
+            assert _equation_multiset(got) == _equation_multiset(eq for eq in want if eq)
+
+
+def _tampered(psi, h, mono, delta):
+    comps = list(psi.components)
+    terms = dict(comps[h].terms)
+    terms[mono] = terms.get(mono, 0) + delta
+    comps[h] = CoordFunction(terms)
+    return CoordSpinorField(comps)
+
+
+class TestTamperedSolutions:
+    @pytest.mark.parametrize("n, signs", [(3, (1, -1, 1)), (4, (1, 1, -1, -1)), (5, (1, -1, 1, 1, -1))])
+    def test_both_certificates_reject_a_changed_coefficient(self, n, signs):
+        model = HalfSpaceModel(n, signs, F(2, 3))
+        rep = model.clifford_rep()
+        x1 = (-1, (1,) + (0,) * (n - 2))  # t^(-1/2) x_1, inside the window
+        checked = 0
+        for cand in lambda_candidates(model.algebra):
+            lam = cand.lam
+            sols = solve_killing_halfspace(model, rep, lam, 1, 1)
+            assert sols
+            for psi in sols:
+                assert all(res.is_zero for res in killing_residual(model, rep, psi, lam))
+                assert verify_amended_identity(model, rep, psi, lam)
+                assert amended_identity_three_term(model, rep, psi, lam)
+                # t^(-1/2) x_1 e_0 alone is no Killing spinor and breaks the
+                # identity: d_1 sends it to t^(1/2), where no gamma term lands
+                bad = _tampered(psi, 0, x1, TS_ONE)
+                assert not all(res.is_zero for res in killing_residual(model, rep, bad, lam))
+                assert not verify_amended_identity(model, rep, bad, lam)
+                assert not amended_identity_three_term(model, rep, bad, lam)
+                # every stored coefficient changed in turn: the identity agrees
+                # with the three-term formula, and it holds wherever the
+                # residual vanishes, since it follows from the Killing equation
+                for h, comp in enumerate(psi.components):
+                    for mono in comp.terms:
+                        bad = _tampered(psi, h, mono, TS_ONE)
+                        ok = verify_amended_identity(model, rep, bad, lam)
+                        assert ok == amended_identity_three_term(model, rep, bad, lam)
+                        if all(res.is_zero for res in killing_residual(model, rep, bad, lam)):
+                            assert ok
+                        checked += 1
+        assert checked
 
 
 class TestAmendedIdentity:
