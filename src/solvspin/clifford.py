@@ -323,8 +323,8 @@ def raise_endomorphism(signs: Sequence[int], f) -> tuple:
 # kernels attached to a spinor
 # ---------------------------------------------------------------------------
 
-def annihilator_kernel(rep: CliffordRep, psi: Sequence) -> list[tuple]:
-    """Basis of V_psi = {real vectors v with v . psi = 0}.
+def annihilator_kernel(rep: CliffordRep, psi: Sequence) -> list[dict]:
+    """Basis of V_psi = {real vectors v with v . psi = 0}, as sparse rows {a: v_a}.
 
     Entry h of v . psi is sum_a v_a i**phase[a][h] psi[perm[a][h]].  Its four
     rational parts (along 1, i, w and i w) are the equations, one sparse row
@@ -388,26 +388,20 @@ def symmetric_commutant_kernel(rep: CliffordRep, psi: Sequence) -> CommutantKern
     if d == 0:
         return CommutantKernel((), 0)
     # columns u_k of the homogeneous f lie in V_psi: u_k = sum_j t[j][k] V_j;
-    # symmetry of f means eps_i u_k[i] = eps_k u_i[k].
-    eqs = []
-    for i in range(n):
-        for k in range(i + 1, n):
-            eq = {}
-            for j in range(d):
-                eq[j * n + k] = rep.signs[i] * V[j][i]
-                eq[j * n + i] = -rep.signs[k] * V[j][k]
-            eqs.append(eq)
-    sols = sparse_nullspace(eqs, d * n)
+    # symmetry of f means eps_i u_k[i] = eps_k u_i[k] for each pair i < k, so
+    # entry a of V_j enters the equation of every pair {a, b}
+    eqs = {(i, k): {} for i in range(n) for k in range(i + 1, n)}
+    for j, vj in enumerate(V):
+        for a, x in vj.items():
+            for b in range(n):
+                if b != a:
+                    eqs[min(a, b), max(a, b)][j * n + b] = rep.signs[a] * (x if a < b else -x)
     basis = []
-    for t in sols:
+    for t in sparse_nullspace([eq for eq in eqs.values() if eq], d * n):
         f = [[F0] * n for _ in range(n)]
-        for k in range(n):
-            for j in range(d):
-                coeff = t[j * n + k]
-                if coeff == 0:
-                    continue
-                for i in range(n):
-                    f[i][k] += coeff * V[j][i]
-        if any(any(x != 0 for x in row) for row in f):
-            basis.append(mat_from_rows(f))
+        for col, coeff in t.items():
+            j, k = divmod(col, n)
+            for i, x in V[j].items():
+                f[i][k] += coeff * x
+        basis.append(mat_from_rows(f))
     return CommutantKernel(tuple(basis), d)

@@ -33,7 +33,7 @@ from .exact import parse_rational, to_tower
 from .clifford import CliffordRep, build_gammas, gamma_rows
 from .killing import _spin_connection_rows, killing_operator_rows
 from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation, levi_civita
-from .linalg import identity, mat_scale, sparse_nullspace
+from .linalg import identity, mat_scale, normalize_vector, sparse_nullspace
 
 F0 = Fraction(0)
 
@@ -346,8 +346,10 @@ def solve_killing_halfspace(
     `_window_equations`, which reads the sparse operator rows the model holds
     for this branch, so the connection and the rows are built once per
     (model, rep, lambda), shared by every window and every `killing_residual`
-    on the solutions.  Each kernel basis vector has a 1 at its free column;
-    solutions are scaled so their first nonzero coefficient is one.
+    on the solutions.  Each kernel basis vector is a sparse row with a 1 at
+    its free column; `normalize_vector` scales it so the coefficient at its
+    lowest column is one, and each entry (column q N + h) becomes the
+    coefficient of monomial q in component h.
     """
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
         if bound < 0:
@@ -362,12 +364,10 @@ def solve_killing_halfspace(
     basis = sparse_nullspace(_window_equations(model, rep, lam, monos), unknowns)
     fields = []
     for vec in basis:
-        inv = 1 / next(x for x in vec if not x == 0)
         comps = [{} for _ in range(N)]
-        for col, x in enumerate(vec):
-            if not x == 0:
-                q, h = divmod(col, N)
-                comps[h][monos[q]] = to_tower(x * inv)
+        for col, x in normalize_vector(vec).items():
+            q, h = divmod(col, N)
+            comps[h][monos[q]] = to_tower(x)
         fields.append(CoordSpinorField([CoordFunction._from_clean(terms) for terms in comps]))
     return fields
 

@@ -168,13 +168,16 @@ def solve_invariant_killing(M: MetricLieAlgebra, rep: CliffordRep) -> KillingRep
     for cand in _lambda_candidates(M, data):
         ops = killing_operator_rows(M, rep, cand.lam, lifts)
         eqs = [row for rows in sorted(ops, key=lambda rows: sum(map(len, rows))) for row in rows]
-        basis = tuple(tuple(to_tower(x) for x in normalize_vector(v))
-                      for v in sparse_nullspace(eqs, N))
-        for psi in basis:
+        basis = []
+        for v in sparse_nullspace(eqs, N):
+            psi = [TS_ZERO] * N
+            for j, x in normalize_vector(v).items():
+                psi[j] = to_tower(x)
             for row in eqs:
                 if not sum((c * psi[j] for j, c in row.items()), TS_ZERO) == 0:
                     raise RuntimeError("solver returned a non-solution spinor")
-        results.append(CandidateResult(cand, basis, _ricci_filter(M, rep, cand.lam, data)))
+            basis.append(tuple(psi))
+        results.append(CandidateResult(cand, tuple(basis), _ricci_filter(M, rep, cand.lam, data)))
     return KillingReport(tuple(results))
 
 

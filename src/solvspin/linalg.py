@@ -5,13 +5,14 @@ the only requirements are +, -, *, / and an `== 0` test (exact for the first
 two, tolerance-based for floats).  Dense matrices are sequences of rows;
 functions return tuples of tuples so results stay hashable and immutable.
 
-Elimination is sparse: systems are lists of rows {column: coefficient}.
-`_sparse_echelon` is the one elimination loop; it gives ranks and spanning
-rows.  `sparse_nullspace` first pins every column that an equation with one
-nonzero entry sets to 0, repeating while removing pinned columns leaves new
-such equations, so only the rest pay for arithmetic in that loop; it then
-back-substitutes the pivot rows, each once, to the kernel basis.  The dense
-`rref` is kept only as the reference the tests compare against.
+Elimination is sparse: systems are lists of rows {column: coefficient}, and
+so are kernel bases.  `_sparse_echelon` is the one elimination loop; it gives
+ranks and spanning rows.  `sparse_nullspace` first pins every column that an
+equation with one nonzero entry sets to 0, repeating while removing pinned
+columns leaves new such equations, so only the rest pay for arithmetic in
+that loop; it then back-substitutes the pivot rows, each once, to the kernel
+basis, one sparse row per free column.  The dense `rref` is kept only as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ def mat_vec(A, v) -> tuple:
             acc = t if acc is None else acc + t
         out.append(_zero_like(row[0]) if acc is None else acc)
     return tuple(out)
-
-
-def vec_add(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def mat_equal(A, B) -> bool:
@@ -168,22 +165,24 @@ def _echelon(rows, ncols: int) -> dict[int, dict]:
     return pivots
 
 
-def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
-    """Kernel basis for a sparse system given as dicts {column: coefficient}.
+def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[dict]:
+    """Kernel basis, as sparse rows, of a system of dicts {column: coefficient}.
 
     First the pin pass: each equation is cleaned of its zero coefficients
     once, and one left with a single entry pins that column to 0.  Pinned
     columns are removed from the other equations until no new singleton
     appears.  A pinned column is a pivot whose reduced row is empty, so it
-    needs no scaling and no back-substitution, and the basis has 0 there.
+    needs no scaling and no back-substitution, and no basis row holds it.
     The pass reads every equation but does no arithmetic once the pins reach
     rank ncols.  The equations left go to the forward elimination
     (`_sparse_echelon`'s loop), then to back-substitution: each pivot row,
     highest pivot first, is rewritten once over the free columns from the
     rows of the later pivots it references, which are already rewritten.
-    That is the unique reduced echelon form, so free variables get 1 and
-    pivots minus their coefficient, the basis dense elimination gives.
-    Returns [] as soon as pins and pivots reach ncols.
+    That is the unique reduced echelon form.  Each basis vector is the row
+    {free column: 1, pivot column: minus its coefficient} over the pivots that
+    reference that free column, one per free column in increasing order; the
+    columns it leaves out are 0, so densified it is the basis dense
+    elimination gives.  Returns [] as soon as pins and pivots reach ncols.
     """
     pinned: set = set()
     rows = []
@@ -228,26 +227,19 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[tuple]:
                 else:
                     row[c] = nv
         reduced[pc] = row
-    basis = {}
-    for free in range(ncols):
-        if free not in pivots and free not in pinned:
-            vec = basis[free] = [Fraction(0)] * ncols
-            vec[free] = Fraction(1)
+    basis = {free: {free: Fraction(1)} for free in range(ncols)
+             if free not in pivots and free not in pinned}
     for pc, row in reduced.items():
         for free, coeff in row.items():
             if not coeff == 0:  # a float pivot row may keep an entry within tolerance of 0
                 basis[free][pc] = -coeff
-    return [tuple(vec) for vec in basis.values()]
+    return list(basis.values())
 
 
-def normalize_vector(v) -> tuple:
-    """Scale so the first nonzero entry is 1 (deterministic bases).
+def normalize_vector(row: dict) -> dict:
+    """A kernel row scaled so its entry at the lowest column is 1 (deterministic bases).
 
-    The lead is inverted once and only nonzero entries are multiplied; zero
-    entries are kept as they are.
+    The lead is inverted once; the result lists the columns in increasing order.
     """
-    for x in v:
-        if not x == 0:
-            inv = 1 / x
-            return tuple(y if y == 0 else y * inv for y in v)
-    return tuple(v)
+    inv = 1 / row[min(row)]
+    return {c: row[c] * inv for c in sorted(row)}

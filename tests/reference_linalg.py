@@ -46,6 +46,17 @@ def nullspace(mat, ncols: int | None = None) -> list[tuple]:
     return basis
 
 
+def densify(rows, ncols: int, zero=Fraction(0)) -> list[tuple]:
+    """Sparse rows {column: value} as dense tuples of length ncols, `zero` elsewhere."""
+    out = []
+    for row in rows:
+        vec = [zero] * ncols
+        for c, v in row.items():
+            vec[c] = v
+        out.append(tuple(vec))
+    return out
+
+
 def solve_linear(A, b):
     """One exact solution of A x = b (free variables set to 0), or None."""
     rows = [list(ra) + [bv] for ra, bv in zip(A, b)]

@@ -30,7 +30,7 @@ from solvspin.liealg import (
 )
 from solvspin.linalg import mat_equal, mat_mul, mat_scale, mat_sub, normalize_vector
 
-from reference_linalg import nullspace
+from reference_linalg import densify, nullspace
 
 F = Fraction
 
@@ -179,8 +179,9 @@ def _dense_invariant_solve(M, rep):
         rows = []
         for i in range(M.dim):
             rows.extend(list(r) for r in mat_sub(ops[i], mat_scale(cand.lam, rep.gammas[i])))
-        basis = [normalize_vector(v) for v in nullspace(rows, rep.spinor_dim)]
-        out.append(tuple(tuple(to_tower(x) for x in v) for v in basis))
+        basis = [normalize_vector({c: x for c, x in enumerate(v) if not x == 0})
+                 for v in nullspace(rows, rep.spinor_dim)]
+        out.append(tuple(tuple(to_tower(x) for x in v) for v in densify(basis, rep.spinor_dim)))
     return out
 
 

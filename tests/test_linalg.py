@@ -17,7 +17,7 @@ from solvspin.linalg import (
     transpose,
 )
 
-from reference_linalg import matrix_rank, nullspace, solve_linear
+from reference_linalg import densify, matrix_rank, nullspace, solve_linear
 
 F = Fraction
 
@@ -62,7 +62,7 @@ def test_sparse_matches_dense_on_random_systems():
             {c: v for c, v in enumerate(row) if v != 0} for row in dense
         ]
         nd = nullspace([list(r) for r in dense], ncols)
-        ns = sparse_nullspace(sparse, ncols)
+        ns = densify(sparse_nullspace(sparse, ncols), ncols)
         # both reduce to the unique reduced echelon form, so the bases agree
         assert ns == nd
         for v in ns:
@@ -85,7 +85,7 @@ def test_sparse_matches_dense_over_tower():
             # a dependent row: i times the first plus the second
             dense.append([TowerScalar.imaginary(1) * a + b for a, b in zip(dense[0], dense[1])])
         sparse = [{c: v for c, v in enumerate(row) if not v == 0} for row in dense]
-        assert sparse_nullspace(sparse, ncols) == nullspace([list(r) for r in dense], ncols)
+        assert densify(sparse_nullspace(sparse, ncols), ncols) == nullspace([list(r) for r in dense], ncols)
 
 
 def test_sparse_full_rank_stops_early():
@@ -107,9 +107,13 @@ def test_sparse_nullspace_over_tower():
     i = TowerScalar.imaginary(1)
     # x + i y = 0
     basis = sparse_nullspace([{0: TowerScalar.rational(1), 1: i}], 2)
-    assert len(basis) == 1
+    # 1 at the free column 1, minus the pivot row's coefficient at column 0
+    assert basis == [{1: 1, 0: -i}]
     v = normalize_vector(basis[0])
-    assert v[0] == 1 and v[1] * i == -1
+    assert list(v) == [0, 1] and v[0] == 1 and v[1] * i == -1
+    # the lowest column leads, whichever order the row lists its columns in
+    v = normalize_vector({4: TowerScalar(0, 0, 1, 0, 2), 1: 2 * i})
+    assert list(v) == [1, 4] and v[1] == 1 and v[4] * 2 * i == TowerScalar(0, 0, 1, 0, 2)
 
 
 def _dense(eqs, ncols, zero):
@@ -121,10 +125,14 @@ def _assert_matches_reference(eqs, ncols, zero):
     before = [dict(row) for row in eqs]
     basis = sparse_nullspace(eqs, ncols)
     assert eqs == before  # the equations are read, never changed
-    assert basis == nullspace(dense, ncols)
+    assert densify(basis, ncols, zero) == nullspace(dense, ncols)
     for v in basis:
+        # no stored zero; the pivots a free column enters lie below it, so the
+        # 1 at the free column is the row's highest entry
+        assert all(not x == 0 for x in v.values())
+        assert v[max(v)] == 1
         for row in eqs:
-            assert sum((a * v[c] for c, a in row.items()), zero) == 0
+            assert sum((a * v[c] for c, a in row.items() if c in v), zero) == 0
     return basis
 
 
@@ -190,7 +198,7 @@ def test_back_substitution_through_long_pivot_chains(field):
     basis = _assert_matches_reference(chain, ncols, zero)
     assert len(basis) == ncols - length
     # pivot 0 reaches the free columns only through the whole chain
-    assert any(not v[0] == 0 for v in basis)
+    assert any(0 in v for v in basis)
     assert _assert_matches_reference(chain[::-1], ncols, zero) == basis
 
 
@@ -211,11 +219,12 @@ def test_back_substitution_over_floats():
     eqs = _random_system(rng, lambda r: FloatScalar(r.uniform(-2.0, 2.0)), ncols, 10, 0.3)
     basis = _assert_matches_reference(eqs, ncols, FloatScalar(0.0))
     assert len(basis) == ncols - matrix_rank(_dense(eqs, ncols, FloatScalar(0.0)))
-    # scaled by its pivot, 1e-8 falls within tolerance of 0: the entry stays an
-    # exact 0, as dense elimination leaves it
+    # scaled by its pivot, 1e-8 falls within tolerance of 0: the row stores
+    # nothing there, as dense elimination leaves an exact 0
     eqs = [{0: FloatScalar(1000.0), 1: FloatScalar(1e-8)}]
     got, want = sparse_nullspace(eqs, 2), nullspace(_dense(eqs, 2, FloatScalar(0.0)), 2)
-    assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want] == [[F, F]]
+    assert got == [{1: F(1)}] and type(got[0][1]) is F
+    assert densify(got, 2) == want and [list(map(type, v)) for v in want] == [[F, F]]
 
 
 # the pin pass: an equation with one nonzero entry fixes that column to 0, and
@@ -239,7 +248,7 @@ def test_pins_cascade_to_a_fixpoint(field):
     rest = [{c + length: v for c, v in row.items()} for row in rest]
     eqs = chain + [emptied] + rest
     basis = _assert_matches_reference(eqs, ncols, zero)
-    assert basis and all(v[c] == 0 for v in basis for c in range(length))
+    assert basis and all(c not in v for v in basis for c in range(length))
     for order in (eqs[::-1], rng.sample(eqs, len(eqs))):
         assert _assert_matches_reference(order, ncols, zero) == basis
 
@@ -255,9 +264,9 @@ def test_zero_coefficients_and_zero_rows_pin_nothing(field):
            {4: entry(rng), 5: zero, 1: entry(rng)}]  # column 4 after the pin of 1
     basis = _assert_matches_reference(eqs, ncols, zero)
     assert len(basis) == 3
-    assert any(not v[0] == 0 for v in basis)
-    assert all(v[1] == 0 and v[4] == 0 for v in basis)
-    assert sparse_nullspace([{}, {0: zero}, {1: zero, 2: zero}], 3) == nullspace(
+    assert any(0 in v for v in basis)
+    assert all(1 not in v and 4 not in v for v in basis)
+    assert densify(sparse_nullspace([{}, {0: zero}, {1: zero, 2: zero}], 3), 3, zero) == nullspace(
         [[zero] * 3] * 3, 3)
 
 
