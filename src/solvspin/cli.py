@@ -118,6 +118,8 @@ def parse_algebra_text(text: str):
             except ValueError:
                 raise AlgebraFileError("malformed signs line", line_no)
         elif line.startswith("abelian:"):
+            if abelian is not None:
+                raise AlgebraFileError("duplicate abelian line", line_no)
             try:
                 abelian = tuple(int(tok) - 1 for tok in line.split(":", 1)[1].replace(",", " ").split())
             except ValueError:

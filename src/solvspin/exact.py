@@ -95,6 +95,9 @@ class TowerScalar:
     def __setattr__(self, name, value):
         raise AttributeError("TowerScalar is immutable")
 
+    def __reduce__(self):
+        return (from_numerators, self._t)
+
     @classmethod
     def rational(cls, x: RationalLike) -> "TowerScalar":
         x = Fraction(x)
@@ -423,6 +426,9 @@ class FloatScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("FloatScalar is immutable")
+
+    def __reduce__(self):
+        return (FloatScalar, (self.value, self.tol))
 
     @staticmethod
     def _val(x):

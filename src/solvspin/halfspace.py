@@ -165,6 +165,9 @@ class CoordFunction:
     def __setattr__(self, name, value):
         raise AttributeError("CoordFunction is immutable")
 
+    def __reduce__(self):
+        return (CoordFunction, (self.terms,))
+
     @classmethod
     def zero(cls) -> "CoordFunction":
         return cls()
@@ -266,6 +269,9 @@ class CoordSpinorField:
 
     def __setattr__(self, name, value):
         raise AttributeError("CoordSpinorField is immutable")
+
+    def __reduce__(self):
+        return (CoordSpinorField, (self.components,))
 
     @classmethod
     def zero(cls, N: int) -> "CoordSpinorField":

@@ -9,11 +9,12 @@ A metric that passes everything is the hyperbolic half-space H^eps_r with
 r = 1/(2|lambda|); the solver, in contrast, handles only invariant spinors,
 whose equation is a finite linear system on the fiber.
 
-One solve computes the Levi-Civita connection and the Ricci data once.  Each
-per-direction operator nabla_{e_i} - lambda gamma_i is built as sparse rows
-{column: coefficient} straight from the connection's nonzero Gamma entries
-and the monomial gammas, with no dense nabla matrix, and the stacked rows
-go to `sparse_nullspace`, which stops as soon as the rank reaches the spinor
+One solve computes the Levi-Civita connection, the Ricci data and the Ricci
+filter (which depends on lambda^2 only) once.  Each per-direction operator
+nabla_{e_i} - lambda gamma_i is built as sparse rows {column: coefficient}
+straight from the connection's nonzero Gamma entries and the monomial
+gammas, with no dense nabla matrix, and the stacked rows go to
+`sparse_nullspace`, which stops as soon as the rank reaches the spinor
 dimension N: the usual outcome, since the system has only the zero solution
 even on the half-spaces.  The same rows serve the half-space solver.
 """
@@ -63,14 +64,15 @@ def lambda_candidates(M: MetricLieAlgebra) -> list[LambdaCandidate]:
     s = 4 n (n-1) lambda^2 forces lambda^2; the degenerate lambda = 0 case
     (parallel spinors) is excluded, so s = 0 yields no candidates.
     """
-    return _lambda_candidates(M, ricci(M))
+    return _lambda_candidates(M, ricci(M).scalar)
 
 
-def _lambda_candidates(M: MetricLieAlgebra, data: RicciData) -> list[LambdaCandidate]:
+def _lambda_candidates(M: MetricLieAlgebra, s) -> list[LambdaCandidate]:
+    """Both branches of lambda for scalar curvature s: the one place lambda^2 is formed."""
     n = M.dim
     if n < 2:
         raise ValueError("need dimension >= 2")
-    s = to_rational(data.scalar)
+    s = to_rational(s)
     if s == 0:
         return []
     lam_sq = s / (4 * n * (n - 1))
@@ -154,18 +156,21 @@ class KillingReport:
 def solve_invariant_killing(M: MetricLieAlgebra, rep: CliffordRep) -> KillingReport:
     """Joint kernel of (nabla_{e_i} - lambda gamma_i) over all frame directions.
 
-    The connection and the Ricci data are computed once; the operator rows are
-    stacked sparsest direction first, so a direction with nabla_{e_i} = 0
-    (the abelian direction of a pseudo-Iwasawa algebra) reaches rank N on its
-    own and ends the elimination.  Every returned basis spinor is
-    re-substituted into every row; exact arithmetic throughout.
+    The connection, the Ricci data and the Ricci filter (a function of
+    lambda^2, which both branches share) are computed once; the operator
+    rows are stacked sparsest direction first, so a direction with
+    nabla_{e_i} = 0 (the abelian direction of a pseudo-Iwasawa algebra)
+    reaches rank N on its own and ends the elimination.  Every returned basis
+    spinor is re-substituted into every row; exact arithmetic throughout.
     """
     conn = levi_civita(M)
     lifts = _spin_connection_rows(M, rep, conn)
     data = ricci(M, conn)
+    cands = _lambda_candidates(M, data.scalar)
+    filter_dim = _ricci_filter(M, rep, cands[0].lam_squared, data) if cands else None
     N = rep.spinor_dim
     results = []
-    for cand in _lambda_candidates(M, data):
+    for cand in cands:
         ops = killing_operator_rows(M, rep, cand.lam, lifts)
         eqs = [row for rows in sorted(ops, key=lambda rows: sum(map(len, rows))) for row in rows]
         basis = []
@@ -177,7 +182,7 @@ def solve_invariant_killing(M: MetricLieAlgebra, rep: CliffordRep) -> KillingRep
                 if not sum((c * psi[j] for j, c in row.items()), TS_ZERO) == 0:
                     raise RuntimeError("solver returned a non-solution spinor")
             basis.append(tuple(psi))
-        results.append(CandidateResult(cand, tuple(basis), _ricci_filter(M, rep, cand.lam, data)))
+        results.append(CandidateResult(cand, tuple(basis), filter_dim))
     return KillingReport(tuple(results))
 
 
@@ -187,13 +192,11 @@ def ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam) -> int:
     Any Killing spinor with constant lambda lies in this space pointwise, so
     the dimension upper-bounds existence, invariant or not.
     """
-    return _ricci_filter(M, rep, lam, ricci(M))
+    return _ricci_filter(M, rep, to_rational(lam * lam), ricci(M))
 
 
-def _ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam, data: RicciData) -> int:
+def _ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam_sq: Fraction, data: RicciData) -> int:
     n = M.dim
-    N = rep.spinor_dim
-    lam_sq = to_rational(lam * lam)
     rows = []
     factor = 4 * (n - 1) * lam_sq
     for i in range(n):
@@ -201,18 +204,14 @@ def _ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam, data: RicciData) -
         if all(x == 0 for x in w):
             continue
         rows.extend(gamma_of_vector_rows(rep, w))
-    if not rows:
-        return N
-    return len(sparse_nullspace(rows, N))
+    return len(sparse_nullspace(rows, rep.spinor_dim))
 
 
 def phi_square_check(M: MetricLieAlgebra, decomp: StandardDecomposition, lam_sq: Fraction) -> list[bool]:
     """Per-alpha exact test of phi_alpha^2 = -4 eps_alpha lambda^2 id."""
-    nil = decomp.nil_indices
     out = []
-    for a_pos, a in enumerate(decomp.abelian_indices):
-        phi = decomp.phi[a_pos]
-        target = mat_scale(-4 * M.signs[a] * lam_sq, identity(len(nil)))
+    for a, phi in zip(decomp.abelian_indices, decomp.phi):
+        target = mat_scale(-4 * M.signs[a] * lam_sq, identity(len(phi)))
         out.append(mat_equal(mat_mul(phi, phi), target))
     return out
 
@@ -274,69 +273,46 @@ def classify_pseudo_iwasawa(M: MetricLieAlgebra, decomp: StandardDecomposition) 
     where every fiber spinor extends to a (non-invariant) Killing spinor.
     """
     checks: list[Check] = []
+
+    def passes(name: str, passed: bool, detail: str = "") -> bool:
+        checks.append(Check(name, passed, detail))
+        return passed
+
+    def verdict(kind: str, reason: str = "", **found) -> ObstructionReport:
+        return ObstructionReport(Verdict(kind, reason, **found), tuple(checks))
+
     std = check_standard(M, decomp)
-    checks.append(Check("pseudo_iwasawa", std.is_standard and std.is_pseudo_iwasawa,
-                        "; ".join(std.failures)))
-    if not (std.is_standard and std.is_pseudo_iwasawa):
-        return ObstructionReport(
-            Verdict("NotApplicable", reason="not a pseudo-Iwasawa standard decomposition"),
-            tuple(checks),
-        )
+    if not passes("pseudo_iwasawa", std.is_pseudo_iwasawa, "; ".join(std.failures)):
+        return verdict("NotApplicable", "not a pseudo-Iwasawa standard decomposition")
     nil, ab = decomp.nil_indices, decomp.abelian_indices
-    ng, k, n = len(nil), len(ab), M.dim
-    sub = restrict(M, nil)
-    g_abelian = all(x == 0 for *_, x in sub.algebra.brackets)
-    checks.append(Check("nilradical_abelian", g_abelian))
-    if not g_abelian:
-        return ObstructionReport(
-            Verdict("NoKillingSpinor", reason="g non-abelian"), tuple(checks))
+    ng, k = len(nil), len(ab)
+    if not passes("nilradical_abelian", all(x == 0 for *_, x in restrict(M, nil).algebra.brackets)):
+        return verdict("NoKillingSpinor", "g non-abelian")
     s = to_rational(ricci(M).scalar)
-    has_lambda = s != 0
-    checks.append(Check("lambda_candidates", has_lambda,
-                        "scalar curvature %s" % format_rational(s)))
-    if not has_lambda:
-        return ObstructionReport(
-            Verdict("NoKillingSpinor", reason="no lambda candidate (scalar curvature is zero)"),
-            tuple(checks))
-    lam_sq = s / (4 * n * (n - 1))
+    # s = 0 exits before _lambda_candidates: a 1-dimensional input gets this verdict, not an error
+    if not passes("lambda_candidates", s != 0, "scalar curvature %s" % format_rational(s)):
+        return verdict("NoKillingSpinor", "no lambda candidate (scalar curvature is zero)")
+    lam_sq = _lambda_candidates(M, s)[0].lam_squared
     if k > 1:
         sq_ok = phi_square_check(M, decomp, lam_sq)
-        checks.append(Check("phi_square", all(sq_ok),
-                            "per-alpha results %s" % sq_ok))
-        if not all(sq_ok):
-            return ObstructionReport(
-                Verdict("NoKillingSpinor",
-                        reason="phi_alpha^2 != -4 eps_alpha lambda^2 id"),
-                tuple(checks))
-        checks.append(Check("abelian_rank", False,
-                            "dim a = %d > 1: (n+k)(n+k-1) = nk has no solutions, since "
-                            "(n+k)(n+k-1) - nk = n(n-1) + k(k-1) + nk > 0" % k))
-        return ObstructionReport(
-            Verdict("NoKillingSpinor",
-                    reason="dim a = %d > 1: (n+k)(n+k-1) = nk has no integer solutions" % k),
-            tuple(checks))
+        if not passes("phi_square", all(sq_ok), "per-alpha results %s" % sq_ok):
+            return verdict("NoKillingSpinor", "phi_alpha^2 != -4 eps_alpha lambda^2 id")
+        passes("abelian_rank", False,
+               "dim a = %d > 1: (n+k)(n+k-1) = nk has no solutions, since "
+               "(n+k)(n+k-1) - nk = n(n-1) + k(k-1) + nk > 0" % k)
+        return verdict("NoKillingSpinor",
+                       "dim a = %d > 1: (n+k)(n+k-1) = nk has no integer solutions" % k)
     # k = 1: trace normalization precedes the phi tests, mirroring the proof
     eps0 = M.signs[ab[0]]
     phi0 = decomp.phi[0]
     tr_phi = to_rational(trace(phi0))
     required_sq = -eps0 * (s - 4 * lam_sq * ng)
-    trace_ok = tr_phi * tr_phi == required_sq
-    checks.append(Check(
-        "trace_identity", trace_ok,
-        "(Tr phi_0)^2 = %s, identity needs %s"
-        % (format_rational(tr_phi * tr_phi), format_rational(required_sq))))
-    if not trace_ok:
-        return ObstructionReport(
-            Verdict("NoKillingSpinor",
-                    reason="trace identity fails: (Tr phi_0)^2 = %s != %s"
-                    % (format_rational(tr_phi * tr_phi), format_rational(required_sq))),
-            tuple(checks))
-    sq_ok = phi_square_check(M, decomp, lam_sq)
-    checks.append(Check("phi_square", all(sq_ok)))
-    if not all(sq_ok):
-        return ObstructionReport(
-            Verdict("NoKillingSpinor", reason="phi_0^2 != -4 eps_0 lambda^2 id"),
-            tuple(checks))
+    squares = (format_rational(tr_phi * tr_phi), format_rational(required_sq))
+    if not passes("trace_identity", tr_phi * tr_phi == required_sq,
+                  "(Tr phi_0)^2 = %s, identity needs %s" % squares):
+        return verdict("NoKillingSpinor", "trace identity fails: (Tr phi_0)^2 = %s != %s" % squares)
+    if not passes("phi_square", all(phi_square_check(M, decomp, lam_sq))):
+        return verdict("NoKillingSpinor", "phi_0^2 != -4 eps_0 lambda^2 id")
     # eigenvalues are +-1/r with 1/r^2 = -4 eps_0 lambda^2; the trace identity
     # forces them all equal, so phi_0 must be +-(1/r) id exactly
     inv_r_sq = -4 * eps0 * lam_sq
@@ -347,17 +323,11 @@ def classify_pseudo_iwasawa(M: MetricLieAlgebra, decomp: StandardDecomposition) 
         sign = -1 if flipped else 1
         target = mat_scale(Fraction(sign, 1) / r, identity(ng))
         scalar_ok = mat_equal(phi0, target)
-    checks.append(Check("phi_scalar", scalar_ok,
-                        "phi_0 == +-(1/r) id with r = %s" % (format_rational(r) if r else "?")))
-    if not scalar_ok:
-        return ObstructionReport(
-            Verdict("NoKillingSpinor", reason="phi_0 is not +-(1/r) id"),
-            tuple(checks))
+    if not passes("phi_scalar", scalar_ok,
+                  "phi_0 == +-(1/r) id with r = %s" % (format_rational(r) if r else "?")):
+        return verdict("NoKillingSpinor", "phi_0 is not +-(1/r) id")
     # cross-check r = 1/(2|lambda|): r^2 * 4 |lambda^2| = 1 exactly
     if r * r * 4 * abs(lam_sq) != 1:
         raise RuntimeError("half-space radius r = %s is not 1/(2|lambda|)" % format_rational(r))
     epsilon = tuple(M.signs[i] for i in nil) + (eps0,)
-    return ObstructionReport(
-        Verdict("HyperbolicHalfSpace", r=r, epsilon=epsilon, sign_flipped=bool(flipped)),
-        tuple(checks),
-    )
+    return verdict("HyperbolicHalfSpace", r=r, epsilon=epsilon, sign_flipped=bool(flipped))

@@ -17,7 +17,9 @@ the `nabla(i)` matrices are views); `ricci` contracts those entries,
 summing over pairs of nonzero entries.  Neither forms a dense table, ad
 matrices or the Riemann tensor; the full tensor is still available from
 `curvature`.  Zeros in the dense views and results are the algebra's own
-`zero`, so the float backend reports FloatScalar zeros.
+`zero`, so the float backend reports FloatScalar zeros.  The standard
+decompositions read the entries too: phi_alpha and the mixed Ricci block
+come straight from them.
 """
 
 from __future__ import annotations
@@ -120,15 +122,6 @@ class LieAlgebra:
             c[i][j][k] = v
         return tuple(tuple(tuple(row) for row in plane) for plane in c)
 
-    def ad_basis(self, i: int) -> tuple:
-        """Matrix of ad e_i: v -> [e_i, v]."""
-        n = self.dim
-        m = [[self.zero] * n for _ in range(n)]
-        for a, j, k, c in self.brackets:
-            if a == i:
-                m[k][j] = c
-        return tuple(tuple(row) for row in m)
-
 
 def _pairs(L: LieAlgebra) -> dict:
     """{(i, j): [(k, c_ij^k)]} over the nonzero entries."""
@@ -212,12 +205,6 @@ class MetricLieAlgebra:
                 continue
             acc = acc + s * a * b
         return acc
-
-    def transpose(self, f):
-        return metric_transpose(f, self.signs)
-
-    def symmetric_part(self, f):
-        return symmetric_part(f, self.signs)
 
 
 def metric_transpose(f, signs) -> tuple:
@@ -434,10 +421,6 @@ def ricci(M: MetricLieAlgebra, conn: Optional[Connection] = None) -> RicciData:
     return _ricci_from_form(ric, M.signs)
 
 
-def scalar_curvature(M: MetricLieAlgebra):
-    return ricci(M).scalar
-
-
 # ---------------------------------------------------------------------------
 # standard decompositions
 # ---------------------------------------------------------------------------
@@ -447,7 +430,8 @@ class StandardDecomposition:
     """Frame split into a nilpotent-ideal part and an abelian part.
 
     phi[alpha] is the matrix of phi_alpha = -ad e_alpha restricted to the
-    nilpotent part, written in nil-index order.
+    nilpotent part, written in nil-index order: phi_alpha[p][q] is
+    -c(e_alpha, e_nil[q], e_nil[p]), read from the stored bracket entries.
     """
 
     nil_indices: tuple
@@ -461,11 +445,13 @@ def standard_decomposition(M: MetricLieAlgebra, abelian_indices: Sequence[int]) 
     nil = tuple(i for i in range(n) if i not in set(ab))
     if set(ab) | set(nil) != set(range(n)) or len(set(ab)) != len(ab):
         raise NotStandardError("index split must partition the frame")
-    phis = []
-    for a in ab:
-        ada = M.algebra.ad_basis(a)
-        phis.append(tuple(tuple(-ada[nil[p]][nil[q]] for q in range(len(nil))) for p in range(len(nil))))
-    return StandardDecomposition(nil, ab, tuple(phis))
+    pos = {i: p for p, i in enumerate(nil)}
+    ab_pos = {a: t for t, a in enumerate(ab)}
+    phis = [[[M.algebra.zero] * len(nil) for _ in nil] for _ in ab]
+    for a, j, k, c in M.algebra.brackets:
+        if a in ab_pos and j in pos and k in pos:
+            phis[ab_pos[a]][pos[k]][pos[j]] = -c
+    return StandardDecomposition(nil, ab, tuple(mat_from_rows(phi) for phi in phis))
 
 
 def restrict(M: MetricLieAlgebra, indices: Sequence[int]) -> MetricLieAlgebra:
@@ -498,22 +484,15 @@ def check_standard(M: MetricLieAlgebra, decomp: StandardDecomposition) -> Standa
         return StandardReport(False, False, ("index split must partition the frame",))
     nil_set, ab_set = set(nil), set(ab)
     # a abelian
-    pairs = []
-    for a, b, _, x in M.algebra.brackets:
-        if a in ab_set and b in ab_set and not x == 0 and (a, b) not in pairs:
-            pairs.append((a, b))
+    pairs = dict.fromkeys((a, b) for a, b, _, x in M.algebra.brackets
+                          if a in ab_set and b in ab_set and not x == 0)
     failures.extend("abelian part brackets nontrivially: [e_%d, e_%d] != 0" % p for p in pairs)
     # g an ideal: [anything, g] stays in g
     for i, j, k, x in M.algebra.brackets:
         if j in nil_set and k not in nil_set and not x == 0:
             failures.append("nil part is not an ideal: [e_%d, e_%d] leaks to e_%d" % (i, j, k))
-    nilpotent = True
-    if not failures:
-        sub = restrict(M, nil) if nil else None
-        if sub is not None and nil:
-            _, nilpotent = lower_central_series(sub.algebra)
-            if not nilpotent:
-                failures.append("nil part is not nilpotent")
+    if not failures and nil and not lower_central_series(restrict(M, nil).algebra)[1]:
+        failures.append("nil part is not nilpotent")
     is_standard = not failures
     is_pi = is_standard
     if is_standard:
@@ -544,25 +523,25 @@ def ricci_standard(M: MetricLieAlgebra, decomp: StandardDecomposition) -> RicciD
     ric = [[F0] * n for _ in range(n)]
     phi_star = [metric_transpose(p, nil_signs) for p in decomp.phi]
     phi_sym = [symmetric_part(p, nil_signs) for p in decomp.phi]
+    comm = [mat_sub(mat_mul(p, ps), mat_mul(ps, p)) for p, ps in zip(decomp.phi, phi_star)]
+    tr = [trace(p) for p in decomp.phi]
     # nil block
     for p in range(ng):
         for q in range(ng):
             acc = ric_g[p][q]
             for a_pos, a in enumerate(ab):
                 eps_a = M.signs[a]
-                comm = mat_sub(
-                    mat_mul(decomp.phi[a_pos], phi_star[a_pos]),
-                    mat_mul(phi_star[a_pos], decomp.phi[a_pos]),
-                )
-                acc = acc + HALF * eps_a * _inner_entry(comm, p, q, nil_signs)
-                tr = trace(decomp.phi[a_pos])
-                acc = acc - eps_a * tr * _inner_entry(phi_sym[a_pos], p, q, nil_signs)
+                acc = acc + HALF * eps_a * _inner_entry(comm[a_pos], p, q, nil_signs)
+                acc = acc - eps_a * tr[a_pos] * _inner_entry(phi_sym[a_pos], p, q, nil_signs)
             ric[nil[p]][nil[q]] = acc
-    # mixed block: ric(v, e_alpha) = (1/2) Tr(ad v o phi_alpha*)
-    for p in range(ng):
-        adp = sub.algebra.ad_basis(p)
-        for a_pos, a in enumerate(ab):
-            val = HALF * trace(mat_mul(adp, phi_star[a_pos]))
+    # mixed block: ric(v, e_alpha) = (1/2) Tr(ad v o phi_alpha*), where
+    # Tr(ad e_p o phi_alpha*) = sum_jk c_pjk phi_alpha*[j][k] over the nil entries
+    for a_pos, a in enumerate(ab):
+        tr_ad = [F0] * ng
+        for p, j, k, c in sub.algebra.brackets:
+            tr_ad[p] = tr_ad[p] + c * phi_star[a_pos][j][k]
+        for p in range(ng):
+            val = HALF * tr_ad[p]
             ric[nil[p]][a] = val
             ric[a][nil[p]] = val
     # abelian block: ric(e_alpha, e_beta) = -Tr(phi_alpha^s o phi_beta)
@@ -610,11 +589,8 @@ def standard_connection_identities(M: MetricLieAlgebra, decomp: StandardDecompos
             for k in range(len(nil)):
                 want[nil[k]] = sub_conn.gamma[w_pos][v_pos][k]
             for a_pos, a in enumerate(ab):
-                phv = tuple(decomp.phi[a_pos][p][w_pos] for p in range(len(nil)))
-                inner = F0
-                for p in range(len(nil)):
-                    inner = inner + nil_signs[p] * phv[p] * (F1 if p == v_pos else F0)
-                want[a] = want[a] - M.signs[a] * inner
+                # sum_p eps_p phi_alpha[p][w] g(e_p, e_v) has the single term p = v
+                want[a] = -M.signs[a] * nil_signs[v_pos] * decomp.phi[a_pos][v_pos][w_pos]
             if any(not g == t for g, t in zip(got, want)):
                 fails.append("nabla_{e_%d} e_%d mixed-term identity fails" % (w, v))
     return fails

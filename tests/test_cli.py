@@ -197,6 +197,16 @@ class TestCommands:
         assert "kmax = 100000, mmax = 100" in data["error"] and "limit" in data["error"]
         assert "error_type" not in data and "results" not in data
 
+    def test_duplicate_abelian_line_exits_one(self, tmp_path, capsys):
+        # a second abelian line is an error, like a second dim or signs line
+        (tmp_path / "a.alg").write_text("dim 3\n1 3 1 1\nabelian: 3\nabelian: 2\n")
+        (tmp_path / "b.alg").write_text("dim 3\n1 3 1 1\nabelian: 3\n")
+        assert main(["classify", str(tmp_path), "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["summary"] == {"total": 2, "succeeded": 1, "failed": 1}
+        assert data["batch"][0]["error"] == "line 4: duplicate abelian line"
+        assert "error_type" not in data["batch"][0] and "results" not in data["batch"][0]
+
     def test_exponent_coefficient_exits_one(self, tmp_path, capsys):
         p = tmp_path / "exp.alg"
         for coeff in ("1e5000", "1e4000000"):
@@ -428,6 +438,17 @@ def test_validate_fuzzed_text_exits_cleanly(text):
 # printed form or the report layout shows here
 HEIS5_MIXED = "dim 5\nsigns +1 -1 +1 -1 +1\n1 2 5 2/3\n3 4 5 1/3\n"
 SU2 = "dim 3\nsigns +1 +1 +1\n1 2 3 1\n1 3 2 -1\n2 3 1 1\n"   # not nilpotent
+# one input per exit of `classify` ("g non-abelian" is ext.alg above; the
+# Lorentzian half-space in GOLDEN_REPORTS has sign_flipped true)
+CLASSIFY_INPUTS = {
+    "not_ideal.alg": "dim 3\n1 2 3 1\nabelian: 3\n",                   # NotApplicable
+    "flat.alg": "dim 3\nabelian: 3\n",                                  # phi = 0: no lambda
+    "line.alg": "dim 1\nabelian: 1\n",                                  # dim 1: no lambda
+    "trace.alg": "dim 3\n1 3 1 1\n2 3 2 2\nabelian: 3\n",              # phi = diag(1, 2)
+    "phi_square.alg": "dim 4\n1 3 1 1\n2 3 2 1\n1 4 1 1\n2 4 2 2\nabelian: 3,4\n",
+    "rank.alg": "dim 4\n1 3 1 1\n2 3 2 1\n1 4 1 1\n2 4 2 1\nabelian: 3,4\n",
+    "twice_id.alg": "dim 3\n1 3 1 2\n2 3 2 2\nabelian: 3\n",           # phi = 2 id
+}
 GOLDEN_REPORTS = (
     ("curvature", "heis3.alg", (),
      "c10810347c2d364de8dcaa4923a9712e9da1fb60a0d2490d97c658c3aeeb685c"),
@@ -463,6 +484,22 @@ GOLDEN_REPORTS = (
      "e8db2e50b4950945bece83c7eda9ae4441311a250f34299c5b6294fe82f74938"),
     ("validate", "su2.alg", ("--backend", "float"),
      "ac8d93b5eba82782e52226005e929b25dad0f24beaf2a42250bd0df3c6499962"),
+    ("classify", "not_ideal.alg", (),
+     "f7a508234f8c73ff6aa869cf37d72607310c710b0a99153a191d5e5cf3e72d18"),
+    ("classify", "flat.alg", (),
+     "bfed479ea4347f1be9ee7feead04b155976dab9d7e1c347833af2f297ee776a1"),
+    ("classify", "line.alg", (),
+     "e6d02b994757d545d2aef70833359ec585826ebaed0c7b7c1f21fb6e2c01988e"),
+    ("classify", "trace.alg", (),
+     "c2a8a933410740c4a1d4b7ae809ba3bad517dc734e1b47fca08d94b4d5342b66"),
+    ("classify", "phi_square.alg", (),
+     "3f9171e4bd6ac9ab877e31fe1cc7ca2d0e6554bdce4788bd16c067df0f60466a"),
+    ("classify", "rank.alg", (),
+     "0f0b0bcb09becbbf0874848ae2f647af2192685d124db4ca529e35a82bedef74"),
+    ("classify", "twice_id.alg", (),
+     "854e1033e457b8c6a36cc807a009d85606d233609afec6374e6060d4f07d50c3"),
+    ("classify", "halfspace n=4 r=1/2 signs=1,-1,1,-1", (),
+     "faa67bf7bce896fa0efb91aeda6168ba4c013e73f86acd678049269615e311f7"),
 )
 
 
@@ -470,6 +507,8 @@ def test_reports_match_golden_digests(tmp_path, capsys):
     (tmp_path / "heis3.alg").write_text(HEIS3)
     (tmp_path / "heis5.alg").write_text(HEIS5_MIXED)
     (tmp_path / "su2.alg").write_text(SU2)
+    for name, text in CLASSIFY_INPUTS.items():
+        (tmp_path / name).write_text(text)
     got, want = [], []
     for command, source, extra, digest in GOLDEN_REPORTS:  # in order: extend writes ext.alg
         source = source if source.startswith("halfspace") else str(tmp_path / source)

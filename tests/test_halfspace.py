@@ -1,6 +1,8 @@
 """Coordinate spinor fields on the hyperbolic half-space and the exact solver."""
 
+import copy
 import json
+import pickle
 import re
 import time
 from collections import Counter
@@ -12,9 +14,10 @@ import solvspin.halfspace
 import solvspin.killing
 import solvspin.liealg
 from solvspin.cli import main
-from solvspin.exact import TS_I, TS_ONE, TowerScalar, to_tower
-from solvspin.killing import killing_operator_rows, lambda_candidates
-from solvspin.liealg import curvature, levi_civita, ricci
+from solvspin.clifford import build_gammas
+from solvspin.exact import TS_I, TS_ONE, FloatScalar, TowerScalar, sqrt_to_tower, to_tower
+from solvspin.killing import killing_operator_rows, lambda_candidates, solve_invariant_killing
+from solvspin.liealg import curvature, einstein_extension, levi_civita, ricci
 from solvspin.halfspace import (
     MAX_UNKNOWNS,
     CoordFunction,
@@ -28,6 +31,7 @@ from solvspin.halfspace import (
     solve_killing_halfspace,
     verify_amended_identity,
 )
+from conftest import heisenberg3
 from reference_halfspace import amended_identity_three_term, window_equations_per_entry
 
 F = Fraction
@@ -474,3 +478,26 @@ class TestAmendedIdentity:
         sols = solve_killing_halfspace(model, rep, lam, 1, 1)
         data = sols[0].to_json_dict()
         assert set(data) == {"u_0", "u_1"}
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_values_and_results_survive_copy_and_pickle(clone):
+    for x in (TowerScalar(F(1, 2), -3), sqrt_to_tower(F(-2, 3)), TowerScalar.rational(0)):
+        y = clone(x)
+        assert type(y) is TowerScalar and y == x and y._t == x._t
+    y = clone(FloatScalar(0.25, 1e-6))
+    assert (type(y), y.value, y.tol) == (FloatScalar, 0.25, 1e-6)
+    model = HalfSpaceModel(3, (1, 1, -1), F(1, 2))
+    rep = model.clifford_rep()
+    for cand in lambda_candidates(model.algebra):
+        sols = solve_killing_halfspace(model, rep, cand.lam, 1, 1)
+        assert sols
+        for psi in sols:
+            copies = [clone(psi), CoordSpinorField([clone(f) for f in psi.components])]
+            for got in copies:
+                assert type(got) is CoordSpinorField
+                assert got.to_json_dict() == psi.to_json_dict()
+    ext, _, _ = einstein_extension(heisenberg3())
+    report = solve_invariant_killing(ext, build_gammas(ext.signs))
+    assert clone(report).to_json_dict() == report.to_json_dict()

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import solvspin.killing
 from conftest import abelian_metric, heisenberg3, random_pseudo_iwasawa, semidirect_metric
 from solvspin.exact import TowerScalar, to_tower
 from solvspin.clifford import build_gammas, dense_rows, gamma_of_vector
@@ -234,6 +235,20 @@ class TestRicciFilter:
         model = HalfSpaceModel(3, (1, 1, 1), F(1))
         rep = model.clifford_rep()
         assert ricci_filter(model.algebra, rep, TowerScalar.rational(1)) == 0
+
+    def test_one_filter_per_solve(self, monkeypatch):
+        # the filter depends on lambda^2 only, so both branches share one
+        calls = []
+        real = solvspin.killing._ricci_filter
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solvspin.killing, "_ricci_filter", counted)
+        model = HalfSpaceModel(4, (1, -1, 1, 1), F(1, 2))
+        report = solve_invariant_killing(model.algebra, model.clifford_rep())
+        assert len(report.candidates) == 2 and len(calls) == 1
 
     def test_heis3_filter_small(self):
         M = heisenberg3()

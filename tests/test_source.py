@@ -41,6 +41,10 @@ ENTRIES_ONLY = [
     ("liealg.py", "_check_connection"),
     ("liealg.py", "ricci"),
     ("liealg.py", "lower_central_series"),
+    ("liealg.py", "standard_decomposition"),
+    ("liealg.py", "check_standard"),
+    ("liealg.py", "restrict"),
+    ("liealg.py", "ricci_standard"),
     ("killing.py", "_spin_connection_rows"),
     ("killing.py", "killing_operator_rows"),
 ]
