@@ -33,7 +33,7 @@ from .exact import parse_rational, to_tower
 from .clifford import CliffordRep, build_gammas, gamma_rows
 from .killing import _spin_connection_rows, killing_operator_rows
 from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation, levi_civita
-from .linalg import identity, mat_scale, normalize_vector, sparse_nullspace
+from .linalg import add_scaled, identity, mat_scale, normalize_vector, sparse_nullspace
 
 F0 = Fraction(0)
 
@@ -182,8 +182,7 @@ class CoordFunction:
 
     def __add__(self, other: "CoordFunction") -> "CoordFunction":
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _acc(terms, mono, coeff)
+        add_scaled(terms, 1, other.terms)
         return CoordFunction._from_clean(terms)
 
     def __neg__(self) -> "CoordFunction":
@@ -250,15 +249,6 @@ def frame_derivative(model: HalfSpaceModel, f: CoordFunction, direction: int) ->
     return CoordFunction._from_clean(out)
 
 
-def _acc(store: dict, mono, coeff):
-    cur = store.get(mono)
-    nv = coeff if cur is None else cur + coeff
-    if nv == 0:
-        store.pop(mono, None)
-    else:
-        store[mono] = nv
-
-
 class CoordSpinorField:
     """Spinor field with CoordFunction components in a fixed trivialization."""
 
@@ -287,8 +277,7 @@ class CoordSpinorField:
         for row in rows:
             acc: dict = {}
             for j, coeff in row.items():
-                for mono, c in self.components[j].terms.items():
-                    _acc(acc, mono, coeff * c)
+                add_scaled(acc, coeff, self.components[j].terms)
             out.append(CoordFunction._from_clean(acc))
         return CoordSpinorField(out)
 
@@ -328,8 +317,7 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
         for comp, row in zip(comps, rows):
             acc = dict(frame_derivative(model, comp, d).terms)
             for j, coeff in row.items():
-                for mono, c in comps[j].terms.items():
-                    _acc(acc, mono, coeff * c)
+                add_scaled(acc, coeff, comps[j].terms)
             res.append(CoordFunction._from_clean(acc))
         out.append(CoordSpinorField(res))
     return out
@@ -405,12 +393,7 @@ def _window_equations(model: HalfSpaceModel, rep: CliffordRep, lam, monos: list)
                 for i, row in enumerate(rows):
                     row = dict(row)
                     if k:
-                        v = row.get(i)
-                        v = c if v is None else v + c
-                        if v == 0:
-                            del row[i]
-                        else:
-                            row[i] = v
+                        add_scaled(row, c, {i: 1})
                     block.append(row)
                 shifted[k] = block
             for q, (k, _) in enumerate(monos):
@@ -477,15 +460,13 @@ def verify_amended_identity(model: HalfSpaceModel, rep: CliffordRep, psi: CoordS
         (j, unit), = row.items()
         f = lam_sq2 * unit
         acc = {mono: f * c for mono, c in comps[j].terms.items()}
-        for mono, c in comp.terms.items():
-            _acc(acc, mono, minus_lam_phi * c)
+        add_scaled(acc, minus_lam_phi, comp.terms)
         w.append(acc)
     for i in range(n - 1):
         for row, comp in zip(gamma_rows(rep, i), comps):
             (j, unit), = row.items()
             acc = {mono: phi * c for mono, c in frame_derivative(model, comp, i).terms.items()}
-            for mono, c in w[j].items():
-                _acc(acc, mono, unit * c)
+            add_scaled(acc, unit, w[j])
             if acc:
                 return False
     return True

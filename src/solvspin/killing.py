@@ -313,21 +313,15 @@ def classify_pseudo_iwasawa(M: MetricLieAlgebra, decomp: StandardDecomposition) 
         return verdict("NoKillingSpinor", "trace identity fails: (Tr phi_0)^2 = %s != %s" % squares)
     if not passes("phi_square", all(phi_square_check(M, decomp, lam_sq))):
         return verdict("NoKillingSpinor", "phi_0^2 != -4 eps_0 lambda^2 id")
-    # eigenvalues are +-1/r with 1/r^2 = -4 eps_0 lambda^2; the trace identity
-    # forces them all equal, so phi_0 must be +-(1/r) id exactly
-    inv_r_sq = -4 * eps0 * lam_sq
+    # eigenvalues are +-1/r with 1/r^2 = -4 eps_0 lambda^2; with lambda^2 =
+    # s/(4n(n-1)) the trace identity reads (Tr phi_0)^2 = -4 eps_0 lambda^2 ng^2,
+    # so Tr phi_0 != 0, r = ng/|Tr phi_0| = 1/(2|lambda|), and all eigenvalues
+    # are equal: phi_0 must be +-(1/r) id exactly
     flipped = tr_phi < 0
-    r = Fraction(ng) / abs(tr_phi) if tr_phi else None
-    scalar_ok = False
-    if r is not None and Fraction(1) / (r * r) == inv_r_sq:
-        sign = -1 if flipped else 1
-        target = mat_scale(Fraction(sign, 1) / r, identity(ng))
-        scalar_ok = mat_equal(phi0, target)
-    if not passes("phi_scalar", scalar_ok,
-                  "phi_0 == +-(1/r) id with r = %s" % (format_rational(r) if r else "?")):
+    r = Fraction(ng) / abs(tr_phi)
+    target = mat_scale(Fraction(-1 if flipped else 1) / r, identity(ng))
+    if not passes("phi_scalar", mat_equal(phi0, target),
+                  "phi_0 == +-(1/r) id with r = %s" % format_rational(r)):
         return verdict("NoKillingSpinor", "phi_0 is not +-(1/r) id")
-    # cross-check r = 1/(2|lambda|): r^2 * 4 |lambda^2| = 1 exactly
-    if r * r * 4 * abs(lam_sq) != 1:
-        raise RuntimeError("half-space radius r = %s is not 1/(2|lambda|)" % format_rational(r))
     epsilon = tuple(M.signs[i] for i in nil) + (eps0,)
     return verdict("HyperbolicHalfSpace", r=r, epsilon=epsilon, sign_flipped=bool(flipped))

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 from .exact import FloatScalar, _square_part, sqrt_scalar, to_rational
 from .linalg import (
     _sparse_echelon,
+    add_scaled,
     identity,
     mat_equal,
     mat_mul,
@@ -123,11 +124,11 @@ class LieAlgebra:
         return tuple(tuple(tuple(row) for row in plane) for plane in c)
 
 
-def _pairs(L: LieAlgebra) -> dict:
-    """{(i, j): [(k, c_ij^k)]} over the nonzero entries."""
+def _pairs(entries) -> dict:
+    """{(i, j): {k: x}} over stored entries (i, j, k, x): bracket rows or connection rows."""
     out = {}
-    for i, j, k, c in L.brackets:
-        out.setdefault((i, j), []).append((k, c))
+    for i, j, k, x in entries:
+        out.setdefault((i, j), {})[k] = x
     return out
 
 
@@ -139,16 +140,15 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
     containing a nonzero pair are summed.
     """
     n = L.dim
-    pairs = _pairs(L)
+    pairs = _pairs(L.brackets)
     triples = {tuple(sorted((i, j, k))) for i, j in pairs for k in range(n) if k != i and k != j}
     bad = []
     for i, j, k in sorted(triples):
         total = {}
         for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, x in pairs.get((a, b), ()):
-                for l, y in pairs.get((m, d), ()):
-                    _accumulate(total, l, x * y)
-        if any(not t == 0 for t in total.values()):
+            for m, x in pairs.get((a, b), {}).items():
+                add_scaled(total, x, pairs.get((m, d), {}))
+        if total:
             bad.append((i, j, k))
     return bad
 
@@ -156,11 +156,11 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
 def lower_central_series(L: LieAlgebra) -> tuple[list[int], bool]:
     """Dimensions of the descending series g, [g,g], [g,[g,g]], ...; nilpotency flag.
 
-    Each term is spanned by the brackets [e_i, w], kept as sparse rows
-    {k: coefficient}, over the echelon rows w of the term before.
+    Each term is spanned by the brackets [e_i, w], built by `add_scaled` as
+    sparse rows {k: coefficient}, over the echelon rows w of the term before.
     """
     n = L.dim
-    brackets = _pairs(L)
+    brackets = _pairs(L.brackets)
     dims = [n]
     current = [{i: F1} for i in range(n)]
     while True:
@@ -169,8 +169,7 @@ def lower_central_series(L: LieAlgebra) -> tuple[list[int], bool]:
             for w in current:
                 v = {}
                 for j, wj in w.items():
-                    for k, c in brackets.get((i, j), ()):
-                        _accumulate(v, k, wj * c)
+                    add_scaled(v, wj, brackets.get((i, j), {}))
                 gens.append(v)
         echelon = _sparse_echelon(gens, n)
         dims.append(len(echelon))
@@ -178,7 +177,7 @@ def lower_central_series(L: LieAlgebra) -> tuple[list[int], bool]:
             return dims, True
         if len(echelon) == dims[-2]:
             return dims, False
-        current = list(echelon.values())
+        current = [{pc: -F1} | row for pc, row in echelon.items()]
 
 
 @dataclass(frozen=True)
@@ -243,6 +242,9 @@ def is_metric_skew(f, signs) -> bool:
 
 
 def trace(f):
+    """Sum of the diagonal entries; Fraction(0) for a 0 x 0 matrix."""
+    if not f:
+        return F0
     acc = f[0][0]
     for i in range(1, len(f)):
         acc = acc + f[i][i]
@@ -284,9 +286,6 @@ class Connection:
             if a == i:
                 m[k][j] = v
         return tuple(tuple(row) for row in m)
-
-    def derivative(self, i: int, j: int) -> tuple:
-        return self.gamma[i][j]
 
 
 def _accumulate(acc: dict, key, v):
@@ -348,13 +347,13 @@ def curvature(M: MetricLieAlgebra, conn: Connection) -> tuple:
     """
     n = M.dim
     A = [conn.nabla(i) for i in range(n)]
-    pairs = _pairs(M.algebra)
+    pairs = _pairs(M.algebra.brackets)
     R = []
     for i in range(n):
         plane = []
         for j in range(n):
             op = mat_sub(mat_mul(A[i], A[j]), mat_mul(A[j], A[i]))
-            for k, coeff in pairs.get((i, j), ()):
+            for k, coeff in pairs.get((i, j), {}).items():
                 op = mat_sub(op, mat_scale(coeff, A[k]))
             # op columns are R(e_i, e_j) e_k
             plane.append(tuple(tuple(op[l][k] for l in range(n)) for k in range(n)))
@@ -563,37 +562,34 @@ def standard_connection_identities(M: MetricLieAlgebra, decomp: StandardDecompos
     everything, nabla_w e_alpha = phi_alpha w, and nabla_w v differing from the
     nil-level connection only by -sum_alpha g(phi_alpha w, v) eps_alpha e_alpha.
     """
-    conn = levi_civita(M)
     nil, ab = decomp.nil_indices, decomp.abelian_indices
     nil_signs = tuple(M.signs[i] for i in nil)
-    sub = restrict(M, nil)
-    sub_conn = levi_civita(sub)
+    conn = _pairs(levi_civita(M).entries)
+    sub_conn = _pairs(levi_civita(restrict(M, nil)).entries)
     fails = []
-    n = M.dim
     for a in ab:
-        for j in range(n):
-            if any(not x == 0 for x in conn.derivative(a, j)):
+        for j in range(M.dim):
+            if not _same_row(conn.get((a, j), {}), {}):
                 fails.append("nabla_{e_%d} e_%d != 0" % (a, j))
     for w_pos, w in enumerate(nil):
         for a_pos, a in enumerate(ab):
-            got = conn.derivative(w, a)
-            want = [F0] * n
-            for p in range(len(nil)):
-                want[nil[p]] = decomp.phi[a_pos][p][w_pos]
-            if any(not g == t for g, t in zip(got, want)):
+            want = {v: decomp.phi[a_pos][p][w_pos] for p, v in enumerate(nil)}
+            if not _same_row(conn.get((w, a), {}), want):
                 fails.append("nabla_{e_%d} e_%d != phi_%d e_%d" % (w, a, a, w))
     for w_pos, w in enumerate(nil):
         for v_pos, v in enumerate(nil):
-            got = conn.derivative(w, v)
-            want = [F0] * n
-            for k in range(len(nil)):
-                want[nil[k]] = sub_conn.gamma[w_pos][v_pos][k]
+            want = {nil[k]: x for k, x in sub_conn.get((w_pos, v_pos), {}).items()}
             for a_pos, a in enumerate(ab):
                 # sum_p eps_p phi_alpha[p][w] g(e_p, e_v) has the single term p = v
                 want[a] = -M.signs[a] * nil_signs[v_pos] * decomp.phi[a_pos][v_pos][w_pos]
-            if any(not g == t for g, t in zip(got, want)):
+            if not _same_row(conn.get((w, v), {}), want):
                 fails.append("nabla_{e_%d} e_%d mixed-term identity fails" % (w, v))
     return fails
+
+
+def _same_row(got: dict, want: dict) -> bool:
+    """Two dicts {key: x} agree entrywise, a missing entry reading as 0."""
+    return all(got.get(k, F0) == want.get(k, F0) for k in got.keys() | want.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +636,7 @@ def _derivation_sides(L: LieAlgebra, D) -> tuple[dict, dict]:
 
 
 def is_derivation(L: LieAlgebra, D) -> bool:
-    lhs, rhs = _derivation_sides(L, D)
-    return all(lhs.get(key, F0) == rhs.get(key, F0) for key in lhs.keys() | rhs.keys())
+    return _same_row(*_derivation_sides(L, D))
 
 
 def nilsoliton_solve(M: MetricLieAlgebra) -> Optional[NilsolitonResult]:

@@ -5,14 +5,14 @@ the only requirements are +, -, *, / and an `== 0` test (exact for the first
 two, tolerance-based for floats).  Dense matrices are sequences of rows;
 functions return tuples of tuples so results stay hashable and immutable.
 
-Elimination is sparse: systems are lists of rows {column: coefficient}, and
-so are kernel bases.  `_sparse_echelon` is the one elimination loop; it gives
-ranks and spanning rows.  `sparse_nullspace` first pins every column that an
-equation with one nonzero entry sets to 0, repeating while removing pinned
-columns leaves new such equations, so only the rest pay for arithmetic in
-that loop; it then back-substitutes the pivot rows, each once, to the kernel
-basis, one sparse row per free column.  The dense `rref` is kept only as the
-reference the tests compare against.
+Elimination is sparse: systems and kernel bases are lists of rows
+{column: coefficient}.  The row contract: a row stores no zero coefficient
+(for floats, none within tolerance of 0), and `add_scaled`, the one update
+of a row, removes every entry that sums to 0.  `_sparse_echelon` is the one
+elimination loop; `sparse_nullspace` pins the columns that one-entry
+equations set to 0 before it and back-substitutes its pivot rows, each once,
+after it.  The dense `rref` is kept only as the reference the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -118,48 +118,45 @@ def rref(rows: list[list], ncols: int) -> list[int]:
     return pivots
 
 
+def add_scaled(row: dict, f, other: dict) -> None:
+    """row += f * other, in place, for sparse rows {column: coefficient}.
+
+    An entry that sums to 0 is removed, so a row that stores no zero keeps
+    storing none.  This is the one place such a row is updated.
+    """
+    for c, v in other.items():
+        nv = row.get(c)
+        nv = f * v if nv is None else nv + f * v
+        if nv == 0:
+            row.pop(c, None)
+        else:
+            row[c] = nv
+
+
 def _sparse_echelon(eqs: Sequence[dict], ncols: int) -> dict[int, dict]:
     """Forward elimination of sparse rows {column: coefficient}.
 
-    Returns {pivot column: row}, each row reduced against the earlier pivots,
-    keyed by its lowest column and scaled to 1 there.  The rows span the same
-    space as eqs, so their number is the rank.  Stops, without reading the
-    remaining equations, as soon as the rank reaches ncols.
+    Returns {pivot column: row}: each equation, reduced against the earlier
+    pivots, solved for its lowest column pc as x_pc = sum row[c] x_c.  So
+    reducing by a pivot is one `add_scaled` of the popped entry times its
+    row, with no arithmetic on the pivot entry.  The rows {pc: -1} | row span
+    the space of eqs, so their number is the rank.  Stops, without reading
+    the remaining equations, as soon as the rank reaches ncols.  The
+    equations are not changed: one that needs reducing is copied first.
     """
-    return _echelon(map(_nonzero, eqs), ncols)
-
-
-def _nonzero(eq: dict) -> dict:
-    """eq itself if it holds no zero coefficient, else a copy without them."""
-    if 0 in eq.values():
-        return {c: v for c, v in eq.items() if not v == 0}
-    return eq
-
-
-def _echelon(rows, ncols: int) -> dict[int, dict]:
-    """`_sparse_echelon` on rows that hold no zero coefficient; they are not changed."""
     pivots: dict[int, dict] = {}
-    for row in rows:
+    for row in eqs:
         hit = min((c for c in row if c in pivots), default=None)
         if hit is not None:
             row = dict(row)
         while hit is not None:
-            f = row.pop(hit)
-            for c, v in pivots[hit].items():
-                if c == hit:
-                    continue
-                nv = row.get(c)
-                nv = -f * v if nv is None else nv - f * v
-                if nv == 0:
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
+            add_scaled(row, row.pop(hit), pivots[hit])
             hit = min((c for c in row if c in pivots), default=None)
         if not row:
             continue
         pc = min(row)
-        inv = 1 / row[pc]
-        pivots[pc] = {c: v * inv for c, v in row.items()}
+        inv = -1 / row[pc]
+        pivots[pc] = {c: v * inv for c, v in row.items() if c != pc}
         if len(pivots) == ncols:
             break
     return pivots
@@ -168,30 +165,25 @@ def _echelon(rows, ncols: int) -> dict[int, dict]:
 def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[dict]:
     """Kernel basis, as sparse rows, of a system of dicts {column: coefficient}.
 
-    First the pin pass: each equation is cleaned of its zero coefficients
-    once, and one left with a single entry pins that column to 0.  Pinned
-    columns are removed from the other equations until no new singleton
-    appears.  A pinned column is a pivot whose reduced row is empty, so it
-    needs no scaling and no back-substitution, and no basis row holds it.
-    The pass reads every equation but does no arithmetic once the pins reach
-    rank ncols.  The equations left go to the forward elimination
-    (`_sparse_echelon`'s loop), then to back-substitution: each pivot row,
-    highest pivot first, is rewritten once over the free columns from the
-    rows of the later pivots it references, which are already rewritten.
-    That is the unique reduced echelon form.  Each basis vector is the row
-    {free column: 1, pivot column: minus its coefficient} over the pivots that
-    reference that free column, one per free column in increasing order; the
-    columns it leaves out are 0, so densified it is the basis dense
+    The equations keep the row contract and are read, never changed.  The pin
+    pass sets the column of each one-entry equation to 0 and removes pinned
+    columns from the other equations until no new singleton appears; a
+    singleton whose coefficient is 0 raises ValueError, as it would pin its
+    column without cause.  The rest go to `_sparse_echelon`, then to
+    back-substitution: each pivot's solved row, highest pivot first, is
+    rewritten over the free columns by one `add_scaled` per later pivot it
+    references, giving the unique reduced echelon form.  Each basis vector is
+    the row {free column: 1, pivot column: its coefficient there}, one per
+    free column in increasing order, so densified it is the basis dense
     elimination gives.  Returns [] as soon as pins and pivots reach ncols.
     """
     pinned: set = set()
     rows = []
     for eq in eqs:
-        row = _nonzero(eq)
-        if len(row) > 1:
-            rows.append(row)
-        elif row:
-            pinned.update(row)
+        if len(eq) > 1:
+            rows.append(eq)
+        elif eq:
+            pinned.add(_pin(eq))
             if len(pinned) == ncols:
                 return []
     fresh = set(pinned)
@@ -202,7 +194,8 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[dict]:
             if not fresh.isdisjoint(row):
                 row = {c: v for c, v in row.items() if c not in fresh}
                 if len(row) < 2:
-                    found.update(row)
+                    if row:
+                        found.add(_pin(row))
                     continue
             kept.append(row)
         fresh = found - pinned
@@ -210,30 +203,31 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[dict]:
         if len(pinned) == ncols:
             return []
         rows = kept
-    pivots = _echelon(rows, ncols - len(pinned))
+    pivots = _sparse_echelon(rows, ncols - len(pinned))
     if len(pivots) + len(pinned) == ncols:
         return []
     reduced: dict[int, dict] = {}
     for pc in sorted(pivots, reverse=True):
         prow = pivots[pc]
         row = {c: v for c, v in prow.items() if c not in pivots}
-        for qc in sorted((c for c in prow if c != pc and c in pivots), reverse=True):
-            f = prow[qc]
-            for c, v in reduced[qc].items():
-                nv = row.get(c)
-                nv = -f * v if nv is None else nv - f * v
-                if nv == 0:
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
+        for qc in sorted((c for c in prow if c in pivots), reverse=True):
+            add_scaled(row, prow[qc], reduced[qc])
         reduced[pc] = row
     basis = {free: {free: Fraction(1)} for free in range(ncols)
              if free not in pivots and free not in pinned}
     for pc, row in reduced.items():
         for free, coeff in row.items():
             if not coeff == 0:  # a float pivot row may keep an entry within tolerance of 0
-                basis[free][pc] = -coeff
+                basis[free][pc] = coeff
     return list(basis.values())
+
+
+def _pin(eq: dict) -> int:
+    """The column a one-entry equation sets to 0; a zero coefficient pins nothing."""
+    (c, v), = eq.items()
+    if v == 0:
+        raise ValueError("equation {%d: 0} has a zero coefficient and pins nothing" % c)
+    return c
 
 
 def normalize_vector(row: dict) -> dict:

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -21,6 +22,9 @@ from solvspin.cli import (
     run,
     serialize_algebra,
 )
+from solvspin.halfspace import HalfSpaceModel, parse_halfspace_spec
+from solvspin.killing import classify_pseudo_iwasawa, lambda_candidates
+from solvspin.liealg import einstein_extension
 
 HEIS3 = "dim 3\nsigns +1 +1 +1\n1 2 3 1\n"
 BROKEN = "dim 3\nsigns +1 +1 +1\n1 2 3 1\n1 3 2 1\n2 3 2 1\n"
@@ -503,22 +507,51 @@ GOLDEN_REPORTS = (
 )
 
 
-def test_reports_match_golden_digests(tmp_path, capsys):
+def golden_runs(tmp_path):
+    """Write the corpus to tmp_path; yield (argv, digest) per GOLDEN_REPORTS entry, in order."""
     (tmp_path / "heis3.alg").write_text(HEIS3)
     (tmp_path / "heis5.alg").write_text(HEIS5_MIXED)
     (tmp_path / "su2.alg").write_text(SU2)
     for name, text in CLASSIFY_INPUTS.items():
         (tmp_path / name).write_text(text)
-    got, want = [], []
     for command, source, extra, digest in GOLDEN_REPORTS:  # in order: extend writes ext.alg
         source = source if source.startswith("halfspace") else str(tmp_path / source)
         extra = tuple(str(tmp_path / a) if a.endswith(".alg") else a for a in extra)
-        assert main([command, source, "--json", *extra]) == 0
+        yield [command, source, "--json", *extra], digest
+
+
+def test_reports_match_golden_digests(tmp_path, capsys):
+    got, want = [], []
+    for argv, digest in golden_runs(tmp_path):
+        assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         report["timing_ms"] = 0
         if os.path.isabs(report["input"]):
             report["input"] = os.path.relpath(report["input"], tmp_path)
         text = json.dumps(report, indent=2, sort_keys=True)
-        got.append((command, source, hashlib.sha256(text.encode("utf-8")).hexdigest()))
-        want.append((command, source, digest))
+        got.append((argv[0], argv[1], hashlib.sha256(text.encode("utf-8")).hexdigest()))
+        want.append((argv[0], argv[1], digest))
     assert got == want
+
+
+def test_halfspace_verdicts_have_radius_one_over_two_lambda():
+    # the classifier reads r = ng/|Tr phi_0| once the trace identity holds;
+    # that identity is then also r = 1/(2|lambda|), checked here on every
+    # HyperbolicHalfSpace verdict of the classify inputs above and of every
+    # half-space signature with n <= 5
+    M, _ = parse_algebra_text(HEIS3)
+    ext, ext_decomp, _ = einstein_extension(M)
+    cases = [parse_algebra_text(text) for text in CLASSIFY_INPUTS.values()] + [(ext, ext_decomp)]
+    models = [parse_halfspace_spec("halfspace n=4 r=1/2 signs=1,-1,1,-1")] + [
+        HalfSpaceModel(n, signs, r) for n in range(2, 6)
+        for signs in itertools.product((1, -1), repeat=n) for r in (Fraction(1, 2), Fraction(2, 3))]
+    cases += [(model.algebra, model.decomposition) for model in models]
+    radii = []
+    for M, decomp in cases:
+        verdict = classify_pseudo_iwasawa(M, decomp).verdict
+        if verdict.kind == "HyperbolicHalfSpace":
+            lam_sq = lambda_candidates(M)[0].lam_squared
+            assert 4 * verdict.r * verdict.r * abs(lam_sq) == 1, (M, verdict)
+            radii.append(verdict.r)
+    # twice_id.alg and every half-space model
+    assert radii == [Fraction(1, 2)] + [model.r for model in models]

@@ -271,9 +271,9 @@ class TestLeviCivita:
 
     def test_heis3_frozen_values(self):
         conn = levi_civita(heisenberg3())
-        assert conn.derivative(0, 1) == (F(0), F(0), F(1, 2))
-        assert conn.derivative(0, 2) == (F(0), F(-1, 2), F(0))
-        assert conn.derivative(1, 2) == (F(1, 2), F(0), F(0))
+        assert conn.gamma[0][1] == (F(0), F(0), F(1, 2))
+        assert conn.gamma[0][2] == (F(0), F(-1, 2), F(0))
+        assert conn.gamma[1][2] == (F(1, 2), F(0), F(0))
 
     def test_matches_scalar_koszul_oracle(self, rng):
         for _ in range(20):
@@ -284,6 +284,29 @@ class TestLeviCivita:
         for _ in range(20):
             M, decomp = random_pseudo_iwasawa(rng)
             assert standard_connection_identities(M, decomp) == []
+
+    def test_connection_identity_failures_on_non_symmetric_phi(self):
+        # standard splits whose phi is not metric-symmetric; the failure lists
+        # are frozen
+        rot = ((F(0), F(1)), (F(-1), F(0)))
+        shear = ((F(1), F(1)), (F(0), F(1)))
+        filiform = LieAlgebra.from_brackets(4, {(0, 1): {2: F(1)}, (0, 2): {3: F(1)}})
+        raise_weight = tuple(tuple(F(1) if (p, q) in ((2, 1), (3, 2)) else F(0) for q in range(4))
+                             for p in range(4))
+        cases = [(LieAlgebra.abelian(2), rot, (1, 1, 1)),
+                 (LieAlgebra.abelian(2), shear, (1, -1, 1)),
+                 (filiform, raise_weight, (1, -1, 1, -1, 1))]
+        got = [standard_connection_identities(*semidirect_metric(g, [phi], signs))
+               for g, phi, signs in cases]
+        two = ["nabla_{e_2} e_0 != 0", "nabla_{e_2} e_1 != 0",
+               "nabla_{e_0} e_2 != phi_2 e_0", "nabla_{e_1} e_2 != phi_2 e_1",
+               "nabla_{e_0} e_1 mixed-term identity fails", "nabla_{e_1} e_0 mixed-term identity fails"]
+        assert got == [two, two, [
+            "nabla_{e_4} e_1 != 0", "nabla_{e_4} e_2 != 0", "nabla_{e_4} e_3 != 0",
+            "nabla_{e_1} e_4 != phi_4 e_1", "nabla_{e_2} e_4 != phi_4 e_2",
+            "nabla_{e_3} e_4 != phi_4 e_3",
+            "nabla_{e_1} e_2 mixed-term identity fails", "nabla_{e_2} e_1 mixed-term identity fails",
+            "nabla_{e_2} e_3 mixed-term identity fails", "nabla_{e_3} e_2 mixed-term identity fails"]]
 
     def test_check_rejects_metric_defect(self, rng):
         # one entry Gamma_iik moved: torsion reads it only as Gamma_iik - Gamma_iik
@@ -341,7 +364,6 @@ class TestLeviCivita:
             for i in range(n):
                 A = conn.nabla(i)
                 for j in range(n):
-                    assert conn.derivative(i, j) == conn.gamma[i][j]
                     for k in range(n):
                         assert A[k][j] == conn.gamma[i][j][k]
 
@@ -554,6 +576,11 @@ class TestStandard:
             data = ricci_standard(ext, decomp)
             assert data.ric == ricci(ext).ric
             assert any(data.ric[p][4] != 0 for p in range(4))
+
+    def test_ricci_standard_with_empty_nil_part(self):
+        # the line as its own abelian part: phi_0 is 0 x 0, with trace 0
+        M = abelian_metric((1,))
+        assert ricci_standard(M, standard_decomposition(M, (0,))).ric == ricci(M).ric
 
     def test_invalid_decomposition_raises(self):
         M = heisenberg3()

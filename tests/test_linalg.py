@@ -91,9 +91,11 @@ def test_sparse_matches_dense_over_tower():
 def test_sparse_full_rank_stops_early():
     rng = random.Random(11)
     for n in range(1, 7):
-        # an invertible triangular block first, then rows the early exit never reads
+        # an invertible triangular block first, then rows the early exit never reads;
+        # a drawn 0 is not stored, as no row stores a zero coefficient
         tri = [{c: F(rng.choice([-2, -1, 1, 3])) if c == r else F(rng.randint(-3, 3))
                 for c in range(r, n)} for r in range(n)]
+        tri = [{c: v for c, v in row.items() if v} for row in tri]
         poisoned = {0: object()}  # arithmetic on it would raise
         assert sparse_nullspace(tri + [poisoned], n) == []
         dense = [[row.get(c, F(0)) for c in range(n)] for row in tri]
@@ -255,19 +257,33 @@ def test_pins_cascade_to_a_fixpoint(field):
 
 @pytest.mark.parametrize("field", PIN_FIELDS)
 def test_zero_coefficients_and_zero_rows_pin_nothing(field):
+    # rows store no zero coefficient; an empty row pins nothing, and a zero
+    # that reaches the eliminator anyway raises or does no harm: it never
+    # pins its column
     entry, zero = PIN_FIELDS[field]
     rng = random.Random("pin-zero:" + field)
     ncols = 6
-    eqs = [{}, {2: zero}, {0: zero, 3: zero},
-           {0: zero, 1: entry(rng)},  # pins column 1, not column 0
-           {0: entry(rng), 2: entry(rng), 3: entry(rng)},
-           {4: entry(rng), 5: zero, 1: entry(rng)}]  # column 4 after the pin of 1
-    basis = _assert_matches_reference(eqs, ncols, zero)
+    clean = [{}, {1: entry(rng)},
+             {0: entry(rng), 2: entry(rng), 3: entry(rng)},
+             {4: entry(rng), 1: entry(rng)}, {}]  # column 4 after the pin of 1
+    basis = _assert_matches_reference(clean, ncols, zero)
     assert len(basis) == 3
     assert any(0 in v for v in basis)
     assert all(1 not in v and 4 not in v for v in basis)
-    assert densify(sparse_nullspace([{}, {0: zero}, {1: zero, 2: zero}], 3), 3, zero) == nullspace(
-        [[zero] * 3] * 3, 3)
+    assert densify(sparse_nullspace([{}, {}], 3), 3, zero) == nullspace([[zero] * 3] * 2, 3)
+    with pytest.raises(ValueError, match=r"\{2: 0\}"):
+        sparse_nullspace([{2: zero}], ncols)
+    returned = 0
+    for extra in ([{2: zero}], [{0: zero, 3: zero}], [{0: zero, 1: entry(rng)}],
+                  [{4: entry(rng), 5: zero, 1: entry(rng)}], [{0: zero}, {1: zero, 2: zero}]):
+        for eqs in (extra + clean, clean + extra):
+            try:
+                basis = sparse_nullspace(eqs, ncols)
+            except (ValueError, ZeroDivisionError):
+                continue
+            assert densify(basis, ncols, zero) == nullspace(_dense(eqs, ncols, zero), ncols)
+            returned += 1
+    assert returned  # the zero at column 5 is harmless, and the reference basis comes back
 
 
 @pytest.mark.parametrize("field", PIN_FIELDS)

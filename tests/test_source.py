@@ -45,6 +45,7 @@ ENTRIES_ONLY = [
     ("liealg.py", "check_standard"),
     ("liealg.py", "restrict"),
     ("liealg.py", "ricci_standard"),
+    ("liealg.py", "standard_connection_identities"),
     ("killing.py", "_spin_connection_rows"),
     ("killing.py", "killing_operator_rows"),
 ]
