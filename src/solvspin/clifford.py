@@ -8,16 +8,21 @@ so a frame vector acts with v.v.psi = -g(v, v) psi.  Iterated doubling only
 produces monomial matrices (one entry per row, a unit of Z[i]), so a
 representation stores each gamma_a once, as a column permutation perm[a] and
 phases phase[a] in Z/4: row i holds i**phase[a][i] at column perm[a][i].
-Products compose permutations and add phases.  Sums of such products (spin
-lifts, Clifford multiplication by a vector, 2-tensor actions) accumulate into
-sparse rows {column: coefficient}: the coefficients, rational or in the tower
-Q(i)(sqrt m), are written as integer numerators over one common denominator,
-a phase i**q permutes and negates those integers, and each nonzero entry
-becomes one TowerScalar at the end.  Coefficients must be exact.  The dense
-matrices over Q(i), including `CliffordRep.gammas`, are views derived from
-those forms.  For odd n the
-representation is pinned down by normalizing the volume element to act as
-+1 or +i.
+Products compose permutations and add phases.
+
+An element of the Clifford algebra is a list of terms (word, c): a word is a
+tuple of generator indices (a_1, ..., a_r) standing for the product
+gamma_{a_1} ... gamma_{a_r}, and c is an exact scalar.  Clifford
+multiplication by a vector has the words (a,), a spin lift or a 2-tensor
+action the words (a, b), and a Killing operator nabla_{e_i} - lam gamma_i
+joins both.  `clifford_rows` is the one builder of such an element: it
+multiplies each word out and accumulates sparse rows {column: coefficient}.
+The coefficients, rational or in the tower Q(i)(sqrt m), are written as
+integer numerators over one common denominator, a phase i**q permutes and
+negates those integers, and each nonzero entry becomes one TowerScalar at
+the end.  The dense matrices over Q(i), including `CliffordRep.gammas`, are
+views derived from those forms.  For odd n the representation is pinned down
+by normalizing the volume element to act as +1 or +i.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 from .exact import TS_I, TS_ONE, TS_ZERO, common_numerators, from_numerators, to_tower
-from .linalg import mat_from_rows, sparse_nullspace
+from .linalg import MAX_UNKNOWNS, mat_from_rows, sparse_nullspace
 from .liealg import is_metric_skew
 
 F0 = Fraction(0)
@@ -129,6 +134,9 @@ def build_gammas(signs: Sequence[int]) -> CliffordRep:
         raise ValueError("need n >= 1")
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signature entries must be +-1")
+    if 2 ** (n // 2) > MAX_UNKNOWNS:
+        raise ValueError("n = %d gives spinors of dimension 2^%d, more than the limit of %d"
+                         % (n, n // 2, MAX_UNKNOWNS))
     if n == 1:
         gens = (((0,), (1,)),)
     elif n % 2 == 0:
@@ -177,26 +185,28 @@ def clifford_violations(rep: CliffordRep) -> list[tuple[int, int]]:
     return bad
 
 
-def _monomial_rows(N: int, terms, monomial) -> list[dict]:
-    """Sparse rows {column: coefficient} of the sum of c monomial(key) over
-    (key, c) pairs, where monomial(key) is a monomial matrix and c an exact
-    scalar.
+def clifford_rows(rep: CliffordRep, terms) -> list[dict]:
+    """Sparse rows {column: coefficient} of the sum of c gamma_{a_1} ... gamma_{a_r}
+    over terms ((a_1, ..., a_r), c), each word nonempty and each c an exact scalar.
 
     The coefficients are written as integer numerators (a, b, c, d) over one
     common denominator q; i**k c rotates those four integers, so each entry
     is a sum of integer tuples, and one TowerScalar is built per nonzero
-    entry.  Monomials are formed for nonzero coefficients only.  A
+    entry.  Words are multiplied out for nonzero coefficients only.  A
     coefficient that is not exact (a FloatScalar) raises TypeError.
     """
     terms = list(terms)
     nums, q, m = common_numerators([c for _, c in terms])
-    acc = [{} for _ in range(N)]
-    for (key, _), (a, b, c, d) in zip(terms, nums):
+    gens = _generators(rep)
+    acc = [{} for _ in range(rep.spinor_dim)]
+    for (word, _), (a, b, c, d) in zip(terms, nums):
         if not (a or b or c or d):
             continue
-        perm, phase = monomial(key)
+        prod = gens[word[0]]
+        for g in word[1:]:
+            prod = _compose(prod, gens[g])
         rot = ((a, b, c, d), (-b, a, -d, c), (-a, -b, -c, -d), (b, -a, d, -c))
-        for row, j, k in zip(acc, perm, phase):
+        for row, j, k in zip(acc, *prod):
             x = rot[k]
             y = row.get(j)
             row[j] = x if y is None else (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
@@ -223,16 +233,9 @@ def dense_rows(rows: Sequence[dict]) -> tuple:
     return tuple(out)
 
 
-def _pair_rows(rep: CliffordRep, terms) -> list[dict]:
-    """Sparse rows of the sum of c gamma_a gamma_b over (a, b, c) terms."""
-    gens = _generators(rep)
-    return _monomial_rows(rep.spinor_dim, (((a, b), c) for a, b, c in terms),
-                          lambda ab: _compose(gens[ab[0]], gens[ab[1]]))
-
-
 def gamma_of_vector_rows(rep: CliffordRep, v: Sequence) -> list[dict]:
     """Sparse rows of Clifford multiplication by the frame vector v."""
-    return _monomial_rows(rep.spinor_dim, enumerate(v), _generators(rep).__getitem__)
+    return clifford_rows(rep, (((a,), c) for a, c in enumerate(v)))
 
 
 def gamma_of_vector(rep: CliffordRep, v: Sequence) -> tuple:
@@ -243,26 +246,6 @@ def gamma_of_vector(rep: CliffordRep, v: Sequence) -> tuple:
 def gamma_rows(rep: CliffordRep, a: int) -> list[dict]:
     """Sparse rows of gamma_a: row i holds i**phase[a][i] at column perm[a][i]."""
     return [{j: _UNITS[q]} for j, q in zip(rep.perm[a], rep.phase[a])]
-
-
-def add_gamma(rep: CliffordRep, rows: Sequence[dict], a: int, c) -> list[dict]:
-    """New sparse rows for rows + c gamma_a.
-
-    Row i of gamma_a holds i**phase at column perm, so the four multiples
-    c i**q are formed once and each row gains one of them.
-    """
-    multiples = [c * u for u in _UNITS]
-    out = []
-    for row, j, q in zip(rows, rep.perm[a], rep.phase[a]):
-        row = dict(row)
-        cur = row.get(j)
-        nv = multiples[q] if cur is None else cur + multiples[q]
-        if nv == 0:
-            row.pop(j, None)
-        else:
-            row[j] = nv
-        out.append(row)
-    return out
 
 
 def clifford_mul(rep: CliffordRep, v: Sequence, psi: Sequence) -> tuple:
@@ -286,20 +269,20 @@ def spin_lift_rows(rep: CliffordRep, A) -> list[dict]:
     if not is_metric_skew(A, rep.signs):
         raise ValueError("endomorphism is not metric-skew")
     n = rep.n
-    return skew_lift_rows(rep, ((k, j, A[k][j])
-                                for j in range(n) for k in range(n) if not A[k][j] == 0))
+    return clifford_rows(rep, skew_lift_terms(rep, (
+        (k, j, A[k][j]) for j in range(n) for k in range(n) if not A[k][j] == 0)))
 
 
-def skew_lift_rows(rep: CliffordRep, entries) -> list[dict]:
-    """Sparse rows of (1/4) sum_j eps_j gamma_j gamma(A e_j) from entries (k, j, A_kj).
+def skew_lift_terms(rep: CliffordRep, entries):
+    """Terms ((j, k), eps_j A_kj / 4) of (1/4) sum_j eps_j gamma_j gamma(A e_j), from
+    entries (k, j, A_kj).
 
     Entries left out are zero.  This is the spin lift of A only when A is
     metric-skew, which the caller vouches for: `spin_lift_rows` tests it on
     a dense A, and the Levi-Civita connection is checked metric-compatible
     when it is built.
     """
-    return _pair_rows(rep, (
-        (j, k, QUARTER * x if rep.signs[j] == 1 else -QUARTER * x) for k, j, x in entries))
+    return (((j, k), QUARTER * x if rep.signs[j] == 1 else -QUARTER * x) for k, j, x in entries)
 
 
 def spin_lift(rep: CliffordRep, A) -> tuple:
@@ -310,7 +293,7 @@ def spin_lift(rep: CliffordRep, A) -> tuple:
 def two_tensor_action(rep: CliffordRep, T) -> tuple:
     """Action of a 2-tensor sum_ij T_ij e_i (x) e_j as sum_ij T_ij gamma_i gamma_j."""
     n = rep.n
-    return dense_rows(_pair_rows(rep, ((a, b, T[a][b]) for a in range(n) for b in range(n))))
+    return dense_rows(clifford_rows(rep, (((a, b), T[a][b]) for a in range(n) for b in range(n))))
 
 
 def raise_endomorphism(signs: Sequence[int], f) -> tuple:

@@ -31,14 +31,11 @@ from typing import Sequence
 
 from .exact import parse_rational, to_tower
 from .clifford import CliffordRep, build_gammas, gamma_rows
-from .killing import _spin_connection_rows, killing_operator_rows
+from .killing import killing_operator_rows
 from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation, levi_civita
-from .linalg import add_scaled, identity, mat_scale, normalize_vector, sparse_nullspace
+from .linalg import MAX_UNKNOWNS, add_scaled, identity, mat_scale, normalize_vector, sparse_nullspace
 
 F0 = Fraction(0)
-
-# the most unknowns one window may have; past it a window is refused before anything is built
-MAX_UNKNOWNS = 100_000
 
 Monomial = tuple  # (k, m): t^(k/2) * x^m with m a multi-index over x_1..x_{n-1}
 
@@ -85,8 +82,7 @@ class HalfSpaceModel:
         key = (rep, lam)
         rows = self._branch_rows.get(key)
         if rows is None:
-            lifts = _spin_connection_rows(self.algebra, rep, self.connection)
-            rows = self._branch_rows[key] = killing_operator_rows(self.algebra, rep, lam, lifts)
+            rows = self._branch_rows[key] = killing_operator_rows(self.algebra, rep, lam, self.connection)
         return rows
 
     def clifford_rep(self) -> CliffordRep:

@@ -11,12 +11,14 @@ whose equation is a finite linear system on the fiber.
 
 One solve computes the Levi-Civita connection, the Ricci data and the Ricci
 filter (which depends on lambda^2 only) once.  Each per-direction operator
-nabla_{e_i} - lambda gamma_i is built as sparse rows {column: coefficient}
-straight from the connection's nonzero Gamma entries and the monomial
-gammas, with no dense nabla matrix, and the stacked rows go to
-`sparse_nullspace`, which stops as soon as the rank reaches the spinor
-dimension N: the usual outcome, since the system has only the zero solution
-even on the half-spaces.  The same rows serve the half-space solver.
+nabla_{e_i} - lambda gamma_i is one Clifford element, the spin-lift terms of
+that direction's nonzero Gamma entries plus the term -lambda gamma_i, and
+`clifford.clifford_rows` turns it into sparse rows {column: coefficient}
+with no dense nabla matrix.  The solve adds one direction at a time, fewest
+Gamma entries first, and stops at the first empty kernel: a direction with
+nabla_{e_i} = 0 (the abelian direction of a pseudo-Iwasawa algebra) has the
+equation -lambda gamma_i psi = 0 alone, which forces psi = 0, so a
+half-space or an Einstein extension builds one direction per branch.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import TS_ZERO, TowerScalar, format_rational, sqrt_to_tower, to_rational, to_tower
-from .clifford import CliffordRep, add_gamma, dense_rows, gamma_of_vector_rows, skew_lift_rows
+from .clifford import CliffordRep, clifford_rows, dense_rows, gamma_of_vector_rows, skew_lift_terms
 from .liealg import (
     MetricLieAlgebra,
     RicciData,
@@ -83,11 +85,11 @@ def _lambda_candidates(M: MetricLieAlgebra, s) -> list[LambdaCandidate]:
     ]
 
 
-def _spin_connection_rows(M: MetricLieAlgebra, rep: CliffordRep, conn) -> list[list[dict]]:
-    """Sparse rows of the spin lift of nabla_{e_i}, per direction i.
+def _connection_entries(M: MetricLieAlgebra, rep: CliffordRep, conn) -> list[list[tuple]]:
+    """The Gamma entries (k, j, Gamma_ijk) of nabla_{e_i}, per direction i.
 
-    Each lift is built from that direction's Gamma entries: nabla_{e_i} has
-    Gamma_ijk at row k, column j.  Metric-skewness of nabla_{e_i} is the
+    nabla_{e_i} has Gamma_ijk at row k, column j.  Its metric-skewness, which
+    makes `skew_lift_terms` of these entries its spin lift, is the
     metric-compatibility condition `levi_civita` checked on the same entries.
     """
     if tuple(rep.signs) != tuple(M.signs):
@@ -95,7 +97,7 @@ def _spin_connection_rows(M: MetricLieAlgebra, rep: CliffordRep, conn) -> list[l
     by_direction = [[] for _ in range(M.dim)]
     for i, j, k, v in conn.entries:
         by_direction[i].append((k, j, v))
-    return [skew_lift_rows(rep, entries) for entries in by_direction]
+    return by_direction
 
 
 def invariant_spin_connection(M: MetricLieAlgebra, rep: CliffordRep) -> list[tuple]:
@@ -103,23 +105,22 @@ def invariant_spin_connection(M: MetricLieAlgebra, rep: CliffordRep) -> list[tup
 
     For constant coefficients the derivative term drops and the operator is
     the spin lift of the metric-skew endomorphism nabla_{e_i}, that is
-    (1/4) sum_j eps_j gamma_j gamma(nabla_{e_i} e_j).  Dense view of the rows
-    that `killing_operator_rows` starts from.
+    (1/4) sum_j eps_j gamma_j gamma(nabla_{e_i} e_j), as a dense matrix.
     """
-    return [dense_rows(rows) for rows in _spin_connection_rows(M, rep, levi_civita(M))]
+    return [dense_rows(clifford_rows(rep, skew_lift_terms(rep, entries)))
+            for entries in _connection_entries(M, rep, levi_civita(M))]
 
 
-def killing_operator_rows(M: MetricLieAlgebra, rep: CliffordRep, lam, lifts=None) -> list[list[dict]]:
-    """Sparse rows {column: coefficient} of nabla_{e_i} - lam gamma_i, per direction i.
+def _operator_rows(rep: CliffordRep, i: int, entries, lam) -> list[dict]:
+    """Sparse rows of nabla_{e_i} - lam gamma_i from the Gamma entries of direction i."""
+    return clifford_rows(rep, [*skew_lift_terms(rep, entries), ((i,), -lam)])
 
-    `lifts` are the spin-connection rows of one Levi-Civita computation,
-    shared between the lambda branches of a solve or, for a half-space
-    model, built from its cached connection; without them the connection is
-    computed here, once.
-    """
-    if lifts is None:
-        lifts = _spin_connection_rows(M, rep, levi_civita(M))
-    return [add_gamma(rep, rows, i, -lam) for i, rows in enumerate(lifts)]
+
+def killing_operator_rows(M: MetricLieAlgebra, rep: CliffordRep, lam, conn) -> list[list[dict]]:
+    """Sparse rows {column: coefficient} of nabla_{e_i} - lam gamma_i, per direction i,
+    from the Levi-Civita connection conn of M."""
+    return [_operator_rows(rep, i, entries, lam)
+            for i, entries in enumerate(_connection_entries(M, rep, conn))]
 
 
 @dataclass(frozen=True)
@@ -157,24 +158,30 @@ def solve_invariant_killing(M: MetricLieAlgebra, rep: CliffordRep) -> KillingRep
     """Joint kernel of (nabla_{e_i} - lambda gamma_i) over all frame directions.
 
     The connection, the Ricci data and the Ricci filter (a function of
-    lambda^2, which both branches share) are computed once; the operator
-    rows are stacked sparsest direction first, so a direction with
-    nabla_{e_i} = 0 (the abelian direction of a pseudo-Iwasawa algebra)
-    reaches rank N on its own and ends the elimination.  Every returned basis
-    spinor is re-substituted into every row; exact arithmetic throughout.
+    lambda^2, which both branches share) are computed once.  Per branch the
+    directions join the equations one at a time, fewest Gamma entries first,
+    and the first empty kernel ends the branch: the kernel of the whole stack
+    lies inside it.  A kernel that survives every direction was solved from
+    all the rows, and each of its basis spinors is re-substituted into every
+    row; exact arithmetic throughout.
     """
     conn = levi_civita(M)
-    lifts = _spin_connection_rows(M, rep, conn)
+    by_direction = _connection_entries(M, rep, conn)
+    order = sorted(range(M.dim), key=lambda i: len(by_direction[i]))
     data = ricci(M, conn)
     cands = _lambda_candidates(M, data.scalar)
     filter_dim = _ricci_filter(M, rep, cands[0].lam_squared, data) if cands else None
     N = rep.spinor_dim
     results = []
     for cand in cands:
-        ops = killing_operator_rows(M, rep, cand.lam, lifts)
-        eqs = [row for rows in sorted(ops, key=lambda rows: sum(map(len, rows))) for row in rows]
+        eqs = []
+        for i in order:
+            eqs += _operator_rows(rep, i, by_direction[i], cand.lam)
+            kernel = sparse_nullspace(eqs, N)
+            if not kernel:
+                break
         basis = []
-        for v in sparse_nullspace(eqs, N):
+        for v in kernel:
             psi = [TS_ZERO] * N
             for j, x in normalize_vector(v).items():
                 psi[j] = to_tower(x)

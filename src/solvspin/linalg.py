@@ -20,6 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+# the most unknowns one system may have: a half-space window, or a spinor space
+# of dimension 2^(n//2); past it the system is refused before anything is built
+MAX_UNKNOWNS = 100_000
+
 
 def mat_from_rows(rows) -> tuple:
     return tuple(tuple(row) for row in rows)

@@ -367,6 +367,23 @@ class TestBatch:
         assert len(good["results"]["killing"]["candidates"]) == 2
         assert "error_type" not in good
 
+    def test_oversized_spinor_space_exits_one(self, tmp_path, capsys):
+        # the spinor space 2^30 is refused before the window check or any allocation
+        started = time.perf_counter()
+        spec = "halfspace n=60 r=1 signs=%s" % ",".join(["1"] * 60)
+        assert main(["killing-halfspace", spec, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"].startswith("n = 60 gives spinors") and "results" not in report
+        (tmp_path / "a.alg").write_text("dim 60\n")
+        (tmp_path / "b.alg").write_text(HEIS3)
+        assert main(["killing-invariant", str(tmp_path), "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert time.perf_counter() - started < 1.0
+        assert data["summary"] == {"total": 2, "succeeded": 1, "failed": 1}
+        bad, good = data["batch"]
+        assert bad["error"].startswith("n = 60 gives spinors") and "error_type" not in bad
+        assert len(good["results"]["killing"]["candidates"]) == 2
+
     def test_listed_errors_carry_no_type(self, tmp_path, capsys):
         (tmp_path / "bad.alg").write_text("dim oops\n")
         main(["validate", str(tmp_path), "--json"])

@@ -5,28 +5,29 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from solvspin.exact import TS_I, TS_ONE, TS_ZERO, FloatScalar, TowerScalar, sqrt_to_tower, to_tower
 from solvspin.clifford import (
-    _pair_rows,
     annihilator_kernel,
     build_gammas,
     clifford_mul,
+    clifford_rows,
     clifford_violations,
     dense_rows,
     gamma_of_vector,
     gamma_of_vector_rows,
     raise_endomorphism,
-    skew_lift_rows,
+    skew_lift_terms,
     spin_lift,
     spin_lift_rows,
     symmetric_commutant_kernel,
     two_tensor_action,
 )
-from solvspin.linalg import identity, mat_equal, mat_mul, mat_scale, mat_sub, mat_from_rows, zeros
+from solvspin.linalg import MAX_UNKNOWNS, identity, mat_equal, mat_mul, mat_scale, mat_sub, mat_from_rows, zeros
 
 from reference_linalg import annihilator_dense, commutant_dense, densify, matrix_rank, nullspace
 
@@ -131,6 +132,16 @@ class TestBuild:
 
     def test_even_dimension_has_no_volume_power(self):
         assert build_gammas((1, -1)).volume_power is None
+
+    def test_oversized_spinor_space_refused_before_it_is_built(self):
+        # the spinor dimension 2^(n//2) first passes the limit at n = 34; at
+        # n = 60 the n generators would not fit in memory
+        assert 2 ** (33 // 2) <= MAX_UNKNOWNS < 2 ** (34 // 2)
+        for n in (34, 60):
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="n = %d gives spinors of dimension 2\\^%d" % (n, n // 2)):
+                build_gammas((1,) * n)
+            assert time.perf_counter() - started < 0.5
 
     def test_matrices_match_golden_digest(self):
         # pins the exact matrices of every signature with n <= 8
@@ -350,13 +361,13 @@ class TestMonomialRowsOracle:
             rep = build_gammas(signs)
             for c in MIXED_COEFFS:
                 d = F(2, 7)
-                rows = _pair_rows(rep, [(0, 1, c), (1, 0, c), (2, 2, d)])
+                rows = clifford_rows(rep, [((0, 1), c), ((1, 0), c), ((2, 2), d)])
                 assert rows == [{i: to_tower(-signs[2] * d)} for i in range(rep.spinor_dim)]
-                assert _pair_rows(rep, [(0, 1, c), (1, 0, c)]) == [{} for _ in range(rep.spinor_dim)]
+                assert clifford_rows(rep, [((0, 1), c), ((1, 0), c)]) == [{} for _ in range(rep.spinor_dim)]
                 # a metric-symmetric off-diagonal pair has zero lift
                 x = c * F(3, 5)
                 entries = [(1, 0, x), (0, 1, signs[0] * signs[1] * x)]
-                assert skew_lift_rows(rep, entries) == [{} for _ in range(rep.spinor_dim)]
+                assert clifford_rows(rep, skew_lift_terms(rep, entries)) == [{} for _ in range(rep.spinor_dim)]
 
     def test_float_coefficient_raises(self):
         rep = build_gammas((1, -1, 1))

@@ -141,9 +141,9 @@ class TestModel:
         lams = [c.lam for c in lambda_candidates(model.algebra)]
         built = []
 
-        def counted(M, rep, lam, lifts=None):
+        def counted(M, rep, lam, conn):
             built.append(lam)
-            return killing_operator_rows(M, rep, lam, lifts)
+            return killing_operator_rows(M, rep, lam, conn)
 
         monkeypatch.setattr(solvspin.halfspace, "killing_operator_rows", counted)
         residuals = 0
@@ -159,7 +159,8 @@ class TestModel:
         assert model.operator_rows(model.clifford_rep(), lams[0]) is model.operator_rows(rep, lams[0])
         assert built == lams
         for lam in lams:
-            assert model.operator_rows(rep, lam) == killing_operator_rows(model.algebra, rep, lam)
+            assert model.operator_rows(rep, lam) == killing_operator_rows(
+                model.algebra, rep, lam, levi_civita(model.algebra))
 
     def test_parse_rejects_exponent_radius(self):
         # Fraction would expand 1e4000000 in full before anything else ran

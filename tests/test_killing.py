@@ -26,6 +26,7 @@ from solvspin.liealg import (
     MetricLieAlgebra,
     einstein_extension,
     identity,
+    levi_civita,
     ricci,
     standard_decomposition,
 )
@@ -204,7 +205,7 @@ class TestSparseOperatorRows:
             rep = build_gammas(M.signs)
             ops = invariant_spin_connection(M, rep)
             for lam in _branches(M):
-                rows = killing_operator_rows(M, rep, lam)
+                rows = killing_operator_rows(M, rep, lam, levi_civita(M))
                 assert len(rows) == M.dim
                 for i, op_rows in enumerate(rows):
                     assert all(not x == 0 for row in op_rows for x in row.values())
@@ -222,6 +223,41 @@ class TestSparseOperatorRows:
                 assert c.ricci_filter_dimension == _dense_ricci_filter(M, rep, c.candidate.lam)
             nonempty += sum(1 for basis in oracle if basis)
         assert nonempty == 3   # the kernel and re-substitution path is exercised
+
+    def test_certificate_rejects_a_non_solution(self, monkeypatch):
+        # e_0 solves nothing on the lambda = +1/4 branch of su(2), the first one
+        monkeypatch.setattr(solvspin.killing, "sparse_nullspace", lambda eqs, ncols: [{0: F(1)}])
+        M = MetricLieAlgebra(SU2, (1, 1, 1))
+        with pytest.raises(RuntimeError, match="non-solution spinor"):
+            solve_invariant_killing(M, build_gammas(M.signs))
+
+    def test_directions_added_until_the_kernel_is_empty(self, monkeypatch):
+        built = []
+        real = solvspin.killing.clifford_rows
+
+        def counted(rep, terms):
+            terms = list(terms)
+            built.append(terms[-1])   # ((i,), -lam) of the direction built
+            return real(rep, terms)
+
+        monkeypatch.setattr(solvspin.killing, "clifford_rows", counted)
+        # nabla_{e_t} = 0 on a half-space or an Einstein extension: -lam gamma_t
+        # alone has kernel {0}, so each branch builds that direction only
+        algebras = [HalfSpaceModel(n, (1, -1) * (n // 2) + (1,) * (n % 2), F(2, 3)).algebra
+                    for n in range(4, 10)]
+        for M in algebras + [einstein_extension(heisenberg3())[0]]:
+            built.clear()
+            report = solve_invariant_killing(M, build_gammas(M.signs))
+            assert built == [((M.dim - 1,), -c.candidate.lam) for c in report.candidates]
+        # on su(2) the branch with the 2-dimensional kernel builds every direction
+        M = MetricLieAlgebra(SU2, (1, 1, 1))
+        rep = build_gammas(M.signs)
+        built.clear()
+        report = solve_invariant_killing(M, rep)
+        (full,) = [i for i, c in enumerate(report.candidates) if c.kernel_basis]
+        lam = report.candidates[full].candidate.lam
+        assert [word for word, c in built if c == -lam] == [(0,), (1,), (2,)]
+        assert report.candidates[full].kernel_basis == _dense_invariant_solve(M, rep)[full]
 
 
 class TestRicciFilter:

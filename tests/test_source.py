@@ -46,8 +46,9 @@ ENTRIES_ONLY = [
     ("liealg.py", "restrict"),
     ("liealg.py", "ricci_standard"),
     ("liealg.py", "standard_connection_identities"),
-    ("killing.py", "_spin_connection_rows"),
+    ("killing.py", "_connection_entries"),
     ("killing.py", "killing_operator_rows"),
+    ("killing.py", "solve_invariant_killing"),
 ]
 DENSE_VIEWS = ("structure", "gamma", "nabla")
 
