@@ -32,8 +32,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
-from .exact import TS_I, TS_ONE, TS_ZERO, common_numerators, from_numerators, to_tower
-from .linalg import MAX_UNKNOWNS, mat_from_rows, sparse_nullspace
+from .exact import TS_I, TS_ONE, TS_ZERO, common_numerators, from_numerators
+from .linalg import MAX_UNKNOWNS, mat_from_rows, rank_mod_p, sparse_nullspace
 from .liealg import is_metric_skew
 
 F0 = Fraction(0)
@@ -165,23 +165,27 @@ def _generators(rep: CliffordRep) -> list:
 def clifford_violations(rep: CliffordRep) -> list[tuple[int, int]]:
     """Pairs (a, b) where the anticommutator relation fails (exact check).
 
-    gamma_a gamma_b + gamma_b gamma_a is a sum of two monomial matrices.  For
-    a = b it is 2 gamma_a^2, which must be the identity permutation with phase
-    2 (eps_a = +1) or 0 (eps_a = -1); for a != b the two products must share
-    their permutation and differ by the phase 2 in every row.
+    Row i of gamma_a gamma_b holds i**(qa[i] + qb[pa[i]]) at column pb[pa[i]],
+    for pa, qa = perm[a], phase[a], so each pair is one pass over the rows
+    with no product built.  For a = b the square must be the identity
+    permutation with phase 2 (eps_a = +1) or 0 (eps_a = -1) in every row; for
+    a != b the two products must share their permutation, pb[pa[i]] ==
+    pa[pb[i]], and their phases must differ by 2 in every row.
     """
     gens = _generators(rep)
     bad = []
-    for a in range(rep.n):
-        for b in range(a, rep.n):
-            ab = _compose(gens[a], gens[b])
-            if a == b:
-                ok = _scalar_phase(ab) == 1 + rep.signs[a]
-            else:
-                ba = _compose(gens[b], gens[a])
-                ok = ab[0] == ba[0] and all((p - q) % 4 == 2 for p, q in zip(ab[1], ba[1]))
-            if not ok:
-                bad.append((a, b))
+    for a, (pa, qa) in enumerate(gens):
+        want = 1 + rep.signs[a]
+        for i, (j, x) in enumerate(zip(pa, qa)):
+            if pa[j] != i or (x + qa[j]) % 4 != want:
+                bad.append((a, a))
+                break
+        for b in range(a + 1, rep.n):
+            pb, qb = gens[b]
+            for j, k, x, y in zip(pa, pb, qa, qb):
+                if pb[j] != pa[k] or (x + qb[j] - y - qa[k]) % 4 != 2:
+                    bad.append((a, b))
+                    break
     return bad
 
 
@@ -234,7 +238,8 @@ def dense_rows(rows: Sequence[dict]) -> tuple:
 
 
 def gamma_of_vector_rows(rep: CliffordRep, v: Sequence) -> list[dict]:
-    """Sparse rows of Clifford multiplication by the frame vector v."""
+    """Sparse rows of Clifford multiplication by the frame vector v (n entries)."""
+    _check_length(v, rep.n, "v", "n")
     return clifford_rows(rep, (((a,), c) for a, c in enumerate(v)))
 
 
@@ -291,9 +296,19 @@ def spin_lift(rep: CliffordRep, A) -> tuple:
 
 
 def two_tensor_action(rep: CliffordRep, T) -> tuple:
-    """Action of a 2-tensor sum_ij T_ij e_i (x) e_j as sum_ij T_ij gamma_i gamma_j."""
+    """Action of a 2-tensor sum_ij T_ij e_i (x) e_j as sum_ij T_ij gamma_i gamma_j.
+
+    T must be n x n; any other shape raises ValueError.
+    """
     n = rep.n
+    if len(T) != n or any(len(row) != n for row in T):
+        raise ValueError("T must be n x n = %d x %d" % (n, n))
     return dense_rows(clifford_rows(rep, (((a, b), T[a][b]) for a in range(n) for b in range(n))))
+
+
+def _check_length(x: Sequence, size: int, name: str, size_name: str) -> None:
+    if len(x) != size:
+        raise ValueError("%s has %d entries, but %s = %d" % (name, len(x), size_name, size))
 
 
 def raise_endomorphism(signs: Sequence[int], f) -> tuple:
@@ -309,32 +324,42 @@ def raise_endomorphism(signs: Sequence[int], f) -> tuple:
 def annihilator_kernel(rep: CliffordRep, psi: Sequence) -> list[dict]:
     """Basis of V_psi = {real vectors v with v . psi = 0}, as sparse rows {a: v_a}.
 
-    Entry h of v . psi is sum_a v_a i**phase[a][h] psi[perm[a][h]].  Its four
-    rational parts (along 1, i, w and i w) are the equations, one sparse row
-    {a: coefficient} each; multiplying by i**q rotates those parts.
+    psi must have spinor_dim entries (ValueError otherwise).  Scaling psi
+    does not change V_psi, so psi is written over one denominator with
+    integer numerators (`exact.common_numerators`).  Entry h of v . psi is
+    sum_a v_a i**phase[a][h] psi[perm[a][h]]; its four integer parts (along
+    1, i, w and i w) are the equations, one sparse row {a: int} each, and
+    multiplying by i**q rotates those parts.
+
+    V_psi = 0 is proved by `linalg.rank_mod_p` reaching n, since the rank
+    over Q is at least the rank mod p; no exact elimination is made.
+    Otherwise `sparse_nullspace` solves the rows over Q, and the basis is
+    certified from both sides: its length must be n minus the rank mod p,
+    and each vector must satisfy every row.  A failed certificate raises
+    RuntimeError.
     """
-    rotations = []
-    for x in psi:
-        x = to_tower(x)
-        if x.is_zero:
-            rotations.append(None)
-            continue
-        a, b = x.a, x.b
-        if x.radicand is None:
-            rotations.append(((a, b), (-b, a), (-a, -b), (b, -a)))
-        else:
-            c, d = x.c, x.d
-            rotations.append(((a, b, c, d), (-b, a, -d, c), (-a, -b, -c, -d), (b, -a, d, -c)))
-    eqs = [{} for _ in range(4 * rep.spinor_dim)]
-    for col, (perm, phase) in enumerate(zip(rep.perm, rep.phase)):
-        for h, (j, q) in enumerate(zip(perm, phase)):
-            rot = rotations[j]
-            if rot is None:
-                continue
-            for eq, x in zip(eqs[4 * h:4 * h + 4], rot[q]):
-                if x:
-                    eq[col] = x
-    return sparse_nullspace([eq for eq in eqs if eq], rep.n)
+    _check_length(psi, rep.spinor_dim, "psi", "spinor_dim")
+    rotations = [((a, b, c, d), (-b, a, -d, c), (-a, -b, -c, -d), (b, -a, d, -c))
+                 for a, b, c, d in common_numerators(psi)[0]]
+    gens = _generators(rep)
+    eqs = []
+    for h in range(rep.spinor_dim):
+        for part in zip(*[rotations[perm[h]][phase[h]] for perm, phase in gens]):
+            eq = {col: x for col, x in enumerate(part) if x}
+            if eq:
+                eqs.append(eq)
+    n = rep.n
+    rank = rank_mod_p(eqs, n)
+    if rank == n:
+        return []
+    # sparse_nullspace divides by its pivots, so it gets the rows as Fractions
+    basis = sparse_nullspace([{c: Fraction(x) for c, x in eq.items()} for eq in eqs], n)
+    if len(basis) != n - rank:
+        raise RuntimeError("annihilator_kernel: exact kernel of dimension %d, but rank %d of %d mod p"
+                           % (len(basis), rank, n))
+    if any(sum(x * v[c] for c, x in eq.items() if c in v) != 0 for v in basis for eq in eqs):
+        raise RuntimeError("annihilator_kernel: a basis vector fails the equations")
+    return basis
 
 
 @dataclass(frozen=True)
@@ -361,8 +386,10 @@ def symmetric_commutant_kernel(rep: CliffordRep, psi: Sequence) -> CommutantKern
     """Exact affine solution set of f(X).psi = X.psi over symmetric f.
 
     Solved via the annihilator V_psi: the columns of f - id must land in
-    V_psi, and f - id must be metric-symmetric.
+    V_psi, and f - id must be metric-symmetric.  psi must be nonzero and have
+    spinor_dim entries (ValueError otherwise).
     """
+    _check_length(psi, rep.spinor_dim, "psi", "spinor_dim")
     if all(x == 0 for x in psi):
         raise ValueError("psi must be nonzero")
     n = rep.n

@@ -11,8 +11,10 @@ Elimination is sparse: systems and kernel bases are lists of rows
 of a row, removes every entry that sums to 0.  `_sparse_echelon` is the one
 elimination loop; `sparse_nullspace` pins the columns that one-entry
 equations set to 0 before it and back-substitutes its pivot rows, each once,
-after it.  The dense `rref` is kept only as the reference the tests compare
-against.
+after it.  `rank_mod_p` bounds the rank of integer rows from below with
+int arithmetic modulo fixed primes, which proves a kernel empty without
+exact elimination.  The dense `rref` is kept only as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from typing import Sequence
 # the most unknowns one system may have: a half-space window, or a spinor space
 # of dimension 2^(n//2); past it the system is refused before anything is built
 MAX_UNKNOWNS = 100_000
+
+# the primes `rank_mod_p` eliminates modulo, in this order: fixed, so that its
+# result is deterministic, and below 2^30, so that a product of two residues
+# stays a small int
+RANK_PRIMES = (1073741789, 1073741783, 1073741741)
 
 
 def mat_from_rows(rows) -> tuple:
@@ -224,6 +231,43 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[dict]:
             if not coeff == 0:  # a float pivot row may keep an entry within tolerance of 0
                 basis[free][pc] = coeff
     return list(basis.values())
+
+
+def rank_mod_p(eqs: Sequence[dict], ncols: int) -> int:
+    """A lower bound on the rank over Q of integer rows {column: int}: their
+    largest rank modulo the primes of RANK_PRIMES.
+
+    A minor that is nonzero mod p is a nonzero integer, so no rank mod p
+    exceeds the rank over Q.  The primes are tried in order, and the first
+    at which the rank reaches ncols ends the search.  Each elimination reads
+    the rows into dense rows of ncols integers, so it suits systems with few
+    columns, such as the n columns of `clifford.annihilator_kernel`: a row is
+    reduced by the earlier pivots in column order, and its first column left
+    nonzero mod p becomes a new pivot.
+    """
+    best = 0
+    for p in RANK_PRIMES:
+        pivots = [None] * ncols   # pivots[c]: a row that is 1 at c, read right of c only
+        rank = 0
+        for eq in eqs:
+            row = [0] * ncols
+            for c, v in eq.items():
+                row[c] = v
+            for c, prow in enumerate(pivots):
+                x = row[c] % p
+                if not x:
+                    continue
+                if prow is None:
+                    inv = pow(x, -1, p)
+                    pivots[c] = [y * inv % p for y in row]
+                    rank += 1
+                    break
+                for k in range(c + 1, ncols):
+                    row[k] -= x * prow[k]
+            if rank == ncols:
+                return ncols
+        best = max(best, rank)
+    return best
 
 
 def _pin(eq: dict) -> int:

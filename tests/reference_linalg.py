@@ -4,7 +4,8 @@
 pass `_sparse_echelon`).  The routines here build on the dense `linalg.rref`,
 which clears every row at every pivot, and on dense Clifford multiplication,
 so they share no elimination code with the package: the dense Clifford
-kernels solve the same systems from the dense gamma images, and the lower
+kernels solve the same systems from the dense gamma images, the Clifford
+relations are checked on dense products of the gammas, and the lower
 central series takes its ranks from `rref` on brackets summed over the dense
 `structure` table.
 """
@@ -99,6 +100,38 @@ def annihilator_dense(rep, psi) -> list[tuple]:
     if not rows:
         return [tuple(_unit(n, a)) for a in range(n)]
     return nullspace(rows, n)
+
+
+def dense_product(A, B) -> list[list]:
+    """The product A B of dense matrices, summed entry by entry over the nonzero
+    entries of A and B."""
+    out = []
+    for row in A:
+        acc = [TS_ZERO] * len(B[0])
+        for k, x in enumerate(row):
+            if x == 0:
+                continue
+            for j, y in enumerate(B[k]):
+                if not y == 0:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
+def clifford_failures_dense(rep) -> list[tuple[int, int]]:
+    """Pairs (a, b), a <= b, where gamma_a gamma_b + gamma_b gamma_a != -2 eps_a
+    delta_ab I, from dense products of `rep.gammas`."""
+    gammas = rep.gammas
+    bad = []
+    for a in range(rep.n):
+        for b in range(a, rep.n):
+            ab = dense_product(gammas[a], gammas[b])
+            ba = dense_product(gammas[b], gammas[a])
+            want = -2 * rep.signs[a] if a == b else 0
+            if any(not x + y == (want if i == j else 0)
+                   for i, (ra, rb) in enumerate(zip(ab, ba)) for j, (x, y) in enumerate(zip(ra, rb))):
+                bad.append((a, b))
+    return bad
 
 
 def commutant_dense(rep, psi) -> CommutantKernel:

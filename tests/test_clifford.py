@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from solvspin import clifford, linalg
 from solvspin.exact import TS_I, TS_ONE, TS_ZERO, FloatScalar, TowerScalar, sqrt_to_tower, to_tower
 from solvspin.clifford import (
     annihilator_kernel,
@@ -27,9 +28,16 @@ from solvspin.clifford import (
     symmetric_commutant_kernel,
     two_tensor_action,
 )
-from solvspin.linalg import MAX_UNKNOWNS, identity, mat_equal, mat_mul, mat_scale, mat_sub, mat_from_rows, zeros
+from solvspin.linalg import MAX_UNKNOWNS, identity, mat_equal, mat_mul, mat_scale, mat_sub, mat_from_rows, sparse_nullspace, zeros
 
-from reference_linalg import annihilator_dense, commutant_dense, densify, matrix_rank, nullspace
+from reference_linalg import (
+    annihilator_dense,
+    clifford_failures_dense,
+    commutant_dense,
+    densify,
+    matrix_rank,
+    nullspace,
+)
 
 F = Fraction
 
@@ -170,6 +178,65 @@ class TestViolations:
         phase = (rep.phase[0], rep.phase[0]) + rep.phase[2:]
         bad = clifford_violations(dataclasses.replace(rep, perm=perm, phase=phase))
         assert (0, 1) in bad
+
+    def test_matches_dense_products_on_every_signature(self):
+        for n in range(1, 7):
+            for signs in itertools.product((1, -1), repeat=n):
+                rep = build_gammas(signs)
+                assert clifford_violations(rep) == clifford_failures_dense(rep) == []
+
+    @pytest.mark.parametrize("tamper", ["phase+1", "phase+2", "perm swap"])
+    def test_single_row_tampering_reported_where_dense_fails(self, tamper):
+        # one row of one generator is changed; the one-pass check must report
+        # exactly the pairs whose dense anticommutator is wrong
+        rng = random.Random(17)
+        signatures = [s for n in range(1, 5) for s in itertools.product((1, -1), repeat=n)]
+        signatures += [(1, -1, 1, -1, 1), (-1, 1, 1, 1, -1), (1, 1, -1, -1, 1, -1), (-1,) * 6]
+        for signs in signatures:
+            rep = build_gammas(signs)
+            N = rep.spinor_dim
+            if tamper == "perm swap" and N == 1:
+                continue
+            for a in range(rep.n):
+                i = rng.randrange(N)
+                perm, phase = list(rep.perm[a]), list(rep.phase[a])
+                if tamper == "perm swap":
+                    k = rng.choice([k for k in range(N) if k != i])
+                    perm[i], perm[k] = perm[k], perm[i]
+                else:
+                    phase[i] = (phase[i] + int(tamper[-1])) % 4
+                bad = dataclasses.replace(rep, perm=rep.perm[:a] + (tuple(perm),) + rep.perm[a + 1:],
+                                          phase=rep.phase[:a] + (tuple(phase),) + rep.phase[a + 1:])
+                want = clifford_failures_dense(bad)
+                assert clifford_violations(bad) == want, (signs, a, i)
+                if rep.n > 1:
+                    assert want, (signs, a, i)
+
+
+class TestShapeChecks:
+    """A wrongly sized input raises ValueError naming the expected size."""
+
+    def test_spinor_of_wrong_length(self):
+        rep = build_gammas((1, 1))
+        for psi in ([TS_ONE] * 3, [TS_ONE]):
+            with pytest.raises(ValueError, match="psi has %d entries, but spinor_dim = 2" % len(psi)):
+                annihilator_kernel(rep, psi)
+            with pytest.raises(ValueError, match="psi has %d entries, but spinor_dim = 2" % len(psi)):
+                symmetric_commutant_kernel(rep, psi)
+
+    def test_two_tensor_of_wrong_shape(self):
+        rep = build_gammas((1, 1))
+        for T in (identity(3), [[F(1), F(0)], [F(0)]], [[F(1), F(0)]]):
+            with pytest.raises(ValueError, match="T must be n x n = 2 x 2"):
+                two_tensor_action(rep, T)
+
+    def test_vector_of_wrong_length(self):
+        rep = build_gammas((1, -1, 1))
+        for v in ([F(1)], [F(1)] * 4):
+            with pytest.raises(ValueError, match="v has %d entries, but n = 3" % len(v)):
+                gamma_of_vector_rows(rep, v)
+            with pytest.raises(ValueError, match="v has %d entries, but n = 3" % len(v)):
+                gamma_of_vector(rep, v)
 
 
 class TestCliffordMul:
@@ -431,6 +498,73 @@ class TestSpinorKernels:
                 for col in range(n):
                     fv = [f[r][col] for r in range(n)]
                     assert all(x.is_zero for x in clifford_mul(rep, fv, psi))
+
+    def test_definite_annihilator_needs_no_exact_elimination(self, monkeypatch):
+        # rank mod p = n proves V_psi = 0 on every definite signature
+        calls = []
+
+        def counting(eqs, ncols):
+            calls.append(ncols)
+            return sparse_nullspace(eqs, ncols)
+
+        monkeypatch.setattr(clifford, "sparse_nullspace", counting)
+        rng = random.Random(14)
+        for n in range(1, 7):
+            for signs in [(1,) * n, (-1,) * n]:
+                rep = build_gammas(signs)
+                for _ in range(5):
+                    assert annihilator_kernel(rep, rand_spinor(rng, rep.spinor_dim)) == []
+        assert calls == []
+        rep = build_gammas((1, -1))
+        assert annihilator_kernel(rep, self._isotropic_annihilated(rep))
+        assert calls == [2]
+
+    def test_prime_dividing_a_minor_moves_to_the_next_prime(self, monkeypatch):
+        big = linalg.RANK_PRIMES[0]
+        rng = random.Random(15)
+        # a definite case: search for a spinor whose rows lose rank mod 3
+        rep = build_gammas((1, 1, 1, 1))
+        for _ in range(200):
+            psi = rand_spinor(rng, rep.spinor_dim)
+            monkeypatch.setattr(linalg, "RANK_PRIMES", (3,))
+            try:
+                annihilator_kernel(rep, psi)
+            except RuntimeError:
+                break
+        else:
+            pytest.fail("no seeded spinor loses rank mod 3")
+        monkeypatch.setattr(linalg, "RANK_PRIMES", (3, big))
+        assert annihilator_kernel(rep, psi) == annihilator_dense(rep, psi) == []
+        # a nonempty V_psi: 2 divides every equation of 2 psi
+        for signs in [(1, -1), (1, -1, 1, -1)]:
+            rep = build_gammas(signs)
+            psi = [2 * x for x in self._isotropic_annihilated(rep)]
+            monkeypatch.setattr(linalg, "RANK_PRIMES", (2, big))
+            V = annihilator_kernel(rep, psi)
+            assert V and densify(V, rep.n) == annihilator_dense(rep, psi)
+            monkeypatch.setattr(linalg, "RANK_PRIMES", (2,))
+            with pytest.raises(RuntimeError, match="annihilator_kernel"):
+                annihilator_kernel(rep, psi)
+
+    def test_every_prime_failing_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "RANK_PRIMES", (2, 3))
+        rep = build_gammas((1, 1, 1))
+        psi = [TowerScalar(6, 12), TowerScalar(-18, 6)]
+        assert annihilator_dense(rep, psi) == []
+        with pytest.raises(RuntimeError, match="annihilator_kernel"):
+            annihilator_kernel(rep, psi)
+        with pytest.raises(RuntimeError, match="annihilator_kernel"):
+            symmetric_commutant_kernel(rep, psi)
+
+    def test_basis_failing_the_equations_raises(self, monkeypatch):
+        # a basis of the right length that is not in the kernel is refused
+        rep = build_gammas((1, -1))
+        psi = self._isotropic_annihilated(rep)
+        V = annihilator_kernel(rep, psi)
+        wrong = [{c: x + (c == max(v)) for c, x in v.items()} for v in V]
+        monkeypatch.setattr(clifford, "sparse_nullspace", lambda eqs, ncols: wrong)
+        with pytest.raises(RuntimeError, match="annihilator_kernel: a basis vector fails"):
+            annihilator_kernel(rep, psi)
 
     def test_factored_matches_dense(self):
         # the sparse kernels against dense elimination in tests/reference_linalg.py

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from solvspin import linalg
 from solvspin.exact import FloatScalar, TowerScalar
 from solvspin.linalg import (
     _sparse_echelon,
@@ -12,6 +13,7 @@ from solvspin.linalg import (
     mat_mul,
     mat_vec,
     normalize_vector,
+    rank_mod_p,
     rref,
     sparse_nullspace,
     transpose,
@@ -312,3 +314,37 @@ def test_mat_mul_skips_zeros():
     B = ((F(2), F(0)), (F(0), F(3)))
     assert mat_mul(A, B) == ((F(0), F(3)), (F(0), F(0)))
     assert transpose(A) == ((F(0), F(0)), (F(1), F(0)))
+
+
+def _integer_system(rng, nrows, ncols, rank):
+    """nrows integer rows, each a combination of `rank` random rows, as sparse rows."""
+    base = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    eqs = []
+    for _ in range(nrows):
+        coeffs = [rng.randint(-2, 2) for _ in range(rank)]
+        row = [sum(c * b[k] for c, b in zip(coeffs, base)) for k in range(ncols)]
+        eqs.append({k: x for k, x in enumerate(row) if x})
+    return eqs
+
+
+def test_rank_mod_p_matches_dense_rank_on_seeded_systems():
+    rng = random.Random(41)
+    deficient = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 7)
+        eqs = _integer_system(rng, rng.randint(0, 9), ncols, rng.randint(0, ncols))
+        want = matrix_rank([[F(x) for x in row] for row in densify(eqs, ncols)]) if eqs else 0
+        assert rank_mod_p(eqs, ncols) == want, (eqs, ncols)
+        deficient += want < min(len(eqs), ncols)
+    assert deficient >= 50
+
+
+def test_rank_mod_p_takes_the_largest_rank_over_its_primes(monkeypatch):
+    # 3 divides the determinant 3 of [[3, 0], [1, 1]], so the rank mod 3 is 1
+    eqs = [{0: 3}, {0: 1, 1: 1}]
+    monkeypatch.setattr(linalg, "RANK_PRIMES", (3,))
+    assert rank_mod_p(eqs, 2) == 1
+    monkeypatch.setattr(linalg, "RANK_PRIMES", (3, 5))
+    assert rank_mod_p(eqs, 2) == 2
+    monkeypatch.setattr(linalg, "RANK_PRIMES", (5, 3))
+    assert rank_mod_p(eqs, 2) == 2

@@ -34,8 +34,9 @@ def test_traced_names_resolve(module, attr):
 
 
 # solver-path functions that read the stored entries only: the dense views
-# (`LieAlgebra.structure`, `Connection.gamma`, `Connection.nabla(i)`) build an
-# n^3 or n^2 table, which these must not pay for
+# (`LieAlgebra.structure`, `Connection.gamma`, `Connection.nabla(i)`,
+# `CliffordRep.gammas`) build an n^3, n^2 or n N^2 table, which these must not
+# pay for; the Clifford ones read `perm`/`phase`
 ENTRIES_ONLY = [
     ("liealg.py", "levi_civita"),
     ("liealg.py", "_check_connection"),
@@ -49,8 +50,11 @@ ENTRIES_ONLY = [
     ("killing.py", "_connection_entries"),
     ("killing.py", "killing_operator_rows"),
     ("killing.py", "solve_invariant_killing"),
+    ("clifford.py", "clifford_violations"),
+    ("clifford.py", "annihilator_kernel"),
+    ("clifford.py", "symmetric_commutant_kernel"),
 ]
-DENSE_VIEWS = ("structure", "gamma", "nabla")
+DENSE_VIEWS = ("structure", "gamma", "nabla", "gammas")
 
 
 @pytest.mark.parametrize("filename,func", ENTRIES_ONLY, ids=lambda x: x)
