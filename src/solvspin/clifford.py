@@ -255,6 +255,8 @@ def gamma_rows(rep: CliffordRep, a: int) -> list[dict]:
 
 def clifford_mul(rep: CliffordRep, v: Sequence, psi: Sequence) -> tuple:
     """v . psi, linear in both arguments; v.v.psi = -g(v, v) psi."""
+    _check_length(v, rep.n, "v", "n")
+    _check_length(psi, rep.spinor_dim, "psi", "spinor_dim")
     out = [TS_ZERO] * rep.spinor_dim
     for perm, phase, coeff in zip(rep.perm, rep.phase, v):
         if coeff == 0:

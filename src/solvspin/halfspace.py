@@ -6,20 +6,19 @@ derivation scaled by 1/r; the t-direction is the last frame index.  Spinor
 fields are expanded in the monomial lattice t^(k/2) x^m, which is closed under
 the left-invariant frame derivations: the t-derivation is diagonal on
 monomials, an x-derivation raises the t-exponent by one and lowers one
-x-degree.  Solving the Killing equation inside a bounded window of that
-lattice is an exact sparse linear problem.  Its matrix part comes from the
-sparse operator rows of `killing.killing_operator_rows`, built from the
-model's one cached Levi-Civita connection.  The model holds those rows, once
-per (representation, lambda) branch: the solve and `killing_residual` on
-every solution read the same rows, which no consumer changes.
+x-degree.  The Killing equation along e_i is d_i psi + A_i psi = 0, with A_i
+the operator rows of `killing.killing_operator_rows`.
 
-The window's equations are assembled per monomial block: each operator row
-becomes one equation over that monomial's columns, the t-derivative sits on
-its diagonal, and each x-derivative writes one entry into the equation of
-the monomial it lands on.  The two certificates never read those equations:
-`killing_residual` re-substitutes a solution through `frame_derivative` and
-the operator rows, and `verify_amended_identity` checks the amended identity
-with one Clifford product per transverse direction.
+The t-equation puts the coefficient at t^(k/2) in the kernel of A_t + k/(2r),
+E+ at k = 1, E- at k = -1 and 0 elsewhere, and the x-equations then force
+psi = t^(1/2) u + t^(-1/2) (v + sum_i x_i w_i) with u in E+ free,
+w_i = -r A_i u and v in E- and in every ker A_i.  A Killing spinor is fixed
+by its value at one point, so the N spinors built so, once per
+(representation, lambda) branch, are all of them.  A window's solutions are
+their combinations that vanish outside it.  The two certificates never read
+the construction: `killing_residual` re-substitutes a solution through
+`frame_derivative` and the operator rows, and `verify_amended_identity`
+checks the amended identity with one Clifford product per transverse direction.
 """
 
 from __future__ import annotations
@@ -37,14 +36,23 @@ from .linalg import MAX_UNKNOWNS, add_scaled, identity, mat_scale, normalize_vec
 
 F0 = Fraction(0)
 
-Monomial = tuple  # (k, m): t^(k/2) * x^m with m a multi-index over x_1..x_{n-1}
+
+class _FrameFactors(dict):
+    """k -> k/(2r), by which (t/r) d/dt scales t^(k/2); each formed on first use."""
+
+    def __init__(self, r: Fraction):
+        self.r = r
+
+    def __missing__(self, k: int) -> Fraction:
+        c = self[k] = Fraction(k, 2) / self.r
+        return c
 
 
 class HalfSpaceModel:
     """H^eps_r as a metric Lie algebra plus its coordinate frame data.
 
-    Read-only after construction, so the cached connection and the operator
-    rows held per branch cannot go stale; they live as long as the model.
+    Read-only after construction, so its cached connection, branch entries
+    and frame factors cannot go stale; they live as long as the model.
     """
 
     def __init__(self, n: int, signs: Sequence[int], r: Fraction):
@@ -65,7 +73,7 @@ class HalfSpaceModel:
         D = mat_scale(Fraction(-1) / r, identity(n - 1))
         algebra, decomposition = extend_by_derivation(base, D, signs[-1])
         for name, value in (("n", n), ("signs", signs), ("r", r), ("algebra", algebra),
-                            ("decomposition", decomposition), ("_branch_rows", {})):
+                            ("decomposition", decomposition), ("_branches", {}), ("_factors", _FrameFactors(r))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -78,12 +86,25 @@ class HalfSpaceModel:
 
     def operator_rows(self, rep: CliffordRep, lam) -> list[list[dict]]:
         """Sparse rows of nabla_{e_i} - lam gamma_i per direction i, built once
-        per (rep, lam) from the cached connection.  Callers must not change them."""
-        key = (rep, lam)
-        rows = self._branch_rows.get(key)
-        if rows is None:
-            rows = self._branch_rows[key] = killing_operator_rows(self.algebra, rep, lam, self.connection)
-        return rows
+        per (rep, lam) from the cached connection and held in the branch's one
+        cache entry.  Callers must not change them."""
+        branch = self._branches.get((rep, lam))
+        if branch is None:
+            rows = killing_operator_rows(self.algebra, rep, lam, self.connection)
+            branch = self._branches[(rep, lam)] = {"rows": rows}
+        return branch["rows"]
+
+    def killing_spinors(self, rep: CliffordRep, lam) -> list[dict]:
+        """The branch's N Killing spinors as rows {((k, m), h): coefficient},
+        built once per (rep, lam); none unless lam^2 = -eps_t/(4 r^2), the
+        Einstein value.  Callers must not change them."""
+        if not lam * lam == Fraction(-self.signs[-1]) / (4 * self.r * self.r):
+            return []
+        rows = self.operator_rows(rep, lam)
+        branch = self._branches[(rep, lam)]
+        if "spinors" not in branch:
+            branch["spinors"] = _build_spinors(self, rep, lam, rows)
+        return branch["spinors"]
 
     def clifford_rep(self) -> CliffordRep:
         return build_gammas(self.signs)
@@ -226,20 +247,21 @@ def frame_derivative(model: HalfSpaceModel, f: CoordFunction, direction: int) ->
     (t/r) d/dt, which is diagonal with eigenvalue k/(2r) on t^(k/2) x^m.
     Both maps are one-to-one on the monomials they do not kill, and a
     product of nonzero exact scalars is nonzero, so no term needs summing
-    or dropping.
+    or dropping.  The factors k/(2r) and e/r = 2e/(2r) are read from the
+    model's table, which forms each once per exponent.
     """
     n = model.n
-    r = model.r
+    factors = model._factors
     out: dict = {}
     if direction == n - 1:
         for (k, m), coeff in f.terms.items():
             if k:
-                out[(k, m)] = coeff * (Fraction(k, 2) / r)
+                out[(k, m)] = coeff * factors[k]
     elif 0 <= direction < n - 1:
         for (k, m), coeff in f.terms.items():
             e = m[direction]
             if e:
-                out[(k + 2, m[:direction] + (e - 1,) + m[direction + 1:])] = coeff * (e / r)
+                out[(k + 2, m[:direction] + (e - 1,) + m[direction + 1:])] = coeff * factors[2 * e]
     else:
         raise ValueError("direction out of range")
     return CoordFunction._from_clean(out)
@@ -300,18 +322,16 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
 
     Vanishing of every monomial coefficient in every direction is exactly the
     Killing equation with constant lambda.  Component i of direction d sums,
-    into one dict, the terms of `frame_derivative` of psi_i and those of
-    sum_j row_i[j] psi_j over the sparse operator rows the model holds for
-    this branch.  It never reads the solver's assembled equations, so it
-    certifies the assembly too; the rows are built once per
-    (model, rep, lambda), not per solution.
+    into one dict, `frame_derivative` of psi_i and sum_j row_i[j] psi_j over
+    the operator rows the model holds for the branch, built once per branch.
+    It never reads the solver's construction, so it certifies it.
     """
     comps = psi.components
     out = []
     for d, rows in enumerate(model.operator_rows(rep, lam)):
         res = []
         for comp, row in zip(comps, rows):
-            acc = dict(frame_derivative(model, comp, d).terms)
+            acc = frame_derivative(model, comp, d).terms   # a fresh dict, summed into
             for j, coeff in row.items():
                 add_scaled(acc, coeff, comps[j].terms)
             res.append(CoordFunction._from_clean(acc))
@@ -328,110 +348,88 @@ def solve_killing_halfspace(
 ) -> list[CoordSpinorField]:
     """Exact solution basis of the Killing equation in a bounded monomial window.
 
-    The ansatz runs over t^(k/2) x^m with k in [-kmax, kmax] and |m| <= mmax;
-    completeness inside the window is checked by the caller via saturation
-    (enlarging the window must not increase the dimension).  A window of
-    more than MAX_UNKNOWNS unknowns, (2 kmax + 1) C(n - 1 + mmax, mmax) N, is
-    refused before anything is built.  The equations come from
-    `_window_equations`, which reads the sparse operator rows the model holds
-    for this branch, so the connection and the rows are built once per
-    (model, rep, lambda), shared by every window and every `killing_residual`
-    on the solutions.  Each kernel basis vector is a sparse row with a 1 at
-    its free column; `normalize_vector` scales it so the coefficient at its
-    lowest column is one, and each entry (column q N + h) becomes the
-    coefficient of monomial q in component h.
+    The window runs over t^(k/2) x^m with k in [-kmax, kmax] and |m| <= mmax;
+    one of more than MAX_UNKNOWNS unknowns, (2 kmax + 1) C(n - 1 + mmax, mmax)
+    N, is refused before anything is built.  Its column q N + h, component h at
+    the q-th monomial in (k, m) order, compares as the key ((k, m), h) does.
+    The combinations of the branch's spinors whose coefficients outside the
+    window cancel, an N-column kernel, are fully reduced with each vector's
+    highest column as its pivot, scaled by `normalize_vector` and returned in
+    pivot order: the unique basis that eliminating the window's equations gives.
     """
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
         if bound < 0:
             raise ValueError("window bound %s = %d is negative" % (name, bound))
-    n = model.n
     N = rep.spinor_dim
-    unknowns = (2 * kmax + 1) * comb(n - 1 + mmax, mmax) * N
+    unknowns = (2 * kmax + 1) * comb(model.n - 1 + mmax, mmax) * N
     if unknowns > MAX_UNKNOWNS:
         raise ValueError("window kmax = %d, mmax = %d has %d unknowns, more than the limit of %d"
                          % (kmax, mmax, unknowns, MAX_UNKNOWNS))
-    monos = _monomials(n - 1, kmax, mmax)
-    basis = sparse_nullspace(_window_equations(model, rep, lam, monos), unknowns)
+    spinors = model.killing_spinors(rep, lam)
+    outside: dict = {}
+    for j, spinor in enumerate(spinors):
+        for ((k, m), h), c in spinor.items():
+            if abs(k) > kmax or sum(m) > mmax:
+                outside.setdefault(((k, m), h), {})[j] = c
+    inside = []
+    for combo in sparse_nullspace(list(outside.values()), len(spinors)):
+        vec: dict = {}
+        for j, c in combo.items():
+            add_scaled(vec, c, spinors[j])
+        inside.append(vec)
     fields = []
-    for vec in basis:
+    for vec in _reduce_by_highest(inside):
         comps = [{} for _ in range(N)]
-        for col, x in normalize_vector(vec).items():
-            q, h = divmod(col, N)
-            comps[h][monos[q]] = to_tower(x)
+        for (mono, h), x in normalize_vector(vec).items():
+            comps[h][mono] = to_tower(x)
         fields.append(CoordSpinorField([CoordFunction._from_clean(terms) for terms in comps]))
     return fields
 
 
-def _window_equations(model: HalfSpaceModel, rep: CliffordRep, lam, monos: list) -> list[dict]:
-    """The window's Killing equations as sparse rows {column: coefficient}.
+def _reduce_by_highest(vectors: list[dict]) -> list[dict]:
+    """The unique basis of the span of independent sparse rows in which each
+    row is 1 at its highest column, its pivot, and 0 at every other pivot, in
+    pivot order.  The rows passed in are changed."""
+    reduced: dict = {}
+    for vec in vectors:
+        for p in vec.keys() & reduced.keys():
+            add_scaled(vec, -vec[p], reduced[p])
+        top = max(vec)
+        inv = 1 / vec[top]
+        vec = {key: c * inv for key, c in vec.items()}
+        for row in reduced.values():
+            if top in row:
+                add_scaled(row, -row[top], vec)
+        reduced[top] = vec
+    return [reduced[top] for top in sorted(reduced)]
 
-    Column q N + h is component h at monomial monos[q].  Operator row i of
-    direction d at monomial q gives the equation {q N + j: row_i[j]}.  In the
-    t-direction the derivative adds k/(2r) to its diagonal entry q N + i,
-    once per k, and an entry that cancels is dropped.  The x-direction d
-    maps source q = (k, m) to target (k + 2, m - e_d), one source per target,
-    so e/r is written straight into column q N + i of the target's equation;
-    a target outside the window gives the singleton {q N + i: e/r}, which
-    the pin pass of `sparse_nullspace` consumes.  No equation is empty.
-    """
+
+def _build_spinors(model: HalfSpaceModel, rep: CliffordRep, lam, rows) -> list[dict]:
+    """t^(1/2) u + t^(-1/2) sum_i x_i w_i per u in E+, and t^(-1/2) v per v in
+    E- cut by the x-direction rows; fewer than N raises RuntimeError."""
     N = rep.spinor_dim
-    r = model.r
-    t_dir = model.n - 1
-    position = {mono: q for q, mono in enumerate(monos)}
-    eqs = []
-    for d, rows in enumerate(model.operator_rows(rep, lam)):
-        if d == t_dir:
-            # the rows with k/(2r) on the diagonal, built once per k
-            shifted = {}
-            for k in {k for k, _ in monos}:
-                c = Fraction(k, 2) / r
-                block = []
-                for i, row in enumerate(rows):
-                    row = dict(row)
-                    if k:
-                        add_scaled(row, c, {i: 1})
-                    block.append(row)
-                shifted[k] = block
-            for q, (k, _) in enumerate(monos):
-                base = q * N
-                eqs.extend({base + j: v for j, v in row.items()} for row in shifted[k] if row)
-            continue
-        targets = [[{base + j: v for j, v in row.items()} for row in rows]
-                   for base in range(0, len(monos) * N, N)]
-        for q, (k, m) in enumerate(monos):
-            e = m[d]
-            if not e:
-                continue
-            c = e / r
-            base = q * N
-            p = position.get((k + 2, m[:d] + (e - 1,) + m[d + 1:]))
-            if p is None:
-                eqs.extend({base + h: c} for h in range(N))
-            else:
-                for h, eq in enumerate(targets[p]):
-                    eq[base + h] = c
-        eqs.extend(eq for target in targets for eq in target if eq)
-    return eqs
-
-
-def _monomials(nx: int, kmax: int, mmax: int) -> list[Monomial]:
-    t_range = range(-kmax, kmax + 1)
-    xs = _multi_indices(nx, mmax)
-    return [(k, m) for k in t_range for m in xs]
-
-
-def _multi_indices(nx: int, total: int) -> list[tuple]:
-    if nx == 0:
-        return [()]
-    out = []
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-    rec([], total, nx)
-    return sorted(set(out))
+    *x_rows, t_rows = rows
+    zero = (0,) * (model.n - 1)
+    plus, minus = ([dict(row) for row in t_rows] for _ in range(2))   # A_t + k/(2r) at k = 1, -1
+    for i in range(N):
+        add_scaled(plus[i], model._factors[1], {i: 1})
+        add_scaled(minus[i], model._factors[-1], {i: 1})
+    spinors = []
+    for u in sparse_nullspace(plus, N):
+        spinor = {((1, zero), h): c for h, c in u.items()}
+        for i, x_row in enumerate(x_rows):
+            mono = (-1, zero[:i] + (1,) + zero[i + 1:])
+            for h, row in enumerate(x_row):
+                w = sum((c * u[j] for j, c in row.items() if j in u), F0)
+                if not w == 0:
+                    spinor[(mono, h)] = -model.r * w
+        spinors.append(spinor)
+    minus += (row for x_row in x_rows for row in x_row)
+    spinors += ({((-1, zero), h): c for h, c in v.items()} for v in sparse_nullspace(minus, N))
+    if len(spinors) < N:
+        raise RuntimeError("%r branch lambda = %s has %d Killing spinors, not N = %d"
+                           % (model, lam, len(spinors), N))
+    return spinors
 
 
 def verify_amended_identity(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorField, lam) -> bool:

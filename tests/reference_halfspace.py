@@ -1,11 +1,39 @@
-"""Per-entry references for the half-space solver's window assembly and its
-amended-identity certificate, kept to check the block assembly and the
-one-product identity in `solvspin.halfspace` against."""
+"""Per-entry references for the half-space solver and its amended-identity
+certificate: the window's Killing equations eliminated as they stand, the
+oracle for the solver's construction from the fiber, and the three-term
+identity, the oracle for the one-product identity in `solvspin.halfspace`."""
 
 from fractions import Fraction
+from itertools import product
 
 from solvspin.clifford import gamma_rows
-from solvspin.halfspace import frame_derivative
+from solvspin.exact import to_tower
+from solvspin.halfspace import CoordFunction, CoordSpinorField, frame_derivative
+from solvspin.linalg import normalize_vector, sparse_nullspace
+
+
+def monomials(nx, kmax, mmax):
+    """The window's monomials (k, m) in column order: k in [-kmax, kmax], then
+    the multi-indices |m| <= mmax over nx variables in increasing order."""
+    xs = sorted(m for m in product(range(mmax + 1), repeat=nx) if sum(m) <= mmax)
+    return [(k, m) for k in range(-kmax, kmax + 1) for m in xs]
+
+
+def window_solutions(model, rep, lam, kmax, mmax):
+    """The window's solution basis by elimination: the per-entry equations
+    below, `sparse_nullspace` over the window's columns and `normalize_vector`,
+    with column q N + h read as component h at monomial q."""
+    N = rep.spinor_dim
+    monos = monomials(model.n - 1, kmax, mmax)
+    eqs, _ = window_equations_per_entry(model, rep, lam, monos)
+    fields = []
+    for vec in sparse_nullspace([eq for eq in eqs if eq], len(monos) * N):
+        comps = [{} for _ in range(N)]
+        for col, x in normalize_vector(vec).items():
+            q, h = divmod(col, N)
+            comps[h][monos[q]] = to_tower(x)
+        fields.append(CoordSpinorField([CoordFunction(terms) for terms in comps]))
+    return fields
 
 
 def window_equations_per_entry(model, rep, lam, monos):

@@ -269,6 +269,19 @@ class TestCliffordMul:
             g = sum((rep.signs[i] * v[i] * w[i] for i in range(3)), F(0))
             assert [a + b for a, b in zip(vw, wv)] == [-2 * g * x for x in psi]
 
+    def test_wrong_lengths_are_refused(self):
+        # a short v used to be zero-padded, a long one truncated, a long psi
+        # cut, each giving a wrong product; a 1-entry psi raised IndexError
+        rep = build_gammas((1, 1, 1))
+        v, psi = [F(1), F(2), F(3)], [TS_ONE, TS_I]
+        for bad_v in ([F(1)], [F(1)] * 5):
+            with pytest.raises(ValueError, match="v has %d entries, but n = 3" % len(bad_v)):
+                clifford_mul(rep, bad_v, psi)
+        for bad_psi in ([TS_ONE] * 3, [TS_ONE]):
+            with pytest.raises(ValueError, match="psi has %d entries, but spinor_dim = 2" % len(bad_psi)):
+                clifford_mul(rep, v, bad_psi)
+        assert list(clifford_mul(rep, v, psi)) == list(linalg.mat_vec(gamma_of_vector(rep, v), psi))
+
 
 class TestSpinLift:
     def test_zero(self):

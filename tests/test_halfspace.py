@@ -1,11 +1,11 @@
 """Coordinate spinor fields on the hyperbolic half-space and the exact solver."""
 
 import copy
+import itertools
 import json
 import pickle
 import re
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +15,7 @@ import solvspin.killing
 import solvspin.liealg
 from solvspin.cli import main
 from solvspin.clifford import build_gammas
-from solvspin.exact import TS_I, TS_ONE, FloatScalar, TowerScalar, sqrt_to_tower, to_tower
+from solvspin.exact import TS_I, TS_ONE, FloatScalar, TowerScalar, sqrt_to_tower
 from solvspin.killing import killing_operator_rows, lambda_candidates, solve_invariant_killing
 from solvspin.liealg import curvature, einstein_extension, levi_civita, ricci
 from solvspin.halfspace import (
@@ -25,14 +25,17 @@ from solvspin.halfspace import (
     HalfSpaceModel,
     frame_derivative,
     killing_residual,
-    _monomials,
-    _window_equations,
     parse_halfspace_spec,
     solve_killing_halfspace,
     verify_amended_identity,
 )
 from conftest import heisenberg3
-from reference_halfspace import amended_identity_three_term, window_equations_per_entry
+from reference_halfspace import (
+    amended_identity_three_term,
+    monomials,
+    window_equations_per_entry,
+    window_solutions,
+)
 
 F = Fraction
 
@@ -155,6 +158,8 @@ class TestModel:
                     residuals += 1
         assert residuals > len(lams) * 2
         assert built == lams
+        # the branch's spinors are held next to its rows
+        assert model.killing_spinors(model.clifford_rep(), lams[0]) is model.killing_spinors(rep, lams[0])
         # a rep equal to the first shares its rows; the held rows are unchanged
         assert model.operator_rows(model.clifford_rep(), lams[0]) is model.operator_rows(rep, lams[0])
         assert built == lams
@@ -318,7 +323,7 @@ class TestSolver:
         model = HalfSpaceModel(3, (1, 1, 1), F(1))
         rep = model.clifford_rep()
         lam = lambda_candidates(model.algebra)[0].lam
-        monkeypatch.setattr(solvspin.halfspace, "_monomials", None)  # never reached
+        monkeypatch.setattr(HalfSpaceModel, "killing_spinors", None)  # never reached
         # (2 * 100000 + 1) * C(102, 100) * 2 unknowns, about 1e9
         count = 200001 * 5151 * 2
         started = time.perf_counter()
@@ -365,36 +370,40 @@ class TestSolver:
         assert total >= rep.spinor_dim
 
 
-ASSEMBLY_MODELS = [
-    (2, (1, -1), F(1, 3)),
-    (3, (1, 1, 1), F(1)),
-    (3, (-1, 1, -1), F(2, 3)),
-    (4, (1, -1, 1, 1), F(1, 2)),
-    (5, (1, -1, 1, 1, -1), F(2, 3)),
-]
-
-
-def _equation_multiset(eqs):
-    return Counter(tuple(sorted((col, to_tower(v)) for col, v in eq.items())) for eq in eqs)
+def _as_json(fields):
+    return [psi.to_json_dict() for psi in fields]
 
 
 class TestWindowAssembly:
-    def test_block_assembly_matches_per_entry_reference(self):
-        cancelled = 0
-        for n, signs, r in ASSEMBLY_MODELS:
-            model = HalfSpaceModel(n, signs, r)
-            rep = model.clifford_rep()
-            for cand in lambda_candidates(model.algebra):
-                for kmax, mmax in ((0, 0), (1, 1), (2, 1), (1, 2)):
-                    monos = _monomials(n - 1, kmax, mmax)
-                    got = _window_equations(model, rep, cand.lam, monos)
-                    want, dropped = window_equations_per_entry(model, rep, cand.lam, monos)
-                    cancelled += dropped
-                    assert all(eq and all(not v == 0 for v in eq.values()) for eq in got)
-                    assert _equation_multiset(got) == _equation_multiset(eq for eq in want if eq)
-        # the t-derivative k/(2r) cancels a diagonal entry somewhere in these
-        # windows, so the dropping is compared too
-        assert cancelled
+    def test_construction_matches_window_elimination(self):
+        # every signature with n <= 5, both branches and three wrong lambdas:
+        # the basis built from the fiber and reduced to the window is the one
+        # that eliminating the window's own equations gives
+        wrong = (TowerScalar.rational(0), TowerScalar.rational(F(1, 3)), TowerScalar.imaginary(F(1, 3)))
+        found = 0
+        for n in range(2, 6):
+            for signs in itertools.product((1, -1), repeat=n):
+                for r in (F(1), F(2, 3)):
+                    model = HalfSpaceModel(n, signs, r)
+                    rep = model.clifford_rep()
+                    lams = [cand.lam for cand in lambda_candidates(model.algebra)]
+                    for lam in lams + list(wrong):
+                        for kmax, mmax in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                            got = solve_killing_halfspace(model, rep, lam, kmax, mmax)
+                            assert _as_json(got) == _as_json(window_solutions(model, rep, lam, kmax, mmax))
+                            found += len(got)
+                    for lam in lams:
+                        assert len(model.killing_spinors(rep, lam)) == rep.spinor_dim
+        assert found
+
+    def test_reduction_pivots_on_the_highest_column(self):
+        # the window's spinors arrive reduced, so the solver never needs these
+        # steps; here the second row meets the first's pivot 2, and the new
+        # pivot 1 is then cleared from the first row
+        got = solvspin.halfspace._reduce_by_highest([{0: F(1), 1: F(1), 2: F(1)}, {0: F(1), 1: F(3), 2: F(2)}])
+        assert got == [{0: F(-1), 1: F(1)}, {0: F(2), 2: F(1)}]
+        got = solvspin.halfspace._reduce_by_highest([{0: F(3)}, {0: F(1), 2: F(-2)}, {1: F(1, 2), 2: F(1)}])
+        assert got == [{0: F(1)}, {1: F(1)}, {2: F(1)}]
 
     def test_t_derivative_cancels_a_diagonal_entry(self):
         # n = 3, r = 1: gamma_t is diagonal with entries +-i, so on either
@@ -402,12 +411,53 @@ class TestWindowAssembly:
         # diagonal, which k/(2r) cancels at k = -1 and at k = +1
         model = HalfSpaceModel(3, (1, 1, 1), F(1))
         rep = model.clifford_rep()
-        monos = _monomials(2, 1, 0)
+        monos = monomials(2, 1, 0)
         for cand in lambda_candidates(model.algebra):
-            want, dropped = window_equations_per_entry(model, rep, cand.lam, monos)
+            _, dropped = window_equations_per_entry(model, rep, cand.lam, monos)
             assert dropped == 2
-            got = _window_equations(model, rep, cand.lam, monos)
-            assert _equation_multiset(got) == _equation_multiset(eq for eq in want if eq)
+            got = solve_killing_halfspace(model, rep, cand.lam, 1, 0)
+            assert got and _as_json(got) == _as_json(window_solutions(model, rep, cand.lam, 1, 0))
+
+
+class TestConstructionMutants:
+    # the construction is read by neither certificate, so a wrong one must be
+    # caught by the count check or by the residual of a returned solution
+    def setup_method(self):
+        self.model = HalfSpaceModel(4, (1, -1, 1, 1), F(2, 3))
+        self.rep = self.model.clifford_rep()
+        self.lam = lambda_candidates(self.model.algebra)[0].lam
+
+    def test_a_dropped_v_fails_the_count(self, monkeypatch):
+        nullspace = solvspin.halfspace.sparse_nullspace
+        kernels = []
+
+        def drop_one_v(eqs, ncols):
+            basis = nullspace(eqs, ncols)
+            kernels.append(len(basis))
+            return basis[:-1] if len(kernels) == 2 else basis   # E+, then E- cut by the x-rows
+
+        monkeypatch.setattr(solvspin.halfspace, "sparse_nullspace", drop_one_v)
+        with pytest.raises(RuntimeError, match=re.escape("%r branch lambda = %s has 3 Killing spinors, not N = 4"
+                                                         % (self.model, self.lam))):
+            solve_killing_halfspace(self.model, self.rep, self.lam, 1, 1)
+        assert kernels == [2, 2]
+
+    def test_a_zeroed_w_fails_the_residual(self, monkeypatch):
+        build = solvspin.halfspace._build_spinors
+        x1 = (-1, (1, 0, 0))
+
+        def zero_w1(model, rep, lam, rows):
+            spinors = build(model, rep, lam, rows)
+            first = next(s for s in spinors if any(mono == x1 for mono, _ in s))
+            for key in [key for key in first if key[0] == x1]:
+                del first[key]
+            return spinors
+
+        monkeypatch.setattr(solvspin.halfspace, "_build_spinors", zero_w1)
+        sols = solve_killing_halfspace(self.model, self.rep, self.lam, 1, 1)
+        assert len(sols) == self.rep.spinor_dim
+        assert not all(all(res.is_zero for res in killing_residual(self.model, self.rep, psi, self.lam))
+                       for psi in sols)
 
 
 def _tampered(psi, h, mono, delta):
