@@ -30,8 +30,6 @@ from .liealg import (
 from .clifford import (
     CliffordRep,
     build_gammas,
-    clifford_mul,
-    spin_lift,
     symmetric_commutant_kernel,
     two_tensor_action,
 )

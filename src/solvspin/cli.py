@@ -211,15 +211,19 @@ def matrix_json(mat):
 # command implementations
 # ---------------------------------------------------------------------------
 
+def _is_halfspace_spec(text: str) -> bool:
+    """Whether the first word of text is `halfspace`; a path such as halfspace.alg is no spec."""
+    return text.split(None, 1)[:1] == ["halfspace"]
+
+
 def _load_input(spec_text: str, job: JobSpec):
-    """Input is either a path to an algebra file or an inline half-space spec."""
-    if spec_text.strip().startswith("halfspace"):
-        model = parse_halfspace_spec(spec_text)
-        return model.algebra, model.decomposition, model, spec_text
-    with open(spec_text, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("halfspace"):
-        model = parse_halfspace_spec(text.strip())
+    """Input is an inline half-space spec, or a path to a file holding one or an algebra."""
+    text = spec_text
+    if not _is_halfspace_spec(text):
+        with open(spec_text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    if _is_halfspace_spec(text):
+        model = parse_halfspace_spec(text)
         return model.algebra, model.decomposition, model, text
     M, decomp = parse_algebra_text(text)
     if job.backend == "float":

@@ -34,7 +34,6 @@ from typing import Sequence
 
 from .exact import TS_I, TS_ONE, TS_ZERO, common_numerators, from_numerators
 from .linalg import MAX_UNKNOWNS, mat_from_rows, rank_mod_p, sparse_nullspace
-from .liealg import is_metric_skew
 
 F0 = Fraction(0)
 QUARTER = Fraction(1, 4)
@@ -253,48 +252,16 @@ def gamma_rows(rep: CliffordRep, a: int) -> list[dict]:
     return [{j: _UNITS[q]} for j, q in zip(rep.perm[a], rep.phase[a])]
 
 
-def clifford_mul(rep: CliffordRep, v: Sequence, psi: Sequence) -> tuple:
-    """v . psi, linear in both arguments; v.v.psi = -g(v, v) psi."""
-    _check_length(v, rep.n, "v", "n")
-    _check_length(psi, rep.spinor_dim, "psi", "spinor_dim")
-    out = [TS_ZERO] * rep.spinor_dim
-    for perm, phase, coeff in zip(rep.perm, rep.phase, v):
-        if coeff == 0:
-            continue
-        multiples = [coeff * u for u in _UNITS]
-        for i, (j, q) in enumerate(zip(perm, phase)):
-            out[i] = out[i] + multiples[q] * psi[j]
-    return tuple(out)
-
-
-def spin_lift_rows(rep: CliffordRep, A) -> list[dict]:
-    """Sparse rows {column: coefficient} of the spinor action of a metric-skew A.
-
-    lift(A) = (1/4) sum_j eps_j gamma_j gamma(A e_j); it satisfies
-    [lift(A), v.] = (A v). for all vectors v.
-    """
-    if not is_metric_skew(A, rep.signs):
-        raise ValueError("endomorphism is not metric-skew")
-    n = rep.n
-    return clifford_rows(rep, skew_lift_terms(rep, (
-        (k, j, A[k][j]) for j in range(n) for k in range(n) if not A[k][j] == 0)))
-
-
 def skew_lift_terms(rep: CliffordRep, entries):
     """Terms ((j, k), eps_j A_kj / 4) of (1/4) sum_j eps_j gamma_j gamma(A e_j), from
     entries (k, j, A_kj).
 
-    Entries left out are zero.  This is the spin lift of A only when A is
-    metric-skew, which the caller vouches for: `spin_lift_rows` tests it on
-    a dense A, and the Levi-Civita connection is checked metric-compatible
-    when it is built.
+    Entries left out are zero.  This is the spin lift of A, with
+    [lift(A), v.] = (A v). for every vector v, only when A is metric-skew,
+    which the caller vouches for: the Levi-Civita connection, whose entries
+    the solvers pass, is checked metric-compatible when it is built.
     """
     return (((j, k), QUARTER * x if rep.signs[j] == 1 else -QUARTER * x) for k, j, x in entries)
-
-
-def spin_lift(rep: CliffordRep, A) -> tuple:
-    """Dense matrix of `spin_lift_rows`."""
-    return dense_rows(spin_lift_rows(rep, A))
 
 
 def two_tensor_action(rep: CliffordRep, T) -> tuple:

@@ -128,11 +128,6 @@ class TowerScalar:
         t = self._t
         return not (t[1] or t[2] or t[3])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("scalar %r is not rational" % (self,))
-        return self.a
-
     # ---- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
@@ -174,7 +169,7 @@ class TowerScalar:
             n = a * a + b * b
             if not n:
                 raise ZeroDivisionError("division by zero")
-            return _reduced(q * a, -q * b, 0, 0, n, None)
+            return from_numerators(q * a, -q * b, 0, 0, n, None)
         # conjugate over w: (u - v w); norm = u^2 - m v^2 in Q(i)
         na = a * a - b * b - m * (c * c - d * d)
         nb = 2 * (a * b - m * c * d)
@@ -182,8 +177,8 @@ class TowerScalar:
         if not nn:
             raise ZeroDivisionError("norm form is zero; element not invertible")
         # 1/z = q conj_w(z) conj_i(norm) / |norm|^2
-        return _reduced(q * (a * na + b * nb), q * (b * na - a * nb),
-                        -q * (c * na + d * nb), q * (c * nb - d * na), nn, m)
+        return from_numerators(q * (a * na + b * nb), q * (b * na - a * nb),
+                               -q * (c * na + d * nb), q * (c * nb - d * na), nn, m)
 
     def __truediv__(self, other):
         o = _tuple(other)
@@ -279,8 +274,9 @@ def _make(t: tuple) -> TowerScalar:
     return x
 
 
-def _reduced(a: int, b: int, c: int, d: int, q: int, m) -> TowerScalar:
-    """Reduce (a + b i + c w + d i w) / q, q > 0, to the stored form."""
+def from_numerators(a: int, b: int, c: int, d: int, q: int, m) -> TowerScalar:
+    """The scalar (a + b*i + c*w + d*i*w) / q for integers with q > 0 and w**2 = m,
+    reduced to the stored form."""
     g = math.gcd(a, b, c, d, q)
     if g != 1:
         a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
@@ -314,9 +310,9 @@ def _sum(s: tuple, o: tuple) -> TowerScalar:
         if q1 == 1:
             c, d = c1 + c2, d1 + d2
             return _make((a1 + a2, b1 + b2, c, d, 1, m if (c or d) else None))
-        return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1, m)
-    return _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1,
-                    d1 * q2 + d2 * q1, q1 * q2, m)
+        return from_numerators(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1, m)
+    return from_numerators(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1,
+                           d1 * q2 + d2 * q1, q1 * q2, m)
 
 
 def _product(s: tuple, o: tuple) -> TowerScalar:
@@ -326,13 +322,13 @@ def _product(s: tuple, o: tuple) -> TowerScalar:
     if m1 is None and m2 is None:
         # pure Q(i); over Z[i], the common case, there is nothing to reduce
         a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-        return _make((a, b, 0, 0, 1, None)) if q == 1 else _reduced(a, b, 0, 0, q, None)
+        return _make((a, b, 0, 0, 1, None)) if q == 1 else from_numerators(a, b, 0, 0, q, None)
     m = _common_radicand(m1, m2)
     # (u1 + v1 w)(u2 + v2 w) = (u1 u2 + m v1 v2) + (u1 v2 + v1 u2) w over Q(i)
-    return _reduced(a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2),
-                    a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
-                    a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
-                    a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q, m)
+    return from_numerators(a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2),
+                           a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
+                           a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+                           a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q, m)
 
 
 TS_ZERO = TowerScalar.rational(0)
@@ -406,11 +402,6 @@ def common_numerators(scalars) -> tuple:
         s = q // qt
         nums.append((a, b, c, d) if s == 1 else (a * s, b * s, c * s, d * s))
     return nums, q, m
-
-
-def from_numerators(a: int, b: int, c: int, d: int, q: int, m) -> TowerScalar:
-    """The scalar (a + b*i + c*w + d*i*w) / q for integers with q > 0 and w**2 = m."""
-    return _reduced(a, b, c, d, q, m)
 
 
 class FloatScalar:

@@ -29,8 +29,8 @@ from math import comb
 from typing import Sequence
 
 from .exact import parse_rational, to_tower
-from .clifford import CliffordRep, build_gammas, gamma_rows
-from .killing import killing_operator_rows
+from .clifford import CliffordRep, _check_length, build_gammas, gamma_rows
+from .killing import check_signature, killing_operator_rows
 from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation, levi_civita
 from .linalg import MAX_UNKNOWNS, add_scaled, identity, mat_scale, normalize_vector, sparse_nullspace
 
@@ -156,9 +156,9 @@ def _spec_int(key: str, text: str, token: str) -> int:
 class CoordFunction:
     """Finite sum of monomials t^(k/2) x^m with scalar coefficients.
 
-    The constructor validates its terms; the arithmetic builds its results,
-    which hold no zero coefficient and only (int, tuple) keys, through
-    `_from_clean` without a second pass.
+    The constructor validates its terms; the solver and the certificates
+    build their results, which hold no zero coefficient and only (int, tuple)
+    keys, through `_from_clean` without a second pass.
     """
 
     __slots__ = ("terms",)
@@ -185,33 +185,9 @@ class CoordFunction:
     def __reduce__(self):
         return (CoordFunction, (self.terms,))
 
-    @classmethod
-    def zero(cls) -> "CoordFunction":
-        return cls()
-
-    @classmethod
-    def monomial(cls, k: int, m: Sequence[int], coeff=Fraction(1)) -> "CoordFunction":
-        return cls({(k, tuple(m)): coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "CoordFunction") -> "CoordFunction":
-        terms = dict(self.terms)
-        add_scaled(terms, 1, other.terms)
-        return CoordFunction._from_clean(terms)
-
-    def __neg__(self) -> "CoordFunction":
-        return CoordFunction._from_clean({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "CoordFunction") -> "CoordFunction":
-        return self + (-other)
-
-    def scale(self, factor) -> "CoordFunction":
-        if factor == 0:
-            return CoordFunction()
-        return CoordFunction._from_clean({m: factor * c for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, CoordFunction):
@@ -281,23 +257,9 @@ class CoordSpinorField:
     def __reduce__(self):
         return (CoordSpinorField, (self.components,))
 
-    @classmethod
-    def zero(cls, N: int) -> "CoordSpinorField":
-        return cls(tuple(CoordFunction() for _ in range(N)))
-
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
-
-    def apply_rows(self, rows) -> "CoordSpinorField":
-        """Constant endomorphism of the fiber given as sparse rows {column: coefficient}."""
-        out = []
-        for row in rows:
-            acc: dict = {}
-            for j, coeff in row.items():
-                add_scaled(acc, coeff, self.components[j].terms)
-            out.append(CoordFunction._from_clean(acc))
-        return CoordSpinorField(out)
 
     def __eq__(self, other):
         if not isinstance(other, CoordSpinorField):
@@ -324,9 +286,11 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
     Killing equation with constant lambda.  Component i of direction d sums,
     into one dict, `frame_derivative` of psi_i and sum_j row_i[j] psi_j over
     the operator rows the model holds for the branch, built once per branch.
-    It never reads the solver's construction, so it certifies it.
+    It never reads the solver's construction, so it certifies it.  A psi
+    without spinor_dim components raises ValueError.
     """
     comps = psi.components
+    _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
     out = []
     for d, rows in enumerate(model.operator_rows(rep, lam)):
         res = []
@@ -442,11 +406,14 @@ def verify_amended_identity(model: HalfSpaceModel, rep: CliffordRep, psi: CoordS
     identity for v = e_i is gamma_i w + phi_0 d_i psi = 0 with
     w = 2 lambda^2 gamma_t psi - lambda phi_0 psi, formed once: one Clifford
     product per direction.  gamma_i acts through its sparse rows, one entry
-    per row.
+    per row.  A rep of another signature than the model's, or a psi without
+    spinor_dim components, raises ValueError.
     """
+    check_signature(model, rep)
     n = model.n
     phi = model.decomposition.phi[0][0][0]
     comps = psi.components
+    _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
     lam_sq2 = 2 * lam * lam
     minus_lam_phi = -(lam * phi)
     w = []

@@ -85,6 +85,12 @@ def _lambda_candidates(M: MetricLieAlgebra, s) -> list[LambdaCandidate]:
     ]
 
 
+def check_signature(M, rep: CliffordRep) -> None:
+    """Raise ValueError unless rep was built for the signature of M (anything with `signs`)."""
+    if tuple(rep.signs) != tuple(M.signs):
+        raise ValueError("representation signature does not match the metric")
+
+
 def _connection_entries(M: MetricLieAlgebra, rep: CliffordRep, conn) -> list[list[tuple]]:
     """The Gamma entries (k, j, Gamma_ijk) of nabla_{e_i}, per direction i.
 
@@ -92,8 +98,7 @@ def _connection_entries(M: MetricLieAlgebra, rep: CliffordRep, conn) -> list[lis
     makes `skew_lift_terms` of these entries its spin lift, is the
     metric-compatibility condition `levi_civita` checked on the same entries.
     """
-    if tuple(rep.signs) != tuple(M.signs):
-        raise ValueError("representation signature does not match the metric")
+    check_signature(M, rep)
     by_direction = [[] for _ in range(M.dim)]
     for i, j, k, v in conn.entries:
         by_direction[i].append((k, j, v))
@@ -135,11 +140,10 @@ class KillingReport:
     """Invariant-spinor solve; non-invariant spinors are out of its scope."""
 
     candidates: tuple
-    invariant_only: bool = True
 
     def to_json_dict(self) -> dict:
         return {
-            "invariant_only": self.invariant_only,
+            "invariant_only": True,
             "candidates": [
                 {
                     "branch": c.candidate.branch,

@@ -12,14 +12,13 @@ generic over those.
 
 The geometry reads the entries only.  `levi_civita` scatters each nonzero
 c_ijk into the three slots of the Koszul formula and returns a `Connection`
-that likewise stores its nonzero Gamma entries (the dense `gamma` table and
-the `nabla(i)` matrices are views); `ricci` contracts those entries,
-summing over pairs of nonzero entries.  Neither forms a dense table, ad
-matrices or the Riemann tensor; the full tensor is still available from
-`curvature`.  Zeros in the dense views and results are the algebra's own
-`zero`, so the float backend reports FloatScalar zeros.  The standard
-decompositions read the entries too: phi_alpha and the mixed Ricci block
-come straight from them.
+that likewise stores its nonzero Gamma entries (the `nabla(i)` matrices are
+views); `ricci` contracts those entries, summing over pairs of nonzero
+entries.  Neither forms a dense table, ad matrices or the Riemann tensor;
+the full tensor is still available from `curvature`.  Zeros in the dense
+views and results are the algebra's own `zero`, so the float backend
+reports FloatScalar zeros.  The standard decompositions read the entries
+too: phi_alpha and the mixed Ricci block come straight from them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import FloatScalar, _square_part, sqrt_scalar, to_rational
+from .exact import FloatScalar, sqrt_scalar, to_rational
 from .linalg import (
     _sparse_echelon,
     add_scaled,
@@ -57,10 +56,6 @@ class NotStandardError(ValueError):
 
 class DerivationError(ValueError):
     """An endomorphism fails the derivation or symmetry requirement."""
-
-
-class IsotropicPivotError(ValueError):
-    """Exact Gram-Schmidt hit an isotropic pivot."""
 
 
 @dataclass(frozen=True)
@@ -197,14 +192,6 @@ class MetricLieAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def inner(self, v: Sequence, w: Sequence):
-        acc = F0
-        for s, a, b in zip(self.signs, v, w):
-            if a == 0 or b == 0:
-                continue
-            acc = acc + s * a * b
-        return acc
-
 
 def metric_transpose(f, signs) -> tuple:
     """Metric transpose: g(f* v, w) = g(v, f w) for the diagonal metric."""
@@ -231,16 +218,6 @@ def _is_exact_zero(x) -> bool:
     return x.value == 0 if isinstance(x, FloatScalar) else not x
 
 
-def is_metric_skew(f, signs) -> bool:
-    """f + f* = 0, tested where f_ij or f_ji is not exactly zero (elsewhere 0 + 0 = 0)."""
-    n = len(signs)
-    return all(
-        f[i][j] + signs[i] * signs[j] * f[j][i] == 0
-        for i in range(n) for j in range(n)
-        if not (_is_exact_zero(f[i][j]) and _is_exact_zero(f[j][i]))
-    )
-
-
 def trace(f):
     """Sum of the diagonal entries; Fraction(0) for a 0 x 0 matrix."""
     if not f:
@@ -257,8 +234,8 @@ class Connection:
 
     `entries` holds (i, j, k, Gamma_ijk), with nabla_{e_i} e_j = sum_k
     Gamma_ijk e_k, for every Gamma_ijk that is not exactly zero, sorted by
-    (i, j, k).  The dense `gamma` table and the `nabla(i)` matrices are views;
-    `zero` is the zero of the scalars they are filled with.
+    (i, j, k).  The `nabla(i)` matrices are views; `zero` is the zero of the
+    scalars they are filled with.
     """
 
     dim: int
@@ -268,15 +245,6 @@ class Connection:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(sorted(
             (e for e in self.entries if not _is_exact_zero(e[3])), key=lambda e: e[:3])))
-
-    @cached_property
-    def gamma(self) -> tuple:
-        """Dense view: gamma[i][j][k] = Gamma_ijk."""
-        n = self.dim
-        g = [[[self.zero] * n for _ in range(n)] for _ in range(n)]
-        for i, j, k, v in self.entries:
-            g[i][j][k] = v
-        return tuple(tuple(tuple(row) for row in plane) for plane in g)
 
     def nabla(self, i: int) -> tuple:
         """Matrix of w -> nabla_{e_i} w (covariant derivative in direction e_i)."""
@@ -759,52 +727,3 @@ def einstein_extension(M: MetricLieAlgebra, eps0: Optional[int] = None):
         raise RuntimeError("scaled extension failed the Einstein check")
     return ext, decomp, lam
 
-
-# ---------------------------------------------------------------------------
-# exact Gram-Schmidt (for users with non-orthonormal metric input)
-# ---------------------------------------------------------------------------
-
-def orthonormalize_gram(G) -> tuple:
-    """Congruence-diagonalize a rational Gram matrix to diag(+-1).
-
-    Returns (P, signs) with P^T G P = diag(signs).  Fails loudly on isotropic
-    pivots (zero diagonal at elimination time) and when normalization would
-    need an irrational scale.
-    """
-    n = len(G)
-    work = [[Fraction(x) for x in row] for row in G]
-    P = [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if work[k][k] == 0:
-            swap = next((m for m in range(k + 1, n) if work[m][m] != 0), None)
-            if swap is None:
-                raise IsotropicPivotError("isotropic pivot at position %d" % k)
-            for r in range(n):
-                work[r][k], work[r][swap] = work[r][swap], work[r][k]
-            work[k], work[swap] = work[swap], work[k]
-            for r in range(n):
-                P[r][k], P[r][swap] = P[r][swap], P[r][k]
-        piv = work[k][k]
-        for m in range(k + 1, n):
-            f = work[m][k] / piv
-            if f == 0:
-                continue
-            for c in range(n):
-                work[m][c] -= f * work[k][c]
-            for r in range(n):
-                work[r][m] -= f * work[r][k]
-                P[r][m] -= f * P[r][k]
-    signs = []
-    for k in range(n):
-        d = work[k][k]
-        mag = abs(d)
-        num_s, num_f = _square_part(mag.numerator)
-        den_s, den_f = _square_part(mag.denominator)
-        if num_f != 1 or den_f != 1:
-            raise ValueError(
-                "normalization of pivot %s needs an irrational scale" % (d,))
-        scale = Fraction(den_s, num_s)
-        for r in range(n):
-            P[r][k] *= scale
-        signs.append(1 if d > 0 else -1)
-    return mat_from_rows(P), tuple(signs)

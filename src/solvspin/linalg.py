@@ -44,10 +44,6 @@ def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> tuple:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def transpose(mat) -> tuple:
-    return tuple(zip(*[tuple(r) for r in mat])) if mat else ()
-
-
 def mat_sub(A, B) -> tuple:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
@@ -80,19 +76,6 @@ def mat_mul(A, B) -> tuple:
 
 def _zero_like(x):
     return x - x
-
-
-def mat_vec(A, v) -> tuple:
-    out = []
-    for row in A:
-        acc = None
-        for a, x in zip(row, v):
-            if a == 0 or x == 0:
-                continue
-            t = a * x
-            acc = t if acc is None else acc + t
-        out.append(_zero_like(row[0]) if acc is None else acc)
-    return tuple(out)
 
 
 def mat_equal(A, B) -> bool:

@@ -9,7 +9,7 @@ from itertools import product
 from solvspin.clifford import gamma_rows
 from solvspin.exact import to_tower
 from solvspin.halfspace import CoordFunction, CoordSpinorField, frame_derivative
-from solvspin.linalg import normalize_vector, sparse_nullspace
+from solvspin.linalg import add_scaled, normalize_vector, sparse_nullspace
 
 
 def monomials(nx, kmax, mmax):
@@ -85,19 +85,34 @@ def window_equations_per_entry(model, rep, lam, monos):
     return list(equations.values()), cancelled
 
 
+def _fiber_map(rows, comps):
+    """Sparse rows {column: coefficient} applied to components given as term dicts."""
+    out = []
+    for row in rows:
+        acc = {}
+        for j, c in row.items():
+            add_scaled(acc, c, comps[j])
+        out.append(acc)
+    return out
+
+
 def amended_identity_three_term(model, rep, psi, lam):
     """2 lambda^2 gamma_i gamma_t psi == lambda phi gamma_i psi - phi d_i psi,
     with both sides built term by term, for every transverse direction i."""
     n = model.n
     phi = model.decomposition.phi[0][0][0]
     lam_sq2 = 2 * lam * lam
-    et_psi = psi.apply_rows(gamma_rows(rep, n - 1))
+    comps = [comp.terms for comp in psi.components]
+    et_psi = _fiber_map(gamma_rows(rep, n - 1), comps)
     for i in range(n - 1):
         gi = gamma_rows(rep, i)
-        lhs = et_psi.apply_rows(gi).components
-        gi_psi = psi.apply_rows(gi).components
+        lhs = _fiber_map(gi, et_psi)
+        gi_psi = _fiber_map(gi, comps)
         for h, comp in enumerate(psi.components):
-            rhs = gi_psi[h].scale(lam * phi) - frame_derivative(model, comp, i).scale(phi)
-            if not lhs[h].scale(lam_sq2) == rhs:
+            diff = {}
+            add_scaled(diff, lam_sq2, lhs[h])
+            add_scaled(diff, -(lam * phi), gi_psi[h])
+            add_scaled(diff, phi, frame_derivative(model, comp, i).terms)
+            if diff:
                 return False
     return True

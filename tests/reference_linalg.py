@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from solvspin.clifford import CommutantKernel, clifford_mul
+from solvspin.clifford import CommutantKernel
 from solvspin.exact import TS_ZERO, to_tower
 from solvspin.linalg import mat_from_rows, rref
 
@@ -90,10 +90,16 @@ def _unit(n: int, a: int) -> list:
     return v
 
 
+def _gamma_images(rep, psi) -> list[list]:
+    """The images e_a . psi = gamma_a psi, summed over the dense `rep.gammas`."""
+    return [[sum((x * y for x, y in zip(row, psi) if not x == 0), TS_ZERO) for row in g]
+            for g in rep.gammas]
+
+
 def annihilator_dense(rep, psi) -> list[tuple]:
     """V_psi from the dense images e_a . psi and dense elimination."""
     n = rep.n
-    images = [clifford_mul(rep, _unit(n, a), psi) for a in range(n)]
+    images = _gamma_images(rep, psi)
     rows = []
     for h in range(rep.spinor_dim):
         rows.extend(real_component_rows([images[a][h] for a in range(n)]))
@@ -138,7 +144,7 @@ def commutant_dense(rep, psi) -> CommutantKernel:
     """The symmetric commutant kernel from the n(n+1)/2 symmetric unknowns directly."""
     n = rep.n
     N = rep.spinor_dim
-    images = [clifford_mul(rep, _unit(n, a), psi) for a in range(n)]
+    images = _gamma_images(rep, psi)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     rows = []
     # unknowns h_ij = h_ji with f[i][k] = eps_i h_ik; f(e_k).psi = 0

@@ -71,11 +71,6 @@ class FractionTower:
     def is_rational(self) -> bool:
         return not (self.b or self.c or self.d)
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("scalar %r is not rational" % (self,))
-        return self.a
-
     # ---- coercion helpers ----------------------------------------------
 
     @staticmethod

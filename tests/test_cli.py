@@ -134,6 +134,17 @@ class TestCommands:
         assert verdict["kind"] == "HyperbolicHalfSpace"
         assert verdict["r"] == "1/2"
 
+    def test_relative_path_starting_with_halfspace_is_a_file(self, tmp_path, monkeypatch, capsys):
+        # only an argument whose first word is `halfspace` is an inline spec
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "halfspace_heis3.alg").write_text(HEIS3)
+        (tmp_path / "halfspace.spec").write_text("halfspace n=3 r=1 signs=1,1,1\n")
+        assert main(["validate", "halfspace_heis3.alg", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["nilpotent"] is True
+        assert main(["classify", "halfspace.spec", "--json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)["results"]["classification"]["verdict"]
+        assert verdict["kind"] == "HyperbolicHalfSpace"
+
     def test_killing_invariant(self, heis3_file, tmp_path, capsys):
         out = str(tmp_path / "ext.alg")
         main(["extend", heis3_file, "--out", out])

@@ -41,7 +41,7 @@ def test_sqrt_zero():
 
 def test_sqrt_perfect_square_simplifies():
     s = sqrt_to_tower(Fraction(9, 4))
-    assert s.is_rational and s.as_fraction() == Fraction(3, 2)
+    assert s.is_rational and to_rational(s) == Fraction(3, 2)
 
 
 def test_sqrt_negative_is_imaginary():

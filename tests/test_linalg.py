@@ -11,12 +11,10 @@ from solvspin.linalg import (
     _sparse_echelon,
     identity,
     mat_mul,
-    mat_vec,
     normalize_vector,
     rank_mod_p,
     rref,
     sparse_nullspace,
-    transpose,
 )
 
 from reference_linalg import densify, matrix_rank, nullspace, solve_linear
@@ -46,7 +44,7 @@ def test_nullspace_full_rank_is_empty():
 def test_solve_linear():
     A = [[F(1), F(2)], [F(3), F(4)]]
     x = solve_linear(A, [F(5), F(11)])
-    assert mat_vec(A, x) == (F(5), F(11))
+    assert [sum((a * v for a, v in zip(row, x)), F(0)) for row in A] == [F(5), F(11)]
     assert solve_linear([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)]) is None
 
 
@@ -313,7 +311,6 @@ def test_mat_mul_skips_zeros():
     A = ((F(0), F(1)), (F(0), F(0)))
     B = ((F(2), F(0)), (F(0), F(3)))
     assert mat_mul(A, B) == ((F(0), F(3)), (F(0), F(0)))
-    assert transpose(A) == ((F(0), F(0)), (F(1), F(0)))
 
 
 def _integer_system(rng, nrows, ncols, rank):

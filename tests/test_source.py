@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import collections
 import importlib
 import pathlib
 
@@ -34,9 +35,10 @@ def test_traced_names_resolve(module, attr):
 
 
 # solver-path functions that read the stored entries only: the dense views
-# (`LieAlgebra.structure`, `Connection.gamma`, `Connection.nabla(i)`,
-# `CliffordRep.gammas`) build an n^3, n^2 or n N^2 table, which these must not
-# pay for; the Clifford ones read `perm`/`phase`
+# (`LieAlgebra.structure`, `Connection.nabla(i)`, `CliffordRep.gammas`) build
+# an n^3, n^2 or n N^2 table, which these must not pay for, and `gamma` stays
+# listed so that no dense Gamma table comes back on that path; the Clifford
+# ones read `perm`/`phase`
 ENTRIES_ONLY = [
     ("liealg.py", "levi_civita"),
     ("liealg.py", "_check_connection"),
@@ -66,3 +68,52 @@ def test_solver_path_reads_no_dense_view(filename, func):
     reads = sorted({(node.lineno, node.attr) for node in ast.walk(defs[0])
                     if isinstance(node, ast.Attribute) and node.attr in DENSE_VIEWS})
     assert reads == [], "%s.%s reads dense views at %s" % (filename, func, reads)
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level def and class, and of each
+    non-dunder method of such a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
+def _names(tree) -> list:
+    """Every name a tree reads: Name ids, Attribute attrs and imported names."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.extend(alias.name for alias in node.names)
+    return out
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    # a function only tests call is a second path beside the one the program
+    # runs; the callers that count are the package itself (its re-exports in
+    # __init__.py aside), the benchmark and the acceptance criteria
+    root = SRC.parent.parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    outside = [*root.glob("perfbench/*.py"), root / "tests" / "test_acceptance.py"]
+    named = collections.Counter(name for tree in trees.values() for name in _names(tree))
+    for path in outside:
+        named.update(_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    traced = set(_traced_names())
+    unused = []
+    for stem, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            if ("solvspin." + stem, qualname) in traced:
+                continue
+            inside = collections.Counter(_names(node))
+            if named[node.name] - inside[node.name] <= 0:
+                unused.append("%s.%s" % (stem, qualname))
+    assert unused == [], "named only by the tests: %s" % ", ".join(unused)
