@@ -32,13 +32,11 @@ from .liealg import (
     LieAlgebra,
     MetricLieAlgebra,
     StructureError,
-    einstein_constant,
+    einstein_check,
     einstein_extension,
     jacobi_check,
-    levi_civita,
     lower_central_series,
     nilsoliton_solve,
-    ricci,
     standard_decomposition,
 )
 from .killing import classify_pseudo_iwasawa, lambda_candidates, solve_invariant_killing
@@ -247,11 +245,10 @@ def _cmd_validate(M, decomp, model, job):
 
 
 def _cmd_curvature(M, decomp, model, job):
-    conn = levi_civita(M)
-    data = ricci(M, conn)
+    data = M.ricci_data
     nonzero = [[i + 1, j + 1, k + 1, scalar_json(val)]
-               for i, j, k, val in conn.entries if not val == 0]
-    lam = einstein_constant(M, data)
+               for i, j, k, val in M.connection.entries if not val == 0]
+    lam = einstein_check(M)
     return {
         "connection": nonzero,
         "ricci": matrix_json(data.ric),
@@ -385,6 +382,11 @@ def run(job: JobSpec) -> tuple[dict, int]:
         return {"schema": SCHEMA_VERSION, "error": "unknown command %r" % job.command}, 2
     inputs = list(job.inputs)
     if len(inputs) == 1 and os.path.isdir(inputs[0]):
+        if job.out_path:
+            # every item would write the one file, and only the last would survive
+            return {"schema": SCHEMA_VERSION, "command": job.command,
+                    "error": "--out writes one file, so it takes one input, not the directory %s"
+                             % inputs[0]}, 2
         inputs = sorted(
             os.path.join(inputs[0], name)
             for name in os.listdir(inputs[0])

@@ -24,14 +24,13 @@ checks the amended identity with one Clifford product per transverse direction.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from typing import Sequence
 
 from .exact import parse_rational, to_tower
 from .clifford import CliffordRep, _check_length, build_gammas, gamma_rows
 from .killing import check_signature, killing_operator_rows
-from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation, levi_civita
+from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation
 from .linalg import MAX_UNKNOWNS, add_scaled, identity, mat_scale, normalize_vector, sparse_nullspace
 
 F0 = Fraction(0)
@@ -51,8 +50,9 @@ class _FrameFactors(dict):
 class HalfSpaceModel:
     """H^eps_r as a metric Lie algebra plus its coordinate frame data.
 
-    Read-only after construction, so its cached connection, branch entries
-    and frame factors cannot go stale; they live as long as the model.
+    Read-only after construction, so its branch entries and frame factors,
+    like the connection its `algebra` holds, cannot go stale; they live as
+    long as the model.
     """
 
     def __init__(self, n: int, signs: Sequence[int], r: Fraction):
@@ -79,18 +79,13 @@ class HalfSpaceModel:
     def __setattr__(self, name, value):
         raise AttributeError("HalfSpaceModel is immutable")
 
-    @cached_property
-    def connection(self):
-        """Levi-Civita connection of the algebra, computed once per model."""
-        return levi_civita(self.algebra)
-
     def operator_rows(self, rep: CliffordRep, lam) -> list[list[dict]]:
         """Sparse rows of nabla_{e_i} - lam gamma_i per direction i, built once
-        per (rep, lam) from the cached connection and held in the branch's one
-        cache entry.  Callers must not change them."""
+        per (rep, lam) from the algebra's connection and held in the branch's
+        one cache entry.  Callers must not change them."""
         branch = self._branches.get((rep, lam))
         if branch is None:
-            rows = killing_operator_rows(self.algebra, rep, lam, self.connection)
+            rows = killing_operator_rows(self.algebra, rep, lam)
             branch = self._branches[(rep, lam)] = {"rows": rows}
         return branch["rows"]
 

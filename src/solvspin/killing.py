@@ -9,13 +9,16 @@ A metric that passes everything is the hyperbolic half-space H^eps_r with
 r = 1/(2|lambda|); the solver, in contrast, handles only invariant spinors,
 whose equation is a finite linear system on the fiber.
 
-One solve computes the Levi-Civita connection, the Ricci data and the Ricci
-filter (which depends on lambda^2 only) once.  Each per-direction operator
-nabla_{e_i} - lambda gamma_i is one Clifford element, the spin-lift terms of
-that direction's nonzero Gamma entries plus the term -lambda gamma_i, and
-`clifford.clifford_rows` turns it into sparse rows {column: coefficient}
-with no dense nabla matrix.  The solve adds one direction at a time, fewest
-Gamma entries first, and stops at the first empty kernel: a direction with
+The solver and the classifier read the Levi-Civita connection and the Ricci
+data the metric algebra caches (`MetricLieAlgebra.connection` and
+`.ricci_data`), so a second solve of the same algebra derives neither again.
+One solve computes the Ricci filter, which depends on lambda^2 only, once.
+Each per-direction operator nabla_{e_i} - lambda gamma_i is one Clifford
+element, the spin-lift terms of that direction's nonzero Gamma entries plus
+the term -lambda gamma_i, and `clifford.clifford_rows` turns it into sparse
+rows {column: coefficient} with no dense nabla matrix.  The solve adds one
+direction at a time, fewest Gamma entries first, and stops at the first
+empty kernel: a direction with
 nabla_{e_i} = 0 (the abelian direction of a pseudo-Iwasawa algebra) has the
 equation -lambda gamma_i psi = 0 alone, which forces psi = 0, so a
 half-space or an Einstein extension builds one direction per branch.
@@ -29,16 +32,7 @@ from typing import Optional
 
 from .exact import TS_ZERO, TowerScalar, format_rational, sqrt_to_tower, to_rational, to_tower
 from .clifford import CliffordRep, clifford_rows, dense_rows, gamma_of_vector_rows, skew_lift_terms
-from .liealg import (
-    MetricLieAlgebra,
-    RicciData,
-    StandardDecomposition,
-    check_standard,
-    levi_civita,
-    restrict,
-    ricci,
-    trace,
-)
+from .liealg import MetricLieAlgebra, StandardDecomposition, check_standard, restrict, trace
 from .linalg import (
     identity,
     mat_equal,
@@ -61,20 +55,16 @@ class LambdaCandidate:
 
 
 def lambda_candidates(M: MetricLieAlgebra) -> list[LambdaCandidate]:
-    """Possible Killing constants from the scalar curvature identity.
+    """Possible Killing constants from the scalar curvature identity; the one
+    place lambda^2 is formed.
 
     s = 4 n (n-1) lambda^2 forces lambda^2; the degenerate lambda = 0 case
     (parallel spinors) is excluded, so s = 0 yields no candidates.
     """
-    return _lambda_candidates(M, ricci(M).scalar)
-
-
-def _lambda_candidates(M: MetricLieAlgebra, s) -> list[LambdaCandidate]:
-    """Both branches of lambda for scalar curvature s: the one place lambda^2 is formed."""
     n = M.dim
     if n < 2:
         raise ValueError("need dimension >= 2")
-    s = to_rational(s)
+    s = to_rational(M.ricci_data.scalar)
     if s == 0:
         return []
     lam_sq = s / (4 * n * (n - 1))
@@ -91,7 +81,7 @@ def check_signature(M, rep: CliffordRep) -> None:
         raise ValueError("representation signature does not match the metric")
 
 
-def _connection_entries(M: MetricLieAlgebra, rep: CliffordRep, conn) -> list[list[tuple]]:
+def _connection_entries(M: MetricLieAlgebra, rep: CliffordRep) -> list[list[tuple]]:
     """The Gamma entries (k, j, Gamma_ijk) of nabla_{e_i}, per direction i.
 
     nabla_{e_i} has Gamma_ijk at row k, column j.  Its metric-skewness, which
@@ -100,7 +90,7 @@ def _connection_entries(M: MetricLieAlgebra, rep: CliffordRep, conn) -> list[lis
     """
     check_signature(M, rep)
     by_direction = [[] for _ in range(M.dim)]
-    for i, j, k, v in conn.entries:
+    for i, j, k, v in M.connection.entries:
         by_direction[i].append((k, j, v))
     return by_direction
 
@@ -113,7 +103,7 @@ def invariant_spin_connection(M: MetricLieAlgebra, rep: CliffordRep) -> list[tup
     (1/4) sum_j eps_j gamma_j gamma(nabla_{e_i} e_j), as a dense matrix.
     """
     return [dense_rows(clifford_rows(rep, skew_lift_terms(rep, entries)))
-            for entries in _connection_entries(M, rep, levi_civita(M))]
+            for entries in _connection_entries(M, rep)]
 
 
 def _operator_rows(rep: CliffordRep, i: int, entries, lam) -> list[dict]:
@@ -121,11 +111,10 @@ def _operator_rows(rep: CliffordRep, i: int, entries, lam) -> list[dict]:
     return clifford_rows(rep, [*skew_lift_terms(rep, entries), ((i,), -lam)])
 
 
-def killing_operator_rows(M: MetricLieAlgebra, rep: CliffordRep, lam, conn) -> list[list[dict]]:
-    """Sparse rows {column: coefficient} of nabla_{e_i} - lam gamma_i, per direction i,
-    from the Levi-Civita connection conn of M."""
+def killing_operator_rows(M: MetricLieAlgebra, rep: CliffordRep, lam) -> list[list[dict]]:
+    """Sparse rows {column: coefficient} of nabla_{e_i} - lam gamma_i, per direction i."""
     return [_operator_rows(rep, i, entries, lam)
-            for i, entries in enumerate(_connection_entries(M, rep, conn))]
+            for i, entries in enumerate(_connection_entries(M, rep))]
 
 
 @dataclass(frozen=True)
@@ -161,20 +150,17 @@ class KillingReport:
 def solve_invariant_killing(M: MetricLieAlgebra, rep: CliffordRep) -> KillingReport:
     """Joint kernel of (nabla_{e_i} - lambda gamma_i) over all frame directions.
 
-    The connection, the Ricci data and the Ricci filter (a function of
-    lambda^2, which both branches share) are computed once.  Per branch the
-    directions join the equations one at a time, fewest Gamma entries first,
-    and the first empty kernel ends the branch: the kernel of the whole stack
-    lies inside it.  A kernel that survives every direction was solved from
+    The Ricci filter (a function of lambda^2, which both branches share) is
+    computed once.  Per branch the directions join the equations one at a
+    time, fewest Gamma entries first, and the first empty kernel ends the
+    branch: the kernel of the whole stack lies inside it.  A kernel that survives every direction was solved from
     all the rows, and each of its basis spinors is re-substituted into every
     row; exact arithmetic throughout.
     """
-    conn = levi_civita(M)
-    by_direction = _connection_entries(M, rep, conn)
+    by_direction = _connection_entries(M, rep)
     order = sorted(range(M.dim), key=lambda i: len(by_direction[i]))
-    data = ricci(M, conn)
-    cands = _lambda_candidates(M, data.scalar)
-    filter_dim = _ricci_filter(M, rep, cands[0].lam_squared, data) if cands else None
+    cands = lambda_candidates(M)
+    filter_dim = ricci_filter(M, rep, cands[0].lam) if cands else None
     N = rep.spinor_dim
     results = []
     for cand in cands:
@@ -203,15 +189,12 @@ def ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam) -> int:
     Any Killing spinor with constant lambda lies in this space pointwise, so
     the dimension upper-bounds existence, invariant or not.
     """
-    return _ricci_filter(M, rep, to_rational(lam * lam), ricci(M))
-
-
-def _ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam_sq: Fraction, data: RicciData) -> int:
     n = M.dim
+    op = M.ricci_data.operator
     rows = []
-    factor = 4 * (n - 1) * lam_sq
+    factor = 4 * (n - 1) * to_rational(lam * lam)
     for i in range(n):
-        w = [data.operator[k][i] - (factor if k == i else F0) for k in range(n)]
+        w = [op[k][i] - (factor if k == i else F0) for k in range(n)]
         if all(x == 0 for x in w):
             continue
         rows.extend(gamma_of_vector_rows(rep, w))
@@ -299,11 +282,11 @@ def classify_pseudo_iwasawa(M: MetricLieAlgebra, decomp: StandardDecomposition) 
     ng, k = len(nil), len(ab)
     if not passes("nilradical_abelian", all(x == 0 for *_, x in restrict(M, nil).algebra.brackets)):
         return verdict("NoKillingSpinor", "g non-abelian")
-    s = to_rational(ricci(M).scalar)
-    # s = 0 exits before _lambda_candidates: a 1-dimensional input gets this verdict, not an error
+    s = to_rational(M.ricci_data.scalar)
+    # s = 0 exits before lambda_candidates: a 1-dimensional input gets this verdict, not an error
     if not passes("lambda_candidates", s != 0, "scalar curvature %s" % format_rational(s)):
         return verdict("NoKillingSpinor", "no lambda candidate (scalar curvature is zero)")
-    lam_sq = _lambda_candidates(M, s)[0].lam_squared
+    lam_sq = lambda_candidates(M)[0].lam_squared
     if k > 1:
         sq_ok = phi_square_check(M, decomp, lam_sq)
         if not passes("phi_square", all(sq_ok), "per-alpha results %s" % sq_ok):

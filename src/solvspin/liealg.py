@@ -15,10 +15,12 @@ c_ijk into the three slots of the Koszul formula and returns a `Connection`
 that likewise stores its nonzero Gamma entries (the `nabla(i)` matrices are
 views); `ricci` contracts those entries, summing over pairs of nonzero
 entries.  Neither forms a dense table, ad matrices or the Riemann tensor;
-the full tensor is still available from `curvature`.  Zeros in the dense
-views and results are the algebra's own `zero`, so the float backend
-reports FloatScalar zeros.  The standard decompositions read the entries
-too: phi_alpha and the mixed Ricci block come straight from them.
+the full tensor is still available from `curvature`.  Both are properties of
+the metric algebra: `MetricLieAlgebra.connection` and `.ricci_data` compute
+them on first use and keep them, and every other caller reads those.  Zeros
+in the dense views and results are the algebra's own `zero`, so the float
+backend reports FloatScalar zeros.  The standard decompositions read the
+entries too: phi_alpha and the mixed Ricci block come straight from them.
 """
 
 from __future__ import annotations
@@ -177,7 +179,12 @@ def lower_central_series(L: LieAlgebra) -> tuple[list[int], bool]:
 
 @dataclass(frozen=True)
 class MetricLieAlgebra:
-    """Lie algebra plus a diagonal +-1 metric in the fixed frame."""
+    """Lie algebra plus a diagonal +-1 metric in the fixed frame.
+
+    Its Levi-Civita `connection` and `ricci_data` are computed on first use
+    and kept, as `LieAlgebra.structure` is; the value is frozen, so they
+    cannot go stale.
+    """
 
     algebra: LieAlgebra
     signs: tuple
@@ -191,6 +198,14 @@ class MetricLieAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def connection(self) -> Connection:
+        return levi_civita(self)
+
+    @cached_property
+    def ricci_data(self) -> RicciData:
+        return ricci(self)
 
 
 def metric_transpose(f, signs) -> tuple:
@@ -306,7 +321,7 @@ def _check_connection(M: MetricLieAlgebra, conn: Connection):
             raise StructureError("connection has torsion")
 
 
-def curvature(M: MetricLieAlgebra, conn: Connection) -> tuple:
+def curvature(M: MetricLieAlgebra) -> tuple:
     """R[i][j][k][l]: coefficient of e_l in R(e_i, e_j) e_k.
 
     R(x, y) = nabla_x nabla_y - nabla_y nabla_x - nabla_{[x, y]}.  The full
@@ -314,7 +329,7 @@ def curvature(M: MetricLieAlgebra, conn: Connection) -> tuple:
     directly and does not call this.
     """
     n = M.dim
-    A = [conn.nabla(i) for i in range(n)]
+    A = [M.connection.nabla(i) for i in range(n)]
     pairs = _pairs(M.algebra.brackets)
     R = []
     for i in range(n):
@@ -345,7 +360,7 @@ def _ricci_from_form(ric, signs) -> RicciData:
     return RicciData(mat_from_rows(ric), op, s)
 
 
-def ricci(M: MetricLieAlgebra, conn: Optional[Connection] = None) -> RicciData:
+def ricci(M: MetricLieAlgebra) -> RicciData:
     """Ricci tensor ric(y, z) = sum_i R[i][y][z][i], contracted from Gamma.
 
     With tr_m = sum_i Gamma_imi, writing out the trace of
@@ -354,17 +369,14 @@ def ricci(M: MetricLieAlgebra, conn: Optional[Connection] = None) -> RicciData:
         ric(y, z) = sum_m Gamma_yzm tr_m - sum_{i,m} Gamma_izm Gamma_ymi
                     - sum_{i,p} c_iyp Gamma_pzi,
 
-    and each sum runs over pairs of nonzero entries only.  `conn` is the
-    Levi-Civita connection of M when the caller has it already.
+    and each sum runs over pairs of nonzero entries only.
 
     The sign convention makes heis3 with the definite metric give
     ric = diag(-1/2, -1/2, 1/2) and hyperbolic models a negative Einstein
     constant.
     """
-    if conn is None:
-        conn = levi_civita(M)
     n = M.dim
-    g = conn.entries
+    g = M.connection.entries
     tr = {}
     by_jk = {}         # (j, k) -> [(i, Gamma_ijk)]
     by_ik = {}         # (i, k) -> [(j, Gamma_ijk)]
@@ -486,7 +498,7 @@ def ricci_standard(M: MetricLieAlgebra, decomp: StandardDecomposition) -> RicciD
     nil_signs = tuple(M.signs[i] for i in nil)
     ng = len(nil)
     sub = restrict(M, nil)
-    ric_g = ricci(sub).ric if ng else ()
+    ric_g = sub.ricci_data.ric if ng else ()
     ric = [[F0] * n for _ in range(n)]
     phi_star = [metric_transpose(p, nil_signs) for p in decomp.phi]
     phi_sym = [symmetric_part(p, nil_signs) for p in decomp.phi]
@@ -532,8 +544,8 @@ def standard_connection_identities(M: MetricLieAlgebra, decomp: StandardDecompos
     """
     nil, ab = decomp.nil_indices, decomp.abelian_indices
     nil_signs = tuple(M.signs[i] for i in nil)
-    conn = _pairs(levi_civita(M).entries)
-    sub_conn = _pairs(levi_civita(restrict(M, nil)).entries)
+    conn = _pairs(M.connection.entries)
+    sub_conn = _pairs(restrict(M, nil).connection.entries)
     fails = []
     for a in ab:
         for j in range(M.dim):
@@ -621,7 +633,7 @@ def nilsoliton_solve(M: MetricLieAlgebra) -> Optional[NilsolitonResult]:
     if not nilpotent:
         raise ValueError("nilsoliton_solve needs a nilpotent algebra")
     n = L.dim
-    ric_op = ricci(M).operator
+    ric_op = M.ricci_data.operator
     # condition: Ric[x,y] + lam [x,y] = [Ric x, y] + [x, Ric y]
     coefs = {(i, j, k): c for i, j, k, c in L.brackets if i < j}
     lhs, rhs_sides = _derivation_sides(L, ric_op)
@@ -676,17 +688,13 @@ def extend_by_derivation(M: MetricLieAlgebra, D, eps0: int):
 
 def einstein_check(M: MetricLieAlgebra):
     """Return lam with ric = lam g (exact entrywise), or None."""
-    return einstein_constant(M, ricci(M))
-
-
-def einstein_constant(M: MetricLieAlgebra, data: RicciData):
-    """lam with ric = lam g for already computed Ricci data, or None."""
     n = M.dim
+    ric = M.ricci_data.ric
     lam = None
     for i in range(n):
         for j in range(n):
             want_zero = i != j
-            entry = data.ric[i][j]
+            entry = ric[i][j]
             if want_zero:
                 if not entry == 0:
                     return None

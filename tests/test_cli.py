@@ -333,6 +333,22 @@ class TestBatch:
         assert data["summary"]["failed"] == 1
         assert code == 1
 
+    def test_out_with_a_directory_is_refused(self, tmp_path, capsys):
+        # each item's extension would overwrite the one file, leaving only the last
+        algs = tmp_path / "algs"
+        algs.mkdir()
+        (algs / "a.alg").write_text(HEIS3)
+        (algs / "b.alg").write_text(HEIS3.replace("+1 +1 +1", "+1 +1 -1"))
+        out = tmp_path / "ext.alg"
+        assert main(["extend", str(algs), "--out", str(out), "--json"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert "--out" in data["error"] and str(algs) in data["error"]
+        assert "batch" not in data
+        assert not out.exists()
+        # one input still writes its extension
+        assert main(["extend", str(algs / "b.alg"), "--out", str(out)]) == 0
+        assert out.read_text().startswith("dim 4\nsigns +1 +1 -1 ")
+
     def test_batch_failure_does_not_abort(self, tmp_path):
         (tmp_path / "bad.alg").write_text("dim oops\n")
         (tmp_path / "good.alg").write_text(HEIS3)

@@ -17,7 +17,7 @@ from solvspin.cli import main
 from solvspin.clifford import build_gammas
 from solvspin.exact import TS_I, TS_ONE, FloatScalar, TowerScalar, sqrt_to_tower
 from solvspin.killing import killing_operator_rows, lambda_candidates, solve_invariant_killing
-from solvspin.liealg import curvature, einstein_extension, levi_civita, ricci
+from solvspin.liealg import MetricLieAlgebra, curvature, einstein_extension, levi_civita, ricci
 from solvspin.halfspace import (
     MAX_UNKNOWNS,
     CoordFunction,
@@ -48,7 +48,7 @@ class TestModel:
         for signs, r in [((1, 1, 1), F(1)), ((1, -1, 1), F(2)), ((1, 1, -1), F(1, 2))]:
             model = HalfSpaceModel(3, signs, r)
             M = model.algebra
-            R = curvature(M, levi_civita(M))
+            R = curvature(M)
             n = 3
             c = F(-signs[-1]) / (r * r)
             for i in range(n):
@@ -104,27 +104,30 @@ class TestModel:
 
     def test_model_is_read_only(self):
         model = HalfSpaceModel(3, (1, 1, 1), F(1))
-        conn = model.connection
-        for name, value in (("r", F(2)), ("signs", (1, 1, -1)), ("connection", None)):
+        M = model.algebra
+        conn, data = M.connection, M.ricci_data
+        for obj, name, value in ((model, "r", F(2)), (model, "signs", (1, 1, -1)),
+                                 (model, "algebra", None), (M, "connection", None),
+                                 (M, "ricci_data", None)):
             with pytest.raises(AttributeError):
-                setattr(model, name, value)
-        assert model.r == F(1) and model.signs == (1, 1, 1)
-        assert model.connection is conn and conn == levi_civita(model.algebra)
+                setattr(obj, name, value)
+        assert model.r == F(1) and model.signs == (1, 1, 1) and model.algebra is M
+        assert M.connection is conn and conn == levi_civita(M)
+        assert M.ricci_data is data and data == ricci(M)
 
     def test_one_levi_civita_per_model(self, monkeypatch):
         # solve both lambda branches in two windows and check every solution:
         # the connection is computed once, on first use
         model = HalfSpaceModel(4, (1, -1, 1, 1), F(2, 3))
         rep = model.clifford_rep()
-        lams = [c.lam for c in lambda_candidates(model.algebra)]
         calls = []
 
         def counted(M):
             calls.append(M)
             return levi_civita(M)
 
-        for module in (solvspin.halfspace, solvspin.killing, solvspin.liealg):
-            monkeypatch.setattr(module, "levi_civita", counted)
+        monkeypatch.setattr(solvspin.liealg, "levi_civita", counted)
+        lams = [c.lam for c in lambda_candidates(model.algebra)]
         found = 0
         for lam in lams:
             for window in (1, 2):
@@ -136,6 +139,23 @@ class TestModel:
         assert found > 0
         assert calls == [model.algebra]
 
+    def test_one_levi_civita_per_cli_run(self, monkeypatch, capsys):
+        # the lambda candidates and both branches' rows read the one connection
+        calls = []
+        real = solvspin.liealg.levi_civita
+
+        def counted(M):
+            calls.append(M)
+            return real(M)
+
+        for module in (solvspin.liealg, solvspin.killing, solvspin.halfspace, solvspin.cli):
+            if getattr(module, "levi_civita", None) is real:
+                monkeypatch.setattr(module, "levi_civita", counted)
+        assert main(["killing-halfspace", "halfspace n=4 r=2/3 signs=+1,-1,+1,+1", "--json"]) == 0
+        branches = json.loads(capsys.readouterr().out)["results"]["branches"]
+        assert len(branches) == 2 and all(b["dimension"] > 0 for b in branches)
+        assert len(calls) == 1
+
     def test_operator_rows_built_once_per_branch(self, monkeypatch):
         # the solve in two windows and the residual of every solution, on both
         # lambda branches, read one set of rows per (rep, lambda)
@@ -144,9 +164,9 @@ class TestModel:
         lams = [c.lam for c in lambda_candidates(model.algebra)]
         built = []
 
-        def counted(M, rep, lam, conn):
+        def counted(M, rep, lam):
             built.append(lam)
-            return killing_operator_rows(M, rep, lam, conn)
+            return killing_operator_rows(M, rep, lam)
 
         monkeypatch.setattr(solvspin.halfspace, "killing_operator_rows", counted)
         residuals = 0
@@ -164,8 +184,7 @@ class TestModel:
         assert model.operator_rows(model.clifford_rep(), lams[0]) is model.operator_rows(rep, lams[0])
         assert built == lams
         for lam in lams:
-            assert model.operator_rows(rep, lam) == killing_operator_rows(
-                model.algebra, rep, lam, levi_civita(model.algebra))
+            assert model.operator_rows(rep, lam) == killing_operator_rows(model.algebra, rep, lam)
 
     def test_parse_rejects_exponent_radius(self):
         # Fraction would expand 1e4000000 in full before anything else ran
@@ -570,3 +589,10 @@ def test_values_and_results_survive_copy_and_pickle(clone):
     ext, _, _ = einstein_extension(heisenberg3())
     report = solve_invariant_killing(ext, build_gammas(ext.signs))
     assert clone(report).to_json_dict() == report.to_json_dict()
+    # the geometry an algebra has derived travels with it
+    for M in (model.algebra, ext):
+        cached = {"connection": M.connection, "ricci_data": M.ricci_data}
+        got = clone(M)
+        assert type(got) is MetricLieAlgebra and got == M and hash(got) == hash(M)
+        assert {name: vars(got)[name] for name in cached} == cached
+        assert (got.connection, got.ricci_data) == (levi_civita(M), ricci(M))

@@ -26,9 +26,7 @@ from solvspin.liealg import (
     MetricLieAlgebra,
     einstein_extension,
     identity,
-    levi_civita,
     ricci,
-    standard_decomposition,
 )
 from solvspin.linalg import mat_equal, mat_mul, mat_scale, mat_sub, normalize_vector
 
@@ -205,7 +203,7 @@ class TestSparseOperatorRows:
             rep = build_gammas(M.signs)
             ops = invariant_spin_connection(M, rep)
             for lam in _branches(M):
-                rows = killing_operator_rows(M, rep, lam, levi_civita(M))
+                rows = killing_operator_rows(M, rep, lam)
                 assert len(rows) == M.dim
                 for i, op_rows in enumerate(rows):
                     assert all(not x == 0 for row in op_rows for x in row.values())
@@ -275,13 +273,13 @@ class TestRicciFilter:
     def test_one_filter_per_solve(self, monkeypatch):
         # the filter depends on lambda^2 only, so both branches share one
         calls = []
-        real = solvspin.killing._ricci_filter
+        real = solvspin.killing.ricci_filter
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(solvspin.killing, "_ricci_filter", counted)
+        monkeypatch.setattr(solvspin.killing, "ricci_filter", counted)
         model = HalfSpaceModel(4, (1, -1, 1, 1), F(1, 2))
         report = solve_invariant_killing(model.algebra, model.clifford_rep())
         assert len(report.candidates) == 2 and len(calls) == 1

@@ -1,7 +1,6 @@
 """Connection, curvature, Ricci, decompositions, nilsolitons, extensions."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -41,7 +40,6 @@ from solvspin.liealg import (
     standard_connection_identities,
     standard_decomposition,
     symmetric_part,
-    trace,
 )
 from solvspin.linalg import identity, mat_equal, mat_scale
 
@@ -391,7 +389,7 @@ def tampered(conn, changes):
 class TestCurvature:
     def test_abelian_flat(self):
         M = abelian_metric((1, -1))
-        R = curvature(M, levi_civita(M))
+        R = curvature(M)
         assert all(
             R[i][j][k][m] == 0
             for i in range(2) for j in range(2) for k in range(2) for m in range(2)
@@ -401,7 +399,7 @@ class TestCurvature:
         for _ in range(10):
             M, _ = random_pseudo_iwasawa(rng)
             n = M.dim
-            R = curvature(M, levi_civita(M))
+            R = curvature(M)
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
@@ -419,7 +417,7 @@ class TestCurvature:
         for _ in range(10):
             M, decomp = random_pseudo_iwasawa(rng)
             conn = levi_civita(M)
-            R = curvature(M, conn)
+            R = curvature(M)
             n = M.dim
             nil, ab = decomp.nil_indices, decomp.abelian_indices
             nabla = [conn.nabla(i) for i in range(n)]
@@ -441,7 +439,7 @@ class TestCurvature:
 def ricci_trace_oracle(M):
     """ric(y, z) = sum_i R[i][y][z][i] from the full curvature tensor."""
     n = M.dim
-    R = curvature(M, levi_civita(M))
+    R = curvature(M)
     return tuple(
         tuple(sum((R[i][y][z][i] for i in range(n)), F(0)) for z in range(n))
         for y in range(n)
@@ -470,7 +468,7 @@ class TestRicci:
             ext, _, lam = einstein_extension(M)
             assert any(isinstance(x, TowerScalar) and not x.is_rational
                        for plane in ext.algebra.structure for row in plane for x in row)
-            data = ricci(ext, levi_civita(ext))
+            data = ricci(ext)
             assert data.ric == ricci_trace_oracle(ext)
             assert all(data.ric[i][j] == (lam * ext.signs[i] if i == j else 0)
                        for i in range(ext.dim) for j in range(ext.dim))

@@ -117,3 +117,30 @@ def test_every_definition_has_a_caller_outside_the_tests():
             if named[node.name] - inside[node.name] <= 0:
                 unused.append("%s.%s" % (stem, qualname))
     assert unused == [], "named only by the tests: %s" % ", ".join(unused)
+
+
+# the one derivation of each algebra's geometry: every other caller reads the
+# cached `MetricLieAlgebra.connection` and `.ricci_data`
+DERIVED_ONLY_IN = {"levi_civita": "MetricLieAlgebra.connection", "ricci": "MetricLieAlgebra.ricci_data"}
+
+
+def _calls_by_scope(node, scope=""):
+    """(called name, qualified name of the enclosing def or class) of each call
+    by plain name or attribute under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = "%s.%s" % (scope, child.name) if scope else child.name
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield name, scope
+        yield from _calls_by_scope(child, inner)
+
+
+def test_geometry_is_derived_only_in_the_cached_properties():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(name, scope) for name, scope in _calls_by_scope(tree) if name in DERIVED_ONLY_IN]
+    assert sorted(found) == sorted(DERIVED_ONLY_IN.items())
