@@ -71,7 +71,7 @@ class AlgebraFileError(ValueError):
         super().__init__(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class JobSpec:
     command: str
     inputs: tuple

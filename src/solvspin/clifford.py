@@ -59,16 +59,7 @@ class CliffordRep:
     @cached_property
     def gammas(self) -> tuple:
         """The n dense N x N matrices over Q(i), built from perm and phase."""
-        N = self.spinor_dim
-        out = []
-        for perm, phase in zip(self.perm, self.phase):
-            rows = []
-            for j, q in zip(perm, phase):
-                row = [TS_ZERO] * N
-                row[j] = _UNITS[q]
-                rows.append(tuple(row))
-            out.append(tuple(rows))
-        return tuple(out)
+        return tuple(dense_rows(gamma_rows(self, a)) for a in range(self.n))
 
 
 # Monomial matrices below are (perm, phase) pairs, as for one generator.

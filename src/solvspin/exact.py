@@ -410,8 +410,10 @@ class FloatScalar:
     __slots__ = ("value", "tol")
 
     def __init__(self, value: float, tol: float = 1e-9):
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
+        # at tol >= 1 every x has |x| <= tol max(1, |x|), so every value would
+        # equal 0; the test is written so that NaN fails it too
+        if not 0 < tol < 1:
+            raise ValueError("tolerance must be in (0, 1), got %r" % tol)
         object.__setattr__(self, "value", float(value))
         object.__setattr__(self, "tol", float(tol))
 

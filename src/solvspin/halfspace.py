@@ -7,7 +7,10 @@ fields are expanded in the monomial lattice t^(k/2) x^m, which is closed under
 the left-invariant frame derivations: the t-derivation is diagonal on
 monomials, an x-derivation raises the t-exponent by one and lowers one
 x-degree.  The Killing equation along e_i is d_i psi + A_i psi = 0, with A_i
-the operator rows of `killing.killing_operator_rows`.
+the operator rows of `killing.killing_operator_rows`.  The model, a
+`CoordFunction` and a `CoordSpinorField` are frozen dataclasses like every
+value in the package; a `CoordFunction` stores no zero coefficient, so the
+generated equality, which compares the dicts, is exact.
 
 The t-equation puts the coefficient at t^(k/2) in the kernel of A_t + k/(2r),
 E+ at k = 1, E- at k = -1 and 0 elsewhere, and the x-equations then force
@@ -23,14 +26,14 @@ checks the amended identity with one Clifford product per transverse direction.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 from .exact import parse_rational, to_tower
 from .clifford import CliffordRep, _check_length, build_gammas, gamma_rows
 from .killing import check_signature, killing_operator_rows
-from .liealg import LieAlgebra, MetricLieAlgebra, extend_by_derivation
+from .liealg import LieAlgebra, MetricLieAlgebra, StandardDecomposition, extend_by_derivation
 from .linalg import MAX_UNKNOWNS, add_scaled, identity, mat_scale, normalize_vector, sparse_nullspace
 
 F0 = Fraction(0)
@@ -47,23 +50,34 @@ class _FrameFactors(dict):
         return c
 
 
+@dataclass(frozen=True)
 class HalfSpaceModel:
     """H^eps_r as a metric Lie algebra plus its coordinate frame data.
 
-    Read-only after construction, so its branch entries and frame factors,
-    like the connection its `algebra` holds, cannot go stale; they live as
-    long as the model.
+    `signs` is stored as a tuple and `r` as a Fraction; models with equal
+    (n, signs, r) are equal.  The value is frozen, so its branch entries and
+    frame factors, like the connection its `algebra` holds, cannot go stale;
+    they live as long as the model.
     """
 
-    def __init__(self, n: int, signs: Sequence[int], r: Fraction):
+    n: int
+    signs: tuple
+    r: Fraction
+    algebra: MetricLieAlgebra = field(init=False, compare=False, repr=False)
+    decomposition: StandardDecomposition = field(init=False, compare=False, repr=False)
+    _branches: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _factors: _FrameFactors = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n = self.n
         if n < 2:
             raise ValueError("need total dimension n >= 2")
-        signs = tuple(signs)
+        signs = tuple(self.signs)
         if len(signs) != n:
             raise ValueError("need one sign per dimension")
         if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must each be +1 or -1, got %s" % ",".join(map(str, signs)))
-        r = Fraction(r)
+        r = Fraction(self.r)
         if r <= 0:
             raise ValueError("r must be positive")
         base = MetricLieAlgebra(LieAlgebra.abelian(n - 1), signs[:-1])
@@ -72,12 +86,9 @@ class HalfSpaceModel:
         # the monomial calculus below has L_{e_t} t^(k/2) = +(k/2r) t^(k/2).
         D = mat_scale(Fraction(-1) / r, identity(n - 1))
         algebra, decomposition = extend_by_derivation(base, D, signs[-1])
-        for name, value in (("n", n), ("signs", signs), ("r", r), ("algebra", algebra),
-                            ("decomposition", decomposition), ("_branches", {}), ("_factors", _FrameFactors(r))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfSpaceModel is immutable")
+        # frozen: the coerced and derived fields are stored directly
+        vars(self).update(signs=signs, r=r, algebra=algebra, decomposition=decomposition,
+                          _factors=_FrameFactors(r))
 
     def operator_rows(self, rep: CliffordRep, lam) -> list[list[dict]]:
         """Sparse rows of nabla_{e_i} - lam gamma_i per direction i, built once
@@ -148,67 +159,22 @@ def _spec_int(key: str, text: str, token: str) -> int:
         raise ValueError("half-space spec %s=%s: %r is not an integer" % (key, text, token)) from None
 
 
+@dataclass(frozen=True, slots=True)
 class CoordFunction:
     """Finite sum of monomials t^(k/2) x^m with scalar coefficients.
 
-    The constructor validates its terms; the solver and the certificates
-    build their results, which hold no zero coefficient and only (int, tuple)
-    keys, through `_from_clean` without a second pass.
+    `terms` maps (k, m), an int and a tuple of ints, to a coefficient and
+    stores no zero coefficient, so equal functions have equal dicts.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, coeff in dict(terms).items():
-                if not coeff == 0:
-                    k, m = mono
-                    clean[(int(k), tuple(m))] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _from_clean(cls, terms: dict) -> "CoordFunction":
-        """Wrap a dict that already has no zero coefficient; it is not copied."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "terms", terms)
-        return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordFunction is immutable")
-
-    def __reduce__(self):
-        return (CoordFunction, (self.terms,))
+    terms: dict = field(default_factory=dict)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        if not isinstance(other, CoordFunction):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = F0
-        return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
-
-    __hash__ = None
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        for (k, m), coeff in self.sorted_terms():
-            mono = []
-            if k:
-                mono.append("t^(%d/2)" % k)
-            for i, e in enumerate(m):
-                if e:
-                    mono.append("x%d^%d" % (i + 1, e))
-            bits.append("(%s)%s" % (coeff, "*".join(mono) if mono else ""))
-        return " + ".join(bits)
 
 
 def frame_derivative(model: HalfSpaceModel, f: CoordFunction, direction: int) -> CoordFunction:
@@ -235,33 +201,18 @@ def frame_derivative(model: HalfSpaceModel, f: CoordFunction, direction: int) ->
                 out[(k + 2, m[:direction] + (e - 1,) + m[direction + 1:])] = coeff * factors[2 * e]
     else:
         raise ValueError("direction out of range")
-    return CoordFunction._from_clean(out)
+    return CoordFunction(out)
 
 
+@dataclass(frozen=True, slots=True)
 class CoordSpinorField:
     """Spinor field with CoordFunction components in a fixed trivialization."""
 
-    __slots__ = ("components",)
-
-    def __init__(self, components: Sequence[CoordFunction]):
-        object.__setattr__(self, "components", tuple(components))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordSpinorField is immutable")
-
-    def __reduce__(self):
-        return (CoordSpinorField, (self.components,))
+    components: tuple
 
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, CoordSpinorField):
-            return NotImplemented
-        return all(a == b for a, b in zip(self.components, other.components))
-
-    __hash__ = None
 
     def to_json_dict(self) -> dict:
         out = {}
@@ -293,8 +244,8 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
             acc = frame_derivative(model, comp, d).terms   # a fresh dict, summed into
             for j, coeff in row.items():
                 add_scaled(acc, coeff, comps[j].terms)
-            res.append(CoordFunction._from_clean(acc))
-        out.append(CoordSpinorField(res))
+            res.append(CoordFunction(acc))
+        out.append(CoordSpinorField(tuple(res)))
     return out
 
 
@@ -341,7 +292,7 @@ def solve_killing_halfspace(
         comps = [{} for _ in range(N)]
         for (mono, h), x in normalize_vector(vec).items():
             comps[h][mono] = to_tower(x)
-        fields.append(CoordSpinorField([CoordFunction._from_clean(terms) for terms in comps]))
+        fields.append(CoordSpinorField(tuple(CoordFunction(terms) for terms in comps)))
     return fields
 
 

@@ -624,7 +624,7 @@ def nilsoliton_solve(M: MetricLieAlgebra) -> Optional[NilsolitonResult]:
 
     The derivation condition is affine in lam; a unique lam exists whenever the
     bracket is nonzero.  Returns None when no lam works; the abelian case
-    returns lam = 0, D = 0 by convention.
+    returns lam = 0, D = 0 by convention, in the algebra's own zero.
     """
     L = M.algebra
     if jacobi_check(L):
@@ -647,8 +647,7 @@ def nilsoliton_solve(M: MetricLieAlgebra) -> Optional[NilsolitonResult]:
         else:
             pending.append((coef, rhs))
     if not pending:
-        zero = F0
-        return NilsolitonResult(zero, zeros(n, n))
+        return NilsolitonResult(L.zero, zeros(n, n, L.zero))
     coef0, rhs0 = pending[0]
     lam = rhs0 / coef0
     for coef, rhs in pending[1:]:

@@ -32,7 +32,7 @@ def window_solutions(model, rep, lam, kmax, mmax):
         for col, x in normalize_vector(vec).items():
             q, h = divmod(col, N)
             comps[h][monos[q]] = to_tower(x)
-        fields.append(CoordSpinorField([CoordFunction(terms) for terms in comps]))
+        fields.append(CoordSpinorField(tuple(CoordFunction(terms) for terms in comps)))
     return fields
 
 

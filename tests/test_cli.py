@@ -268,6 +268,26 @@ class TestCommands:
                 for got, want in zip(got_row, want_row):
                     assert abs(got - float(Fraction(want))) <= 1e-9 * max(1.0, abs(got)), name
 
+    def test_tolerance_that_makes_every_value_zero_exits_one(self, heis3_file, capsys):
+        # these used to report lambda = 0 and D = 0 for heis3 with exit 0, and
+        # nan used to fail later, as brackets that are not antisymmetric
+        for tol in ("inf", "1", "1e300", "nan", "-0.0"):
+            assert main(["nilsoliton", heis3_file, "--backend", "float", "--tolerance", tol, "--json"]) == 1
+            data = json.loads(capsys.readouterr().out)
+            assert data["error"].startswith("tolerance must be in (0, 1)"), tol
+            assert "results" not in data
+        assert main(["nilsoliton", heis3_file, "--backend", "float", "--tolerance", "1e-6", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["nilsoliton"]["lambda"] == -1.5
+
+    def test_float_abelian_nilsoliton_reports_float_zeros(self, tmp_path, capsys):
+        p = tmp_path / "ab2.alg"
+        p.write_text("dim 2\nsigns +1 -1\n")
+        for backend, zero in (("float", 0.0), ("exact", "0")):
+            assert main(["nilsoliton", str(p), "--backend", backend, "--json"]) == 0
+            got = json.loads(capsys.readouterr().out)["results"]["nilsoliton"]
+            entries = [got["lambda"], *(x for row in got["derivation"] for x in row)]
+            assert len(entries) == 5 and all(type(x) is type(zero) and x == zero for x in entries), backend
+
     def test_env_var_backend(self, heis3_file, capsys, monkeypatch):
         monkeypatch.setenv("SOLVSPIN_BACKEND", "float")
         assert main(["curvature", heis3_file, "--json"]) == 0

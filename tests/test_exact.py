@@ -168,6 +168,13 @@ class TestFloatScalar:
     def test_sqrt(self):
         assert sqrt_scalar(FloatScalar(4.0)) == 2.0
 
+    def test_tolerance_outside_unit_interval_is_refused(self):
+        # at tol >= 1 every value equals 0, and NaN fails every comparison
+        for tol in (0.0, -0.0, -1e-9, 1.0, 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"tolerance must be in \(0, 1\)"):
+                FloatScalar(1.0, tol)
+        assert FloatScalar(1.0, 0.5).tol == 0.5 and not FloatScalar(1.0, 0.5) == 0
+
 
 def test_sqrt_scalar_dispatch():
     assert sqrt_scalar(Fraction(1, 4)) == Fraction(1, 2)

@@ -16,6 +16,7 @@ import solvspin.liealg
 from solvspin.cli import main
 from solvspin.clifford import build_gammas
 from solvspin.exact import TS_I, TS_ONE, FloatScalar, TowerScalar, sqrt_to_tower
+from solvspin.linalg import add_scaled
 from solvspin.killing import killing_operator_rows, lambda_candidates, solve_invariant_killing
 from solvspin.liealg import MetricLieAlgebra, curvature, einstein_extension, levi_civita, ricci
 from solvspin.halfspace import (
@@ -237,18 +238,29 @@ class TestFrameDerivative:
                 assert all(e >= 0 for e in m)
 
 
-class TestCoordArithmetic:
-    def test_constructor_validates(self):
-        f = CoordFunction({(True, (1,)): F(0), (2.0, (0,)): F(3)})
-        assert f.terms == {(2, (0,)): F(3)}
-        assert all(type(k) is int and type(m) is tuple for k, m in f.terms)
+class TestValues:
+    def test_fields_of_different_lengths_differ(self):
+        # the old equality zipped the components, so these compared equal
+        f, g = CoordFunction({(1, (0,)): F(1)}), CoordFunction({(-1, (1,)): F(2)})
+        assert CoordSpinorField((f,)) != CoordSpinorField((f, g))
+        assert CoordSpinorField((f, g)) == CoordSpinorField((CoordFunction(dict(f.terms)), g))
+        assert CoordSpinorField((f, g)) != CoordSpinorField((g, f))
+
+    def test_models_compare_by_value(self):
+        model = HalfSpaceModel(3, (1, 1, -1), F(1, 2))
+        same = HalfSpaceModel(3, [1, 1, -1], Fraction(1, 2))
+        assert model == same and hash(model) == hash(same)
+        assert same.signs == (1, 1, -1) and type(same.r) is Fraction
+        assert model != HalfSpaceModel(3, (1, 1, -1), F(1))
+        assert model != HalfSpaceModel(3, (1, -1, -1), F(1, 2))
+        assert repr(model) == "HalfSpaceModel(n=3, signs=(1, 1, -1), r=1/2)"
 
 
 class TestResidual:
     def test_zero_field(self):
         model = HalfSpaceModel(2, (1, 1), F(1))
         rep = model.clifford_rep()
-        psi = CoordSpinorField([CoordFunction() for _ in range(rep.spinor_dim)])
+        psi = CoordSpinorField(tuple(CoordFunction() for _ in range(rep.spinor_dim)))
         lam = lambda_candidates(model.algebra)[0].lam
         assert all(r.is_zero for r in killing_residual(model, rep, psi, lam))
 
@@ -264,8 +276,8 @@ class TestResidual:
         u = [TS_ONE, -TS_ONE]
         img = [g[0][0] * u[0] + g[0][1] * u[1], g[1][0] * u[0] + g[1][1] * u[1]]
         assert img == [-TS_I, TS_I]  # == -i u
-        psi = CoordSpinorField([CoordFunction({(-1, (0,)): u[0]}),
-                                CoordFunction({(-1, (0,)): u[1]})])
+        psi = CoordSpinorField((CoordFunction({(-1, (0,)): u[0]}),
+                                CoordFunction({(-1, (0,)): u[1]})))
         res = killing_residual(model, rep, psi, lam_minus)
         assert all(r.is_zero for r in res)
         # the opposite lambda leaves a nonzero t-direction residual
@@ -274,16 +286,16 @@ class TestResidual:
         # a t^(1/2) monomial alone cannot solve: the x-equation forces an
         # x-linear companion at t^(-1/2)
         v = [TS_ONE, TS_ONE]
-        psi_plus = CoordSpinorField([CoordFunction({(1, (0,)): v[0]}),
-                                     CoordFunction({(1, (0,)): v[1]})])
+        psi_plus = CoordSpinorField((CoordFunction({(1, (0,)): v[0]}),
+                                     CoordFunction({(1, (0,)): v[1]})))
         res_half = killing_residual(model, rep, psi_plus, lam_minus)
         assert res_half[1].is_zero and not res_half[0].is_zero
 
     def test_invariant_nonzero_field_fails(self):
         model = HalfSpaceModel(2, (1, 1), F(1))
         rep = model.clifford_rep()
-        psi = CoordSpinorField([CoordFunction({(0, (0,)): TS_ONE}),
-                                CoordFunction({(0, (0,)): TS_ONE})])
+        psi = CoordSpinorField((CoordFunction({(0, (0,)): TS_ONE}),
+                                CoordFunction({(0, (0,)): TS_ONE})))
         lam = lambda_candidates(model.algebra)[0].lam
         res = killing_residual(model, rep, psi, lam)
         assert any(not r.is_zero for r in res)
@@ -465,9 +477,9 @@ class TestConstructionMutants:
 def _tampered(psi, h, mono, delta):
     comps = list(psi.components)
     terms = dict(comps[h].terms)
-    terms[mono] = terms.get(mono, 0) + delta
+    add_scaled(terms, 1, {mono: delta})   # drops a coefficient that sums to 0
     comps[h] = CoordFunction(terms)
-    return CoordSpinorField(comps)
+    return CoordSpinorField(tuple(comps))
 
 
 class TestTamperedSolutions:
@@ -510,8 +522,8 @@ class TestAmendedIdentity:
         model = HalfSpaceModel(2, (1, 1), F(1))
         rep = model.clifford_rep()
         lam = lambda_candidates(model.algebra)[0].lam
-        generic = CoordSpinorField([CoordFunction({(1, (0,)): TS_ONE}),
-                                    CoordFunction({(1, (0,)): TS_I + 2})])
+        generic = CoordSpinorField((CoordFunction({(1, (0,)): TS_ONE}),
+                                    CoordFunction({(1, (0,)): TS_I + 2})))
         assert not verify_amended_identity(model, rep, generic, lam)
 
     def test_fails_for_generic_invariant_nonzero(self):
@@ -520,8 +532,8 @@ class TestAmendedIdentity:
         model = HalfSpaceModel(2, (1, 1), F(1))
         rep = model.clifford_rep()
         lam = lambda_candidates(model.algebra)[0].lam
-        psi = CoordSpinorField([CoordFunction({(0, (0,)): TS_ONE}),
-                                CoordFunction()])
+        psi = CoordSpinorField((CoordFunction({(0, (0,)): TS_ONE}),
+                                CoordFunction()))
         assert not verify_amended_identity(model, rep, psi, lam)
 
     def test_json_dump_shape(self):
@@ -582,10 +594,14 @@ def test_values_and_results_survive_copy_and_pickle(clone):
         sols = solve_killing_halfspace(model, rep, cand.lam, 1, 1)
         assert sols
         for psi in sols:
-            copies = [clone(psi), CoordSpinorField([clone(f) for f in psi.components])]
+            copies = [clone(psi), CoordSpinorField(tuple(clone(f) for f in psi.components))]
             for got in copies:
-                assert type(got) is CoordSpinorField
+                assert type(got) is CoordSpinorField and got == psi
                 assert got.to_json_dict() == psi.to_json_dict()
+        # a cloned model, with its branch entries, is equal and solves alike
+        twin = clone(model)
+        assert type(twin) is HalfSpaceModel and twin == model and hash(twin) == hash(model)
+        assert _as_json(solve_killing_halfspace(twin, rep, cand.lam, 1, 1)) == _as_json(sols)
     ext, _, _ = einstein_extension(heisenberg3())
     report = solve_invariant_killing(ext, build_gammas(ext.signs))
     assert clone(report).to_json_dict() == report.to_json_dict()

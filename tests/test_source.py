@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import dataclasses
 import importlib
 import pathlib
 
@@ -144,3 +145,29 @@ def test_geometry_is_derived_only_in_the_cached_properties():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [(name, scope) for name, scope in _calls_by_scope(tree) if name in DERIVED_ONLY_IN]
     assert sorted(found) == sorted(DERIVED_ONLY_IN.items())
+
+
+# classes that are no frozen dataclass, each for its reason
+HAND_WRITTEN = {
+    # the arithmetic hot path: __slots__ and operators tuned by hand
+    ("exact", "TowerScalar"),
+    # the float backend's scalar: tolerant equality, __slots__ like TowerScalar
+    ("exact", "FloatScalar"),
+    # a dict that forms each frame factor on first use through __missing__
+    ("halfspace", "_FrameFactors"),
+}
+
+
+def test_values_are_frozen_dataclasses():
+    # every other top-level class is a frozen dataclass or an exception
+    loose = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or (path.stem, node.name) in HAND_WRITTEN:
+                continue
+            cls = getattr(importlib.import_module("solvspin." + path.stem), node.name)
+            frozen = dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+            if not (frozen or issubclass(cls, Exception)):
+                loose.append("%s.%s" % (path.stem, node.name))
+    assert loose == [], "neither a frozen dataclass nor an exception: %s" % ", ".join(loose)
