@@ -267,6 +267,7 @@ def solve_killing_halfspace(
     highest column as its pivot, scaled by `normalize_vector` and returned in
     pivot order: the unique basis that eliminating the window's equations gives.
     """
+    check_signature(model, rep)
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
         if bound < 0:
             raise ValueError("window bound %s = %d is negative" % (name, bound))

@@ -42,8 +42,6 @@ from .linalg import (
     sparse_nullspace,
 )
 
-F0 = Fraction(0)
-
 
 @dataclass(frozen=True)
 class LambdaCandidate:
@@ -187,16 +185,22 @@ def ricci_filter(M: MetricLieAlgebra, rep: CliffordRep, lam) -> int:
     """Dimension of {psi : (Ric(X) - 4(n-1) lambda^2 X).psi = 0 for all X}.
 
     Any Killing spinor with constant lambda lies in this space pointwise, so
-    the dimension upper-bounds existence, invariant or not.
+    the dimension upper-bounds existence, invariant or not.  Column i of
+    B = Ric - kappa id, kappa = 4(n-1) lambda^2, is tested for zero by
+    comparing the Ricci operator with kappa id, and its vector and gamma rows
+    are formed only when it is nonzero; an Einstein input at its own lambda
+    builds no rows, and the filter is the whole fiber.
     """
+    check_signature(M, rep)
     n = M.dim
     op = M.ricci_data.operator
     rows = []
-    factor = 4 * (n - 1) * to_rational(lam * lam)
+    kappa = 4 * (n - 1) * to_rational(lam * lam)
     for i in range(n):
-        w = [op[k][i] - (factor if k == i else F0) for k in range(n)]
-        if all(x == 0 for x in w):
+        if op[i][i] == kappa and all(op[k][i] == 0 for k in range(n) if k != i):
             continue
+        w = [op[k][i] for k in range(n)]
+        w[i] -= kappa
         rows.extend(gamma_of_vector_rows(rep, w))
     return len(sparse_nullspace(rows, rep.spinor_dim))
 

@@ -357,6 +357,16 @@ class TestSolver:
         rep = model.clifford_rep()
         assert solve_killing_halfspace(model, rep, TowerScalar.rational(F(1, 2)), 1, 1) == []
 
+    def test_representation_of_another_signature_is_refused(self):
+        # at a lambda off the Einstein value the solve builds nothing, so
+        # without the check it would return [] for any representation
+        model = HalfSpaceModel(3, (1, 1, 1), F(1))
+        rep = build_gammas((1, 1, -1))
+        einstein = lambda_candidates(model.algebra)[0].lam
+        for lam in (einstein, TowerScalar.rational(F(1, 2))):
+            with pytest.raises(ValueError, match="representation signature"):
+                solve_killing_halfspace(model, rep, lam, 1, 1)
+
     def test_solutions_are_normalized(self):
         model = HalfSpaceModel(2, (1, 1), F(1))
         rep = model.clifford_rep()

@@ -8,7 +8,7 @@ import pytest
 
 import solvspin.killing
 from conftest import abelian_metric, heisenberg3, random_pseudo_iwasawa, semidirect_metric
-from solvspin.exact import TowerScalar, to_rational, to_tower
+from solvspin.exact import TowerScalar, sqrt_to_tower, to_rational, to_tower
 from solvspin.clifford import build_gammas, dense_rows, gamma_of_vector
 from solvspin.halfspace import HalfSpaceModel
 from solvspin.killing import (
@@ -185,7 +185,8 @@ def _dense_invariant_solve(M, rep):
     return out
 
 
-def _dense_ricci_filter(M, rep, lam):
+def _dense_ricci_rows(M, rep, lam):
+    """Dense rows of gamma(B e_i) for each nonzero column of B = Ric - 4(n-1) lambda^2 id."""
     n = M.dim
     op = ricci(M).operator
     lam_sq = to_rational(lam * lam)
@@ -194,6 +195,11 @@ def _dense_ricci_filter(M, rep, lam):
         w = [op[k][i] - (4 * (n - 1) * lam_sq if k == i else 0) for k in range(n)]
         if any(x != 0 for x in w):
             rows.extend(list(r) for r in gamma_of_vector(rep, w))
+    return rows
+
+
+def _dense_ricci_filter(M, rep, lam):
+    rows = _dense_ricci_rows(M, rep, lam)
     return len(nullspace(rows, rep.spinor_dim)) if rows else rep.spinor_dim
 
 
@@ -283,6 +289,47 @@ class TestRicciFilter:
         model = HalfSpaceModel(4, (1, -1, 1, 1), F(1, 2))
         report = solve_invariant_killing(model.algebra, model.clifford_rep())
         assert len(report.candidates) == 2 and len(calls) == 1
+
+    def test_columns_match_dense_oracle(self, monkeypatch):
+        # at each candidate lambda, and at every lambda that makes some column's
+        # diagonal equal to kappa = 4(n-1) lambda^2: the 5-dimensional algebra
+        # with signs (1, -1, -1, 1, 1) has op[3][3] = -8 and op[4][3] = 6, so a
+        # column test that reads only the diagonal would skip a nonzero column.
+        # The filter's rows are compared too: one non-null column already
+        # makes the dimension 0, so the dimension alone would not see the skip
+        seen = []
+        real = solvspin.killing.sparse_nullspace
+
+        def recorded(rows, ncols):
+            seen.append(densify(rows, ncols))
+            return real(rows, ncols)
+
+        monkeypatch.setattr(solvspin.killing, "sparse_nullspace", recorded)
+        diagonal_only = 0
+        for M in _sparse_path_algebras():
+            rep = build_gammas(M.signs)
+            n, op = M.dim, ricci(M).operator
+            lams = [c.lam for c in lambda_candidates(M)]
+            lams += [sqrt_to_tower(to_rational(op[i][i]) / (4 * (n - 1))) for i in range(n)]
+            for lam in lams:
+                kappa = 4 * (n - 1) * to_rational(lam * lam)
+                diagonal_only += any(op[i][i] == kappa and any(op[k][i] != 0 for k in range(n) if k != i)
+                                     for i in range(n))
+                seen.clear()
+                assert ricci_filter(M, rep, lam) == _dense_ricci_filter(M, rep, lam), (M, lam)
+                assert seen == [[tuple(r) for r in _dense_ricci_rows(M, rep, lam)]], (M, lam)
+        assert diagonal_only > 0
+
+    @pytest.mark.parametrize("signs", [(1, 1, -1), (1, -1, 1), (-1, 1, 1)])
+    def test_representation_of_another_signature_is_refused(self, signs):
+        # gamma_of_vector_rows builds rows from any representation, and an
+        # Einstein input at its own lambda reads nothing of rep, so the
+        # signature check is the only guard
+        for M in (heisenberg3(), HalfSpaceModel(3, (1, 1, 1), F(1)).algebra):
+            rep = build_gammas(signs)
+            for lam in _branches(M):
+                with pytest.raises(ValueError, match="representation signature"):
+                    ricci_filter(M, rep, lam)
 
     def test_heis3_filter_small(self):
         M = heisenberg3()

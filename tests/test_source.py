@@ -53,6 +53,7 @@ ENTRIES_ONLY = [
     ("killing.py", "_connection_entries"),
     ("killing.py", "killing_operator_rows"),
     ("killing.py", "solve_invariant_killing"),
+    ("killing.py", "ricci_filter"),
     ("clifford.py", "clifford_violations"),
     ("clifford.py", "annihilator_kernel"),
     ("clifford.py", "symmetric_commutant_kernel"),
