@@ -7,7 +7,6 @@ from .exact import (
     sqrt_to_tower,
 )
 from .liealg import (
-    Connection,
     LieAlgebra,
     MetricLieAlgebra,
     RicciData,

@@ -247,7 +247,7 @@ def _cmd_validate(M, decomp, model, job):
 def _cmd_curvature(M, decomp, model, job):
     data = M.ricci_data
     nonzero = [[i + 1, j + 1, k + 1, scalar_json(val)]
-               for i, j, k, val in M.connection.entries if not val == 0]
+               for i, j, k, val in M.connection if not val == 0]
     lam = einstein_check(M)
     return {
         "connection": nonzero,

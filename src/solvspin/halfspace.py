@@ -36,9 +36,6 @@ from .killing import check_signature, killing_operator_rows
 from .liealg import LieAlgebra, MetricLieAlgebra, StandardDecomposition, extend_by_derivation
 from .linalg import MAX_UNKNOWNS, add_scaled, identity, mat_scale, normalize_vector, sparse_nullspace
 
-F0 = Fraction(0)
-
-
 class _FrameFactors(dict):
     """k -> k/(2r), by which (t/r) d/dt scales t^(k/2); each formed on first use."""
 
@@ -103,7 +100,9 @@ class HalfSpaceModel:
     def killing_spinors(self, rep: CliffordRep, lam) -> list[dict]:
         """The branch's N Killing spinors as rows {((k, m), h): coefficient},
         built once per (rep, lam); none unless lam^2 = -eps_t/(4 r^2), the
-        Einstein value.  Callers must not change them."""
+        Einstein value.  A rep of another signature than the model's raises
+        ValueError.  Callers must not change them."""
+        check_signature(self, rep)
         if not lam * lam == Fraction(-self.signs[-1]) / (4 * self.r * self.r):
             return []
         rows = self.operator_rows(rep, lam)
@@ -331,7 +330,7 @@ def _build_spinors(model: HalfSpaceModel, rep: CliffordRep, lam, rows) -> list[d
         for i, x_row in enumerate(x_rows):
             mono = (-1, zero[:i] + (1,) + zero[i + 1:])
             for h, row in enumerate(x_row):
-                w = sum((c * u[j] for j, c in row.items() if j in u), F0)
+                w = sum((c * u[j] for j, c in row.items() if j in u), Fraction(0))
                 if not w == 0:
                     spinor[(mono, h)] = -model.r * w
         spinors.append(spinor)

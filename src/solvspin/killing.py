@@ -88,7 +88,7 @@ def _connection_entries(M: MetricLieAlgebra, rep: CliffordRep) -> list[list[tupl
     """
     check_signature(M, rep)
     by_direction = [[] for _ in range(M.dim)]
-    for i, j, k, v in M.connection.entries:
+    for i, j, k, v in M.connection:
         by_direction[i].append((k, j, v))
     return by_direction
 

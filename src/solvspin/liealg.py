@@ -10,17 +10,18 @@ derived from that list for tests and callers that want it.  Entries may be
 Fractions, TowerScalars or FloatScalars, and every operation below is
 generic over those.
 
-The geometry reads the entries only.  `levi_civita` scatters each nonzero
-c_ijk into the three slots of the Koszul formula and returns a `Connection`
-that likewise stores its nonzero Gamma entries (the `nabla(i)` matrices are
-views); `ricci` contracts those entries, summing over pairs of nonzero
-entries.  Neither forms a dense table, ad matrices or the Riemann tensor;
-the full tensor is still available from `curvature`.  Both are properties of
-the metric algebra: `MetricLieAlgebra.connection` and `.ricci_data` compute
-them on first use and keep them, and every other caller reads those.  Zeros
-in the dense views and results are the algebra's own `zero`, so the float
-backend reports FloatScalar zeros.  The standard decompositions read the
-entries too: phi_alpha and the mixed Ricci block come straight from them.
+The geometry reads the entries only, and returns entries in the same way.
+`levi_civita` scatters each nonzero c_ijk into the three slots of the Koszul
+formula and returns the sorted nonzero (i, j, k, Gamma_ijk); `curvature`
+returns the sorted nonzero (i, j, k, l, R) with i < j; `ricci` contracts the
+Gamma entries itself.  Each sums over pairs of nonzero entries, and none forms
+a dense table, an ad or nabla matrix, or the n^4 Riemann tensor.  The
+connection and the Ricci data are properties of the metric algebra:
+`MetricLieAlgebra.connection` and `.ricci_data` compute them on first use and
+keep them, and every other caller reads those.  Zeros in the dense views and
+results are the algebra's own `zero`, so the float backend reports
+FloatScalar zeros.  The standard decompositions read the entries too:
+phi_alpha and the mixed Ricci block come straight from them.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class MetricLieAlgebra:
         return self.algebra.dim
 
     @cached_property
-    def connection(self) -> Connection:
+    def connection(self) -> tuple:
         return levi_civita(self)
 
     @cached_property
@@ -243,40 +244,21 @@ def trace(f):
     return acc
 
 
-@dataclass(frozen=True)
-class Connection:
-    """Levi-Civita table, stored as its nonzero entries.
-
-    `entries` holds (i, j, k, Gamma_ijk), with nabla_{e_i} e_j = sum_k
-    Gamma_ijk e_k, for every Gamma_ijk that is not exactly zero, sorted by
-    (i, j, k).  The `nabla(i)` matrices are views; `zero` is the zero of the
-    scalars they are filled with.
-    """
-
-    dim: int
-    entries: tuple
-    zero: object = field(default=F0, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(
-            (e for e in self.entries if not _is_exact_zero(e[3])), key=lambda e: e[:3])))
-
-    def nabla(self, i: int) -> tuple:
-        """Matrix of w -> nabla_{e_i} w (covariant derivative in direction e_i)."""
-        n = self.dim
-        m = [[self.zero] * n for _ in range(n)]
-        for a, j, k, v in self.entries:
-            if a == i:
-                m[k][j] = v
-        return tuple(tuple(row) for row in m)
-
-
 def _accumulate(acc: dict, key, v):
     acc[key] = acc[key] + v if key in acc else v
 
 
-def levi_civita(M: MetricLieAlgebra) -> Connection:
+def _sorted_entries(acc: dict) -> tuple:
+    """(*key, v) for each entry of acc that is not exactly zero, sorted by key."""
+    return tuple((*key, acc[key]) for key in sorted(acc) if not _is_exact_zero(acc[key]))
+
+
+def levi_civita(M: MetricLieAlgebra) -> tuple:
     """Connection from the Koszul formula on the structure constants.
+
+    Returns (i, j, k, Gamma_ijk), with nabla_{e_i} e_j = sum_k Gamma_ijk e_k,
+    for every Gamma_ijk that is not exactly zero, sorted by (i, j, k), as
+    `LieAlgebra.brackets` stores the c_ijk.
 
     Gamma_ijk = (c_ijk - eps_i eps_k c_jki + eps_j eps_k c_kij) / 2, so each
     nonzero c_abd lands in three slots: c/2 at (a, b, d), -eps_b eps_d c/2 at
@@ -290,12 +272,12 @@ def levi_civita(M: MetricLieAlgebra) -> Connection:
         _accumulate(acc, (a, b, d), h)
         _accumulate(acc, (d, a, b), h if eps[b] != eps[d] else -h)
         _accumulate(acc, (b, d, a), h if eps[a] == eps[d] else -h)
-    conn = Connection(M.dim, [(i, j, k, v) for (i, j, k), v in acc.items()], M.algebra.zero)
+    conn = _sorted_entries(acc)
     _check_connection(M, conn)
     return conn
 
 
-def _check_connection(M: MetricLieAlgebra, conn: Connection):
+def _check_connection(M: MetricLieAlgebra, conn: tuple):
     """Raise StructureError unless conn is metric-compatible and torsion-free.
 
     Both conditions are checked at every index triple where they read an entry
@@ -306,7 +288,7 @@ def _check_connection(M: MetricLieAlgebra, conn: Connection):
     wherever c_ijk is nonzero.
     """
     eps, zero = M.signs, M.algebra.zero
-    g = {(i, j, k): v for i, j, k, v in conn.entries}
+    g = {(i, j, k): v for i, j, k, v in conn}
     c = {(i, j, k): v for i, j, k, v in M.algebra.brackets}
     # metric compatibility: g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
     for (i, j, k), v in g.items():
@@ -322,26 +304,33 @@ def _check_connection(M: MetricLieAlgebra, conn: Connection):
 
 
 def curvature(M: MetricLieAlgebra) -> tuple:
-    """R[i][j][k][l]: coefficient of e_l in R(e_i, e_j) e_k.
+    """(i, j, k, l, R) with i < j, R the coefficient of e_l in R(e_i, e_j) e_k.
 
-    R(x, y) = nabla_x nabla_y - nabla_y nabla_x - nabla_{[x, y]}.  The full
-    tensor costs n^2 dense matrix products; `ricci` contracts the connection
-    directly and does not call this.
+    R(x, y) = nabla_x nabla_y - nabla_y nabla_x - nabla_{[x, y]}, so
+
+        R_ijkl = sum_m (Gamma_jkm Gamma_iml - Gamma_ikm Gamma_jml) - sum_p c_ijp Gamma_pkl,
+
+    summed over the pairs of Gamma entries that meet at m and over the
+    brackets.  Sorted by (i, j, k, l), with no entry that is exactly zero.
     """
-    n = M.dim
-    A = [M.connection.nabla(i) for i in range(n)]
-    pairs = _pairs(M.algebra.brackets)
-    R = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            op = mat_sub(mat_mul(A[i], A[j]), mat_mul(A[j], A[i]))
-            for k, coeff in pairs.get((i, j), {}).items():
-                op = mat_sub(op, mat_scale(coeff, A[k]))
-            # op columns are R(e_i, e_j) e_k
-            plane.append(tuple(tuple(op[l][k] for l in range(n)) for k in range(n)))
-        R.append(tuple(plane))
-    return tuple(R)
+    conn = M.connection
+    by_middle = {}     # m -> [(i, l, Gamma_iml)]
+    by_first = {}      # p -> [(k, l, Gamma_pkl)]
+    for i, m, l, v in conn:
+        by_middle.setdefault(m, []).append((i, l, v))
+        by_first.setdefault(i, []).append((m, l, v))
+    acc = {}
+    for j, k, m, v in conn:
+        for i, l, w in by_middle.get(m, ()):
+            if i < j:
+                _accumulate(acc, (i, j, k, l), v * w)
+            elif j < i:
+                _accumulate(acc, (j, i, k, l), -(v * w))
+    for i, j, p, c in M.algebra.brackets:
+        if i < j:
+            for k, l, w in by_first.get(p, ()):
+                _accumulate(acc, (i, j, k, l), -(c * w))
+    return _sorted_entries(acc)
 
 
 @dataclass(frozen=True)
@@ -376,7 +365,7 @@ def ricci(M: MetricLieAlgebra) -> RicciData:
     constant.
     """
     n = M.dim
-    g = M.connection.entries
+    g = M.connection
     tr = {}
     by_jk = {}         # (j, k) -> [(i, Gamma_ijk)]
     by_ik = {}         # (i, k) -> [(j, Gamma_ijk)]
@@ -544,8 +533,8 @@ def standard_connection_identities(M: MetricLieAlgebra, decomp: StandardDecompos
     """
     nil, ab = decomp.nil_indices, decomp.abelian_indices
     nil_signs = tuple(M.signs[i] for i in nil)
-    conn = _pairs(M.connection.entries)
-    sub_conn = _pairs(restrict(M, nil).connection.entries)
+    conn = _pairs(M.connection)
+    sub_conn = _pairs(restrict(M, nil).connection)
     fails = []
     for a in ab:
         for j in range(M.dim):

@@ -31,6 +31,7 @@ from solvspin.halfspace import (
     verify_amended_identity,
 )
 from conftest import heisenberg3
+from reference_liealg import densify_curvature
 from reference_halfspace import (
     amended_identity_three_term,
     monomials,
@@ -49,8 +50,8 @@ class TestModel:
         for signs, r in [((1, 1, 1), F(1)), ((1, -1, 1), F(2)), ((1, 1, -1), F(1, 2))]:
             model = HalfSpaceModel(3, signs, r)
             M = model.algebra
-            R = curvature(M)
             n = 3
+            R = densify_curvature(curvature(M), n, M.algebra.zero)
             c = F(-signs[-1]) / (r * r)
             for i in range(n):
                 for j in range(n):
@@ -366,6 +367,11 @@ class TestSolver:
         for lam in (einstein, TowerScalar.rational(F(1, 2))):
             with pytest.raises(ValueError, match="representation signature"):
                 solve_killing_halfspace(model, rep, lam, 1, 1)
+            # the model's own spinors check the signature before the lambda^2 test
+            with pytest.raises(ValueError, match="representation signature"):
+                model.killing_spinors(rep, lam)
+        with pytest.raises(ValueError, match="representation signature"):
+            model.killing_spinors(rep, F(1, 2))
 
     def test_solutions_are_normalized(self):
         model = HalfSpaceModel(2, (1, 1), F(1))

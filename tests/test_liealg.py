@@ -15,8 +15,8 @@ from conftest import (
     semidirect_metric,
 )
 from solvspin.exact import FloatScalar, TowerScalar, to_rational
+from solvspin.halfspace import HalfSpaceModel
 from solvspin.liealg import (
-    Connection,
     DerivationError,
     LieAlgebra,
     MetricLieAlgebra,
@@ -43,16 +43,16 @@ from solvspin.liealg import (
 )
 from solvspin.linalg import identity, mat_equal, mat_scale
 
+from reference_liealg import dense_curvature, densify_curvature, nabla_matrices
 from reference_linalg import lower_central_series_dense, solve_linear
 
 F = Fraction
 
 
-def gamma_table(conn):
+def gamma_table(conn, n):
     """The dense table gamma[i][j][k] = Gamma_ijk, built from the stored entries."""
-    n = conn.dim
     g = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k, v in conn.entries:
+    for i, j, k, v in conn:
         g[i][j][k] = v
     return tuple(tuple(tuple(row) for row in plane) for plane in g)
 
@@ -268,14 +268,14 @@ class TestSparseForm:
 class TestLeviCivita:
     def test_abelian_flat(self):
         M = abelian_metric((1, 1, -1))
-        gamma = gamma_table(levi_civita(M))
+        gamma = gamma_table(levi_civita(M), 3)
         assert all(
             gamma[i][j][k] == 0
             for i in range(3) for j in range(3) for k in range(3)
         )
 
     def test_heis3_frozen_values(self):
-        gamma = gamma_table(levi_civita(heisenberg3()))
+        gamma = gamma_table(levi_civita(heisenberg3()), 3)
         assert gamma[0][1] == (F(0), F(0), F(1, 2))
         assert gamma[0][2] == (F(0), F(-1, 2), F(0))
         assert gamma[1][2] == (F(1, 2), F(0), F(0))
@@ -283,7 +283,7 @@ class TestLeviCivita:
     def test_matches_scalar_koszul_oracle(self, rng):
         for _ in range(20):
             M, _ = random_pseudo_iwasawa(rng)
-            assert gamma_table(levi_civita(M)) == koszul_oracle(M)
+            assert gamma_table(levi_civita(M), M.dim) == koszul_oracle(M)
 
     def test_pseudo_iwasawa_connection_identities(self, rng):
         for _ in range(20):
@@ -339,11 +339,11 @@ class TestLeviCivita:
         for _ in range(10):
             M, _ = random_pseudo_iwasawa(rng)
             conn = levi_civita(M)
-            if not conn.entries:
+            if not conn:
                 continue
-            i, j, k, v = rng.choice(conn.entries)
+            i, j, k, v = rng.choice(conn)
             bad = tampered(conn, {(i, j, k): -v})
-            assert len(bad.entries) == len(conn.entries) - 1
+            assert len(bad) == len(conn) - 1
             with pytest.raises(StructureError):
                 _check_connection(M, bad)
 
@@ -352,10 +352,10 @@ class TestLeviCivita:
             M, _ = random_pseudo_iwasawa(rng)
             conn = levi_civita(M)
             n = M.dim
-            stored = {e[:3] for e in conn.entries}
+            stored = {e[:3] for e in conn}
             i, j, k = rng.choice([t for t in itertools.product(range(n), repeat=3) if t not in stored])
             bad = tampered(conn, {(i, j, k): F(1, 3)})
-            assert len(bad.entries) == len(conn.entries) + 1
+            assert len(bad) == len(conn) + 1
             with pytest.raises(StructureError):
                 _check_connection(M, bad)
 
@@ -363,15 +363,8 @@ class TestLeviCivita:
         for _ in range(10):
             M, _ = random_pseudo_iwasawa(rng)
             conn = levi_civita(M)
-            n = M.dim
-            assert all(not v == 0 for *_, v in conn.entries)
-            assert [e[:3] for e in conn.entries] == sorted(e[:3] for e in conn.entries)
-            gamma = gamma_table(conn)
-            for i in range(n):
-                A = conn.nabla(i)
-                for j in range(n):
-                    for k in range(n):
-                        assert A[k][j] == gamma[i][j][k]
+            assert all(not v == 0 for *_, v in conn)
+            assert [e[:3] for e in conn] == sorted(e[:3] for e in conn)
 
 
 def tampered(conn, changes):
@@ -380,26 +373,53 @@ def tampered(conn, changes):
     An entry that sums to zero leaves the stored list; one added where Gamma
     was zero joins it.
     """
-    g = {(i, j, k): v for i, j, k, v in conn.entries}
+    g = {(i, j, k): v for i, j, k, v in conn}
     for key, delta in changes.items():
         g[key] = g.get(key, F(0)) + delta
-    return Connection(conn.dim, [(*key, v) for key, v in g.items()])
+    return tuple((*key, g[key]) for key in sorted(g) if g[key] != 0)
+
+
+def dense_entries(M):
+    """The stored curvature entries of M laid out as the n^4 table."""
+    return densify_curvature(curvature(M), M.dim, M.algebra.zero)
+
+
+def curvature_inputs(rng):
+    """Every half-space with n = 2..5, each signature and r in {1, 1/2, 2/3};
+    random pseudo-Iwasawa algebras; the tower-valued Einstein extension of
+    filiform 4; and heis3 on the float backend."""
+    from solvspin.cli import _to_float_backend
+
+    out = [HalfSpaceModel(n, signs, r).algebra
+           for n in range(2, 6) for signs in itertools.product((1, -1), repeat=n)
+           for r in (F(1), F(1, 2), F(2, 3))]
+    out += [random_pseudo_iwasawa(rng)[0] for _ in range(200)]
+    fil4 = LieAlgebra.from_brackets(4, {(0, 1): {2: F(1)}, (0, 2): {3: F(1)}})
+    out.append(einstein_extension(MetricLieAlgebra(fil4, (1,) * 4))[0])
+    out.append(_to_float_backend(heisenberg3(), 1e-9))
+    return out
 
 
 class TestCurvature:
     def test_abelian_flat(self):
-        M = abelian_metric((1, -1))
-        R = curvature(M)
-        assert all(
-            R[i][j][k][m] == 0
-            for i in range(2) for j in range(2) for k in range(2) for m in range(2)
-        )
+        assert curvature(abelian_metric((1, -1))) == ()
+
+    def test_entries_match_dense_oracle(self, rng):
+        inputs = curvature_inputs(rng)
+        assert len(inputs) == 382
+        assert not _is_rational(inputs[-2].algebra)
+        assert type(inputs[-1].algebra.zero) is FloatScalar
+        for M in inputs:
+            R = curvature(M)
+            assert all(i < j and not v == 0 for i, j, k, l, v in R), M
+            assert [e[:4] for e in R] == sorted(e[:4] for e in R), M
+            assert densify_curvature(R, M.dim, M.algebra.zero) == dense_curvature(M), M
 
     def test_antisymmetry_and_bianchi(self, rng):
         for _ in range(10):
             M, _ = random_pseudo_iwasawa(rng)
             n = M.dim
-            R = curvature(M)
+            R = dense_entries(M)
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
@@ -416,11 +436,10 @@ class TestCurvature:
         # R(v, e_alpha) w = -nabla_{phi_alpha v} w  and  R(v, e_alpha) e_beta = -phi_beta phi_alpha v
         for _ in range(10):
             M, decomp = random_pseudo_iwasawa(rng)
-            conn = levi_civita(M)
-            R = curvature(M)
+            R = dense_entries(M)
             n = M.dim
             nil, ab = decomp.nil_indices, decomp.abelian_indices
-            nabla = [conn.nabla(i) for i in range(n)]
+            nabla = nabla_matrices(M)
             for vp, v in enumerate(nil):
                 for ap, a in enumerate(ab):
                     phi_v = [F(0)] * n
@@ -439,7 +458,7 @@ class TestCurvature:
 def ricci_trace_oracle(M):
     """ric(y, z) = sum_i R[i][y][z][i] from the full curvature tensor."""
     n = M.dim
-    R = curvature(M)
+    R = dense_entries(M)
     return tuple(
         tuple(sum((R[i][y][z][i] for i in range(n)), F(0)) for z in range(n))
         for y in range(n)

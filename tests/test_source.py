@@ -36,14 +36,15 @@ def test_traced_names_resolve(module, attr):
 
 
 # solver-path functions that read the stored entries only: the dense views
-# (`LieAlgebra.structure`, `Connection.nabla(i)`, `CliffordRep.gammas`) build
-# an n^3, n^2 or n N^2 table, which these must not pay for, and `gamma` stays
-# listed so that no dense Gamma table comes back on that path; the Clifford
+# (`LieAlgebra.structure`, `CliffordRep.gammas`) build an n^3 or n N^2 table,
+# which these must not pay for, and `gamma` and `nabla` stay listed so that no
+# dense Gamma table or nabla matrix comes back on that path; the Clifford
 # ones read `perm`/`phase`
 ENTRIES_ONLY = [
     ("liealg.py", "levi_civita"),
     ("liealg.py", "_check_connection"),
     ("liealg.py", "ricci"),
+    ("liealg.py", "curvature"),
     ("liealg.py", "lower_central_series"),
     ("liealg.py", "standard_decomposition"),
     ("liealg.py", "check_standard"),
