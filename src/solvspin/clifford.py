@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
-from .exact import TS_I, TS_ONE, TS_ZERO, common_numerators, from_numerators
+from .exact import TS_I, TS_ONE, TS_ZERO, _rotations, common_numerators, from_numerators
 from .linalg import MAX_UNKNOWNS, mat_from_rows, rank_mod_p, sparse_nullspace
 
 F0 = Fraction(0)
@@ -193,13 +193,13 @@ def clifford_rows(rep: CliffordRep, terms) -> list[dict]:
     nums, q, m = common_numerators([c for _, c in terms])
     gens = _generators(rep)
     acc = [{} for _ in range(rep.spinor_dim)]
-    for (word, _), (a, b, c, d) in zip(terms, nums):
-        if not (a or b or c or d):
+    for (word, _), num in zip(terms, nums):
+        if not any(num):
             continue
         prod = gens[word[0]]
         for g in word[1:]:
             prod = _compose(prod, gens[g])
-        rot = ((a, b, c, d), (-b, a, -d, c), (-a, -b, -c, -d), (b, -a, d, -c))
+        rot = _rotations(num)
         for row, j, k in zip(acc, *prod):
             x = rot[k]
             y = row.get(j)
@@ -299,8 +299,7 @@ def annihilator_kernel(rep: CliffordRep, psi: Sequence) -> list[dict]:
     RuntimeError.
     """
     _check_length(psi, rep.spinor_dim, "psi", "spinor_dim")
-    rotations = [((a, b, c, d), (-b, a, -d, c), (-a, -b, -c, -d), (b, -a, d, -c))
-                 for a, b, c, d in common_numerators(psi)[0]]
+    rotations = [_rotations(x) for x in common_numerators(psi)[0]]
     gens = _generators(rep)
     eqs = []
     for h in range(rep.spinor_dim):

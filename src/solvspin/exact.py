@@ -392,7 +392,7 @@ def common_numerators(scalars) -> tuple:
     FloatScalar included, raises TypeError, and two radicands raise
     IncompatibleExtensionError.  `from_numerators` reads a sum back.
     """
-    parts = [_exact_tuple(x) for x in scalars]
+    parts = [x._t if type(x) is TowerScalar else _exact_tuple(x) for x in scalars]
     q = math.lcm(*(t[4] for t in parts))
     m = None
     for t in parts:
@@ -402,6 +402,12 @@ def common_numerators(scalars) -> tuple:
         s = q // qt
         nums.append((a, b, c, d) if s == 1 else (a * s, b * s, c * s, d * s))
     return nums, q, m
+
+
+def _rotations(x: tuple) -> tuple:
+    """The numerators (a, b, c, d) of x times i**q, for q = 0, 1, 2, 3."""
+    a, b, c, d = x
+    return (x, (-b, a, -d, c), (-a, -b, -c, -d), (b, -a, d, -c))
 
 
 class FloatScalar:

@@ -19,9 +19,15 @@ w_i = -r A_i u and v in E- and in every ker A_i.  A Killing spinor is fixed
 by its value at one point, so the N spinors built so, once per
 (representation, lambda) branch, are all of them.  A window's solutions are
 their combinations that vanish outside it.  The two certificates never read
-the construction: `killing_residual` re-substitutes a solution through
-`frame_derivative` and the operator rows, and `verify_amended_identity`
-checks the amended identity with one Clifford product per transverse direction.
+the construction: `killing_residual` re-substitutes a solution through the
+frame derivatives and the operator rows, and `verify_amended_identity`
+checks the amended identity with one Clifford product per transverse
+direction.  Both work on integer numerators: a solution's coefficients are
+written over one denominator (`exact.common_numerators`), as are the
+operator rows, once per branch, and with r = p/s the frame factors k/(2r)
+and e/r are the integers k s and 2 e s over 2p.  Each coefficient is summed
+as an integer 4-tuple in the basis 1, i, w, iw, multiplied by a unit i^q by
+rotating that tuple, and is zero exactly when all four integers are.
 """
 
 from __future__ import annotations
@@ -30,31 +36,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .exact import parse_rational, to_tower
-from .clifford import CliffordRep, _check_length, build_gammas, gamma_rows
+from .exact import _common_radicand, _rotations, common_numerators, from_numerators, parse_rational, to_tower
+from .clifford import CliffordRep, _check_length, build_gammas
 from .killing import check_signature, killing_operator_rows
 from .liealg import LieAlgebra, MetricLieAlgebra, StandardDecomposition, extend_by_derivation
 from .linalg import MAX_UNKNOWNS, add_scaled, identity, mat_scale, normalize_vector, sparse_nullspace
-
-class _FrameFactors(dict):
-    """k -> k/(2r), by which (t/r) d/dt scales t^(k/2); each formed on first use."""
-
-    def __init__(self, r: Fraction):
-        self.r = r
-
-    def __missing__(self, k: int) -> Fraction:
-        c = self[k] = Fraction(k, 2) / self.r
-        return c
-
 
 @dataclass(frozen=True)
 class HalfSpaceModel:
     """H^eps_r as a metric Lie algebra plus its coordinate frame data.
 
     `signs` is stored as a tuple and `r` as a Fraction; models with equal
-    (n, signs, r) are equal.  The value is frozen, so its branch entries and
-    frame factors, like the connection its `algebra` holds, cannot go stale;
-    they live as long as the model.
+    (n, signs, r) are equal.  The value is frozen, so its branch entries, like
+    the connection its `algebra` holds, cannot go stale; they live as long as
+    the model.
     """
 
     n: int
@@ -63,7 +58,6 @@ class HalfSpaceModel:
     algebra: MetricLieAlgebra = field(init=False, compare=False, repr=False)
     decomposition: StandardDecomposition = field(init=False, compare=False, repr=False)
     _branches: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _factors: _FrameFactors = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -84,8 +78,7 @@ class HalfSpaceModel:
         D = mat_scale(Fraction(-1) / r, identity(n - 1))
         algebra, decomposition = extend_by_derivation(base, D, signs[-1])
         # frozen: the coerced and derived fields are stored directly
-        vars(self).update(signs=signs, r=r, algebra=algebra, decomposition=decomposition,
-                          _factors=_FrameFactors(r))
+        vars(self).update(signs=signs, r=r, algebra=algebra, decomposition=decomposition)
 
     def operator_rows(self, rep: CliffordRep, lam) -> list[list[dict]]:
         """Sparse rows of nabla_{e_i} - lam gamma_i per direction i, built once
@@ -96,6 +89,29 @@ class HalfSpaceModel:
             rows = killing_operator_rows(self.algebra, rep, lam)
             branch = self._branches[(rep, lam)] = {"rows": rows}
         return branch["rows"]
+
+    def _operator_columns(self, rep: CliffordRep, lam) -> tuple:
+        """(columns, q, m): the operator rows as integer numerators over one
+        denominator q = 2p q_A, where r = p/s and q_A is the rows' own common
+        denominator, transposed into columns[i] = {j: ((h, numerators of row
+        h at column j), ...)} per direction i; m is their radicand or None.
+        Built once per (rep, lam) beside the rows.  Callers must not change them."""
+        rows = self.operator_rows(rep, lam)
+        branch = self._branches[(rep, lam)]
+        if "columns" not in branch:
+            nums, q, m = common_numerators([c for by_row in rows for row in by_row for c in row.values()])
+            p2 = 2 * self.r.numerator
+            nums = iter(nums)
+            columns = []
+            for by_row in rows:
+                cols: dict = {}
+                for h, row in enumerate(by_row):
+                    for j in row:
+                        a, b, c, d = next(nums)
+                        cols.setdefault(j, []).append((h, (p2 * a, p2 * b, p2 * c, p2 * d)))
+                columns.append(cols)
+            branch["columns"] = (columns, p2 * q, m)
+        return branch["columns"]
 
     def killing_spinors(self, rep: CliffordRep, lam) -> list[dict]:
         """The branch's N Killing spinors as rows {((k, m), h): coefficient},
@@ -176,33 +192,6 @@ class CoordFunction:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
 
-def frame_derivative(model: HalfSpaceModel, f: CoordFunction, direction: int) -> CoordFunction:
-    """Derivative along the left-invariant frame.
-
-    direction < n-1 is (t/r) d/dx_{direction+1}; the last direction is
-    (t/r) d/dt, which is diagonal with eigenvalue k/(2r) on t^(k/2) x^m.
-    Both maps are one-to-one on the monomials they do not kill, and a
-    product of nonzero exact scalars is nonzero, so no term needs summing
-    or dropping.  The factors k/(2r) and e/r = 2e/(2r) are read from the
-    model's table, which forms each once per exponent.
-    """
-    n = model.n
-    factors = model._factors
-    out: dict = {}
-    if direction == n - 1:
-        for (k, m), coeff in f.terms.items():
-            if k:
-                out[(k, m)] = coeff * factors[k]
-    elif 0 <= direction < n - 1:
-        for (k, m), coeff in f.terms.items():
-            e = m[direction]
-            if e:
-                out[(k + 2, m[:direction] + (e - 1,) + m[direction + 1:])] = coeff * factors[2 * e]
-    else:
-        raise ValueError("direction out of range")
-    return CoordFunction(out)
-
-
 @dataclass(frozen=True, slots=True)
 class CoordSpinorField:
     """Spinor field with CoordFunction components in a fixed trivialization."""
@@ -224,27 +213,91 @@ class CoordSpinorField:
         return out
 
 
+def _numerators(comps) -> tuple:
+    """The components' terms as integer numerators over one denominator:
+    ([{monomial: (a, b, c, d)} per component], q, m), as `exact.common_numerators`."""
+    nums, q, m = common_numerators([c for comp in comps for c in comp.terms.values()])
+    nums = iter(nums)
+    return [{mono: next(nums) for mono in comp.terms} for comp in comps], q, m
+
+
+def _mul(x: tuple, y: tuple, m: int) -> tuple:
+    """The numerators of the product of two tower numerators, w**2 = m (0 for none)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2), a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
+            a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2, a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+
+
+def _add_into(acc: dict, key, x: tuple) -> None:
+    """acc[key] += x for numerator 4-tuples; an entry that sums to 0 is kept."""
+    y = acc.get(key)
+    acc[key] = x if y is None else (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+
+
+def _derivative(terms: dict, i: int, n: int, step: int) -> dict:
+    """The frame derivative along e_i of one component's numerators, times
+    2p step/s for r = p/s.  (t/r) d/dt scales t^(k/2) by k/(2r) = k s/(2p),
+    and (t/r) d/dx_i sends t^(k/2) x^m to e/r = 2 e s/(2p) times
+    t^(k/2 + 1) x^(m - 1_i), with e the exponent it lowers; so the factors are
+    the integers k step and 2 e step.  Both maps are one-to-one on the
+    monomials they keep, so no term is summed."""
+    out = {}
+    if i == n - 1:
+        for key, (a, b, c, d) in terms.items():
+            if key[0]:
+                f = key[0] * step
+                out[key] = (f * a, f * b, f * c, f * d)
+    else:
+        for (k, mono), (a, b, c, d) in terms.items():
+            e = mono[i]
+            if e:
+                f = 2 * e * step
+                out[(k + 2, mono[:i] + (e - 1,) + mono[i + 1:])] = (f * a, f * b, f * c, f * d)
+    return out
+
+
 def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorField, lam) -> list[CoordSpinorField]:
     """Per-direction residual nabla_X psi - lambda X . psi.
 
     Vanishing of every monomial coefficient in every direction is exactly the
-    Killing equation with constant lambda.  Component i of direction d sums,
-    into one dict, `frame_derivative` of psi_i and sum_j row_i[j] psi_j over
-    the operator rows the model holds for the branch, built once per branch.
-    It never reads the solver's construction, so it certifies it.  A psi
-    without spinor_dim components raises ValueError.
+    Killing equation with constant lambda.  Component h of direction i is the
+    frame derivative of psi_h plus sum_j A_hj psi_j, with A the branch's
+    operator rows.  Both are summed on integer numerators over the
+    denominator q = 2p q_A q_psi: psi's terms over q_psi, the rows over
+    2p q_A, transposed once per branch so that the loops run over psi's
+    stored terms and, for each, over the entries of its column only.  Each
+    nonzero coefficient is read back once as a TowerScalar.  It never reads
+    the solver's construction, so it certifies it.  A psi without spinor_dim
+    components raises ValueError, and a psi whose radicand differs from the
+    rows' raises IncompatibleExtensionError.
     """
     comps = psi.components
     _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
+    columns, q_rows, m = model._operator_columns(rep, lam)
+    terms, q_psi, m_psi = _numerators(comps)
+    m = _common_radicand(m, m_psi)
+    mw = m or 0
+    q = q_rows * q_psi
+    step = model.r.denominator * (q_rows // (2 * model.r.numerator))
+    n = model.n
     out = []
-    for d, rows in enumerate(model.operator_rows(rep, lam)):
-        res = []
-        for comp, row in zip(comps, rows):
-            acc = frame_derivative(model, comp, d).terms   # a fresh dict, summed into
-            for j, coeff in row.items():
-                add_scaled(acc, coeff, comps[j].terms)
-            res.append(CoordFunction(acc))
-        out.append(CoordSpinorField(tuple(res)))
+    for i, cols in enumerate(columns):
+        acc = [_derivative(mine, i, n, step) if mine else {} for mine in terms]
+        for j, mine in enumerate(terms):
+            if not mine:
+                continue
+            for h, entry in cols.get(j, ()):
+                a2, b2 = entry[0], entry[1]
+                target = acc[h]
+                for mono, (a1, b1, c1, d1) in mine.items():
+                    # without a radicand, as on every solver output, c = d = 0 on both sides
+                    x = _mul((a1, b1, c1, d1), entry, mw) if mw else (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0)
+                    y = target.get(mono)   # _add_into, inlined
+                    target[mono] = x if y is None else (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+        out.append(CoordSpinorField(tuple(
+            CoordFunction({mono: from_numerators(*x, q, m) for mono, x in sums.items() if any(x)} if sums else {})
+            for sums in acc)))
     return out
 
 
@@ -321,9 +374,10 @@ def _build_spinors(model: HalfSpaceModel, rep: CliffordRep, lam, rows) -> list[d
     *x_rows, t_rows = rows
     zero = (0,) * (model.n - 1)
     plus, minus = ([dict(row) for row in t_rows] for _ in range(2))   # A_t + k/(2r) at k = 1, -1
+    half = 1 / (2 * model.r)
     for i in range(N):
-        add_scaled(plus[i], model._factors[1], {i: 1})
-        add_scaled(minus[i], model._factors[-1], {i: 1})
+        add_scaled(plus[i], half, {i: 1})
+        add_scaled(minus[i], -half, {i: 1})
     spinors = []
     for u in sparse_nullspace(plus, N):
         spinor = {((1, zero), h): c for h, c in u.items()}
@@ -351,8 +405,11 @@ def verify_amended_identity(model: HalfSpaceModel, rep: CliffordRep, psi: CoordS
     Clifford multiplication is linear and the arithmetic exact, so the
     identity for v = e_i is gamma_i w + phi_0 d_i psi = 0 with
     w = 2 lambda^2 gamma_t psi - lambda phi_0 psi, formed once: one Clifford
-    product per direction.  gamma_i acts through its sparse rows, one entry
-    per row.  A rep of another signature than the model's, or a psi without
+    product per direction.  gamma_i acts through its signed permutation, one
+    unit i**phase per row, which rotates the numerators.  psi's terms and
+    2 lambda^2, -lambda phi_0 and phi_0 are integer numerators, each over
+    one denominator, so both sides are over one denominator and only tested
+    for zero.  A rep of another signature than the model's, or a psi without
     spinor_dim components, raises ValueError.
     """
     check_signature(model, rep)
@@ -360,20 +417,32 @@ def verify_amended_identity(model: HalfSpaceModel, rep: CliffordRep, psi: CoordS
     phi = model.decomposition.phi[0][0][0]
     comps = psi.components
     _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
-    lam_sq2 = 2 * lam * lam
-    minus_lam_phi = -(lam * phi)
+    terms, _, m = _numerators(comps)
+    # 2 lambda^2, -lambda phi_0 and phi_0 over q^2, from lambda and phi_0 over q;
+    # the first two times 2p, so that gamma_i w and phi_0 d_i psi share one
+    # denominator
+    (lam, phi), den, m_consts = common_numerators([lam, phi])
+    m = _common_radicand(m_consts, m) or 0
+    p2 = 2 * model.r.numerator
+    lam_sq2 = tuple(2 * p2 * x for x in _mul(lam, lam, m))
+    minus_lam_phi = tuple(-p2 * x for x in _mul(lam, phi, m))
+    phi = tuple(den * x for x in phi)
+    # each nonzero entry of w is held with its four rotations
     w = []
-    for row, comp in zip(gamma_rows(rep, n - 1), comps):
-        (j, unit), = row.items()
-        f = lam_sq2 * unit
-        acc = {mono: f * c for mono, c in comps[j].terms.items()}
-        add_scaled(acc, minus_lam_phi, comp.terms)
-        w.append(acc)
+    for h, (j, q) in enumerate(zip(rep.perm[n - 1], rep.phase[n - 1])):
+        acc = {mono: _rotations(_mul(lam_sq2, x, m))[q] for mono, x in terms[j].items()}
+        for mono, x in terms[h].items():
+            _add_into(acc, mono, _mul(minus_lam_phi, x, m))
+        w.append({mono: _rotations(x) for mono, x in acc.items() if any(x)})
+    phi_psi = [{mono: _mul(phi, x, m) for mono, x in mine.items()} if mine else mine for mine in terms]
+    step = model.r.denominator
     for i in range(n - 1):
-        for row, comp in zip(gamma_rows(rep, i), comps):
-            (j, unit), = row.items()
-            acc = {mono: phi * c for mono, c in frame_derivative(model, comp, i).terms.items()}
-            add_scaled(acc, unit, w[j])
-            if acc:
+        for h, (j, q) in enumerate(zip(rep.perm[i], rep.phase[i])):
+            if not (phi_psi[h] or w[j]):
+                continue
+            acc = _derivative(phi_psi[h], i, n, step)
+            for mono, rotations in w[j].items():
+                _add_into(acc, mono, rotations[q])
+            if any(map(any, acc.values())):
                 return False
     return True

@@ -1,15 +1,86 @@
-"""Per-entry references for the half-space solver and its amended-identity
-certificate: the window's Killing equations eliminated as they stand, the
-oracle for the solver's construction from the fiber, and the three-term
-identity, the oracle for the one-product identity in `solvspin.halfspace`."""
+"""Per-entry references for the half-space solver and its certificates: the
+window's Killing equations eliminated as they stand, the oracle for the
+solver's construction from the fiber; both certificates on `TowerScalar`
+terms, the oracles for the integer-numerator certificates in
+`solvspin.halfspace`; and the three-term identity."""
 
 from fractions import Fraction
 from itertools import product
 
-from solvspin.clifford import gamma_rows
+from solvspin.clifford import _check_length, gamma_rows
 from solvspin.exact import to_tower
-from solvspin.halfspace import CoordFunction, CoordSpinorField, frame_derivative
+from solvspin.halfspace import CoordFunction, CoordSpinorField
+from solvspin.killing import check_signature
 from solvspin.linalg import add_scaled, normalize_vector, sparse_nullspace
+
+
+def frame_derivative(model, f, direction):
+    """Derivative of a CoordFunction along the left-invariant frame.
+
+    direction < n-1 is (t/r) d/dx_{direction+1}, which sends t^(k/2) x^m to
+    (e/r) t^(k/2 + 1) x^(m - 1_direction) with e the exponent it lowers; the
+    last direction is (t/r) d/dt, diagonal with eigenvalue k/(2r).  Both maps
+    are one-to-one on the monomials they do not kill, so no term needs summing.
+    """
+    n = model.n
+    out = {}
+    if direction == n - 1:
+        for (k, m), coeff in f.terms.items():
+            if k:
+                out[(k, m)] = coeff * (Fraction(k, 2) / model.r)
+    elif 0 <= direction < n - 1:
+        for (k, m), coeff in f.terms.items():
+            e = m[direction]
+            if e:
+                out[(k + 2, m[:direction] + (e - 1,) + m[direction + 1:])] = coeff * (e / model.r)
+    else:
+        raise ValueError("direction out of range")
+    return CoordFunction(out)
+
+
+def killing_residual_tower(model, rep, psi, lam):
+    """nabla_X psi - lambda X . psi per direction, on TowerScalar terms:
+    `frame_derivative` of each component plus one `add_scaled` per entry of
+    the model's operator rows."""
+    comps = psi.components
+    _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
+    out = []
+    for d, rows in enumerate(model.operator_rows(rep, lam)):
+        res = []
+        for comp, row in zip(comps, rows):
+            acc = frame_derivative(model, comp, d).terms
+            for j, coeff in row.items():
+                add_scaled(acc, coeff, comps[j].terms)
+            res.append(CoordFunction(acc))
+        out.append(CoordSpinorField(tuple(res)))
+    return out
+
+
+def verify_amended_identity_tower(model, rep, psi, lam):
+    """gamma_i w + phi_0 d_i psi = 0 for every transverse i, with
+    w = 2 lambda^2 gamma_t psi - lambda phi_0 psi, on TowerScalar terms."""
+    check_signature(model, rep)
+    n = model.n
+    phi = model.decomposition.phi[0][0][0]
+    comps = psi.components
+    _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
+    lam_sq2 = 2 * lam * lam
+    minus_lam_phi = -(lam * phi)
+    w = []
+    for row, comp in zip(gamma_rows(rep, n - 1), comps):
+        (j, unit), = row.items()
+        f = lam_sq2 * unit
+        acc = {mono: f * c for mono, c in comps[j].terms.items()}
+        add_scaled(acc, minus_lam_phi, comp.terms)
+        w.append(acc)
+    for i in range(n - 1):
+        for row, comp in zip(gamma_rows(rep, i), comps):
+            (j, unit), = row.items()
+            acc = {mono: phi * c for mono, c in frame_derivative(model, comp, i).terms.items()}
+            add_scaled(acc, unit, w[j])
+            if acc:
+                return False
+    return True
 
 
 def monomials(nx, kmax, mmax):

@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import pytest
 
+import solvspin.exact
 import solvspin.halfspace
 import solvspin.killing
 import solvspin.liealg
 from solvspin.cli import main
 from solvspin.clifford import build_gammas
-from solvspin.exact import TS_I, TS_ONE, FloatScalar, TowerScalar, sqrt_to_tower
+from solvspin.exact import TS_I, TS_ONE, FloatScalar, IncompatibleExtensionError, TowerScalar, sqrt_to_tower
 from solvspin.linalg import add_scaled
 from solvspin.killing import killing_operator_rows, lambda_candidates, solve_invariant_killing
 from solvspin.liealg import MetricLieAlgebra, curvature, einstein_extension, levi_civita, ricci
@@ -24,7 +25,6 @@ from solvspin.halfspace import (
     CoordFunction,
     CoordSpinorField,
     HalfSpaceModel,
-    frame_derivative,
     killing_residual,
     parse_halfspace_spec,
     solve_killing_halfspace,
@@ -34,7 +34,10 @@ from conftest import heisenberg3
 from reference_liealg import densify_curvature
 from reference_halfspace import (
     amended_identity_three_term,
+    frame_derivative,
+    killing_residual_tower,
     monomials,
+    verify_amended_identity_tower,
     window_equations_per_entry,
     window_solutions,
 )
@@ -531,6 +534,110 @@ class TestTamperedSolutions:
                             assert ok
                         checked += 1
         assert checked
+
+
+def _scaled(psi, f):
+    return CoordSpinorField(tuple(CoordFunction({mono: f * c for mono, c in comp.terms.items()})
+                                  for comp in psi.components))
+
+
+def _agrees_with_the_tower_oracle(model, rep, psi, lam):
+    """Both integer-numerator certificates against their TowerScalar oracles:
+    equal residual fields and equal verdicts.  Returns the verdicts."""
+    residual = killing_residual(model, rep, psi, lam)
+    assert residual == killing_residual_tower(model, rep, psi, lam)
+    verdict = verify_amended_identity(model, rep, psi, lam)
+    assert verdict == verify_amended_identity_tower(model, rep, psi, lam)
+    return all(res.is_zero for res in residual), verdict
+
+
+class TestIntegerCertificates:
+    """The certificates on integer numerators against the TowerScalar oracles."""
+
+    def test_every_small_signature_agrees_with_the_oracle(self):
+        # every signature with n <= 5, r in {1, 2/3}, both branches, windows 1
+        # and 2: each solution and a tampered copy, on its branch's lambda and
+        # on a wrong one.  Window 2 saturates, so a solution it shares with
+        # window 1 is checked once
+        wrong = TowerScalar.rational(F(1, 3))
+        seen = set()
+        for n in range(2, 6):
+            for signs in itertools.product((1, -1), repeat=n):
+                for r in (F(1), F(2, 3)):
+                    model = HalfSpaceModel(n, signs, r)
+                    rep = model.clifford_rep()
+                    for cand in lambda_candidates(model.algebra):
+                        checked = []
+                        for window in (1, 2):
+                            for k, psi in enumerate(solve_killing_halfspace(model, rep, cand.lam, window, window)):
+                                if psi in checked:
+                                    continue
+                                checked.append(psi)
+                                assert _agrees_with_the_tower_oracle(model, rep, psi, cand.lam) == (True, True)
+                                h, (mono, c) = next((h, next(iter(comp.terms.items())))
+                                                    for h, comp in enumerate(psi.components) if comp.terms)
+                                bad = _tampered(psi, (h + k) % rep.spinor_dim, mono, (TS_ONE, TS_I, c)[k % 3])
+                                seen.add(_agrees_with_the_tower_oracle(model, rep, bad, cand.lam))
+                                seen.add(_agrees_with_the_tower_oracle(model, rep, psi, wrong))
+        assert seen == {(False, False), (False, True), (True, True)}
+
+    def test_a_root_of_two_takes_the_w_part(self):
+        # lambda lies in Q(i) on a half-space, so only a field built by hand
+        # has a w-part: a solution times 1 + sqrt 2 is one, and a tampered or
+        # w-part lambda breaks it
+        model = HalfSpaceModel(4, (1, -1, 1, 1), F(2, 3))
+        rep = model.clifford_rep()
+        root2 = sqrt_to_tower(2)
+        for cand in lambda_candidates(model.algebra):
+            for k, psi in enumerate(solve_killing_halfspace(model, rep, cand.lam, 1, 1)):
+                surd = _scaled(psi, 1 + root2)
+                assert _agrees_with_the_tower_oracle(model, rep, surd, cand.lam) == (True, True)
+                mono = next(iter(surd.components[k % rep.spinor_dim].terms), (-1, (1, 0, 0)))
+                for delta in (root2, root2 * TS_I):
+                    bad = _tampered(surd, k % rep.spinor_dim, mono, delta)
+                    assert _agrees_with_the_tower_oracle(model, rep, bad, cand.lam)[0] is False
+                for lam in (cand.lam * root2, cand.lam + root2):
+                    assert _agrees_with_the_tower_oracle(model, rep, surd, lam) == (False, False)
+                # at lambda + sqrt 2 the residual is -(2 + sqrt 2) gamma psi, with a w-part
+                residual = killing_residual(model, rep, surd, cand.lam + root2)
+                assert any(c.radicand == 2 for res in residual for comp in res.components
+                           for c in comp.terms.values())
+
+    def test_two_radicands_are_refused(self):
+        model = HalfSpaceModel(3, (1, 1, 1), F(1))
+        rep = model.clifford_rep()
+        lam = lambda_candidates(model.algebra)[0].lam
+        psi = CoordSpinorField((CoordFunction({(1, (0, 0)): sqrt_to_tower(2)}),
+                                CoordFunction({(-1, (1, 0)): sqrt_to_tower(3)})))
+        for certificate in (killing_residual, verify_amended_identity):
+            with pytest.raises(IncompatibleExtensionError):
+                certificate(model, rep, psi, lam)
+            # a root of 2 in psi and of 3 in lambda
+            with pytest.raises(IncompatibleExtensionError):
+                certificate(model, rep, CoordSpinorField((psi.components[0], CoordFunction())),
+                            sqrt_to_tower(3) * lam)
+
+    def test_a_solution_is_certified_without_building_a_tower_scalar(self, monkeypatch):
+        model = HalfSpaceModel(5, (1, -1, 1, 1, -1), F(2, 3))
+        rep = model.clifford_rep()
+        lam = lambda_candidates(model.algebra)[0].lam
+        sols = solve_killing_halfspace(model, rep, lam, 2, 2)
+        killing_residual(model, rep, sols[0], lam)   # the branch's rows and columns, built once
+        made = []
+        make = solvspin.exact._make
+
+        def counted(t):
+            made.append(t)
+            return make(t)
+
+        monkeypatch.setattr(solvspin.exact, "_make", counted)
+        for psi in sols:
+            assert all(res.is_zero for res in killing_residual(model, rep, psi, lam))
+            assert verify_amended_identity(model, rep, psi, lam)
+        assert made == []
+        # the count sees a built scalar: a wrong field's residual reads one back
+        assert not all(res.is_zero for res in killing_residual(model, rep, _scaled(sols[0], 2), -lam))
+        assert made
 
 
 class TestAmendedIdentity:

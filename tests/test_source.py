@@ -155,8 +155,6 @@ HAND_WRITTEN = {
     ("exact", "TowerScalar"),
     # the float backend's scalar: tolerant equality, __slots__ like TowerScalar
     ("exact", "FloatScalar"),
-    # a dict that forms each frame factor on first use through __missing__
-    ("halfspace", "_FrameFactors"),
 }
 
 
