@@ -16,18 +16,20 @@ The t-equation puts the coefficient at t^(k/2) in the kernel of A_t + k/(2r),
 E+ at k = 1, E- at k = -1 and 0 elsewhere, and the x-equations then force
 psi = t^(1/2) u + t^(-1/2) (v + sum_i x_i w_i) with u in E+ free,
 w_i = -r A_i u and v in E- and in every ker A_i.  A Killing spinor is fixed
-by its value at one point, so the N spinors built so, once per
-(representation, lambda) branch, are all of them.  A window's solutions are
-their combinations that vanish outside it.  The two certificates never read
-the construction: `killing_residual` re-substitutes a solution through the
-frame derivatives and the operator rows, and `verify_amended_identity`
-checks the amended identity with one Clifford product per transverse
-direction.  Both work on integer numerators: a solution's coefficients are
-written over one denominator (`exact.common_numerators`), as are the
-operator rows, once per branch, and with r = p/s the frame factors k/(2r)
-and e/r are the integers k s and 2 e s over 2p.  Each coefficient is summed
-as an integer 4-tuple in the basis 1, i, w, iw, multiplied by a unit i^q by
-rotating that tuple, and is zero exactly when all four integers are.
+by its value at one point, so the N spinors built so are all of them.  Each
+(representation, lambda) branch is built once, as one value the model holds:
+the operator rows as integer columns and the spinors built from the same
+rows.  A window's solutions are the spinors' combinations that vanish
+outside it, found by one reduction.  The two certificates never read the
+construction: `killing_residual` re-substitutes a solution through the frame
+derivatives and the branch's columns, and `verify_amended_identity` checks
+the amended identity with one Clifford product per transverse direction.
+Both work on integer numerators: a solution's coefficients are written over
+one denominator (`exact.common_numerators`), as are the operator rows in the
+branch, and with r = p/s the frame factors k/(2r) and e/r are the integers
+k s and 2 e s over 2p.  Each coefficient is summed as an integer 4-tuple in
+the basis 1, i, w, iw, multiplied by a unit i^q by rotating that tuple, and
+is zero exactly when all four integers are.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ class HalfSpaceModel:
     """H^eps_r as a metric Lie algebra plus its coordinate frame data.
 
     `signs` is stored as a tuple and `r` as a Fraction; models with equal
-    (n, signs, r) are equal.  The value is frozen, so its branch entries, like
-    the connection its `algebra` holds, cannot go stale; they live as long as
-    the model.
+    (n, signs, r) are equal.  `_branches` maps each (rep, lam) that has been
+    asked for to its branch, the one value `_branch` builds.  The model is
+    frozen, so its branches, like the connection its `algebra` holds, cannot
+    go stale; they live as long as the model.
     """
 
     n: int
@@ -80,25 +83,19 @@ class HalfSpaceModel:
         # frozen: the coerced and derived fields are stored directly
         vars(self).update(signs=signs, r=r, algebra=algebra, decomposition=decomposition)
 
-    def operator_rows(self, rep: CliffordRep, lam) -> list[list[dict]]:
-        """Sparse rows of nabla_{e_i} - lam gamma_i per direction i, built once
-        per (rep, lam) from the algebra's connection and held in the branch's
-        one cache entry.  Callers must not change them."""
+    def _branch(self, rep: CliffordRep, lam) -> tuple:
+        """(columns, q, m, spinors) of the (rep, lam) branch, built once from
+        one call of `killing_operator_rows`, which refuses a rep of another
+        signature than the model's before anything is held.  The rows are
+        written as integer numerators over one denominator q = 2p q_A, where
+        r = p/s and q_A is the rows' own common denominator, and transposed
+        into columns[i] = {j: ((h, numerators of row h at column j), ...)} per
+        direction i; m is their radicand or None.  `spinors` are the N Killing
+        spinors built from the same rows, none unless lam^2 = -eps_t/(4 r^2),
+        the Einstein value.  Callers must not change any of them."""
         branch = self._branches.get((rep, lam))
         if branch is None:
             rows = killing_operator_rows(self.algebra, rep, lam)
-            branch = self._branches[(rep, lam)] = {"rows": rows}
-        return branch["rows"]
-
-    def _operator_columns(self, rep: CliffordRep, lam) -> tuple:
-        """(columns, q, m): the operator rows as integer numerators over one
-        denominator q = 2p q_A, where r = p/s and q_A is the rows' own common
-        denominator, transposed into columns[i] = {j: ((h, numerators of row
-        h at column j), ...)} per direction i; m is their radicand or None.
-        Built once per (rep, lam) beside the rows.  Callers must not change them."""
-        rows = self.operator_rows(rep, lam)
-        branch = self._branches[(rep, lam)]
-        if "columns" not in branch:
             nums, q, m = common_numerators([c for by_row in rows for row in by_row for c in row.values()])
             p2 = 2 * self.r.numerator
             nums = iter(nums)
@@ -110,22 +107,16 @@ class HalfSpaceModel:
                         a, b, c, d = next(nums)
                         cols.setdefault(j, []).append((h, (p2 * a, p2 * b, p2 * c, p2 * d)))
                 columns.append(cols)
-            branch["columns"] = (columns, p2 * q, m)
-        return branch["columns"]
+            einstein = lam * lam == Fraction(-self.signs[-1]) / (4 * self.r * self.r)
+            spinors = _build_spinors(self, rep, lam, rows) if einstein else []
+            branch = self._branches[(rep, lam)] = (columns, p2 * q, m, spinors)
+        return branch
 
     def killing_spinors(self, rep: CliffordRep, lam) -> list[dict]:
-        """The branch's N Killing spinors as rows {((k, m), h): coefficient},
-        built once per (rep, lam); none unless lam^2 = -eps_t/(4 r^2), the
-        Einstein value.  A rep of another signature than the model's raises
-        ValueError.  Callers must not change them."""
-        check_signature(self, rep)
-        if not lam * lam == Fraction(-self.signs[-1]) / (4 * self.r * self.r):
-            return []
-        rows = self.operator_rows(rep, lam)
-        branch = self._branches[(rep, lam)]
-        if "spinors" not in branch:
-            branch["spinors"] = _build_spinors(self, rep, lam, rows)
-        return branch["spinors"]
+        """The branch's N Killing spinors as rows {((k, m), h): coefficient};
+        none unless lam is an Einstein value.  A rep of another signature than
+        the model's raises ValueError.  Callers must not change them."""
+        return self._branch(rep, lam)[3]
 
     def clifford_rep(self) -> CliffordRep:
         return build_gammas(self.signs)
@@ -274,7 +265,7 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
     """
     comps = psi.components
     _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
-    columns, q_rows, m = model._operator_columns(rep, lam)
+    columns, q_rows, m, _ = model._branch(rep, lam)
     terms, q_psi, m_psi = _numerators(comps)
     m = _common_radicand(m, m_psi)
     mw = m or 0
@@ -314,10 +305,11 @@ def solve_killing_halfspace(
     one of more than MAX_UNKNOWNS unknowns, (2 kmax + 1) C(n - 1 + mmax, mmax)
     N, is refused before anything is built.  Its column q N + h, component h at
     the q-th monomial in (k, m) order, compares as the key ((k, m), h) does.
-    The combinations of the branch's spinors whose coefficients outside the
-    window cancel, an N-column kernel, are fully reduced with each vector's
-    highest column as its pivot, scaled by `normalize_vector` and returned in
-    pivot order: the unique basis that eliminating the window's equations gives.
+    The branch's spinors are fully reduced in one pass with each vector's
+    highest column as its pivot, keyed so that every coefficient outside the
+    window sorts last; those with their pivot inside are scaled by
+    `normalize_vector` and returned in pivot order: the unique basis that
+    eliminating the window's equations gives.
     """
     check_signature(model, rep)
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
@@ -328,22 +320,21 @@ def solve_killing_halfspace(
     if unknowns > MAX_UNKNOWNS:
         raise ValueError("window kmax = %d, mmax = %d has %d unknowns, more than the limit of %d"
                          % (kmax, mmax, unknowns, MAX_UNKNOWNS))
-    spinors = model.killing_spinors(rep, lam)
-    outside: dict = {}
-    for j, spinor in enumerate(spinors):
-        for ((k, m), h), c in spinor.items():
-            if abs(k) > kmax or sum(m) > mmax:
-                outside.setdefault(((k, m), h), {})[j] = c
-    inside = []
-    for combo in sparse_nullspace(list(outside.values()), len(spinors)):
-        vec: dict = {}
-        for j, c in combo.items():
-            add_scaled(vec, c, spinors[j])
-        inside.append(vec)
+    # Keyed (outside, (k, m), h), every coefficient outside the window sorts
+    # after every one inside it.  A reduced spinor's pivot is its highest key,
+    # so one whose pivot is inside has no entry outside.  A combination with
+    # no entry outside uses no reduced spinor whose pivot is outside, since
+    # the highest such pivot would survive in it.  So the reduced spinors up
+    # to the first pivot outside are the unique highest-pivot basis of the
+    # window's solutions.
+    spinors = [{(abs(k) > kmax or sum(m) > mmax, (k, m), h): c for ((k, m), h), c in spinor.items()}
+               for spinor in model.killing_spinors(rep, lam)]
     fields = []
-    for vec in _reduce_by_highest(inside):
+    for vec in _reduce_by_highest(spinors):
+        if max(vec)[0]:
+            break
         comps = [{} for _ in range(N)]
-        for (mono, h), x in normalize_vector(vec).items():
+        for (_, mono, h), x in normalize_vector(vec).items():
             comps[h][mono] = to_tower(x)
         fields.append(CoordSpinorField(tuple(CoordFunction(terms) for terms in comps)))
     return fields

@@ -10,7 +10,7 @@ from itertools import product
 from solvspin.clifford import _check_length, gamma_rows
 from solvspin.exact import to_tower
 from solvspin.halfspace import CoordFunction, CoordSpinorField
-from solvspin.killing import check_signature
+from solvspin.killing import check_signature, killing_operator_rows
 from solvspin.linalg import add_scaled, normalize_vector, sparse_nullspace
 
 
@@ -45,7 +45,7 @@ def killing_residual_tower(model, rep, psi, lam):
     comps = psi.components
     _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
     out = []
-    for d, rows in enumerate(model.operator_rows(rep, lam)):
+    for d, rows in enumerate(killing_operator_rows(model.algebra, rep, lam)):
         res = []
         for comp, row in zip(comps, rows):
             acc = frame_derivative(model, comp, d).terms
@@ -135,7 +135,7 @@ def window_equations_per_entry(model, rep, lam, monos):
         else:
             row[var] = nv
 
-    for d, rows in enumerate(model.operator_rows(rep, lam)):
+    for d, rows in enumerate(killing_operator_rows(model.algebra, rep, lam)):
         for mono in monos:
             k, m = mono
             for i, row in enumerate(rows):

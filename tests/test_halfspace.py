@@ -161,9 +161,10 @@ class TestModel:
         assert len(branches) == 2 and all(b["dimension"] > 0 for b in branches)
         assert len(calls) == 1
 
-    def test_operator_rows_built_once_per_branch(self, monkeypatch):
+    def test_each_branch_is_built_once(self, monkeypatch):
         # the solve in two windows and the residual of every solution, on both
-        # lambda branches, read one set of rows per (rep, lambda)
+        # lambda branches, read one branch per (rep, lambda), built from one
+        # call of killing_operator_rows
         model = HalfSpaceModel(4, (1, -1, 1, 1), F(2, 3))
         rep = model.clifford_rep()
         lams = [c.lam for c in lambda_candidates(model.algebra)]
@@ -183,13 +184,29 @@ class TestModel:
                     residuals += 1
         assert residuals > len(lams) * 2
         assert built == lams
-        # the branch's spinors are held next to its rows
+        # a rep equal to the first shares the branch and its spinors
         assert model.killing_spinors(model.clifford_rep(), lams[0]) is model.killing_spinors(rep, lams[0])
-        # a rep equal to the first shares its rows; the held rows are unchanged
-        assert model.operator_rows(model.clifford_rep(), lams[0]) is model.operator_rows(rep, lams[0])
         assert built == lams
-        for lam in lams:
-            assert model.operator_rows(rep, lam) == killing_operator_rows(model.algebra, rep, lam)
+        assert set(model._branches) == {(rep, lam) for lam in lams}
+
+    def test_a_refused_representation_builds_no_branch(self):
+        model = HalfSpaceModel(3, (1, 1, 1), F(1))
+        rep = build_gammas((1, -1, 1))
+        psi = CoordSpinorField((CoordFunction(),) * rep.spinor_dim)
+        for lam in (lambda_candidates(model.algebra)[0].lam, TowerScalar.rational(F(1, 2))):
+            with pytest.raises(ValueError, match="representation signature"):
+                model.killing_spinors(rep, lam)
+            with pytest.raises(ValueError, match="representation signature"):
+                killing_residual(model, rep, psi, lam)
+        assert model._branches == {}
+
+    def test_a_branch_off_the_einstein_value_holds_no_spinors(self):
+        model = HalfSpaceModel(4, (1, -1, 1, 1), F(2, 3))
+        rep = model.clifford_rep()
+        for lam in (TowerScalar.rational(F(1, 2)), TowerScalar.imaginary(F(1, 3))):
+            assert solve_killing_halfspace(model, rep, lam, 2, 2) == []
+            columns, q, m, spinors = model._branches[(rep, lam)]
+            assert spinors == [] and len(columns) == model.n and q > 0
 
     def test_parse_rejects_exponent_radius(self):
         # Fraction would expand 1e4000000 in full before anything else ran
@@ -373,6 +390,9 @@ class TestSolver:
             # the model's own spinors check the signature before the lambda^2 test
             with pytest.raises(ValueError, match="representation signature"):
                 model.killing_spinors(rep, lam)
+            # the solve names the signature before it reads the window
+            with pytest.raises(ValueError, match="representation signature"):
+                solve_killing_halfspace(model, rep, lam, MAX_UNKNOWNS, 0)
         with pytest.raises(ValueError, match="representation signature"):
             model.killing_spinors(rep, F(1, 2))
 
@@ -428,6 +448,24 @@ class TestWindowAssembly:
                     for lam in lams:
                         assert len(model.killing_spinors(rep, lam)) == rep.spinor_dim
         assert found
+
+    def test_windows_that_cut_spinors_match_window_elimination(self):
+        # the spinors reach |k| = 1 and |m| = 1, so with one bound past them
+        # (2, 0) cuts their x-terms, (0, 2) cuts every spinor and (1, 2) and
+        # (2, 1) cut none: every signature with n <= 4 at both Einstein lambdas
+        cut = whole = 0
+        for n in range(2, 5):
+            for signs in itertools.product((1, -1), repeat=n):
+                for r in (F(1), F(2, 3)):
+                    model = HalfSpaceModel(n, signs, r)
+                    rep = model.clifford_rep()
+                    for cand in lambda_candidates(model.algebra):
+                        for kmax, mmax in ((2, 0), (0, 2), (1, 2), (2, 1)):
+                            got = solve_killing_halfspace(model, rep, cand.lam, kmax, mmax)
+                            assert _as_json(got) == _as_json(window_solutions(model, rep, cand.lam, kmax, mmax))
+                            cut += len(got) < rep.spinor_dim
+                            whole += len(got) == rep.spinor_dim
+        assert cut and whole
 
     def test_reduction_pivots_on_the_highest_column(self):
         # the window's spinors arrive reduced, so the solver never needs these

@@ -8,6 +8,8 @@ import pathlib
 
 import pytest
 
+from mutants import MUTANTS
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "solvspin"
 
 
@@ -171,3 +173,11 @@ def test_values_are_frozen_dataclasses():
             if not (frozen or issubclass(cls, Exception)):
                 loose.append("%s.%s" % (path.stem, node.name))
     assert loose == [], "neither a frozen dataclass nor an exception: %s" % ", ".join(loose)
+
+
+def test_each_mutant_text_occurs_once():
+    # tests/mutants.py applies a mutant by replacing its old text, so a
+    # refactor that moves or duplicates that text must update the table
+    counts = {name: (SRC / filename).read_text(encoding="utf-8").count(old)
+              for name, filename, old, _, _ in MUTANTS}
+    assert all(count == 1 for count in counts.values()), counts
