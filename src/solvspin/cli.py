@@ -271,6 +271,10 @@ def _cmd_nilsoliton(M, decomp, model, job):
 
 def _cmd_extend(M, decomp, model, job):
     ext, dec, lam = einstein_extension(M, eps0=job.eps0)
+    m = next((x.radicand for *_, x in ext.algebra.brackets if isinstance(x, TowerScalar) and x.radicand), None)
+    if m is not None:
+        raise ValueError("the Einstein extension needs sqrt(%d): its scaling is irrational, "
+                         "and the .alg format cannot write it" % m)
     text = serialize_algebra(ext, dec)
     if job.out_path:
         with open(job.out_path, "w", encoding="utf-8") as fh:

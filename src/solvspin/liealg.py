@@ -11,21 +11,35 @@ Fractions, TowerScalars or FloatScalars, and every operation below is
 generic over those.
 
 The geometry reads the entries only, and returns entries in the same way.
-`levi_civita` scatters each nonzero c_ijk into the three slots of the Koszul
-formula and returns the sorted nonzero (i, j, k, Gamma_ijk); `curvature`
-returns the sorted nonzero (i, j, k, l, R) with i < j; `ricci` contracts the
-Gamma entries itself.  Each sums over pairs of nonzero entries, and none forms
-a dense table, an ad or nabla matrix, or the n^4 Riemann tensor.  The
-connection and the Ricci data are properties of the metric algebra:
-`MetricLieAlgebra.connection` and `.ricci_data` compute them on first use and
-keep them, and every other caller reads those.  Zeros in the dense views and
-results are the algebra's own `zero`, so the float backend reports
-FloatScalar zeros.  The standard decompositions read the entries too:
-phi_alpha and the mixed Ricci block come straight from them.
+`_koszul_numerators` scatters each nonzero c_ijk into the three slots of the
+Koszul formula and checks the result; `levi_civita` returns the sorted nonzero
+(i, j, k, Gamma_ijk) read off it; `curvature` returns the sorted nonzero
+(i, j, k, l, R) with i < j; `ricci` contracts the Gamma entries itself.  Each
+sums over pairs of nonzero entries, and none forms a dense table, an ad or
+nabla matrix, or the n^4 Riemann tensor.
+
+The Koszul scatter, its check and the Ricci contraction are one loop over
+numerators.  When every entry and the algebra's zero are ints or Fractions
+they run on integers: c = C / D with D the lcm of the entries' denominators,
+Gamma is written over 2D and Ricci over (2D)^2, and one Fraction is built
+per stored Gamma entry and per nonzero Ricci entry.  Otherwise (TowerScalar,
+FloatScalar or mixed entries) the same loop reads the scalars themselves over
+the denominator 1, with the arithmetic and summation order of the scalars'
+own formula, so the float backend's values and tolerant zero tests do not
+depend on the integer path.  `curvature` has no solver caller and stays on
+values.
+
+The numerators, the connection and the Ricci data are properties of the
+metric algebra: `MetricLieAlgebra._koszul`, `.connection` and `.ricci_data`
+compute them on first use and keep them, and every other caller reads those.
+Zeros in the dense views and results are the algebra's own `zero`, so the
+float backend reports FloatScalar zeros.  The standard decompositions read the
+entries too: phi_alpha and the mixed Ricci block come straight from them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -182,9 +196,10 @@ def lower_central_series(L: LieAlgebra) -> tuple[list[int], bool]:
 class MetricLieAlgebra:
     """Lie algebra plus a diagonal +-1 metric in the fixed frame.
 
-    Its Levi-Civita `connection` and `ricci_data` are computed on first use
-    and kept, as `LieAlgebra.structure` is; the value is frozen, so they
-    cannot go stale.
+    Its Levi-Civita `connection` and `ricci_data`, and the checked Koszul
+    numerators `_koszul` both are read from, are computed on first use and
+    kept, as `LieAlgebra.structure` is; the value is frozen, so they cannot go
+    stale.
     """
 
     algebra: LieAlgebra
@@ -199,6 +214,10 @@ class MetricLieAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def _koszul(self) -> tuple:
+        return _koszul_numerators(self)
 
     @cached_property
     def connection(self) -> tuple:
@@ -253,53 +272,88 @@ def _sorted_entries(acc: dict) -> tuple:
     return tuple((*key, acc[key]) for key in sorted(acc) if not _is_exact_zero(acc[key]))
 
 
+def _koszul_numerators(M: MetricLieAlgebra) -> tuple:
+    """The connection as numerators over one denominator: (gamma, q, brackets, s).
+
+    gamma holds the sorted (i, j, k, G) with Gamma_ijk = G / q for every G that
+    is not exactly zero, and brackets the (i, j, k, C) of the stored entries,
+    with c_ijk = s C / q.  One preparation step picks the feed:
+
+    - the integer feed, when every entry and the algebra's zero is an int or
+      a Fraction: C is the integer numerator of c_ijk over the lcm D of the
+      entries' denominators, Gamma is written over q = 2D and s = 2;
+    - the scalar feed otherwise (TowerScalar, FloatScalar or a mix): C is the
+      entry itself, q = s = 1, and the loops below do the scalars' own
+      arithmetic, in the order `levi_civita` has always summed them.
+
+    Gamma_ijk = (c_ijk - eps_i eps_k c_jki + eps_j eps_k c_kij) / 2, so each
+    nonzero c_abd lands in three slots: c/2 at (a, b, d), -eps_b eps_d c/2 at
+    (d, a, b) and eps_a eps_d c/2 at (b, d, a); on the integer feed c/2 over q
+    is C itself.  The result is checked to be torsion-free and
+    metric-compatible.  `MetricLieAlgebra` keeps it, and `levi_civita` and
+    `ricci` both read it.
+    """
+    eps = M.signs
+    entries = M.algebra.brackets
+    cs = [e[3] for e in entries]
+    if all(type(c) is Fraction or type(c) is int for c in (M.algebra.zero, *cs)):
+        den = math.lcm(*[c.denominator for c in cs])
+        cs = [c.numerator * (den // c.denominator) for c in cs]
+        half, q, s = 1, 2 * den, 2
+    else:
+        half, q, s = HALF, 1, 1
+    acc = {}
+    for (a, b, d, _), c in zip(entries, cs):
+        h = c * half
+        _accumulate(acc, (a, b, d), h)
+        _accumulate(acc, (d, a, b), h if eps[b] != eps[d] else -h)
+        _accumulate(acc, (b, d, a), h if eps[a] == eps[d] else -h)
+    gamma = _sorted_entries(acc)
+    brackets = tuple((i, j, k, c) for (i, j, k, _), c in zip(entries, cs))
+    _check_connection(eps, gamma, brackets, s)
+    return gamma, q, brackets, s
+
+
 def levi_civita(M: MetricLieAlgebra) -> tuple:
     """Connection from the Koszul formula on the structure constants.
 
     Returns (i, j, k, Gamma_ijk), with nabla_{e_i} e_j = sum_k Gamma_ijk e_k,
     for every Gamma_ijk that is not exactly zero, sorted by (i, j, k), as
-    `LieAlgebra.brackets` stores the c_ijk.
-
-    Gamma_ijk = (c_ijk - eps_i eps_k c_jki + eps_j eps_k c_kij) / 2, so each
-    nonzero c_abd lands in three slots: c/2 at (a, b, d), -eps_b eps_d c/2 at
-    (d, a, b) and eps_a eps_d c/2 at (b, d, a).  The result is checked to be
-    torsion-free and metric-compatible.
+    `LieAlgebra.brackets` stores the c_ijk.  The entries are read off the
+    checked numerators of `_koszul_numerators`: one Fraction per entry on the
+    integer feed, the scalars themselves on the scalar feed.
     """
-    eps = M.signs
-    acc = {}
-    for a, b, d, c in M.algebra.brackets:
-        h = c * HALF
-        _accumulate(acc, (a, b, d), h)
-        _accumulate(acc, (d, a, b), h if eps[b] != eps[d] else -h)
-        _accumulate(acc, (b, d, a), h if eps[a] == eps[d] else -h)
-    conn = _sorted_entries(acc)
-    _check_connection(M, conn)
-    return conn
+    gamma, q, _, _ = M._koszul
+    if q == 1:
+        return gamma
+    return tuple((i, j, k, Fraction(x, q)) for i, j, k, x in gamma)
 
 
-def _check_connection(M: MetricLieAlgebra, conn: tuple):
-    """Raise StructureError unless conn is metric-compatible and torsion-free.
+def _check_connection(eps: tuple, gamma: tuple, brackets: tuple, s):
+    """Raise StructureError unless gamma is metric-compatible and torsion-free.
 
-    Both conditions are checked at every index triple where they read an entry
-    that is not exactly zero.  At any other triple they read 0 eps_k + 0 eps_j
-    = 0 and 0 - 0 = 0 = c_ijk, which hold, so this is the full n^3 check.  The
-    metric condition at (i, k, j) is the one at (i, j, k), so the nonzero
-    Gamma_ijk cover it; the torsion condition also runs at (j, i, k) and
-    wherever c_ijk is nonzero.
+    gamma and brackets are numerators as `_koszul_numerators` returns them:
+    Gamma_ijk = G / q and c_ijk = s C / q, so both conditions compare
+    numerators over q, the brackets rescaled by s.  Both are checked at every
+    index triple where they read an entry that is not exactly zero.  At any
+    other triple they read 0 eps_k + 0 eps_j = 0 and 0 - 0 = 0 = c_ijk, which
+    hold, so this is the full n^3 check.  The metric condition at (i, k, j) is
+    the one at (i, j, k), so the nonzero Gamma_ijk cover it; the torsion
+    condition also runs at (j, i, k) and wherever c_ijk is nonzero.
     """
-    eps, zero = M.signs, M.algebra.zero
-    g = {(i, j, k): v for i, j, k, v in conn}
-    c = {(i, j, k): v for i, j, k, v in M.algebra.brackets}
+    g = {(i, j, k): v for i, j, k, v in gamma}
+    # the brackets over Gamma's denominator; the scalar feed (s = 1) reads its own values
+    c = {(i, j, k): x if s == 1 else x * s for i, j, k, x in brackets}
     # metric compatibility: g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
     for (i, j, k), v in g.items():
-        if not (v * eps[k] + g.get((i, k, j), zero) * eps[j]) == 0:
+        if not (v * eps[k] + g.get((i, k, j), 0) * eps[j]) == 0:
             raise StructureError("connection is not metric-compatible")
     # zero torsion: nabla_i e_j - nabla_j e_i = [e_i, e_j]
     triples = set(g)
     triples.update([(j, i, k) for i, j, k in triples])
     triples.update(c)
     for i, j, k in triples:
-        if not (g.get((i, j, k), zero) - g.get((j, i, k), zero)) == c.get((i, j, k), zero):
+        if not (g.get((i, j, k), 0) - g.get((j, i, k), 0)) == c.get((i, j, k), 0):
             raise StructureError("connection has torsion")
 
 
@@ -349,6 +403,20 @@ def _ricci_from_form(ric, signs) -> RicciData:
     return RicciData(mat_from_rows(ric), op, s)
 
 
+def _ricci_from_numerators(acc: dict, q2: int, signs, zero) -> RicciData:
+    """RicciData from integer numerators acc {(y, z): N} over q2: one Fraction per
+    nonzero entry, the operator from those Fractions and their negatives, and
+    the scalar from the diagonal numerators."""
+    n = len(signs)
+    vals = {key: Fraction(x, q2) for key, x in acc.items() if x}
+    ric = tuple(tuple(vals.get((y, z), zero) for z in range(n)) for y in range(n))
+    # row k of the operator is eps_k times column k of ric
+    op = tuple(col if signs[k] > 0 else tuple(x if x is zero else -x for x in col)
+               for k, col in enumerate(zip(*ric)))
+    s = Fraction(sum(signs[i] * acc.get((i, i), 0) for i in range(n)), q2)
+    return RicciData(ric, op, s)
+
+
 def ricci(M: MetricLieAlgebra) -> RicciData:
     """Ricci tensor ric(y, z) = sum_i R[i][y][z][i], contracted from Gamma.
 
@@ -358,14 +426,18 @@ def ricci(M: MetricLieAlgebra) -> RicciData:
         ric(y, z) = sum_m Gamma_yzm tr_m - sum_{i,m} Gamma_izm Gamma_ymi
                     - sum_{i,p} c_iyp Gamma_pzi,
 
-    and each sum runs over pairs of nonzero entries only.
+    and each sum runs over pairs of nonzero entries only.  The sums run on
+    the numerators of `_koszul_numerators`: with Gamma = G / q and
+    c = s C / q, ric is written over q^2 and the bracket term carries the
+    factor s.  The integer feed builds one Fraction per nonzero entry; the
+    scalar feed (q = 1) keeps the scalars' own sums.
 
     The sign convention makes heis3 with the definite metric give
     ric = diag(-1/2, -1/2, 1/2) and hyperbolic models a negative Einstein
     constant.
     """
     n = M.dim
-    g = M.connection
+    g, q, brackets, s = M._koszul
     tr = {}
     by_jk = {}         # (j, k) -> [(i, Gamma_ijk)]
     by_ik = {}         # (i, k) -> [(j, Gamma_ijk)]
@@ -381,10 +453,14 @@ def ricci(M: MetricLieAlgebra) -> RicciData:
     for i, z, m, v in g:
         for y, w in by_jk.get((m, i), ()):
             _accumulate(acc, (y, z), -(v * w))
-    for i, y, p, c in M.algebra.brackets:
+    for i, y, p, c in brackets:
+        if s != 1:
+            c = c * s     # c_iyp over Gamma's denominator
         for z, w in by_ik.get((p, i), ()):
             _accumulate(acc, (y, z), -(c * w))
     zero = M.algebra.zero
+    if q != 1:
+        return _ricci_from_numerators(acc, q * q, M.signs, zero)
     ric = [[acc.get((y, z), zero) for z in range(n)] for y in range(n)]
     return _ricci_from_form(ric, M.signs)
 

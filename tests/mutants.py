@@ -119,12 +119,19 @@ MUTANTS = [
      "    if False:\n",
      [CL + "TestSpinorKernels::test_basis_failing_the_equations_raises"]),
     ("levi_civita: the metric check dropped", "liealg.py",
-     "        if not (v * eps[k] + g.get((i, k, j), zero) * eps[j]) == 0:\n", "        if False:\n",
+     "        if not (v * eps[k] + g.get((i, k, j), 0) * eps[j]) == 0:\n", "        if False:\n",
      [LI + "TestLeviCivita::test_check_rejects_metric_defect"]),
     ("levi_civita: the torsion check dropped", "liealg.py",
-     "        if not (g.get((i, j, k), zero) - g.get((j, i, k), zero)) == c.get((i, j, k), zero):\n",
+     "        if not (g.get((i, j, k), 0) - g.get((j, i, k), 0)) == c.get((i, j, k), 0):\n",
      "        if False:\n",
      [LI + "TestLeviCivita::test_check_rejects_torsion_defect"]),
+    ("levi_civita: the torsion comparison without the brackets rescaled to Gamma's denominator",
+     "liealg.py",
+     "c = {(i, j, k): x if s == 1 else x * s for", "c = {(i, j, k): x for",
+     [LI + "TestIntegerFeed::test_mixed_denominators_on_pseudo_iwasawa"]),
+    ("ricci: the bracket term without its scale factor", "liealg.py",
+     "            c = c * s     # c_iyp", "            pass     # c_iyp",
+     [LI + "TestIntegerFeed::test_mixed_denominators_on_pseudo_iwasawa"]),
 ]
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvspin.cli import (
+    _IMPLS,
     AlgebraFileError,
     JobSpec,
     main,
@@ -125,6 +126,18 @@ class TestCommands:
         verdict = data["results"]["classification"]["verdict"]
         assert verdict["kind"] == "NoKillingSpinor"
         assert verdict["reason"] == "g non-abelian"
+
+    def test_extend_with_irrational_scaling_names_the_root(self, tmp_path, capsys):
+        # filiform 4 is a nilsoliton whose Einstein scaling is 1/sqrt(5) up to
+        # a rational: the extension exists but no .alg file can hold it
+        (tmp_path / "fil4.alg").write_text("dim 4\n1 2 3 1\n1 3 4 1\n")
+        out = tmp_path / "ext.alg"
+        assert main(["extend", str(tmp_path / "fil4.alg"), "--json", "--out", str(out)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == ("the Einstein extension needs sqrt(5): its scaling is irrational, "
+                                   "and the .alg format cannot write it")
+        assert "error_type" not in report and "results" not in report
+        assert not out.exists()
 
     def test_classify_halfspace_inline(self, capsys):
         code = main(["classify", "halfspace", "n=4", "r=1/2", "signs=+1,+1,+1,+1", "--json"])
@@ -506,6 +519,8 @@ def test_validate_fuzzed_text_exits_cleanly(text):
 # printed form or the report layout shows here
 HEIS5_MIXED = "dim 5\nsigns +1 -1 +1 -1 +1\n1 2 5 2/3\n3 4 5 1/3\n"
 SU2 = "dim 3\nsigns +1 +1 +1\n1 2 3 1\n1 3 2 -1\n2 3 1 1\n"   # not nilpotent
+HEIS3_LORENTZ = "dim 3\nsigns +1 +1 -1\n1 2 3 1\n"
+FIL5_MIXED = "dim 5\nsigns +1 -1 +1 +1 -1\n1 2 3 1\n1 3 4 1/2\n1 4 5 2/3\n"
 # one input per exit of `classify` ("g non-abelian" is ext.alg above; the
 # Lorentzian half-space in GOLDEN_REPORTS has sign_flipped true)
 CLASSIFY_INPUTS = {
@@ -568,6 +583,14 @@ GOLDEN_REPORTS = (
      "854e1033e457b8c6a36cc807a009d85606d233609afec6374e6060d4f07d50c3"),
     ("classify", "halfspace n=4 r=1/2 signs=1,-1,1,-1", (),
      "faa67bf7bce896fa0efb91aeda6168ba4c013e73f86acd678049269615e311f7"),
+    ("curvature", "heis3_lorentz.alg", ("--backend", "float"),
+     "9fe11ae047c8e0522ed865c109962a88e3ec32b27f215ba018a8c9039d0732b6"),
+    ("nilsoliton", "heis3_lorentz.alg", ("--backend", "float"),
+     "ac389f1be2d8b5c836f6a76492a30cb67268496c7fcf2d8e3304219d4475f474"),
+    ("curvature", "fil5.alg", ("--backend", "float"),
+     "4160f9bed5d28bf1d3c0eec4d14000570c80c60e24b27ea6d5a79238726267eb"),
+    ("nilsoliton", "fil5.alg", ("--backend", "float"),
+     "01f4db6dd58bc52b826b4df0321aa19a5dad3b7fa6a313d8f46a0bebf3c19e65"),
 )
 
 
@@ -576,6 +599,8 @@ def golden_runs(tmp_path):
     (tmp_path / "heis3.alg").write_text(HEIS3)
     (tmp_path / "heis5.alg").write_text(HEIS5_MIXED)
     (tmp_path / "su2.alg").write_text(SU2)
+    (tmp_path / "heis3_lorentz.alg").write_text(HEIS3_LORENTZ)
+    (tmp_path / "fil5.alg").write_text(FIL5_MIXED)
     for name, text in CLASSIFY_INPUTS.items():
         (tmp_path / name).write_text(text)
     for command, source, extra, digest in GOLDEN_REPORTS:  # in order: extend writes ext.alg
@@ -596,6 +621,21 @@ def test_reports_match_golden_digests(tmp_path, capsys):
         got.append((argv[0], argv[1], hashlib.sha256(text.encode("utf-8")).hexdigest()))
         want.append((argv[0], argv[1], digest))
     assert got == want
+
+
+# the .alg format cannot write a square root, so the Einstein extension of
+# filiform 4, whose brackets carry sqrt(5), is built in process and the
+# `curvature` command's results are hashed as above
+TOWER_CURVATURE_DIGEST = "e06ae0e88c4319ee3e55026680b209a4873263604d4755b76d04c1ee7b27b331"
+
+
+def test_tower_curvature_matches_golden_digest():
+    M, _ = parse_algebra_text("dim 4\n1 2 3 1\n1 3 4 1\n")
+    ext, decomp, _ = einstein_extension(M)
+    assert any(not isinstance(x, Fraction) and not x.is_rational for *_, x in ext.algebra.brackets)
+    results, ok = _IMPLS["curvature"](ext, decomp, None, JobSpec("curvature", ()))
+    text = json.dumps(results, indent=2, sort_keys=True)
+    assert ok and hashlib.sha256(text.encode("utf-8")).hexdigest() == TOWER_CURVATURE_DIGEST
 
 
 def test_halfspace_verdicts_have_radius_one_over_two_lambda():

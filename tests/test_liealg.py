@@ -1,6 +1,7 @@
 """Connection, curvature, Ricci, decompositions, nilsolitons, extensions."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -314,50 +315,48 @@ class TestLeviCivita:
             "nabla_{e_2} e_3 mixed-term identity fails", "nabla_{e_3} e_2 mixed-term identity fails"]]
 
     def test_check_rejects_metric_defect(self, rng):
-        # one entry Gamma_iik moved: torsion reads it only as Gamma_iik - Gamma_iik
+        # one numerator G_iik moved: torsion reads it only as G_iik - G_iik
         for _ in range(10):
             M, _ = random_pseudo_iwasawa(rng)
             i, k = rng.sample(range(M.dim), 2)
-            bad = tampered(levi_civita(M), {(i, i, k): F(1)})
+            bad = tampered(M, {(i, i, k): 1})
             with pytest.raises(StructureError, match="metric-compatible"):
-                _check_connection(M, bad)
+                _check_connection(*bad)
 
     def test_check_rejects_torsion_defect(self, rng):
-        # one entry of the metric-skew nabla_{e_i} moved, with its mirror
-        # Gamma_ikj, so only the torsion condition at (i, j, k) can see it
+        # one numerator of the metric-skew nabla_{e_i} moved, with its mirror
+        # G_ikj, so only the torsion condition at (i, j, k) can see it
         for _ in range(10):
             M, _ = random_pseudo_iwasawa(rng)
             i, j = rng.sample(range(M.dim), 2)
             k = rng.choice([q for q in range(M.dim) if q != j])
             e = M.signs
-            bad = tampered(levi_civita(M), {(i, j, k): F(1), (i, k, j): F(-e[j] * e[k])})
+            bad = tampered(M, {(i, j, k): 1, (i, k, j): -e[j] * e[k]})
             with pytest.raises(StructureError, match="torsion"):
-                _check_connection(M, bad)
-
+                _check_connection(*bad)
 
     def test_check_rejects_dropped_entry(self, rng):
         for _ in range(10):
             M, _ = random_pseudo_iwasawa(rng)
-            conn = levi_civita(M)
-            if not conn:
+            gamma = M._koszul[0]
+            if not gamma:
                 continue
-            i, j, k, v = rng.choice(conn)
-            bad = tampered(conn, {(i, j, k): -v})
-            assert len(bad) == len(conn) - 1
+            i, j, k, v = rng.choice(gamma)
+            bad = tampered(M, {(i, j, k): -v})
+            assert len(bad[1]) == len(gamma) - 1
             with pytest.raises(StructureError):
-                _check_connection(M, bad)
+                _check_connection(*bad)
 
     def test_check_rejects_new_entry(self, rng):
         for _ in range(10):
             M, _ = random_pseudo_iwasawa(rng)
-            conn = levi_civita(M)
             n = M.dim
-            stored = {e[:3] for e in conn}
+            stored = {e[:3] for e in M._koszul[0]}
             i, j, k = rng.choice([t for t in itertools.product(range(n), repeat=3) if t not in stored])
-            bad = tampered(conn, {(i, j, k): F(1, 3)})
-            assert len(bad) == len(conn) + 1
+            bad = tampered(M, {(i, j, k): 1})
+            assert len(bad[1]) == len(stored) + 1
             with pytest.raises(StructureError):
-                _check_connection(M, bad)
+                _check_connection(*bad)
 
     def test_connection_views(self, rng):
         for _ in range(10):
@@ -367,16 +366,18 @@ class TestLeviCivita:
             assert [e[:3] for e in conn] == sorted(e[:3] for e in conn)
 
 
-def tampered(conn, changes):
-    """Copy of a connection with the given amounts added to single entries.
+def tampered(M, changes):
+    """M's Koszul numerators G_ijk with the given integer amounts added to
+    single entries, as the arguments of `_check_connection`.
 
-    An entry that sums to zero leaves the stored list; one added where Gamma
+    A numerator that sums to zero leaves the stored list; one added where G
     was zero joins it.
     """
-    g = {(i, j, k): v for i, j, k, v in conn}
+    gamma, _, brackets, s = M._koszul
+    g = {(i, j, k): v for i, j, k, v in gamma}
     for key, delta in changes.items():
-        g[key] = g.get(key, F(0)) + delta
-    return tuple((*key, g[key]) for key in sorted(g) if g[key] != 0)
+        g[key] = g.get(key, 0) + delta
+    return M.signs, tuple((*key, g[key]) for key in sorted(g) if g[key] != 0), brackets, s
 
 
 def dense_entries(M):
@@ -512,6 +513,65 @@ class TestRicci:
                 for j in range(n):
                     ej = tuple(F(1) if q == j else F(0) for q in range(n))
                     assert sum((M.signs[q] * img[q] * ej[q] for q in range(n)), F(0)) == data.ric[i][j]
+
+
+def mixed_denominators(rng, M, decomp, primes):
+    """M in a rescaled frame: the nil vectors times a and each e_alpha times its
+    own t_alpha, for random a, t_alpha over the given primes.
+
+    The nil-nil entries become a c and the (alpha, nil) entries t_alpha c, so
+    the result is again a pseudo-Iwasawa metric algebra, now with entries over
+    several denominators.
+    """
+    a = F(rng.choice([1, -2, 3]), rng.choice(primes))
+    t = {alpha: F(rng.choice([-1, 1, 5]), rng.choice(primes)) for alpha in decomp.abelian_indices}
+    entries = []
+    for i, j, k, c in M.algebra.brackets:
+        alpha = i if i in t else j if j in t else None
+        entries.append((i, j, k, c * (a if alpha is None else t[alpha])))
+    return MetricLieAlgebra(LieAlgebra(M.dim, entries), M.signs)
+
+
+class TestIntegerFeed:
+    """levi_civita and ricci run on integer numerators over one denominator when
+    every entry is a Fraction; these compare them with the scalar oracles."""
+
+    PRIMES = (3, 7, 2 ** 31 - 1, 2 ** 61 - 1)
+
+    def check(self, M):
+        n, zero = M.dim, M.algebra.zero
+        _, q, _, s = M._koszul
+        assert (q, s) == (2 * math.lcm(*(c.denominator for *_, c in M.algebra.brackets)), 2)
+        conn = levi_civita(M)
+        assert all(type(v) is Fraction and v != 0 for *_, v in conn)
+        assert gamma_table(conn, n) == koszul_oracle(M)
+        data = ricci(M)
+        assert data.ric == ricci_trace_oracle(M)
+        for mat in (data.ric, data.operator):
+            assert all(x is zero if x == 0 else type(x) is Fraction for row in mat for x in row)
+        assert data.operator == tuple(tuple(M.signs[k] * data.ric[j][k] for j in range(n)) for k in range(n))
+        assert type(data.scalar) is Fraction
+        assert data.scalar == sum((M.signs[i] * data.ric[i][i] for i in range(n)), F(0))
+        # the scalar feed, on the same algebra with rational TowerScalar entries
+        tower = MetricLieAlgebra(LieAlgebra(n, [(i, j, k, TowerScalar.rational(c))
+                                                for i, j, k, c in M.algebra.brackets]), M.signs)
+        assert levi_civita(tower) == conn
+        assert ricci(tower) == data
+        assert tower._koszul[1] == 1 or not M.algebra.brackets
+
+    def test_mixed_denominators_on_pseudo_iwasawa(self, rng):
+        lcms = []
+        for _ in range(20):
+            M = mixed_denominators(rng, *random_pseudo_iwasawa(rng), self.PRIMES)
+            lcms.append(math.lcm(*(c.denominator for *_, c in M.algebra.brackets)))
+            self.check(M)
+        assert max(lcms) > 2 ** 64 and len(set(lcms)) > 3
+
+    def test_abelian_with_no_entries(self):
+        M = abelian_metric((1, -1, 1))
+        assert M.algebra.brackets == ()
+        self.check(M)
+        assert ricci(M).scalar == 0
 
 
 class TestMetricTranspose:

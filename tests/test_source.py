@@ -43,6 +43,7 @@ def test_traced_names_resolve(module, attr):
 # dense Gamma table or nabla matrix comes back on that path; the Clifford
 # ones read `perm`/`phase`
 ENTRIES_ONLY = [
+    ("liealg.py", "_koszul_numerators"),
     ("liealg.py", "levi_civita"),
     ("liealg.py", "_check_connection"),
     ("liealg.py", "ricci"),
@@ -125,8 +126,9 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 
 # the one derivation of each algebra's geometry: every other caller reads the
-# cached `MetricLieAlgebra.connection` and `.ricci_data`
-DERIVED_ONLY_IN = {"levi_civita": "MetricLieAlgebra.connection", "ricci": "MetricLieAlgebra.ricci_data"}
+# cached `MetricLieAlgebra._koszul` numerators, `.connection` and `.ricci_data`
+DERIVED_ONLY_IN = {"_koszul_numerators": "MetricLieAlgebra._koszul",
+                   "levi_civita": "MetricLieAlgebra.connection", "ricci": "MetricLieAlgebra.ricci_data"}
 
 
 def _calls_by_scope(node, scope=""):
