@@ -23,8 +23,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
-from fractions import Fraction
 from typing import Optional
 
 from .exact import FloatScalar, TowerScalar, format_rational, parse_rational, to_rational
@@ -177,8 +177,9 @@ def serialize_algebra(M: MetricLieAlgebra, decomp=None) -> str:
 
 
 def _coeff_str(coeff) -> str:
+    # the shortest round-trip digits, positional: `parse_rational` refuses exponents
     if isinstance(coeff, FloatScalar):
-        return repr(coeff.value)
+        return format(Decimal(repr(coeff.value)), "f")
     return format_rational(to_rational(coeff))
 
 
@@ -196,9 +197,7 @@ def scalar_json(x):
         return x.value
     if isinstance(x, TowerScalar) and not x.is_rational:
         return x.to_dict()
-    if isinstance(x, (TowerScalar, Fraction, int)):
-        return format_rational(to_rational(x))
-    return x
+    return format_rational(to_rational(x))
 
 
 def matrix_json(mat):

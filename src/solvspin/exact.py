@@ -192,20 +192,6 @@ class TowerScalar:
             return NotImplemented
         return _product(o, self.inverse()._t)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = TS_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # ---- comparison -----------------------------------------------------
 
     def __eq__(self, other):
@@ -484,9 +470,6 @@ class FloatScalar:
         if v is None:
             return NotImplemented
         return FloatScalar(v / self.value, self._tol_with(other))
-
-    def inverse(self):
-        return FloatScalar(1.0 / self.value, self.tol)
 
     def __eq__(self, other):
         v = self._val(other)

@@ -10,11 +10,11 @@ Elimination is sparse: systems and kernel bases are lists of rows
 (for floats, none within tolerance of 0), and `add_scaled`, the one update
 of a row, removes every entry that sums to 0.  `_sparse_echelon` is the one
 elimination loop; `sparse_nullspace` pins the columns that one-entry
-equations set to 0 before it and back-substitutes its pivot rows, each once,
-after it.  `rank_mod_p` bounds the rank of integer rows from below with
-int arithmetic modulo fixed primes, which proves a kernel empty without
-exact elimination.  The dense `rref` is kept only as the reference the tests
-compare against.
+equations set to 0 in one pass before it and back-substitutes its pivot
+rows, each once, after it.  `rank_mod_p` bounds the rank of integer rows
+from below with int arithmetic modulo fixed primes, which proves a kernel
+empty without exact elimination.  The dense `rref` is kept only as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -159,12 +159,14 @@ def _sparse_echelon(eqs: Sequence[dict], ncols: int) -> dict[int, dict]:
 def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[dict]:
     """Kernel basis, as sparse rows, of a system of dicts {column: coefficient}.
 
-    The equations keep the row contract and are read, never changed.  The pin
-    pass sets the column of each one-entry equation to 0 and removes pinned
-    columns from the other equations until no new singleton appears; a
-    singleton whose coefficient is 0 raises ValueError, as it would pin its
-    column without cause.  The rest go to `_sparse_echelon`, then to
-    back-substitution: each pivot's solved row, highest pivot first, is
+    The equations keep the row contract and are read, never changed.  One pin
+    pass sets the column of each one-entry equation to 0; a singleton whose
+    coefficient is 0 raises ValueError, as it would pin its column without
+    cause.  The pinned columns are then dropped from the other equations, once,
+    and the rest go to `_sparse_echelon`.  An equation left with one entry
+    there becomes a pivot whose solved row is empty, so its column is 0 in
+    every basis vector, as a pin would make it; no second pin pass is needed.
+    Back-substitution follows: each pivot's solved row, highest pivot first, is
     rewritten over the free columns by one `add_scaled` per later pivot it
     references, giving the unique reduced echelon form.  Each basis vector is
     the row {free column: 1, pivot column: its coefficient there}, one per
@@ -180,23 +182,8 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[dict]:
             pinned.add(_pin(eq))
             if len(pinned) == ncols:
                 return []
-    fresh = set(pinned)
-    while fresh and rows:
-        found = set()
-        kept = []
-        for row in rows:
-            if not fresh.isdisjoint(row):
-                row = {c: v for c, v in row.items() if c not in fresh}
-                if len(row) < 2:
-                    if row:
-                        found.add(_pin(row))
-                    continue
-            kept.append(row)
-        fresh = found - pinned
-        pinned |= fresh
-        if len(pinned) == ncols:
-            return []
-        rows = kept
+    rows = [row if pinned.isdisjoint(row) else {c: v for c, v in row.items() if c not in pinned}
+            for row in rows]
     pivots = _sparse_echelon(rows, ncols - len(pinned))
     if len(pivots) + len(pinned) == ncols:
         return []

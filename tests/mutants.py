@@ -93,8 +93,8 @@ MUTANTS = [
     ("sparse_nullspace: one-entry equations pin nothing", "linalg.py",
      "            pinned.add(_pin(eq))\n", "            _pin(eq)\n",
      [LA + "test_pins_cascade_to_a_fixpoint"]),
-    ("sparse_nullspace: the pin pass pins no column it uncovers", "linalg.py",
-     "                        found.add(_pin(row))\n", "                        _pin(row)\n",
+    ("sparse_nullspace: pinned columns left in the remaining equations", "linalg.py",
+     "else {c: v for c, v in row.items() if c not in pinned}", "else dict(row)",
      [LA + "test_pins_cascade_to_a_fixpoint"]),
     ("sparse_nullspace: a zero singleton pins its column", "linalg.py",
      "    if v == 0:\n        raise ValueError(", "    if False:\n        raise ValueError(",

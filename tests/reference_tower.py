@@ -178,20 +178,6 @@ class FractionTower:
             return NotImplemented
         return o.__mul__(self.inverse())
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = FractionTower.rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # ---- comparison -----------------------------------------------------
 
     def __eq__(self, other):

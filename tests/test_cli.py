@@ -281,6 +281,19 @@ class TestCommands:
                 for got, want in zip(got_row, want_row):
                     assert abs(got - float(Fraction(want))) <= 1e-9 * max(1.0, abs(got)), name
 
+    @pytest.mark.parametrize("coeff,printed", [("1/100000", "0.00001"),
+                                               ("10000000000000000000000", "10000000000000000000000")])
+    def test_float_canonical_form_parses_back(self, tmp_path, capsys, coeff, printed):
+        # repr would write 1e-05 and 1e+22, which the parser refuses
+        p = tmp_path / "scaled.alg"
+        p.write_text("dim 3\n1 2 3 %s\n" % coeff)
+        assert main(["validate", str(p), "--backend", "float", "--json"]) == 0
+        canonical = json.loads(capsys.readouterr().out)["results"]["canonical_form"]
+        assert canonical == "dim 3\nsigns +1 +1 +1\n1 2 3 %s\n" % printed
+        p.write_text(canonical)
+        assert main(["validate", str(p), "--backend", "float", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["canonical_form"] == canonical
+
     def test_tolerance_that_makes_every_value_zero_exits_one(self, heis3_file, capsys):
         # these used to report lambda = 0 and D = 0 for heis3 with exit 0, and
         # nan used to fail later, as brackets that are not antisymmetric
@@ -620,6 +633,108 @@ def test_reports_match_golden_digests(tmp_path, capsys):
         text = json.dumps(report, indent=2, sort_keys=True)
         got.append((argv[0], argv[1], hashlib.sha256(text.encode("utf-8")).hexdigest()))
         want.append((argv[0], argv[1], digest))
+    assert got == want
+
+
+# the default text output, one input per branch of the renderer, recorded
+# as literal text with file inputs relative to their directory
+GOLDEN_TEXTS = (
+    (("validate", "heis3.alg"), 0,
+     "command: validate (exact backend)\n"
+     "input: heis3.alg\n"
+     "jacobi: ok\n"
+     "lower central series: [3, 1, 0] (nilpotent: True)\n"),
+    (("curvature", "heis3.alg"), 0,
+     "command: curvature (exact backend)\n"
+     "input: heis3.alg\n"
+     "ricci: [['-1/2', '0', '0'], ['0', '-1/2', '0'], ['0', '0', '1/2']]\n"
+     "scalar curvature: -1/2\n"
+     "einstein: None\n"),
+    (("curvature", "heis3.alg", "--backend", "float"), 0,
+     "command: curvature (float backend)\n"
+     "input: heis3.alg\n"
+     "ricci: [[-0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.5]]\n"
+     "scalar curvature: -0.5\n"
+     "einstein: None\n"),
+    (("nilsoliton", "heis3.alg"), 0,
+     "command: nilsoliton (exact backend)\n"
+     "input: heis3.alg\n"
+     'nilsoliton: {"lambda": "-3/2", "derivation": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]}\n'),
+    (("nilsoliton", "su2.alg"), 1,
+     "command: nilsoliton (exact backend)\n"
+     "input: su2.alg\n"
+     "error: nilsoliton_solve needs a nilpotent algebra\n"),
+    (("extend", "heis3.alg", "--out", "ext.alg"), 0,
+     "command: extend (exact backend)\n"
+     "input: heis3.alg\n"
+     "einstein extension with lambda = -3/2\n"
+     "dim 4\n"
+     "signs +1 +1 +1 +1\n"
+     "1 2 3 1\n"
+     "1 4 1 1/2\n"
+     "2 4 2 1/2\n"
+     "3 4 3 1\n"
+     "abelian: 4\n"),
+    (("killing-invariant", "ext.alg"), 0,
+     "command: killing-invariant (exact backend)\n"
+     "input: ext.alg\n"
+     "lambda branch +1: invariant kernel dim 0, ricci filter dim 4\n"
+     "lambda branch -1: invariant kernel dim 0, ricci filter dim 4\n"),
+    (("killing-invariant", "flat.alg"), 0,
+     "command: killing-invariant (exact backend)\n"
+     "input: flat.alg\n"
+     "no lambda candidates (scalar curvature is zero)\n"),
+    (("classify", "ext.alg"), 0,
+     "command: classify (exact backend)\n"
+     "input: ext.alg\n"
+     "verdict: NoKillingSpinor: g non-abelian\n"
+     "  check pseudo_iwasawa     pass\n"
+     "  check nilradical_abelian FAIL\n"),
+    (("classify", "twice_id.alg"), 0,
+     "command: classify (exact backend)\n"
+     "input: twice_id.alg\n"
+     "verdict: HyperbolicHalfSpace (r = 1/2)\n"
+     "  check pseudo_iwasawa     pass\n"
+     "  check nilradical_abelian pass\n"
+     "  check lambda_candidates  pass\n"
+     "  check trace_identity     pass\n"
+     "  check phi_square         pass\n"
+     "  check phi_scalar         pass\n"),
+    (("classify", "not_ideal.alg"), 0,
+     "command: classify (exact backend)\n"
+     "input: not_ideal.alg\n"
+     "verdict: NotApplicable: not a pseudo-Iwasawa standard decomposition\n"
+     "  check pseudo_iwasawa     FAIL\n"),
+    (("killing-halfspace", "halfspace n=3 r=1/2 signs=1,1,1"), 0,
+     "command: killing-halfspace (exact backend)\n"
+     "input: halfspace n=3 r=1/2 signs=1,1,1\n"
+     "lambda branch +1: dimension 2 (residual zero: True, amended identity: True)\n"
+     "lambda branch -1: dimension 2 (residual zero: True, amended identity: True)\n"
+     "combined dimension: 4\n"),
+    (("validate", "batch"), 1,
+     "command: validate (exact backend)\n"
+     "input: batch/broken.alg\n"
+     "jacobi: violations [[1, 2, 3]]\n"
+     "command: validate (exact backend)\n"
+     "input: batch/heis3.alg\n"
+     "jacobi: ok\n"
+     "lower central series: [3, 1, 0] (nilpotent: True)\n"
+     "batch: 2 total, 1 ok, 1 failed\n"),
+)
+
+
+def test_text_reports_match_golden_texts(tmp_path, capsys):
+    for name, text in {"heis3.alg": HEIS3, "su2.alg": SU2, **CLASSIFY_INPUTS}.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "batch").mkdir()
+    (tmp_path / "batch" / "heis3.alg").write_text(HEIS3)
+    (tmp_path / "batch" / "broken.alg").write_text(BROKEN)
+    got, want = [], []
+    for argv, code, text in GOLDEN_TEXTS:  # in order: extend writes ext.alg
+        paths = [str(tmp_path / a) if a.endswith(".alg") or a == "batch" else a for a in argv]
+        got_code = main(paths)
+        got.append((argv, got_code, capsys.readouterr().out.replace(str(tmp_path) + os.sep, "")))
+        want.append((argv, code, text))
     assert got == want
 
 

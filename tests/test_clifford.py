@@ -145,7 +145,7 @@ class TestBuild:
             vol = identity(N, TS_ONE, TS_ZERO)
             for g in rep.gammas:
                 vol = mat_mul(vol, g)
-            want = mat_scale(TS_I ** rep.volume_power, identity(N, TS_ONE, TS_ZERO))
+            want = mat_scale((TS_ONE, TS_I)[rep.volume_power], identity(N, TS_ONE, TS_ZERO))
             assert mat_equal(vol, want)
 
     def test_even_dimension_has_no_volume_power(self):

