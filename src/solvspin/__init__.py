@@ -1,7 +1,6 @@
 """solvspin: exact toolkit for pseudo-Riemannian solvmanifolds and Killing spinors."""
 
 from .exact import (
-    FloatScalar,
     IncompatibleExtensionError,
     TowerScalar,
     sqrt_to_tower,

@@ -12,6 +12,10 @@ allowed.  The `classify` and `killing-halfspace` commands also accept an
 inline model spec `halfspace n=<int> r=<p/q> signs=<+1,...>`.  Batch mode:
 passing a directory runs the command on every *.alg file inside and appends a
 summary; one bad file does not abort the rest.
+
+Every command computes exactly.  `--backend float` changes only the printed
+form: the renderers below write each scalar as its nearest double
+(`to_float`), where the exact backend writes p/q or a tower value's parts.
 """
 
 from __future__ import annotations
@@ -19,15 +23,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .exact import FloatScalar, TowerScalar, format_rational, parse_rational, to_rational
+from .exact import TowerScalar, common_numerators, format_rational, parse_rational, to_rational
 from .liealg import (
     LieAlgebra,
     MetricLieAlgebra,
@@ -77,7 +83,6 @@ class JobSpec:
     inputs: tuple
     output_format: str = "text"
     backend: str = "exact"
-    tolerance: float = 1e-9
     eps0: Optional[int] = None
     kmax: int = 1
     mmax: int = 1
@@ -163,45 +168,66 @@ def parse_algebra_text(text: str):
     return M, decomp
 
 
-def serialize_algebra(M: MetricLieAlgebra, decomp=None) -> str:
+def serialize_algebra(M: MetricLieAlgebra, decomp=None, backend: str = "exact") -> str:
     """Canonical text form: sorted bracket rows, '+1'/'-1' signs, 1-based."""
     n = M.dim
     lines = ["dim %d" % n]
     lines.append("signs " + " ".join("+1" if s == 1 else "-1" for s in M.signs))
     for i, j, k, coeff in M.algebra.brackets:
-        if i < j and not coeff == 0:
-            lines.append("%d %d %d %s" % (i + 1, j + 1, k + 1, _coeff_str(coeff)))
+        if i < j:
+            lines.append("%d %d %d %s" % (i + 1, j + 1, k + 1, _coeff_str(coeff, backend)))
     if decomp is not None:
         lines.append("abelian: " + ",".join(str(a + 1) for a in decomp.abelian_indices))
     return "\n".join(lines) + "\n"
 
 
-def _coeff_str(coeff) -> str:
-    # the shortest round-trip digits, positional: `parse_rational` refuses exponents
-    if isinstance(coeff, FloatScalar):
-        return format(Decimal(repr(coeff.value)), "f")
+def _coeff_str(coeff, backend: str) -> str:
+    if backend == "float":
+        # the shortest round-trip digits, positional: `parse_rational` refuses exponents
+        return format(Decimal(repr(to_float(coeff))), "f")
     return format_rational(to_rational(coeff))
-
-
-def _to_float_backend(M: MetricLieAlgebra, tol: float) -> MetricLieAlgebra:
-    entries = [(i, j, k, FloatScalar(float(c), tol)) for i, j, k, c in M.algebra.brackets]
-    return MetricLieAlgebra(LieAlgebra(M.dim, entries, FloatScalar(0.0, tol)), M.signs)
 
 
 # ---------------------------------------------------------------------------
 # scalar serialization
 # ---------------------------------------------------------------------------
 
-def scalar_json(x):
-    if isinstance(x, FloatScalar):
-        return x.value
+def to_float(x) -> float:
+    """The nearest double to an exact real scalar; ValueError when there is none.
+
+    A rational converts with float(Fraction), which rounds correctly.  A real
+    tower value (a + c sqrt(m)) / q is evaluated in `decimal` first, to 40
+    digits past the most that a + c sqrt(m) can cancel: twice the digits of
+    a, which its bit length exceeds.
+    """
+    [(a, b, c, d)], q, m = common_numerators([x])
+    if b or d:
+        raise ValueError("%s is not real and has no float form" % x)
+    try:
+        if not c:
+            v = float(Fraction(a, q))
+        else:
+            ctx = Context(prec=40 + a.bit_length())
+            v = float(ctx.divide(ctx.add(a, ctx.multiply(c, ctx.sqrt(m))), q))
+    except ArithmeticError:   # past the double range, or the decimal one
+        v = math.inf
+    if not math.isfinite(v) or (v == 0 and (a or c)):   # overflow, or a nonzero value read as 0
+        raise ValueError("a value does not fit a double; --backend exact answers this input")
+    return v
+
+
+def scalar_json(x, backend: str = "exact"):
+    """x as a report writes it: its nearest double on the float backend, else
+    p/q, or the parts of a tower value that is not rational."""
+    if backend == "float":
+        return to_float(x)
     if isinstance(x, TowerScalar) and not x.is_rational:
         return x.to_dict()
     return format_rational(to_rational(x))
 
 
-def matrix_json(mat):
-    return [[scalar_json(x) for x in row] for row in mat]
+def matrix_json(mat, backend: str = "exact"):
+    return [[scalar_json(x, backend) for x in row] for row in mat]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +249,6 @@ def _load_input(spec_text: str, job: JobSpec):
         model = parse_halfspace_spec(text)
         return model.algebra, model.decomposition, model, text
     M, decomp = parse_algebra_text(text)
-    if job.backend == "float":
-        M = _to_float_backend(M, job.tolerance)
     return M, decomp, None, text
 
 
@@ -237,7 +261,7 @@ def _cmd_validate(M, decomp, model, job):
         "jacobi_violations": [[i + 1, j + 1, k + 1] for i, j, k in violations],
         "lower_central_series": dims,
         "nilpotent": nilpotent,
-        "canonical_form": serialize_algebra(M, decomp) if not violations else None,
+        "canonical_form": serialize_algebra(M, decomp, job.backend) if not violations else None,
     }
     ok = not violations
     return results, ok
@@ -245,14 +269,13 @@ def _cmd_validate(M, decomp, model, job):
 
 def _cmd_curvature(M, decomp, model, job):
     data = M.ricci_data
-    nonzero = [[i + 1, j + 1, k + 1, scalar_json(val)]
-               for i, j, k, val in M.connection if not val == 0]
+    backend = job.backend
     lam = einstein_check(M)
     return {
-        "connection": nonzero,
-        "ricci": matrix_json(data.ric),
-        "scalar_curvature": scalar_json(data.scalar),
-        "einstein": None if lam is None else scalar_json(lam),
+        "connection": [[i + 1, j + 1, k + 1, scalar_json(val, backend)] for i, j, k, val in M.connection],
+        "ricci": matrix_json(data.ric, backend),
+        "scalar_curvature": scalar_json(data.scalar, backend),
+        "einstein": None if lam is None else scalar_json(lam, backend),
     }, True
 
 
@@ -262,8 +285,8 @@ def _cmd_nilsoliton(M, decomp, model, job):
         return {"nilsoliton": None}, True
     return {
         "nilsoliton": {
-            "lambda": scalar_json(res.lam),
-            "derivation": matrix_json(res.derivation),
+            "lambda": scalar_json(res.lam, job.backend),
+            "derivation": matrix_json(res.derivation, job.backend),
         }
     }, True
 
@@ -271,15 +294,15 @@ def _cmd_nilsoliton(M, decomp, model, job):
 def _cmd_extend(M, decomp, model, job):
     ext, dec, lam = einstein_extension(M, eps0=job.eps0)
     m = next((x.radicand for *_, x in ext.algebra.brackets if isinstance(x, TowerScalar) and x.radicand), None)
-    if m is not None:
+    if m is not None and job.backend == "exact":
         raise ValueError("the Einstein extension needs sqrt(%d): its scaling is irrational, "
                          "and the .alg format cannot write it" % m)
-    text = serialize_algebra(ext, dec)
+    text = serialize_algebra(ext, dec, job.backend)
     if job.out_path:
         with open(job.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return {
-        "einstein_lambda": scalar_json(lam),
+        "einstein_lambda": scalar_json(lam, job.backend),
         "extended_dim": ext.dim,
         "extended_algebra": text,
     }, True
@@ -494,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="algebra file, directory of .alg files, or inline 'halfspace n=.. r=.. signs=..'")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     parser.add_argument("--backend", choices=("exact", "float"), default=None)
-    parser.add_argument("--tolerance", type=float, default=1e-9)
     parser.add_argument("--eps0", type=int, choices=(1, -1), default=None)
     parser.add_argument("--kmax", type=int, default=1)
     parser.add_argument("--mmax", type=int, default=1)
@@ -510,7 +532,6 @@ def main(argv=None) -> int:
         inputs=tuple(args.inputs),
         output_format="json" if args.json else "text",
         backend=args.backend or os.environ.get("SOLVSPIN_BACKEND", "exact"),
-        tolerance=args.tolerance,
         eps0=args.eps0,
         kmax=args.kmax,
         mmax=args.mmax,

@@ -187,7 +187,7 @@ def clifford_rows(rep: CliffordRep, terms) -> list[dict]:
     common denominator q; i**k c rotates those four integers, so each entry
     is a sum of integer tuples, and one TowerScalar is built per nonzero
     entry.  Words are multiplied out for nonzero coefficients only.  A
-    coefficient that is not exact (a FloatScalar) raises TypeError.
+    coefficient that is not exact (a float) raises TypeError.
     """
     terms = list(terms)
     nums, q, m = common_numerators([c for _, c in terms])

@@ -1,4 +1,4 @@
-"""Exact scalars shared by all solvers: rationals, the Q(i)(sqrt m) tower, floats.
+"""Exact scalars shared by all solvers: rationals and the Q(i)(sqrt m) tower.
 
 A TowerScalar represents a + b*i + c*w + d*i*w with rational coefficients,
 where i**2 = -1 and w**2 = m for a radicand m that is a squarefree integer > 1.
@@ -11,8 +11,8 @@ m is None when c = d = 0.  That form is canonical, so equality and hashing
 compare the tuple, and arithmetic is integer arithmetic with one gcd per
 result; the coefficients read back as Fractions.
 
-FloatScalar is a tolerance-carrying float fallback for stress tests with
-non-rational metric data; equality means agreement up to a relative tolerance.
+Every value is exact and every equality is exact.  The CLI's float backend
+computes with these scalars too, and rounds to doubles only when it prints.
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ def to_rational(x) -> Fraction:
     """x as a Fraction: the one coercion from exact scalars to rationals.
 
     An int or Fraction converts as it is and a TowerScalar must be rational
-    (ValueError otherwise); anything else, a FloatScalar included, raises
+    (ValueError otherwise); anything else, a float included, raises
     TypeError.
     """
     t = _exact_tuple(x)
@@ -375,7 +375,7 @@ def common_numerators(scalars) -> tuple:
     scalars[k] = (a + b*i + c*w + d*i*w) / q, where q is the lcm of the
     scalars' denominators and m their one radicand (None when no scalar has a
     w-part).  ints, Fractions and TowerScalars are accepted; anything else, a
-    FloatScalar included, raises TypeError, and two radicands raise
+    float included, raises TypeError, and two radicands raise
     IncompatibleExtensionError.  `from_numerators` reads a sum back.
     """
     parts = [x._t if type(x) is TowerScalar else _exact_tuple(x) for x in scalars]
@@ -394,104 +394,3 @@ def _rotations(x: tuple) -> tuple:
     """The numerators (a, b, c, d) of x times i**q, for q = 0, 1, 2, 3."""
     a, b, c, d = x
     return (x, (-b, a, -d, c), (-a, -b, -c, -d), (b, -a, d, -c))
-
-
-class FloatScalar:
-    """Float with a relative tolerance; equality is approximate."""
-
-    __slots__ = ("value", "tol")
-
-    def __init__(self, value: float, tol: float = 1e-9):
-        # at tol >= 1 every x has |x| <= tol max(1, |x|), so every value would
-        # equal 0; the test is written so that NaN fails it too
-        if not 0 < tol < 1:
-            raise ValueError("tolerance must be in (0, 1), got %r" % tol)
-        object.__setattr__(self, "value", float(value))
-        object.__setattr__(self, "tol", float(tol))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FloatScalar is immutable")
-
-    def __reduce__(self):
-        return (FloatScalar, (self.value, self.tol))
-
-    @staticmethod
-    def _val(x):
-        if isinstance(x, FloatScalar):
-            return x.value
-        if isinstance(x, (int, float)):
-            return float(x)
-        if isinstance(x, Fraction):
-            return float(x)
-        return None
-
-    def _tol_with(self, x):
-        return max(self.tol, x.tol) if isinstance(x, FloatScalar) else self.tol
-
-    def __add__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FloatScalar(self.value + v, self._tol_with(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FloatScalar(-self.value, self.tol)
-
-    def __sub__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FloatScalar(self.value - v, self._tol_with(other))
-
-    def __rsub__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FloatScalar(v - self.value, self._tol_with(other))
-
-    def __mul__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FloatScalar(self.value * v, self._tol_with(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FloatScalar(self.value / v, self._tol_with(other))
-
-    def __rtruediv__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FloatScalar(v / self.value, self._tol_with(other))
-
-    def __eq__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        t = self._tol_with(other)
-        return abs(self.value - v) <= t * max(1.0, abs(self.value), abs(v))
-
-    __hash__ = None
-
-    def __bool__(self):
-        return not self.__eq__(0)
-
-    def __repr__(self):
-        return "FloatScalar(%r, tol=%g)" % (self.value, self.tol)
-
-    def __str__(self):
-        return repr(self.value)
-
-
-def sqrt_scalar(x):
-    """Square root across backends: Fraction/int via the tower, floats numerically."""
-    if isinstance(x, FloatScalar):
-        return FloatScalar(math.sqrt(x.value), x.tol)
-    return sqrt_to_tower(to_rational(x))

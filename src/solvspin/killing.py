@@ -284,7 +284,7 @@ def classify_pseudo_iwasawa(M: MetricLieAlgebra, decomp: StandardDecomposition) 
         return verdict("NotApplicable", "not a pseudo-Iwasawa standard decomposition")
     nil, ab = decomp.nil_indices, decomp.abelian_indices
     ng, k = len(nil), len(ab)
-    if not passes("nilradical_abelian", all(x == 0 for *_, x in restrict(M, nil).algebra.brackets)):
+    if not passes("nilradical_abelian", not restrict(M, nil).algebra.brackets):
         return verdict("NoKillingSpinor", "g non-abelian")
     s = to_rational(M.ricci_data.scalar)
     # s = 0 exits before lambda_candidates: a 1-dimensional input gets this verdict, not an error

@@ -7,8 +7,8 @@ sorted list of nonzero entries (i, j, k, c) with [e_i, e_j] = ... + c e_k,
 both orders of each pair, in the way a `CliffordRep` stores its gammas as
 permutations and phases; the dense n x n x n table `structure` is a view
 derived from that list for tests and callers that want it.  Entries may be
-Fractions, TowerScalars or FloatScalars, and every operation below is
-generic over those.
+Fractions or TowerScalars, and every operation below is generic over both;
+every zero test is exact.
 
 The geometry reads the entries only, and returns entries in the same way.
 `_koszul_numerators` scatters each nonzero c_ijk into the three slots of the
@@ -19,33 +19,30 @@ sums over pairs of nonzero entries, and none forms a dense table, an ad or
 nabla matrix, or the n^4 Riemann tensor.
 
 The Koszul scatter, its check and the Ricci contraction are one loop over
-numerators.  When every entry and the algebra's zero are ints or Fractions
-they run on integers: c = C / D with D the lcm of the entries' denominators,
-Gamma is written over 2D and Ricci over (2D)^2, and one Fraction is built
-per stored Gamma entry and per nonzero Ricci entry.  Otherwise (TowerScalar,
-FloatScalar or mixed entries) the same loop reads the scalars themselves over
-the denominator 1, with the arithmetic and summation order of the scalars'
-own formula, so the float backend's values and tolerant zero tests do not
-depend on the integer path.  `curvature` has no solver caller and stays on
-values.
+numerators.  When every entry is an int or a Fraction they run on integers:
+c = C / D with D the lcm of the entries' denominators, Gamma is written over
+2D and Ricci over (2D)^2, and one Fraction is built per stored Gamma entry
+and per nonzero Ricci entry.  Otherwise (TowerScalar or mixed entries) the
+same loop reads the scalars themselves over the denominator 1.  `curvature`
+has no solver caller and stays on values.
 
 The numerators, the connection and the Ricci data are properties of the
 metric algebra: `MetricLieAlgebra._koszul`, `.connection` and `.ricci_data`
 compute them on first use and keep them, and every other caller reads those.
-Zeros in the dense views and results are the algebra's own `zero`, so the
-float backend reports FloatScalar zeros.  The standard decompositions read the
-entries too: phi_alpha and the mixed Ricci block come straight from them.
+Zeros in the dense views and results are Fraction(0).  The standard
+decompositions read the entries too: phi_alpha and the mixed Ricci block come
+straight from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import FloatScalar, sqrt_scalar, to_rational
+from .exact import sqrt_to_tower, to_rational
 from .linalg import (
     _sparse_echelon,
     add_scaled,
@@ -79,22 +76,19 @@ class DerivationError(ValueError):
 class LieAlgebra:
     """Structure constants in a fixed frame, stored as their nonzero entries.
 
-    `brackets` holds (i, j, k, c) for every c = c_ij^k that is not exactly
-    zero, both orders of each pair, sorted by (i, j, k); antisymmetry is
-    checked.  `zero` is the zero of the algebra's scalars (a FloatScalar for
-    the float backend); the dense `structure` table is a view built from
-    both on first use.
+    `brackets` holds (i, j, k, c) for every nonzero c = c_ij^k, both orders
+    of each pair, sorted by (i, j, k); antisymmetry is checked.  The dense
+    `structure` table is a view built from it on first use.
     """
 
     dim: int
     brackets: tuple
-    zero: object = field(default=F0, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.dim
         entries = {}
         for i, j, k, c in self.brackets:
-            if _is_exact_zero(c):
+            if not c:
                 continue
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n) or i == j:
                 raise StructureError("bracket entry (%d, %d, %d) out of range" % (i, j, k))
@@ -130,7 +124,7 @@ class LieAlgebra:
     def structure(self) -> tuple:
         """Dense view: structure[i][j][k] = coefficient of e_k in [e_i, e_j]."""
         n = self.dim
-        c = [[[self.zero] * n for _ in range(n)] for _ in range(n)]
+        c = [[[F0] * n for _ in range(n)] for _ in range(n)]
         for i, j, k, v in self.brackets:
             c[i][j][k] = v
         return tuple(tuple(tuple(row) for row in plane) for plane in c)
@@ -248,19 +242,9 @@ def is_metric_symmetric(f, signs) -> bool:
     return mat_equal(f, metric_transpose(f, signs))
 
 
-def _is_exact_zero(x) -> bool:
-    """Zero exactly; a FloatScalar counts only at value 0.0, not within tolerance."""
-    return x.value == 0 if isinstance(x, FloatScalar) else not x
-
-
 def trace(f):
     """Sum of the diagonal entries; Fraction(0) for a 0 x 0 matrix."""
-    if not f:
-        return F0
-    acc = f[0][0]
-    for i in range(1, len(f)):
-        acc = acc + f[i][i]
-    return acc
+    return sum((f[i][i] for i in range(1, len(f))), f[0][0]) if f else F0
 
 
 def _accumulate(acc: dict, key, v):
@@ -268,23 +252,22 @@ def _accumulate(acc: dict, key, v):
 
 
 def _sorted_entries(acc: dict) -> tuple:
-    """(*key, v) for each entry of acc that is not exactly zero, sorted by key."""
-    return tuple((*key, acc[key]) for key in sorted(acc) if not _is_exact_zero(acc[key]))
+    """(*key, v) for each nonzero entry of acc, sorted by key."""
+    return tuple((*key, acc[key]) for key in sorted(acc) if acc[key])
 
 
 def _koszul_numerators(M: MetricLieAlgebra) -> tuple:
     """The connection as numerators over one denominator: (gamma, q, brackets, s).
 
-    gamma holds the sorted (i, j, k, G) with Gamma_ijk = G / q for every G that
-    is not exactly zero, and brackets the (i, j, k, C) of the stored entries,
-    with c_ijk = s C / q.  One preparation step picks the feed:
+    gamma holds the sorted (i, j, k, G) with Gamma_ijk = G / q for every
+    nonzero G, and brackets the (i, j, k, C) of the stored entries, with
+    c_ijk = s C / q.  One preparation step picks the feed:
 
-    - the integer feed, when every entry and the algebra's zero is an int or
-      a Fraction: C is the integer numerator of c_ijk over the lcm D of the
-      entries' denominators, Gamma is written over q = 2D and s = 2;
-    - the scalar feed otherwise (TowerScalar, FloatScalar or a mix): C is the
-      entry itself, q = s = 1, and the loops below do the scalars' own
-      arithmetic, in the order `levi_civita` has always summed them.
+    - the integer feed, when every entry is an int or a Fraction: C is the
+      integer numerator of c_ijk over the lcm D of the entries' denominators,
+      Gamma is written over q = 2D and s = 2;
+    - the scalar feed otherwise (TowerScalars, or a mix): C is the entry
+      itself, q = s = 1, and the loops below do the scalars' own arithmetic.
 
     Gamma_ijk = (c_ijk - eps_i eps_k c_jki + eps_j eps_k c_kij) / 2, so each
     nonzero c_abd lands in three slots: c/2 at (a, b, d), -eps_b eps_d c/2 at
@@ -296,7 +279,7 @@ def _koszul_numerators(M: MetricLieAlgebra) -> tuple:
     eps = M.signs
     entries = M.algebra.brackets
     cs = [e[3] for e in entries]
-    if all(type(c) is Fraction or type(c) is int for c in (M.algebra.zero, *cs)):
+    if all(type(c) is Fraction or type(c) is int for c in cs):
         den = math.lcm(*[c.denominator for c in cs])
         cs = [c.numerator * (den // c.denominator) for c in cs]
         half, q, s = 1, 2 * den, 2
@@ -318,7 +301,7 @@ def levi_civita(M: MetricLieAlgebra) -> tuple:
     """Connection from the Koszul formula on the structure constants.
 
     Returns (i, j, k, Gamma_ijk), with nabla_{e_i} e_j = sum_k Gamma_ijk e_k,
-    for every Gamma_ijk that is not exactly zero, sorted by (i, j, k), as
+    for every nonzero Gamma_ijk, sorted by (i, j, k), as
     `LieAlgebra.brackets` stores the c_ijk.  The entries are read off the
     checked numerators of `_koszul_numerators`: one Fraction per entry on the
     integer feed, the scalars themselves on the scalar feed.
@@ -335,11 +318,11 @@ def _check_connection(eps: tuple, gamma: tuple, brackets: tuple, s):
     gamma and brackets are numerators as `_koszul_numerators` returns them:
     Gamma_ijk = G / q and c_ijk = s C / q, so both conditions compare
     numerators over q, the brackets rescaled by s.  Both are checked at every
-    index triple where they read an entry that is not exactly zero.  At any
-    other triple they read 0 eps_k + 0 eps_j = 0 and 0 - 0 = 0 = c_ijk, which
-    hold, so this is the full n^3 check.  The metric condition at (i, k, j) is
-    the one at (i, j, k), so the nonzero Gamma_ijk cover it; the torsion
-    condition also runs at (j, i, k) and wherever c_ijk is nonzero.
+    index triple where they read a nonzero entry.  At any other triple they
+    read 0 eps_k + 0 eps_j = 0 and 0 - 0 = 0 = c_ijk, which hold, so this is
+    the full n^3 check.  The metric condition at (i, k, j) is the one at
+    (i, j, k), so the nonzero Gamma_ijk cover it; the torsion condition also
+    runs at (j, i, k) and wherever c_ijk is nonzero.
     """
     g = {(i, j, k): v for i, j, k, v in gamma}
     # the brackets over Gamma's denominator; the scalar feed (s = 1) reads its own values
@@ -365,7 +348,7 @@ def curvature(M: MetricLieAlgebra) -> tuple:
         R_ijkl = sum_m (Gamma_jkm Gamma_iml - Gamma_ikm Gamma_jml) - sum_p c_ijp Gamma_pkl,
 
     summed over the pairs of Gamma entries that meet at m and over the
-    brackets.  Sorted by (i, j, k, l), with no entry that is exactly zero.
+    brackets.  Sorted by (i, j, k, l), with no zero entry.
     """
     conn = M.connection
     by_middle = {}     # m -> [(i, l, Gamma_iml)]
@@ -403,15 +386,15 @@ def _ricci_from_form(ric, signs) -> RicciData:
     return RicciData(mat_from_rows(ric), op, s)
 
 
-def _ricci_from_numerators(acc: dict, q2: int, signs, zero) -> RicciData:
+def _ricci_from_numerators(acc: dict, q2: int, signs) -> RicciData:
     """RicciData from integer numerators acc {(y, z): N} over q2: one Fraction per
     nonzero entry, the operator from those Fractions and their negatives, and
     the scalar from the diagonal numerators."""
     n = len(signs)
     vals = {key: Fraction(x, q2) for key, x in acc.items() if x}
-    ric = tuple(tuple(vals.get((y, z), zero) for z in range(n)) for y in range(n))
+    ric = tuple(tuple(vals.get((y, z), F0) for z in range(n)) for y in range(n))
     # row k of the operator is eps_k times column k of ric
-    op = tuple(col if signs[k] > 0 else tuple(x if x is zero else -x for x in col)
+    op = tuple(col if signs[k] > 0 else tuple(x if x is F0 else -x for x in col)
                for k, col in enumerate(zip(*ric)))
     s = Fraction(sum(signs[i] * acc.get((i, i), 0) for i in range(n)), q2)
     return RicciData(ric, op, s)
@@ -458,10 +441,9 @@ def ricci(M: MetricLieAlgebra) -> RicciData:
             c = c * s     # c_iyp over Gamma's denominator
         for z, w in by_ik.get((p, i), ()):
             _accumulate(acc, (y, z), -(c * w))
-    zero = M.algebra.zero
     if q != 1:
-        return _ricci_from_numerators(acc, q * q, M.signs, zero)
-    ric = [[acc.get((y, z), zero) for z in range(n)] for y in range(n)]
+        return _ricci_from_numerators(acc, q * q, M.signs)
+    ric = [[acc.get((y, z), F0) for z in range(n)] for y in range(n)]
     return _ricci_from_form(ric, M.signs)
 
 
@@ -491,7 +473,7 @@ def standard_decomposition(M: MetricLieAlgebra, abelian_indices: Sequence[int]) 
         raise NotStandardError("index split must partition the frame")
     pos = {i: p for p, i in enumerate(nil)}
     ab_pos = {a: t for t, a in enumerate(ab)}
-    phis = [[[M.algebra.zero] * len(nil) for _ in nil] for _ in ab]
+    phis = [[[F0] * len(nil) for _ in nil] for _ in ab]
     for a, j, k, c in M.algebra.brackets:
         if a in ab_pos and j in pos and k in pos:
             phis[ab_pos[a]][pos[k]][pos[j]] = -c
@@ -504,12 +486,12 @@ def restrict(M: MetricLieAlgebra, indices: Sequence[int]) -> MetricLieAlgebra:
     pos = {i: p for p, i in enumerate(idx)}
     entries = []
     for i, j, k, coeff in M.algebra.brackets:
-        if i in pos and j in pos and not coeff == 0:
+        if i in pos and j in pos:
             if k not in pos:
                 raise NotStandardError(
                     "span of indices %r does not close under the bracket" % (idx,))
             entries.append((pos[i], pos[j], pos[k], coeff))
-    alg = LieAlgebra(len(idx), entries, M.algebra.zero)
+    alg = LieAlgebra(len(idx), entries)
     return MetricLieAlgebra(alg, tuple(M.signs[i] for i in idx))
 
 
@@ -529,11 +511,11 @@ def check_standard(M: MetricLieAlgebra, decomp: StandardDecomposition) -> Standa
     nil_set, ab_set = set(nil), set(ab)
     # a abelian
     pairs = dict.fromkeys((a, b) for a, b, _, x in M.algebra.brackets
-                          if a in ab_set and b in ab_set and not x == 0)
+                          if a in ab_set and b in ab_set)
     failures.extend("abelian part brackets nontrivially: [e_%d, e_%d] != 0" % p for p in pairs)
     # g an ideal: [anything, g] stays in g
     for i, j, k, x in M.algebra.brackets:
-        if j in nil_set and k not in nil_set and not x == 0:
+        if j in nil_set and k not in nil_set:
             failures.append("nil part is not an ideal: [e_%d, e_%d] leaks to e_%d" % (i, j, k))
     if not failures and nil and not lower_central_series(restrict(M, nil).algebra)[1]:
         failures.append("nil part is not nilpotent")
@@ -647,11 +629,6 @@ class NilsolitonResult:
     derivation: tuple
 
 
-def _sign_of(x) -> int:
-    v = x.value if isinstance(x, FloatScalar) else to_rational(x)
-    return 1 if v > 0 else (-1 if v < 0 else 0)
-
-
 def _derivation_sides(L: LieAlgebra, D) -> tuple[dict, dict]:
     """Both sides of D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] for i < j.
 
@@ -689,7 +666,7 @@ def nilsoliton_solve(M: MetricLieAlgebra) -> Optional[NilsolitonResult]:
 
     The derivation condition is affine in lam; a unique lam exists whenever the
     bracket is nonzero.  Returns None when no lam works; the abelian case
-    returns lam = 0, D = 0 by convention, in the algebra's own zero.
+    returns lam = 0, D = 0 by convention.
     """
     L = M.algebra
     if jacobi_check(L):
@@ -712,7 +689,7 @@ def nilsoliton_solve(M: MetricLieAlgebra) -> Optional[NilsolitonResult]:
         else:
             pending.append((coef, rhs))
     if not pending:
-        return NilsolitonResult(L.zero, zeros(n, n, L.zero))
+        return NilsolitonResult(F0, zeros(n, n))
     coef0, rhs0 = pending[0]
     lam = rhs0 / coef0
     for coef, rhs in pending[1:]:
@@ -739,7 +716,7 @@ def extend_by_derivation(M: MetricLieAlgebra, D, eps0: int):
         raise DerivationError("D is not a derivation")
     if not is_metric_symmetric(D, M.signs):
         raise DerivationError("D is not metric-symmetric")
-    entries = [e for e in L.brackets if not e[3] == 0]
+    entries = list(L.brackets)
     for j in range(n):
         for k in range(n):
             if not D[k][j] == 0:
@@ -776,22 +753,26 @@ def einstein_extension(M: MetricLieAlgebra, eps0: Optional[int] = None):
 
     Solves the nilsoliton equation, rescales the derivation so the extended
     metric is Einstein (requires Tr D != 0), and checks the result with
-    einstein_check before returning (extension, decomposition, lam).
+    einstein_check before returning (extension, decomposition, lam).  The
+    scaling is sqrt(1/(eps0 Tr D)): a Fraction when that root is rational, so
+    the extension keeps Fraction brackets, and a TowerScalar otherwise.
     """
     res = nilsoliton_solve(M)
     if res is None:
         raise ValueError("metric is not a nilsoliton")
     D = res.derivation
-    tr = trace(D)
+    tr = to_rational(trace(D))
     tr2 = trace(mat_mul(D, D))
     if tr2 == 0 or tr == 0:
         raise ValueError("no Einstein extension: Tr D^2 = 0 or Tr D = 0")
-    sign_tr = _sign_of(tr)
+    sign_tr = 1 if tr > 0 else -1
     if eps0 is None:
         eps0 = sign_tr
     elif eps0 != sign_tr:
         raise ValueError("eps0 must match the sign of Tr D for a real scaling")
-    c = sqrt_scalar(1 / (eps0 * tr))
+    c = sqrt_to_tower(1 / (eps0 * tr))
+    if c.is_rational:
+        c = to_rational(c)
     phi0 = mat_scale(c, D)
     ext, decomp = extend_by_derivation(M, phi0, eps0)
     lam = einstein_check(ext)

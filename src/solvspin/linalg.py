@@ -1,20 +1,19 @@
 """Exact linear algebra over duck-typed field scalars.
 
-Everything here works for Fraction, TowerScalar and FloatScalar entries alike:
-the only requirements are +, -, *, / and an `== 0` test (exact for the first
-two, tolerance-based for floats).  Dense matrices are sequences of rows;
-functions return tuples of tuples so results stay hashable and immutable.
+Everything here works for Fraction and TowerScalar entries alike: the only
+requirements are +, -, *, / and an exact `== 0` test.  Dense matrices are
+sequences of rows; functions return tuples of tuples so results stay hashable
+and immutable.
 
 Elimination is sparse: systems and kernel bases are lists of rows
-{column: coefficient}.  The row contract: a row stores no zero coefficient
-(for floats, none within tolerance of 0), and `add_scaled`, the one update
-of a row, removes every entry that sums to 0.  `_sparse_echelon` is the one
-elimination loop; `sparse_nullspace` pins the columns that one-entry
-equations set to 0 in one pass before it and back-substitutes its pivot
-rows, each once, after it.  `rank_mod_p` bounds the rank of integer rows
-from below with int arithmetic modulo fixed primes, which proves a kernel
-empty without exact elimination.  The dense `rref` is kept only as the
-reference the tests compare against.
+{column: coefficient}.  The row contract: a row stores no zero coefficient,
+and `add_scaled`, the one update of a row, removes every entry that sums to
+0.  `_sparse_echelon` is the one elimination loop; `sparse_nullspace` pins
+the columns that one-entry equations set to 0 in one pass before it and
+back-substitutes its pivot rows, each once, after it.  `rank_mod_p` bounds
+the rank of integer rows from below with int arithmetic modulo fixed primes,
+which proves a kernel empty without exact elimination.  The dense `rref` is
+kept only as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -31,17 +30,20 @@ MAX_UNKNOWNS = 100_000
 # stays a small int
 RANK_PRIMES = (1073741789, 1073741783, 1073741741)
 
+F0 = Fraction(0)
+F1 = Fraction(1)
+
 
 def mat_from_rows(rows) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
-def zeros(nrows: int, ncols: int, zero=Fraction(0)) -> tuple:
-    return tuple(tuple(zero for _ in range(ncols)) for _ in range(nrows))
+def zeros(nrows: int, ncols: int) -> tuple:
+    return tuple(tuple(F0 for _ in range(ncols)) for _ in range(nrows))
 
 
-def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> tuple:
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def identity(n: int) -> tuple:
+    return tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n))
 
 
 def mat_sub(A, B) -> tuple:
@@ -69,13 +71,9 @@ def mat_mul(A, B) -> tuple:
                     continue
                 t = aik * v
                 acc[j] = t if acc[j] is None else acc[j] + t
-        zero = _zero_like(row[0]) if row else Fraction(0)
+        zero = row[0] - row[0] if row else F0
         out.append(tuple(zero if x is None else x for x in acc))
     return tuple(out)
-
-
-def _zero_like(x):
-    return x - x
 
 
 def mat_equal(A, B) -> bool:
@@ -198,8 +196,7 @@ def sparse_nullspace(eqs: Sequence[dict], ncols: int) -> list[dict]:
              if free not in pivots and free not in pinned}
     for pc, row in reduced.items():
         for free, coeff in row.items():
-            if not coeff == 0:  # a float pivot row may keep an entry within tolerance of 0
-                basis[free][pc] = coeff
+            basis[free][pc] = coeff
     return list(basis.values())
 
 

@@ -10,13 +10,17 @@ matrix products and the dense `structure` table, R(x, y) = [nabla_x, nabla_y]
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from solvspin.linalg import mat_mul, mat_scale
+
+F0 = Fraction(0)
 
 
 def nabla_matrices(M) -> list[tuple]:
     """Matrix of w -> nabla_{e_i} w per direction i: Gamma_ijk at row k, column j."""
-    n, zero = M.dim, M.algebra.zero
-    mats = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    n = M.dim
+    mats = [[[F0] * n for _ in range(n)] for _ in range(n)]
     for i, j, k, v in M.connection:
         mats[i][k][j] = v
     return [tuple(tuple(row) for row in m) for m in mats]
@@ -47,10 +51,10 @@ def _minus(A, B) -> tuple:
     return tuple(tuple(a if b == 0 else a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def densify_curvature(entries, n: int, zero) -> tuple:
+def densify_curvature(entries, n: int) -> tuple:
     """The n^4 table of stored entries (i, j, k, l, R), i < j, with
-    R[j][i] = -R[i][j], R[i][i] = 0 and zero everywhere else."""
-    R = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    R[j][i] = -R[i][j], R[i][i] = 0 and 0 everywhere else."""
+    R = [[[[F0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i, j, k, l, v in entries:
         R[i][j][k][l] = v
         R[j][i][k][l] = -v

@@ -194,7 +194,7 @@ def test_criterion_6_two_tensor_trace_identity():
         for signs in itertools.product((1, -1), repeat=n):
             rep = build_gammas(signs)
             N = rep.spinor_dim
-            eye = identity(N, TowerScalar.rational(1), TowerScalar.rational(0))
+            eye = identity(N)
             for _ in range(100):
                 f = _random_metric_symmetric(rng, signs)
                 act = two_tensor_action(rep, raise_endomorphism(signs, f))

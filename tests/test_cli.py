@@ -5,9 +5,12 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
+import random
 import tempfile
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -22,10 +25,14 @@ from solvspin.cli import (
     parse_algebra_text,
     run,
     serialize_algebra,
+    to_float,
 )
+from solvspin.exact import TowerScalar, sqrt_to_tower
 from solvspin.halfspace import HalfSpaceModel, parse_halfspace_spec
 from solvspin.killing import classify_pseudo_iwasawa, lambda_candidates
-from solvspin.liealg import einstein_extension
+from solvspin.liealg import MetricLieAlgebra, einstein_extension
+
+from conftest import random_nilpotent
 
 HEIS3 = "dim 3\nsigns +1 +1 +1\n1 2 3 1\n"
 BROKEN = "dim 3\nsigns +1 +1 +1\n1 2 3 1\n1 3 2 1\n2 3 2 1\n"
@@ -261,7 +268,7 @@ class TestCommands:
         assert abs(data["results"]["ricci"][2][2] - 0.5) < 1e-9
 
     def test_float_backend_ricci_entries_are_numbers(self, tmp_path, capsys):
-        # every entry is a JSON number and agrees with the exact report
+        # every entry is a JSON number: the nearest double to the exact report's
         texts = {
             "heis3": HEIS3,
             "heis5": "dim 5\n1 2 5 1\n3 4 5 1\n",
@@ -279,7 +286,7 @@ class TestCommands:
             assert type(results["scalar_curvature"]) is float, name
             for got_row, want_row in zip(results["ricci"], exact):
                 for got, want in zip(got_row, want_row):
-                    assert abs(got - float(Fraction(want))) <= 1e-9 * max(1.0, abs(got)), name
+                    assert got == float(Fraction(want)), name
 
     @pytest.mark.parametrize("coeff,printed", [("1/100000", "0.00001"),
                                                ("10000000000000000000000", "10000000000000000000000")])
@@ -294,16 +301,36 @@ class TestCommands:
         assert main(["validate", str(p), "--backend", "float", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["canonical_form"] == canonical
 
-    def test_tolerance_that_makes_every_value_zero_exits_one(self, heis3_file, capsys):
-        # these used to report lambda = 0 and D = 0 for heis3 with exit 0, and
-        # nan used to fail later, as brackets that are not antisymmetric
-        for tol in ("inf", "1", "1e300", "nan", "-0.0"):
-            assert main(["nilsoliton", heis3_file, "--backend", "float", "--tolerance", tol, "--json"]) == 1
-            data = json.loads(capsys.readouterr().out)
-            assert data["error"].startswith("tolerance must be in (0, 1)"), tol
-            assert "results" not in data
-        assert main(["nilsoliton", heis3_file, "--backend", "float", "--tolerance", "1e-6", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["results"]["nilsoliton"]["lambda"] == -1.5
+    def test_tolerance_option_is_gone(self, heis3_file, capsys):
+        # the float backend computes exactly, so there is no tolerance to set
+        with pytest.raises(SystemExit) as exc:
+            main(["nilsoliton", heis3_file, "--backend", "float", "--tolerance", "0.5", "--json"])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_float_nilsoliton_of_heis3(self, heis3_file, capsys):
+        assert main(["nilsoliton", heis3_file, "--backend", "float", "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)["results"]["nilsoliton"]
+        assert got == {"lambda": -1.5, "derivation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]}
+
+    def test_float_out_of_double_range_is_an_input_error(self, tmp_path, capsys):
+        # heis3 with the coefficient 10^200: its Ricci entries and lambda are
+        # about 10^400, past the largest double, and must not print as NaN or
+        # Infinity; with 10^-200 they are about 10^-400, and must not print as 0
+        def refuse(name):
+            raise ValueError("%s is not JSON" % name)
+
+        p = tmp_path / "huge.alg"
+        for coeff in ("1" + "0" * 200, "1/1" + "0" * 200):
+            p.write_text("dim 3\n1 2 3 %s\n" % coeff)
+            for command in ("curvature", "nilsoliton"):
+                assert main([command, str(p), "--backend", "float", "--json"]) == 1, command
+                data = json.loads(capsys.readouterr().out, parse_constant=refuse)
+                assert data["error"] == "a value does not fit a double; --backend exact answers this input"
+                assert "results" not in data and "error_type" not in data
+                assert main([command, str(p), "--json"]) == 0, command
+                exact = json.loads(capsys.readouterr().out, parse_constant=refuse)["results"]
+                assert "0" * 399 in json.dumps(exact), command   # 10^400 or 10^-400, written exactly
 
     def test_float_abelian_nilsoliton_reports_float_zeros(self, tmp_path, capsys):
         p = tmp_path / "ab2.alg"
@@ -598,10 +625,12 @@ GOLDEN_REPORTS = (
      "faa67bf7bce896fa0efb91aeda6168ba4c013e73f86acd678049269615e311f7"),
     ("curvature", "heis3_lorentz.alg", ("--backend", "float"),
      "9fe11ae047c8e0522ed865c109962a88e3ec32b27f215ba018a8c9039d0732b6"),
+    # the zero entries of D print as 0.0, never -0.0
     ("nilsoliton", "heis3_lorentz.alg", ("--backend", "float"),
-     "ac389f1be2d8b5c836f6a76492a30cb67268496c7fcf2d8e3304219d4475f474"),
+     "dddcf3f0ea8b72563ac99f9e840d5c00eed8d90bd9051dafd0ce6334f94b1861"),
+    # s = 43/72 prints as its nearest double, 0.5972222222222222
     ("curvature", "fil5.alg", ("--backend", "float"),
-     "4160f9bed5d28bf1d3c0eec4d14000570c80c60e24b27ea6d5a79238726267eb"),
+     "ee63dc75d30ca9cbe6ffc1eee572f672dac626d4f2fd08814fa95505a77457df"),
     ("nilsoliton", "fil5.alg", ("--backend", "float"),
      "01f4db6dd58bc52b826b4df0321aa19a5dad3b7fa6a313d8f46a0bebf3c19e65"),
 )
@@ -736,6 +765,105 @@ def test_text_reports_match_golden_texts(tmp_path, capsys):
         got.append((argv, got_code, capsys.readouterr().out.replace(str(tmp_path) + os.sep, "")))
         want.append((argv, code, text))
     assert got == want
+
+
+# filiform 4: its Einstein extension scales D by sqrt(5)/10
+FIL4 = "dim 4\n1 2 3 1\n1 3 4 1\n"
+
+
+def _float_matches_exact(exact, flt, where=()) -> int:
+    """Walk an exact report and the float report of the same job together.
+
+    Each float must be float(Fraction(s)) for the exact string s at its place,
+    and not -0.0; algebra texts are compared token by token the same way.
+    Returns how many numbers were compared.
+    """
+    if isinstance(flt, float):
+        assert flt == float(Fraction(exact)), where
+        assert not (flt == 0 and math.copysign(1.0, flt) < 0), where
+        return 1
+    if isinstance(flt, str) and "\n" in flt:
+        pairs = [(e, f) for le, lf in itertools.zip_longest(exact.splitlines(), flt.splitlines())
+                 for e, f in itertools.zip_longest(le.split(), lf.split())]
+        numbers = [(e, f) for e, f in pairs if e != f]
+        for e, f in numbers:
+            assert float(f) == float(Fraction(e)) and not (float(f) == 0 and f.startswith("-")), (where, e, f)
+        return len(numbers)
+    if isinstance(flt, dict):
+        assert exact.keys() == flt.keys(), where
+        return sum(_float_matches_exact(exact[k], flt[k], where + (k,)) for k in flt)
+    if isinstance(flt, list):
+        assert len(exact) == len(flt), where
+        return sum(_float_matches_exact(e, f, where + (i,)) for i, (e, f) in enumerate(zip(exact, flt)))
+    assert exact == flt, where
+    return 0
+
+
+def test_to_float_is_the_nearest_double():
+    assert to_float(Fraction(43, 72)) == 0.5972222222222222 and to_float(3) == 3.0
+    assert to_float(sqrt_to_tower(Fraction(1, 20))) == 0.22360679774997896
+    # a + c sqrt(2) with a = -isqrt(2 c^2): the two terms cancel about twice
+    # the digits of c, which 40 fixed digits would lose
+    for k in (5, 30, 60):
+        c = 10 ** k
+        a = -math.isqrt(2 * c * c)
+        with localcontext() as ctx:
+            ctx.prec = 400
+            want = float(Decimal(a) + Decimal(c) * Decimal(2).sqrt())
+        assert to_float(TowerScalar(a, 0, c, 0, 2)) == want, k
+    for x in (TowerScalar(0, 1), sqrt_to_tower(-2), Fraction(10 ** 400), Fraction(-1, 10 ** 400)):
+        with pytest.raises(ValueError):
+            to_float(x)
+
+
+def test_float_reports_are_the_exact_reports_rounded(tmp_path, capsys):
+    texts = {"heis3.alg": HEIS3, "heis5.alg": HEIS5_MIXED, "su2.alg": SU2,
+             "heis3_lorentz.alg": HEIS3_LORENTZ, "fil5.alg": FIL5_MIXED, "fil4.alg": FIL4,
+             **CLASSIFY_INPUTS}
+    rng = random.Random(26)
+    for q in range(20):
+        L = random_nilpotent(rng)
+        signs = tuple(rng.choice((1, -1)) for _ in range(L.dim))
+        texts["random%d.alg" % q] = serialize_algebra(MetricLieAlgebra(L, signs))
+    compared = irrational = 0
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_text(text)
+        for command in ("validate", "curvature", "nilsoliton", "extend"):
+            reports = []
+            for backend in ("exact", "float"):
+                code = main([command, str(path), "--backend", backend, "--json"])
+                report = json.loads(capsys.readouterr().out)
+                del report["backend"], report["timing_ms"]
+                reports.append((code, report))
+            (code, exact), (float_code, flt) = reports
+            if command == "extend" and "irrational" in exact.get("error", ""):
+                # the .alg format cannot write sqrt(m); the float form writes its digits
+                assert code == 1 and float_code == 0, name
+                irrational += 1
+                continue
+            assert code == float_code, (command, name)
+            compared += _float_matches_exact(exact, flt, (command, name))
+    assert compared > 700 and irrational >= 1
+
+
+def test_float_extension_of_filiform_4_matches_golden_text(tmp_path, capsys):
+    p = tmp_path / "fil4.alg"
+    p.write_text(FIL4)
+    assert main(["extend", str(p), "--backend", "float"]) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path) + os.sep, "") == (
+        "command: extend (float backend)\n"
+        "input: fil4.alg\n"
+        "einstein extension with lambda = -1.5\n"
+        "dim 5\n"
+        "signs +1 +1 +1 +1 +1\n"
+        "1 2 3 1.0\n"
+        "1 3 4 1.0\n"
+        "1 5 1 0.22360679774997896\n"
+        "2 5 2 0.4472135954999579\n"
+        "3 5 3 0.6708203932499369\n"
+        "4 5 4 0.8944271909999159\n"
+        "abelian: 5\n")
 
 
 # the .alg format cannot write a square root, so the Einstein extension of

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from solvspin import clifford, linalg
-from solvspin.exact import TS_I, TS_ONE, TS_ZERO, FloatScalar, TowerScalar, sqrt_to_tower, to_tower
+from solvspin.exact import TS_I, TS_ONE, TS_ZERO, TowerScalar, sqrt_to_tower, to_tower
 from solvspin.clifford import (
     annihilator_kernel,
     build_gammas,
@@ -59,7 +59,7 @@ def spin_lift_basis_form(rep, A):
     Equals `lift_of` exactly when A is metric-skew.
     """
     N = rep.spinor_dim
-    out = zeros(N, N, TS_ZERO)
+    out = zeros(N, N)
     for j in range(rep.n):
         for k in range(j):
             if A[k][j] == 0:
@@ -142,10 +142,10 @@ class TestBuild:
             assert rep.volume_power in (0, 1)
             # volume element acts as +i^k
             N = rep.spinor_dim
-            vol = identity(N, TS_ONE, TS_ZERO)
+            vol = identity(N)
             for g in rep.gammas:
                 vol = mat_mul(vol, g)
-            want = mat_scale((TS_ONE, TS_I)[rep.volume_power], identity(N, TS_ONE, TS_ZERO))
+            want = mat_scale((TS_ONE, TS_I)[rep.volume_power], identity(N))
             assert mat_equal(vol, want)
 
     def test_even_dimension_has_no_volume_power(self):
@@ -328,7 +328,7 @@ class TestTwoTensorAction:
             N = rep.spinor_dim
             T = raise_endomorphism(signs, identity(n))
             act = two_tensor_action(rep, T)
-            assert mat_equal(act, mat_scale(F(-n), identity(N, TS_ONE, TS_ZERO)))
+            assert mat_equal(act, mat_scale(F(-n), identity(N)))
 
     def test_symmetric_gives_minus_trace(self):
         rng = random.Random(9)
@@ -340,7 +340,7 @@ class TestTwoTensorAction:
                 f = rand_metric_symmetric(rng, signs)
                 act = two_tensor_action(rep, raise_endomorphism(signs, f))
                 tr = sum((f[i][i] for i in range(n)), F(0))
-                assert mat_equal(act, mat_scale(F(-tr), identity(N, TS_ONE, TS_ZERO)))
+                assert mat_equal(act, mat_scale(F(-tr), identity(N)))
 
     def test_skew_part_is_lift_times_four(self):
         # for metric-skew f the raised tensor has no trace part and the action
@@ -357,9 +357,9 @@ class TestTwoTensorAction:
 def dense_gamma_sum(rep, terms):
     """sum c gamma_{a_1} ... gamma_{a_r} over ((a_1, ..., a_r), c), from dense products."""
     N = rep.spinor_dim
-    out = zeros(N, N, TS_ZERO)
+    out = zeros(N, N)
     for word, c in terms:
-        prod = identity(N, TS_ONE, TS_ZERO)
+        prod = identity(N)
         for a in word:
             prod = mat_mul(prod, rep.gammas[a])
         term = mat_scale(c, prod)
@@ -445,11 +445,11 @@ class TestMonomialRowsOracle:
     def test_float_coefficient_raises(self):
         rep = build_gammas((1, -1, 1))
         with pytest.raises(TypeError):
-            gamma_of_vector_rows(rep, [FloatScalar(0.5), F(1), F(0)])
+            gamma_of_vector_rows(rep, [0.5, F(1), F(0)])
         with pytest.raises(TypeError):
-            two_tensor_action(rep, [[FloatScalar(1.0)] * 3 for _ in range(3)])
+            two_tensor_action(rep, [[1.0] * 3 for _ in range(3)])
         with pytest.raises(TypeError):
-            clifford_rows(rep, skew_lift_terms(rep, [(0, 1, FloatScalar(1.0)), (1, 0, FloatScalar(1.0))]))
+            clifford_rows(rep, skew_lift_terms(rep, [(0, 1, 1.0), (1, 0, 1.0)]))
 
 
 class TestSpinorKernels:

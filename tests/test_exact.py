@@ -1,4 +1,4 @@
-"""Field properties of the exact scalar tower and the float fallback."""
+"""Field properties of the exact scalar tower."""
 
 import math
 import operator
@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from solvspin.exact import (
     TS_I,
-    FloatScalar,
     IncompatibleExtensionError,
     TowerScalar,
     common_numerators,
     from_numerators,
     split_square,
-    sqrt_scalar,
     sqrt_to_tower,
     to_rational,
 )
@@ -147,40 +145,6 @@ def test_hash_consistent_with_fraction_equality():
     assert hash(x) == hash(Fraction(3, 2))
 
 
-class TestFloatScalar:
-    def test_tolerant_equality(self):
-        a = FloatScalar(1.0)
-        assert a == 1.0 + 1e-12
-        assert not (a == 1.1)
-        assert FloatScalar(0.0) == 0
-
-    def test_arithmetic(self):
-        a = FloatScalar(0.5)
-        b = FloatScalar(2.0)
-        assert a * b == 1.0
-        assert (a + b) - b == a
-        assert 1 / b == a * 1.0
-
-    def test_relative_tolerance_scales(self):
-        a = FloatScalar(1e12)
-        assert a == 1e12 + 1.0  # within relative tolerance
-
-    def test_sqrt(self):
-        assert sqrt_scalar(FloatScalar(4.0)) == 2.0
-
-    def test_tolerance_outside_unit_interval_is_refused(self):
-        # at tol >= 1 every value equals 0, and NaN fails every comparison
-        for tol in (0.0, -0.0, -1e-9, 1.0, 1e300, math.inf, math.nan):
-            with pytest.raises(ValueError, match=r"tolerance must be in \(0, 1\)"):
-                FloatScalar(1.0, tol)
-        assert FloatScalar(1.0, 0.5).tol == 0.5 and not FloatScalar(1.0, 0.5) == 0
-
-
-def test_sqrt_scalar_dispatch():
-    assert sqrt_scalar(Fraction(1, 4)) == Fraction(1, 2)
-    assert sqrt_scalar(TowerScalar.rational(4)) == 2
-
-
 # ---- the stored integer form against the Fraction-component reference -----
 
 # components: 0 and +-1 often, then ordinary and large numerators/denominators
@@ -309,7 +273,7 @@ def test_common_numerators_rejects_inexact_and_mixed():
     assert common_numerators([Fraction(1, 4), 2, TowerScalar(0, Fraction(1, 6))]) == (
         [(3, 0, 0, 0), (24, 0, 0, 0), (0, 2, 0, 0)], 12, None)
     with pytest.raises(TypeError):
-        common_numerators([Fraction(1), FloatScalar(0.5)])
+        common_numerators([Fraction(1), 0.5])
     with pytest.raises(IncompatibleExtensionError):
         common_numerators([sqrt_to_tower(2), sqrt_to_tower(3)])
 
@@ -323,7 +287,7 @@ def test_to_rational():
     with pytest.raises(ValueError):
         to_rational(sqrt_to_tower(2))
     with pytest.raises(TypeError):
-        to_rational(FloatScalar(1.0))
+        to_rational(1.0)
 
 
 def test_zero_has_no_radicand():

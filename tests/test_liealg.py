@@ -15,9 +15,10 @@ from conftest import (
     random_pseudo_iwasawa,
     semidirect_metric,
 )
-from solvspin.exact import FloatScalar, TowerScalar, to_rational
+from solvspin.exact import TowerScalar
 from solvspin.halfspace import HalfSpaceModel
 from solvspin.liealg import (
+    F0,
     DerivationError,
     LieAlgebra,
     MetricLieAlgebra,
@@ -98,13 +99,6 @@ class TestJacobiAndSeries:
         assert dims[-1] == 1
 
 
-def _float_copy(L: LieAlgebra) -> LieAlgebra:
-    def conv(c):
-        return FloatScalar(float(to_rational(c)))
-
-    return LieAlgebra(L.dim, [(i, j, k, conv(c)) for i, j, k, c in L.brackets], FloatScalar(0.0))
-
-
 def _is_rational(L: LieAlgebra) -> bool:
     return all(not isinstance(c, TowerScalar) or c.is_rational for *_, c in L.brackets)
 
@@ -129,15 +123,9 @@ class TestSeriesOracle:
         heis3_r = LieAlgebra.from_brackets(4, {(0, 1): {2: F(1)}})
         ext, _, _ = einstein_extension(MetricLieAlgebra(heis3_r, (1,) * 4))
         algebras.append(ext.algebra)
-        floats = 0
         for L in algebras:
-            want = lower_central_series_dense(L)
-            assert lower_central_series(L) == want, L
-            if _is_rational(L):
-                Lf = _float_copy(L)
-                assert lower_central_series(Lf) == lower_central_series_dense(Lf) == want, L
-                floats += 1
-        assert not _is_rational(algebras[-1]) and floats == len(algebras) - 1
+            assert lower_central_series(L) == lower_central_series_dense(L), L
+        assert not _is_rational(algebras[-1])
         assert {nilpotent for _, nilpotent in map(lower_central_series, algebras)} == {True, False}
 
 
@@ -217,22 +205,6 @@ class TestSparseForm:
                     if D[k][j] != 0:
                         want[j][m][k], want[m][j][k] = D[k][j], -D[k][j]
             assert_same_table(ext.algebra.structure, want)
-
-    def test_dense_view_of_float_backend(self, rng):
-        from solvspin.cli import _to_float_backend
-
-        for _ in range(10):
-            M, _ = random_pseudo_iwasawa(rng)
-            Mf = _to_float_backend(M, 1e-7)
-            full = M.algebra.structure
-            got = Mf.algebra.structure
-            for i in range(M.dim):
-                for j in range(M.dim):
-                    for k in range(M.dim):
-                        x = got[i][j][k]
-                        assert type(x) is FloatScalar and x.tol == 1e-7
-                        assert x.value == float(full[i][j][k])
-            assert len(Mf.algebra.brackets) == len(M.algebra.brackets)
 
     def test_bracket_order_does_not_matter(self, rng):
         for _ in range(20):
@@ -382,22 +354,19 @@ def tampered(M, changes):
 
 def dense_entries(M):
     """The stored curvature entries of M laid out as the n^4 table."""
-    return densify_curvature(curvature(M), M.dim, M.algebra.zero)
+    return densify_curvature(curvature(M), M.dim)
 
 
 def curvature_inputs(rng):
     """Every half-space with n = 2..5, each signature and r in {1, 1/2, 2/3};
-    random pseudo-Iwasawa algebras; the tower-valued Einstein extension of
-    filiform 4; and heis3 on the float backend."""
-    from solvspin.cli import _to_float_backend
-
+    random pseudo-Iwasawa algebras; and the tower-valued Einstein extension of
+    filiform 4."""
     out = [HalfSpaceModel(n, signs, r).algebra
            for n in range(2, 6) for signs in itertools.product((1, -1), repeat=n)
            for r in (F(1), F(1, 2), F(2, 3))]
     out += [random_pseudo_iwasawa(rng)[0] for _ in range(200)]
     fil4 = LieAlgebra.from_brackets(4, {(0, 1): {2: F(1)}, (0, 2): {3: F(1)}})
     out.append(einstein_extension(MetricLieAlgebra(fil4, (1,) * 4))[0])
-    out.append(_to_float_backend(heisenberg3(), 1e-9))
     return out
 
 
@@ -407,14 +376,13 @@ class TestCurvature:
 
     def test_entries_match_dense_oracle(self, rng):
         inputs = curvature_inputs(rng)
-        assert len(inputs) == 382
-        assert not _is_rational(inputs[-2].algebra)
-        assert type(inputs[-1].algebra.zero) is FloatScalar
+        assert len(inputs) == 381
+        assert not _is_rational(inputs[-1].algebra)
         for M in inputs:
             R = curvature(M)
             assert all(i < j and not v == 0 for i, j, k, l, v in R), M
             assert [e[:4] for e in R] == sorted(e[:4] for e in R), M
-            assert densify_curvature(R, M.dim, M.algebra.zero) == dense_curvature(M), M
+            assert densify_curvature(R, M.dim) == dense_curvature(M), M
 
     def test_antisymmetry_and_bianchi(self, rng):
         for _ in range(10):
@@ -539,7 +507,7 @@ class TestIntegerFeed:
     PRIMES = (3, 7, 2 ** 31 - 1, 2 ** 61 - 1)
 
     def check(self, M):
-        n, zero = M.dim, M.algebra.zero
+        n = M.dim
         _, q, _, s = M._koszul
         assert (q, s) == (2 * math.lcm(*(c.denominator for *_, c in M.algebra.brackets)), 2)
         conn = levi_civita(M)
@@ -548,7 +516,7 @@ class TestIntegerFeed:
         data = ricci(M)
         assert data.ric == ricci_trace_oracle(M)
         for mat in (data.ric, data.operator):
-            assert all(x is zero if x == 0 else type(x) is Fraction for row in mat for x in row)
+            assert all(x is F0 if x == 0 else type(x) is Fraction for row in mat for x in row)
         assert data.operator == tuple(tuple(M.signs[k] * data.ric[j][k] for j in range(n)) for k in range(n))
         assert type(data.scalar) is Fraction
         assert data.scalar == sum((M.signs[i] * data.ric[i][i] for i in range(n)), F(0))
@@ -793,6 +761,29 @@ class TestExtension:
         M = MetricLieAlgebra(L, (1, 1, 1, 1, 1))
         ext, decomp, lam = einstein_extension(M)
         assert isinstance(lam, (F, TowerScalar)) and lam == F(-2)
+
+    def test_rational_scaling_keeps_fraction_brackets(self):
+        # every catalog shape under every signature: a rational scaling leaves
+        # only Fraction brackets, which take the integer Koszul feed, and no
+        # extension stores a rational value as a TowerScalar
+        kinds = {}
+        for dim, slots in NILPOTENT_SHAPES:
+            brackets = {pair: {k: F(1)} for pair, k in slots}
+            for signs in itertools.product((1, -1), repeat=dim):
+                try:
+                    ext, _, _ = einstein_extension(MetricLieAlgebra(LieAlgebra.from_brackets(dim, brackets), signs))
+                except ValueError:
+                    continue
+                values = [x for *_, x in ext.algebra.brackets]
+                assert not any(type(x) is TowerScalar and x.is_rational for x in values), (slots, signs)
+                if all(type(x) is F for x in values):
+                    assert ext._koszul[1] != 1, (slots, signs)
+                    kinds[tuple(slots), signs] = "rational"
+                else:
+                    kinds[tuple(slots), signs] = "tower"
+        assert kinds[tuple(NILPOTENT_SHAPES[3][1]), (1, 1, 1)] == "rational"        # heis3
+        assert kinds[tuple(NILPOTENT_SHAPES[5][1]), (1, 1, 1, 1)] == "tower"       # filiform 4
+        assert sum(kind == "rational" for kind in kinds.values()) == 24           # heis3, heis5
 
 
 class TestEinsteinCheck:

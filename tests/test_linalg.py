@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from solvspin import linalg
-from solvspin.exact import FloatScalar, TowerScalar
+from solvspin.exact import TowerScalar
 from solvspin.linalg import (
     _sparse_echelon,
     identity,
@@ -215,53 +215,40 @@ def test_back_substitution_with_more_free_columns_than_pivots(field):
         assert len(basis) > ncols - len(basis)
 
 
-def test_back_substitution_over_floats():
-    rng = random.Random(5)
-    ncols = 24
-    eqs = _random_system(rng, lambda r: FloatScalar(r.uniform(-2.0, 2.0)), ncols, 10, 0.3)
-    basis = _assert_matches_reference(eqs, ncols, FloatScalar(0.0))
-    assert len(basis) == ncols - matrix_rank(_dense(eqs, ncols, FloatScalar(0.0)))
-    # scaled by its pivot, 1e-8 falls within tolerance of 0: the row stores
-    # nothing there, as dense elimination leaves an exact 0
-    eqs = [{0: FloatScalar(1000.0), 1: FloatScalar(1e-8)}]
-    got, want = sparse_nullspace(eqs, 2), nullspace(_dense(eqs, 2, FloatScalar(0.0)), 2)
-    assert got == [{1: F(1)}] and type(got[0][1]) is F
-    assert densify(got, 2) == want and [list(map(type, v)) for v in want] == [[F, F]]
-
-
 # the pin pass: an equation with one nonzero entry fixes that column to 0;
 # an equation left with one entry once the pinned columns are removed becomes
 # a pivot whose solved row is empty, so its column is 0 as a pin would make it
-PIN_FIELDS = dict(FIELDS, float=(lambda rng: FloatScalar(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0)),
-                                 FloatScalar(0.0)))
 
 
-@pytest.mark.parametrize("field", PIN_FIELDS)
+@pytest.mark.parametrize("field", FIELDS)
 def test_pins_cascade_to_a_fixpoint(field):
     # row k ties column k to column k + 1, and only the last column of the
     # chain is pinned outright, at the end: every other column of the chain
-    # is 0 through the pivots its links give, as if each were pinned in turn
-    entry, zero = PIN_FIELDS[field]
+    # is 0 through the pivots its links give, as if each were pinned in turn.
+    # Without `emptied` the pin is the chain's only tie to 0; `leading`, whose
+    # lowest column is the pinned one, constrains only the columns after it
+    entry, zero = FIELDS[field]
     rng = random.Random("pin-chain:" + field)
     length, ncols = 12, 20
     chain = [{k: entry(rng), k + 1: entry(rng)} for k in range(length - 1)]
     chain.append({length - 1: entry(rng)})
     emptied = {0: entry(rng), length - 1: entry(rng)}
+    leading = {length - 1: entry(rng), length: entry(rng), length + 1: entry(rng)}
     rest = _random_system(rng, entry, ncols - length, 4, 0.4)
     rest = [{c + length: v for c, v in row.items()} for row in rest]
-    eqs = chain + [emptied] + rest
-    basis = _assert_matches_reference(eqs, ncols, zero)
-    assert basis and all(c not in v for v in basis for c in range(length))
-    for order in (eqs[::-1], rng.sample(eqs, len(eqs))):
-        assert _assert_matches_reference(order, ncols, zero) == basis
+    for eqs in (chain + [emptied] + rest, chain + [leading] + rest):
+        basis = _assert_matches_reference(eqs, ncols, zero)
+        assert basis and all(c not in v for v in basis for c in range(length))
+        for order in (eqs[::-1], rng.sample(eqs, len(eqs))):
+            assert _assert_matches_reference(order, ncols, zero) == basis
 
 
-@pytest.mark.parametrize("field", PIN_FIELDS)
+@pytest.mark.parametrize("field", FIELDS)
 def test_zero_coefficients_and_zero_rows_pin_nothing(field):
     # rows store no zero coefficient; an empty row pins nothing, and a zero
     # that reaches the eliminator anyway raises or does no harm: it never
     # pins its column
-    entry, zero = PIN_FIELDS[field]
+    entry, zero = FIELDS[field]
     rng = random.Random("pin-zero:" + field)
     ncols = 6
     clean = [{}, {1: entry(rng)},
@@ -287,9 +274,9 @@ def test_zero_coefficients_and_zero_rows_pin_nothing(field):
     assert returned  # the zero at column 5 is harmless, and the reference basis comes back
 
 
-@pytest.mark.parametrize("field", PIN_FIELDS)
+@pytest.mark.parametrize("field", FIELDS)
 def test_singletons_reaching_full_rank_stop_the_arithmetic(field):
-    entry, zero = PIN_FIELDS[field]
+    entry, zero = FIELDS[field]
     rng = random.Random("pin-full:" + field)
     ncols = 9
     singles = [{c: entry(rng)} for c in range(ncols)] + [{c: entry(rng)} for c in range(0, ncols, 3)]

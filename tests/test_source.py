@@ -37,6 +37,18 @@ def test_traced_names_resolve(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), "%s.%s" % (module, attr)
 
 
+# every layer below the CLI computes exactly: only `cli.to_float` rounds a
+# value to a double, when a float-backend report prints it
+FLOAT_WORDS = ("float(", "math.sqrt", "tolerance")
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_no_float_arithmetic_below_the_cli(path):
+    text = path.read_text(encoding="utf-8")
+    assert [w for w in FLOAT_WORDS if w in text] == [], path.name
+
+
 # solver-path functions that read the stored entries only: the dense views
 # (`LieAlgebra.structure`, `CliffordRep.gammas`) build an n^3 or n N^2 table,
 # which these must not pay for, and `gamma` and `nabla` stay listed so that no
@@ -157,8 +169,6 @@ def test_geometry_is_derived_only_in_the_cached_properties():
 HAND_WRITTEN = {
     # the arithmetic hot path: __slots__ and operators tuned by hand
     ("exact", "TowerScalar"),
-    # the float backend's scalar: tolerant equality, __slots__ like TowerScalar
-    ("exact", "FloatScalar"),
 }
 
 
