@@ -10,19 +10,23 @@ representation stores each gamma_a once, as a column permutation perm[a] and
 phases phase[a] in Z/4: row i holds i**phase[a][i] at column perm[a][i].
 Products compose permutations and add phases.
 
-An element of the Clifford algebra is a list of terms (word, c): a word is a
-tuple of generator indices (a_1, ..., a_r) standing for the product
-gamma_{a_1} ... gamma_{a_r}, and c is an exact scalar.  Clifford
-multiplication by a vector has the words (a,), a spin lift or a 2-tensor
-action the words (a, b), and a Killing operator nabla_{e_i} - lam gamma_i
-joins both.  `clifford_rows` is the one builder of such an element: it
-multiplies each word out and accumulates sparse rows {column: coefficient}.
-The coefficients, rational or in the tower Q(i)(sqrt m), are written as
-integer numerators over one common denominator, a phase i**q permutes and
-negates those integers, and each nonzero entry becomes one TowerScalar at
-the end.  The dense matrices over Q(i), including `CliffordRep.gammas`, are
-views derived from those forms.  For odd n the representation is pinned down
-by normalizing the volume element to act as +1 or +i.
+An element of the Clifford algebra is a list of terms (word, c): a word is
+(a,) for gamma_a or (a, b) for gamma_a gamma_b, and c is an exact scalar.
+Clifford multiplication by a vector has the words (a,), a spin lift or a
+2-tensor action the words (a, b), and a Killing operator
+nabla_{e_i} - lam gamma_i joins both.  `clifford_rows` is the one builder of
+such an element.  It first reduces each word to the normal form of the
+basis gamma_I, I increasing: gamma_a gamma_a = -eps_a I, and
+gamma_a gamma_b = -gamma_b gamma_a for a != b.  It then multiplies out each
+normal word once and accumulates sparse rows {column: coefficient}, so the
+two orders of a pair build one product and a symmetric 2-tensor builds none
+off the diagonal.  The coefficients, rational or in the tower Q(i)(sqrt m),
+are written as integer numerators over one common denominator, a phase i**q
+permutes and negates those integers, and each nonzero entry becomes one
+TowerScalar at the end.  The dense matrices over Q(i), including
+`CliffordRep.gammas`, are views derived from those forms.  For odd n the
+representation is pinned down by normalizing the volume element to act as
++1 or +i.
 """
 
 from __future__ import annotations
@@ -180,30 +184,66 @@ def clifford_violations(rep: CliffordRep) -> list[tuple[int, int]]:
 
 
 def clifford_rows(rep: CliffordRep, terms) -> list[dict]:
-    """Sparse rows {column: coefficient} of the sum of c gamma_{a_1} ... gamma_{a_r}
-    over terms ((a_1, ..., a_r), c), each word nonempty and each c an exact scalar.
+    """Sparse rows {column: coefficient} of the sum of c gamma_a or c gamma_a gamma_b
+    over terms ((a,), c) or ((a, b), c), each c an exact scalar.
 
-    The coefficients are written as integer numerators (a, b, c, d) over one
-    common denominator q; i**k c rotates those four integers, so each entry
-    is a sum of integer tuples, and one TowerScalar is built per nonzero
-    entry.  Words are multiplied out for nonzero coefficients only.  A
-    coefficient that is not exact (a float) raises TypeError.
+    A word of any other length raises ValueError, and a coefficient that is
+    not exact (a float) TypeError.  The coefficients are written as integer
+    numerators (a, b, c, d) over one common denominator q, and each word is
+    first brought to normal form with the Clifford relation: (a, a) is the
+    empty word with factor -eps_a, and (a, b) with a > b is (b, a) with its
+    sign flipped.  Both identities hold exactly in every representation
+    `build_gammas` makes, as `clifford_violations` certifies.  The numerators
+    are summed per normal word, and each word whose sum is nonzero is
+    multiplied out once: the empty word is the identity, and row i of
+    gamma_a gamma_b holds i**(qa[i] + qb[pa[i]]) at column pb[pa[i]], for
+    pa, qa = perm[a], phase[a].  i**k rotates the four integers, so each
+    entry is a sum of integer tuples, and one TowerScalar is built per
+    nonzero entry.
     """
     terms = list(terms)
     nums, q, m = common_numerators([c for _, c in terms])
-    gens = _generators(rep)
-    acc = [{} for _ in range(rep.spinor_dim)]
+    signs = rep.signs
+    sums = {}
     for (word, _), num in zip(terms, nums):
+        if len(word) == 2:
+            a, b = word
+            if a > b:
+                word = (b, a)
+                num = (-num[0], -num[1], -num[2], -num[3])
+            elif a == b:
+                word = ()
+                if signs[a] == 1:
+                    num = (-num[0], -num[1], -num[2], -num[3])
+        elif len(word) != 1:
+            raise ValueError("a Clifford word has one or two letters, not %r" % (word,))
+        s = sums.get(word)
+        sums[word] = num if s is None else (s[0] + num[0], s[1] + num[1], s[2] + num[2], s[3] + num[3])
+    perm, phase = rep.perm, rep.phase
+    acc = [{} for _ in range(rep.spinor_dim)]
+    for word, num in sums.items():
         if not any(num):
             continue
-        prod = gens[word[0]]
-        for g in word[1:]:
-            prod = _compose(prod, gens[g])
+        if not word:
+            for i, row in enumerate(acc):
+                y = row.get(i)
+                row[i] = num if y is None else (num[0] + y[0], num[1] + y[1], num[2] + y[2], num[3] + y[3])
+            continue
         rot = _rotations(num)
-        for row, j, k in zip(acc, *prod):
-            x = rot[k]
-            y = row.get(j)
-            row[j] = x if y is None else (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+        a = word[0]
+        if len(word) == 1:
+            for row, j, k in zip(acc, perm[a], phase[a]):
+                x = rot[k]
+                y = row.get(j)
+                row[j] = x if y is None else (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+        else:
+            rot *= 2      # rot[k] = i**k num for k in 0..6
+            pb, qb = perm[word[1]], phase[word[1]]
+            for row, j, k in zip(acc, perm[a], phase[a]):
+                x = rot[k + qb[j]]
+                j = pb[j]
+                y = row.get(j)
+                row[j] = x if y is None else (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
     rows = []
     for row in acc:
         out = {}

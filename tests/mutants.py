@@ -111,6 +111,20 @@ MUTANTS = [
     ("clifford_violations: the anticommutator's permutation check dropped", "clifford.py",
      "if pb[j] != pa[k] or (x + qb[j]", "if (x + qb[j]",
      [CL + "TestViolations::test_single_row_tampering_reported_where_dense_fails"]),
+    ("clifford_rows: the a > b swap without its sign flip", "clifford.py",
+     "word = (b, a)\n                num = (-num[0], -num[1], -num[2], -num[3])\n",
+     "word = (b, a)\n",
+     [CL + "TestMonomialRowsOracle::test_two_tensor_action"]),
+    ("clifford_rows: gamma_a squared read as +eps_a", "clifford.py",
+     "                if signs[a] == 1:\n", "                if signs[a] == -1:\n",
+     [CL + "TestMonomialRowsOracle::test_two_tensor_action"]),
+    ("clifford_rows: the empty-word sum dropped", "clifford.py",
+     "        if not word:\n            for i, row in enumerate(acc):",
+     "        if not word:\n            continue\n            for i, row in enumerate(acc):",
+     [CL + "TestMonomialRowsOracle::test_two_tensor_action"]),
+    ("clifford_rows: the two-letter phase without qb", "clifford.py",
+     "x = rot[k + qb[j]]", "x = rot[k]",
+     [CL + "TestMonomialRowsOracle::test_mixed_words_sum_into_one_normal_word"]),
     ("annihilator_kernel: the length side dropped", "clifford.py",
      "    if len(basis) != n - rank:\n", "    if False:\n",
      [CL + "TestSpinorKernels::test_every_prime_failing_raises"]),

@@ -31,6 +31,7 @@ from reference_linalg import (
     annihilator_dense,
     clifford_failures_dense,
     commutant_dense,
+    dense_product,
     densify,
     matrix_rank,
     nullspace,
@@ -355,16 +356,24 @@ class TestTwoTensorAction:
 
 
 def dense_gamma_sum(rep, terms):
-    """sum c gamma_{a_1} ... gamma_{a_r} over ((a_1, ..., a_r), c), from dense products."""
+    """sum c gamma_{a_1} ... gamma_{a_r} over ((a_1, ..., a_r), c): each word is
+    multiplied out literally, by dense products of `rep.gammas` in order, so no
+    Clifford relation is used."""
     N = rep.spinor_dim
-    out = zeros(N, N)
+    out = [[TS_ZERO] * N for _ in range(N)]
     for word, c in terms:
         prod = identity(N)
         for a in word:
-            prod = mat_mul(prod, rep.gammas[a])
-        term = mat_scale(c, prod)
-        out = tuple(tuple(x + y for x, y in zip(ro, rt)) for ro, rt in zip(out, term))
+            prod = dense_product(prod, rep.gammas[a])
+        for orow, prow in zip(out, prod):
+            for j, x in enumerate(prow):
+                if not x == 0:
+                    orow[j] = orow[j] + c * x
     return out
+
+
+# every signature with n <= 6, as in acceptance criterion 6
+SIGNS_UP_TO_SIX = [signs for n in range(1, 7) for signs in itertools.product((1, -1), repeat=n)]
 
 
 def _stores_no_zero(rows):
@@ -416,15 +425,53 @@ class TestMonomialRowsOracle:
                 assert mat_equal(dense_rows(rows), want)
                 assert mat_equal(dense_rows(rows), spin_lift_basis_form(rep, A))
 
+    def _paired(self, rng, signs, sign):
+        """f with f[j][i] = sign eps_i eps_j f[i][j]: metric-symmetric for sign 1,
+        metric-skew for sign -1."""
+        n = len(signs)
+        f = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            if sign == 1:
+                f[i][i] = self._coeff(rng)
+            for j in range(i + 1, n):
+                f[i][j] = self._coeff(rng)
+                f[j][i] = sign * signs[i] * signs[j] * f[i][j]
+        return f
+
     def test_two_tensor_action(self):
+        # a raised metric-symmetric T, whose words cancel to the diagonal, a
+        # raised metric-skew T, whose two orders of a pair add, and a general T,
+        # on every signature with n <= 6
         rng = random.Random(33)
-        for signs in self.SIGNS:
+        for signs in SIGNS_UP_TO_SIX:
             rep = build_gammas(signs)
             n = len(signs)
-            for _ in range(6):
-                T = [[self._coeff(rng) for _ in range(n)] for _ in range(n)]
+            for T in (raise_endomorphism(signs, self._paired(rng, signs, 1)),
+                      raise_endomorphism(signs, self._paired(rng, signs, -1)),
+                      [[self._coeff(rng) for _ in range(n)] for _ in range(n)]):
                 want = dense_gamma_sum(rep, [((a, b), T[a][b]) for a in range(n) for b in range(n)])
-                assert mat_equal(two_tensor_action(rep, T), want)
+                assert mat_equal(two_tensor_action(rep, T), want), (signs, T)
+
+    def test_mixed_words_sum_into_one_normal_word(self):
+        # (a, b) and (b, a) reduce to one normal word, every (a, a) to the
+        # identity, and a word may repeat; one call holds them all beside (a,)
+        rng = random.Random(34)
+        for signs in SIGNS_UP_TO_SIX:
+            rep = build_gammas(signs)
+            n = len(signs)
+            words = [(a,) for a in range(n)] + [(a, b) for a in range(n) for b in range(n)]
+            terms = [(w, self._coeff(rng)) for w in words + rng.sample(words, min(4, len(words)))]
+            rng.shuffle(terms)
+            rows = clifford_rows(rep, terms)
+            assert _stores_no_zero(rows)
+            assert mat_equal(dense_rows(rows), dense_gamma_sum(rep, terms)), signs
+
+    def test_words_of_other_lengths_raise(self):
+        rep = build_gammas((1, -1, 1))
+        for word in ((), (0, 1, 2), (1, 1, 1)):
+            for c in (F(1), F(0)):
+                with pytest.raises(ValueError, match="one or two letters"):
+                    clifford_rows(rep, [((0,), F(1)), (word, c)])
 
     def test_exact_cancellation_leaves_no_entry(self):
         # gamma_0 gamma_1 + gamma_1 gamma_0 = 0, so with equal coefficients only

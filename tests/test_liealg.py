@@ -755,12 +755,15 @@ class TestExtension:
         assert einstein_check(ext) == F(-3, 2)
         assert check_standard(ext, decomp).is_pseudo_iwasawa
 
-    def test_einstein_extension_with_irrational_scale(self):
-        # heis5: Tr D is not a perfect square, so the scaling lives in the tower
+    def test_einstein_extension_of_heis5_has_a_rational_scale(self):
+        # heis5: sqrt(1/(eps_0 Tr D)) is rational, so the scaled derivation and
+        # every bracket of the extension stay Fractions, as does lambda
         L = LieAlgebra.from_brackets(5, {(0, 1): {4: F(1)}, (2, 3): {4: F(1)}})
         M = MetricLieAlgebra(L, (1, 1, 1, 1, 1))
         ext, decomp, lam = einstein_extension(M)
-        assert isinstance(lam, (F, TowerScalar)) and lam == F(-2)
+        assert type(lam) is F and lam == F(-2)
+        assert ext.algebra.brackets
+        assert all(type(x) is F for *_, x in ext.algebra.brackets)
 
     def test_rational_scaling_keeps_fraction_brackets(self):
         # every catalog shape under every signature: a rational scaling leaves
