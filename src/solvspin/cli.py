@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .exact import TowerScalar, common_numerators, format_rational, parse_rational, to_rational
+from .exact import TowerScalar, common_numerators, format_rational, parse_rational, to_dict
 from .liealg import (
     LieAlgebra,
     MetricLieAlgebra,
@@ -185,7 +185,7 @@ def _coeff_str(coeff, backend: str) -> str:
     if backend == "float":
         # the shortest round-trip digits, positional: `parse_rational` refuses exponents
         return format(Decimal(repr(to_float(coeff))), "f")
-    return format_rational(to_rational(coeff))
+    return format_rational(coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,8 @@ def scalar_json(x, backend: str = "exact"):
     if backend == "float":
         return to_float(x)
     if isinstance(x, TowerScalar) and not x.is_rational:
-        return x.to_dict()
-    return format_rational(to_rational(x))
+        return to_dict(x)
+    return format_rational(x)
 
 
 def matrix_json(mat, backend: str = "exact"):
@@ -327,7 +327,7 @@ def _cmd_killing_halfspace(M, decomp, model, job):
         amended_ok = all(verify_amended_identity(model, rep, s, c.lam) for s in sols)
         out.append({
             "branch": c.branch,
-            "lambda": c.lam.to_dict(),
+            "lambda": to_dict(c.lam),
             "dimension": len(sols),
             "residual_zero": residual_ok,
             "amended_identity": amended_ok,
@@ -506,7 +506,10 @@ def _render_text(report: dict) -> str:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; `parse_args` keeps no state.
 
-    `--backend` has no default here: `main` reads SOLVSPIN_BACKEND on each call.
+    The `lru_cache` holds that one parser, since there is no object to hang
+    a `cached_property` on: building it costs about as much as a small
+    command, and a process that calls `main` many times in-process builds it
+    once.
     """
     parser = argparse.ArgumentParser(
         prog="solvspin",
@@ -516,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("inputs", nargs="+",
                         help="algebra file, directory of .alg files, or inline 'halfspace n=.. r=.. signs=..'")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--backend", choices=("exact", "float"), default=None)
+    parser.add_argument("--backend", choices=("exact", "float"), default="exact")
     parser.add_argument("--eps0", type=int, choices=(1, -1), default=None)
     parser.add_argument("--kmax", type=int, default=1)
     parser.add_argument("--mmax", type=int, default=1)
@@ -531,7 +534,7 @@ def main(argv=None) -> int:
         command=args.command,
         inputs=tuple(args.inputs),
         output_format="json" if args.json else "text",
-        backend=args.backend or os.environ.get("SOLVSPIN_BACKEND", "exact"),
+        backend=args.backend,
         eps0=args.eps0,
         kmax=args.kmax,
         mmax=args.mmax,

@@ -22,11 +22,14 @@ normal word once and accumulates sparse rows {column: coefficient}, so the
 two orders of a pair build one product and a symmetric 2-tensor builds none
 off the diagonal.  The coefficients, rational or in the tower Q(i)(sqrt m),
 are written as integer numerators over one common denominator, a phase i**q
-permutes and negates those integers, and each nonzero entry becomes one
-TowerScalar at the end.  The dense matrices over Q(i), including
-`CliffordRep.gammas`, are views derived from those forms.  For odd n the
+permutes and negates those integers, and each nonzero entry is read back
+once at the end with `exact.from_numerators`: a Fraction when it is
+rational, a TowerScalar otherwise.  The dense matrices over Q(i), including
+`CliffordRep.gammas`, are views derived from those forms; their zeros are
+Fraction(0) and their real units Fraction(+-1).  For odd n the
 representation is pinned down by normalizing the volume element to act as
-+1 or +i.
++1 or +i.  The generators of the all-plus signature are built once per n,
+by the one `lru_cache` on `_definite_generators`.
 """
 
 from __future__ import annotations
@@ -36,13 +39,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
-from .exact import TS_I, TS_ONE, TS_ZERO, _rotations, common_numerators, from_numerators
+from .exact import TS_I, _rotations, common_numerators, from_numerators
 from .linalg import MAX_UNKNOWNS, mat_from_rows, rank_mod_p, sparse_nullspace
 
 F0 = Fraction(0)
 QUARTER = Fraction(1, 4)
 
-_UNITS = (TS_ONE, TS_I, -TS_ONE, -TS_I)   # i**k for k in Z/4
+_UNITS = (Fraction(1), TS_I, Fraction(-1), -TS_I)   # i**k for k in Z/4
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,18 @@ _X = ((1, 0), (0, 0))   # [[0, 1], [1, 0]]
 
 @lru_cache(maxsize=None)
 def _definite_generators(n: int) -> tuple:
-    """Generators squaring to -I for the all-plus signature, even n (cached)."""
+    """Generators squaring to -I for the all-plus signature (cached per n).
+
+    n = 1 is the 1 x 1 matrix i; an odd n > 1 adds to the set for n - 1 a
+    normalized product of all of them; an even n doubles from n = 2.
+    """
+    if n == 1:
+        return (((0,), (1,)),)
+    if n % 2:
+        gens = _definite_generators(n - 1)
+        prod = reduce(_compose, gens)
+        square = _scalar_phase(_compose(prod, prod))
+        return gens + (_times_i(prod, 0 if square == 2 else 1),)
     gens = [_J, ((1, 0), (1, 1))]
     size = 2
     while len(gens) < n:
@@ -109,15 +123,6 @@ def _definite_generators(n: int) -> tuple:
         gens = [_kron(_Z, g) for g in gens] + [_kron(_X, _times_i(eye, 1)), _kron(_J, eye)]
         size *= 2
     return tuple(gens)
-
-
-@lru_cache(maxsize=None)
-def _odd_definite_generators(n: int) -> tuple:
-    """Odd n: the even set plus a normalized product of all of them (cached)."""
-    gens = _definite_generators(n - 1)
-    prod = reduce(_compose, gens)
-    square = _scalar_phase(_compose(prod, prod))
-    return gens + (_times_i(prod, 0 if square == 2 else 1),)
 
 
 def build_gammas(signs: Sequence[int]) -> CliffordRep:
@@ -131,12 +136,7 @@ def build_gammas(signs: Sequence[int]) -> CliffordRep:
     if 2 ** (n // 2) > MAX_UNKNOWNS:
         raise ValueError("n = %d gives spinors of dimension 2^%d, more than the limit of %d"
                          % (n, n // 2, MAX_UNKNOWNS))
-    if n == 1:
-        gens = (((0,), (1,)),)
-    elif n % 2 == 0:
-        gens = _definite_generators(n)
-    else:
-        gens = _odd_definite_generators(n)
+    gens = _definite_generators(n)
     # sign fix: gamma_a -> i gamma_a wherever eps_a = -1
     gammas = [_times_i(g, 1) if s == -1 else g for g, s in zip(gens, signs)]
     volume_power = None
@@ -198,8 +198,8 @@ def clifford_rows(rep: CliffordRep, terms) -> list[dict]:
     multiplied out once: the empty word is the identity, and row i of
     gamma_a gamma_b holds i**(qa[i] + qb[pa[i]]) at column pb[pa[i]], for
     pa, qa = perm[a], phase[a].  i**k rotates the four integers, so each
-    entry is a sum of integer tuples, and one TowerScalar is built per
-    nonzero entry.
+    entry is a sum of integer tuples, and one scalar is read back per nonzero
+    entry (`from_numerators`: a Fraction when it is rational).
     """
     terms = list(terms)
     nums, q, m = common_numerators([c for _, c in terms])
@@ -260,7 +260,7 @@ def dense_rows(rows: Sequence[dict]) -> tuple:
     N = len(rows)
     out = []
     for row in rows:
-        dense = [TS_ZERO] * N
+        dense = [F0] * N
         for j, x in row.items():
             dense[j] = x
         out.append(tuple(dense))

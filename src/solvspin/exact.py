@@ -11,6 +11,16 @@ m is None when c = d = 0.  That form is canonical, so equality and hashing
 compare the tuple, and arithmetic is integer arithmetic with one gcd per
 result; the coefficients read back as Fractions.
 
+A rational value has one representation: a value the package builds from
+parts (read back by `from_numerators` or `scaled`, a root from
+`sqrt_to_tower`, a constant) is a Fraction when it is rational, and a
+TowerScalar only when it is not.  The operators stay closed, so tower
+arithmetic returns a TowerScalar, a rational one included, as do the
+constructor and `TowerScalar.rational` for callers that ask for one.  Every
+entry reads its scalar arguments through one exact check (a float raises
+TypeError), a radicand must be a squarefree int > 1 (ValueError), and
+`to_dict` is the one JSON form of any exact scalar.
+
 Every value is exact and every equality is exact.  The CLI's float backend
 computes with these scalars too, and rounds to doubles only when it prints.
 """
@@ -40,8 +50,8 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+def format_rational(x: RationalLike) -> str:
+    return str(to_rational(x))
 
 
 def _square_part(n: int) -> tuple[int, int]:
@@ -62,8 +72,9 @@ def _square_part(n: int) -> tuple[int, int]:
     return s, f * m
 
 
-def split_square(m: Fraction) -> tuple[Fraction, int]:
+def split_square(m: RationalLike) -> tuple[Fraction, int]:
     """Write m > 0 as s**2 * f with rational s > 0 and squarefree integer f."""
+    m = to_rational(m)
     if m <= 0:
         raise ValueError("split_square needs a positive rational")
     s_int, f = _square_part(m.numerator * m.denominator)
@@ -79,15 +90,14 @@ class TowerScalar:
     __slots__ = ("_t",)
 
     def __init__(self, a=0, b=0, c=0, d=0, radicand=None):
-        parts = [x if type(x) is Fraction else Fraction(x) for x in (a, b, c, d)]
+        parts = [to_rational(x) for x in (a, b, c, d)]
+        if radicand is not None and (type(radicand) is not int or radicand <= 1
+                                     or _square_part(radicand)[0] != 1):
+            raise ValueError("radicand must be a squarefree integer > 1, not %r" % (radicand,))
         if not (parts[2] or parts[3]):
             radicand = None
         elif radicand is None:
             raise ValueError("w-component present but no radicand given")
-        else:
-            radicand = int(radicand)
-            if radicand <= 1:
-                raise ValueError("radicand must be a squarefree integer > 1")
         # the lcm of the reduced denominators leaves gcd(a, b, c, d, q) = 1
         q = math.lcm(*(x.denominator for x in parts))
         _set(self, (*(x.numerator * (q // x.denominator) for x in parts), q, radicand))
@@ -96,17 +106,14 @@ class TowerScalar:
         raise AttributeError("TowerScalar is immutable")
 
     def __reduce__(self):
-        return (from_numerators, self._t)
+        # the read-back that keeps the type: a rational TowerScalar stays one
+        return (_reduced, self._t)
 
     @classmethod
     def rational(cls, x: RationalLike) -> "TowerScalar":
-        x = Fraction(x)
+        """x as a rational TowerScalar, for callers outside the package."""
+        x = to_rational(x)
         return _make((x.numerator, 0, 0, 0, x.denominator, None))
-
-    @classmethod
-    def imaginary(cls, x: RationalLike = 1) -> "TowerScalar":
-        x = Fraction(x)
-        return _make((0, x.numerator, 0, 0, x.denominator, None))
 
     # ---- components ----------------------------------------------------
 
@@ -169,7 +176,7 @@ class TowerScalar:
             n = a * a + b * b
             if not n:
                 raise ZeroDivisionError("division by zero")
-            return from_numerators(q * a, -q * b, 0, 0, n, None)
+            return _reduced(q * a, -q * b, 0, 0, n, None)
         # conjugate over w: (u - v w); norm = u^2 - m v^2 in Q(i)
         na = a * a - b * b - m * (c * c - d * d)
         nb = 2 * (a * b - m * c * d)
@@ -177,8 +184,8 @@ class TowerScalar:
         if not nn:
             raise ZeroDivisionError("norm form is zero; element not invertible")
         # 1/z = q conj_w(z) conj_i(norm) / |norm|^2
-        return from_numerators(q * (a * na + b * nb), q * (b * na - a * nb),
-                               -q * (c * na + d * nb), q * (c * nb - d * na), nn, m)
+        return _reduced(q * (a * na + b * nb), q * (b * na - a * nb),
+                        -q * (c * na + d * nb), q * (c * nb - d * na), nn, m)
 
     def __truediv__(self, other):
         o = _tuple(other)
@@ -229,15 +236,6 @@ class TowerScalar:
                 parts.append(txt + ("*" + unit if unit else "") if unit else txt)
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_dict(self) -> dict:
-        return {
-            "a": format_rational(self.a),
-            "b": format_rational(self.b),
-            "c": format_rational(self.c),
-            "d": format_rational(self.d),
-            "radicand": self.radicand,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "TowerScalar":
         return cls(
@@ -260,23 +258,32 @@ def _make(t: tuple) -> TowerScalar:
     return x
 
 
-def from_numerators(a: int, b: int, c: int, d: int, q: int, m) -> TowerScalar:
-    """The scalar (a + b*i + c*w + d*i*w) / q for integers with q > 0 and w**2 = m,
-    reduced to the stored form."""
+def _reduced(a: int, b: int, c: int, d: int, q: int, m) -> TowerScalar:
+    """The TowerScalar (a + b*i + c*w + d*i*w) / q for integers with q > 0 and
+    w**2 = m, reduced to the stored form; the operators' read-back, which keeps
+    a rational result a TowerScalar."""
     g = math.gcd(a, b, c, d, q)
     if g != 1:
         a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
     return _make((a, b, c, d, q, m if (c or d) else None))
 
 
+def from_numerators(a: int, b: int, c: int, d: int, q: int, m):
+    """The scalar (a + b*i + c*w + d*i*w) / q for integers with q > 0 and w**2 = m:
+    the Fraction a / q when b = c = d = 0, else the reduced TowerScalar."""
+    if not (b or c or d):
+        return Fraction(a, q)
+    return _reduced(a, b, c, d, q, m)
+
+
 def _tuple(x):
     """The stored tuple of x as a tower element, or None for other types."""
     if type(x) is TowerScalar:
         return x._t
-    if isinstance(x, int):
-        return (int(x), 0, 0, 0, 1, None)
     if isinstance(x, Fraction):
         return (x.numerator, 0, 0, 0, x.denominator, None)
+    if isinstance(x, int):
+        return (int(x), 0, 0, 0, 1, None)
     return None
 
 
@@ -296,9 +303,9 @@ def _sum(s: tuple, o: tuple) -> TowerScalar:
         if q1 == 1:
             c, d = c1 + c2, d1 + d2
             return _make((a1 + a2, b1 + b2, c, d, 1, m if (c or d) else None))
-        return from_numerators(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1, m)
-    return from_numerators(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1,
-                           d1 * q2 + d2 * q1, q1 * q2, m)
+        return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1, m)
+    return _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1,
+                    d1 * q2 + d2 * q1, q1 * q2, m)
 
 
 def _product(s: tuple, o: tuple) -> TowerScalar:
@@ -308,43 +315,40 @@ def _product(s: tuple, o: tuple) -> TowerScalar:
     if m1 is None and m2 is None:
         # pure Q(i); over Z[i], the common case, there is nothing to reduce
         a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-        return _make((a, b, 0, 0, 1, None)) if q == 1 else from_numerators(a, b, 0, 0, q, None)
+        return _make((a, b, 0, 0, 1, None)) if q == 1 else _reduced(a, b, 0, 0, q, None)
     m = _common_radicand(m1, m2)
     # (u1 + v1 w)(u2 + v2 w) = (u1 u2 + m v1 v2) + (u1 v2 + v1 u2) w over Q(i)
-    return from_numerators(a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2),
-                           a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
-                           a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
-                           a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q, m)
+    return _reduced(a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2),
+                    a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
+                    a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+                    a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q, m)
 
 
-TS_ZERO = TowerScalar.rational(0)
-TS_ONE = TowerScalar.rational(1)
-TS_I = TowerScalar.imaginary(1)
+TS_I = from_numerators(0, 1, 0, 0, 1, None)
 
 
-def sqrt_to_tower(m: RationalLike) -> TowerScalar:
-    """Exact square root of a rational, realized in the tower.
+def sqrt_to_tower(m: RationalLike):
+    """Exact square root of a rational: a Fraction when it is rational, 0
+    included, else a TowerScalar.
 
-    m > 0 gives s*w (or a plain rational when m is a perfect square);
-    m < 0 gives i times the root of -m; m = 0 gives 0.  Radicands are
+    m > 0 gives s*w (or the Fraction s when m is a perfect square); m < 0
+    gives i times the root of -m; m = 0 gives Fraction(0).  Radicands are
     canonicalized to squarefree integers, so equal values compare equal.
     """
-    m = Fraction(m)
-    if m == 0:
-        return TS_ZERO
+    m = to_rational(m)
+    if not m:
+        return m
     s, f = split_square(abs(m))
-    if m > 0:
-        if f == 1:
-            return TowerScalar.rational(s)
-        return TowerScalar(0, 0, s, 0, f)
-    if f == 1:
-        return TowerScalar.imaginary(s)
-    return TowerScalar(0, 0, 0, s, f)
+    parts = [0, 0, 0, 0]
+    parts[(m < 0) + 2 * (f > 1)] = s.numerator    # the slot of 1, i, w or i*w
+    return from_numerators(*parts, s.denominator, f if f > 1 else None)
 
 
-def to_tower(x) -> TowerScalar:
-    """x as a TowerScalar; ints and Fractions become rational tower elements."""
-    return x if isinstance(x, TowerScalar) else TowerScalar.rational(x)
+def to_dict(x) -> dict:
+    """The JSON form of an exact scalar: its parts a, b, c, d as p/q strings and
+    its radicand (None when it has no w-part)."""
+    *parts, q, m = _exact_tuple(x)
+    return {**{k: str(Fraction(v, q)) for k, v in zip("abcd", parts)}, "radicand": m}
 
 
 def _exact_tuple(x) -> tuple:
@@ -378,7 +382,10 @@ def common_numerators(scalars) -> tuple:
     float included, raises TypeError, and two radicands raise
     IncompatibleExtensionError.  `from_numerators` reads a sum back.
     """
-    parts = [x._t if type(x) is TowerScalar else _exact_tuple(x) for x in scalars]
+    # the two common types are read inline, the rest through the one check
+    parts = [x._t if type(x) is TowerScalar else
+             (x.numerator, 0, 0, 0, x.denominator, None) if type(x) is Fraction else _exact_tuple(x)
+             for x in scalars]
     q = math.lcm(*(t[4] for t in parts))
     m = None
     for t in parts:
@@ -394,3 +401,28 @@ def _rotations(x: tuple) -> tuple:
     """The numerators (a, b, c, d) of x times i**q, for q = 0, 1, 2, 3."""
     a, b, c, d = x
     return (x, (-b, a, -d, c), (-a, -b, -c, -d), (b, -a, d, -c))
+
+
+def _mul(x: tuple, y: tuple, m: int) -> tuple:
+    """The numerators of the product of two tower numerators, w**2 = m (0 for none)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2), a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
+            a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2, a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+
+
+def scaled(xs, c) -> list:
+    """[x * c for x in xs] for exact scalars, each product read back with
+    `from_numerators`, so a rational one is a Fraction whatever the types of
+    its factors: the one normalizing product, for the kernel rows a solver
+    returns (`linalg.normalize_vector`).  A float raises TypeError."""
+    a2, b2, c2, d2, q2, m2 = _exact_tuple(c)
+    out = []
+    for x in xs:
+        a1, b1, c1, d1, q1, m1 = x._t if type(x) is TowerScalar else _exact_tuple(x)
+        if m1 is None and m2 is None:     # Q(i), the common case
+            out.append(from_numerators(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0, q1 * q2, None))
+        else:
+            m = _common_radicand(m1, m2)
+            out.append(from_numerators(*_mul((a1, b1, c1, d1), (a2, b2, c2, d2), m), q1 * q2, m))
+    return out

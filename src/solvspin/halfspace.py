@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .exact import _common_radicand, _rotations, common_numerators, from_numerators, parse_rational, to_tower
+from .exact import _common_radicand, _mul, _rotations, common_numerators, from_numerators, parse_rational, to_dict
 from .clifford import CliffordRep, _check_length, build_gammas
 from .killing import check_signature, killing_operator_rows
 from .liealg import LieAlgebra, MetricLieAlgebra, StandardDecomposition, extend_by_derivation
@@ -52,7 +52,10 @@ class HalfSpaceModel:
     (n, signs, r) are equal.  `_branches` maps each (rep, lam) that has been
     asked for to its branch, the one value `_branch` builds.  The model is
     frozen, so its branches, like the connection its `algebra` holds, cannot
-    go stale; they live as long as the model.
+    go stale; they live as long as the model.  The memo is a dict field, not
+    a `cached_property` or an `lru_cache`: a cached property takes no
+    argument such as (rep, lam), and an `lru_cache` on a method would hold
+    every model it has seen alive.
     """
 
     n: int
@@ -199,7 +202,7 @@ class CoordSpinorField:
             entries = {}
             for (k, m), coeff in comp.sorted_terms():
                 key = "t^%d/2" % k + "".join(";x%d^%d" % (i + 1, e) for i, e in enumerate(m) if e)
-                entries[key] = to_tower(coeff).to_dict()
+                entries[key] = to_dict(coeff)
             out["u_%d" % h] = entries
         return out
 
@@ -210,14 +213,6 @@ def _numerators(comps) -> tuple:
     nums, q, m = common_numerators([c for comp in comps for c in comp.terms.values()])
     nums = iter(nums)
     return [{mono: next(nums) for mono in comp.terms} for comp in comps], q, m
-
-
-def _mul(x: tuple, y: tuple, m: int) -> tuple:
-    """The numerators of the product of two tower numerators, w**2 = m (0 for none)."""
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2), a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
-            a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2, a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
 
 
 def _add_into(acc: dict, key, x: tuple) -> None:
@@ -258,10 +253,11 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
     denominator q = 2p q_A q_psi: psi's terms over q_psi, the rows over
     2p q_A, transposed once per branch so that the loops run over psi's
     stored terms and, for each, over the entries of its column only.  Each
-    nonzero coefficient is read back once as a TowerScalar.  It never reads
-    the solver's construction, so it certifies it.  A psi without spinor_dim
-    components raises ValueError, and a psi whose radicand differs from the
-    rows' raises IncompatibleExtensionError.
+    nonzero coefficient is read back once (`from_numerators`: a Fraction when
+    it is rational).  It never reads the solver's construction, so it
+    certifies it.  A psi without spinor_dim components raises ValueError, and
+    a psi whose radicand differs from the rows' raises
+    IncompatibleExtensionError.
     """
     comps = psi.components
     _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
@@ -335,7 +331,7 @@ def solve_killing_halfspace(
             break
         comps = [{} for _ in range(N)]
         for (_, mono, h), x in normalize_vector(vec).items():
-            comps[h][mono] = to_tower(x)
+            comps[h][mono] = x
         fields.append(CoordSpinorField(tuple(CoordFunction(terms) for terms in comps)))
     return fields
 

@@ -9,9 +9,12 @@ A metric that passes everything is the hyperbolic half-space H^eps_r with
 r = 1/(2|lambda|); the solver, in contrast, handles only invariant spinors,
 whose equation is a finite linear system on the fiber.
 
-The solver and the classifier read the Levi-Civita connection and the Ricci
-data the metric algebra caches (`MetricLieAlgebra.connection` and
-`.ricci_data`), so a second solve of the same algebra derives neither again.
+The solver and the classifier read the Levi-Civita connection, the Ricci
+data and the Killing constants the metric algebra caches
+(`MetricLieAlgebra.connection`, `.ricci_data` and `.lambda_candidates`), so a
+second solve of the same algebra derives none of them again.  A rational
+lambda is a Fraction, as every rational value the package builds is, and the
+zeros of a solution spinor are Fraction(0).
 One solve computes the Ricci filter, which depends on lambda^2 only, once.
 Each per-direction operator nabla_{e_i} - lambda gamma_i is one Clifford
 element, the spin-lift terms of that direction's nonzero Gamma entries plus
@@ -30,10 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import TS_ZERO, TowerScalar, format_rational, sqrt_to_tower, to_rational, to_tower
+from .exact import format_rational, to_dict, to_rational
 from .clifford import CliffordRep, clifford_rows, dense_rows, gamma_of_vector_rows, skew_lift_terms
-from .liealg import MetricLieAlgebra, StandardDecomposition, check_standard, restrict, trace
+from .liealg import LambdaCandidate, MetricLieAlgebra, StandardDecomposition, check_standard, restrict, trace
 from .linalg import (
+    F0,
     identity,
     mat_equal,
     mat_mul,
@@ -43,34 +47,14 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class LambdaCandidate:
-    """One branch of lambda = +-sqrt(s / (4 n (n-1)))."""
-
-    lam: TowerScalar
-    lam_squared: Fraction
-    branch: int  # +1 or -1
-
-
 def lambda_candidates(M: MetricLieAlgebra) -> list[LambdaCandidate]:
-    """Possible Killing constants from the scalar curvature identity; the one
-    place lambda^2 is formed.
+    """Possible Killing constants from the scalar curvature identity
+    s = 4 n (n-1) lambda^2, branch +1 then -1: the candidates the metric
+    algebra derives once and keeps (`MetricLieAlgebra.lambda_candidates`).
 
-    s = 4 n (n-1) lambda^2 forces lambda^2; the degenerate lambda = 0 case
-    (parallel spinors) is excluded, so s = 0 yields no candidates.
+    s = 0 yields no candidates, and a dimension below 2 raises ValueError.
     """
-    n = M.dim
-    if n < 2:
-        raise ValueError("need dimension >= 2")
-    s = to_rational(M.ricci_data.scalar)
-    if s == 0:
-        return []
-    lam_sq = s / (4 * n * (n - 1))
-    root = sqrt_to_tower(lam_sq)
-    return [
-        LambdaCandidate(root, lam_sq, 1),
-        LambdaCandidate(-root, lam_sq, -1),
-    ]
+    return list(M.lambda_candidates)
 
 
 def check_signature(M, rep: CliffordRep) -> None:
@@ -134,11 +118,11 @@ class KillingReport:
             "candidates": [
                 {
                     "branch": c.candidate.branch,
-                    "lambda": c.candidate.lam.to_dict(),
+                    "lambda": to_dict(c.candidate.lam),
                     "lambda_squared": format_rational(c.candidate.lam_squared),
                     "kernel_dimension": len(c.kernel_basis),
                     "ricci_filter_dimension": c.ricci_filter_dimension,
-                    "basis": [[x.to_dict() for x in psi] for psi in c.kernel_basis],
+                    "basis": [[to_dict(x) for x in psi] for psi in c.kernel_basis],
                 }
                 for c in self.candidates
             ],
@@ -170,11 +154,11 @@ def solve_invariant_killing(M: MetricLieAlgebra, rep: CliffordRep) -> KillingRep
                 break
         basis = []
         for v in kernel:
-            psi = [TS_ZERO] * N
+            psi = [F0] * N
             for j, x in normalize_vector(v).items():
-                psi[j] = to_tower(x)
+                psi[j] = x
             for row in eqs:
-                if not sum((c * psi[j] for j, c in row.items()), TS_ZERO) == 0:
+                if not sum((c * psi[j] for j, c in row.items()), F0) == 0:
                     raise RuntimeError("solver returned a non-solution spinor")
             basis.append(tuple(psi))
         results.append(CandidateResult(cand, tuple(basis), filter_dim))

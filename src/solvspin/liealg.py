@@ -26,10 +26,13 @@ and per nonzero Ricci entry.  Otherwise (TowerScalar or mixed entries) the
 same loop reads the scalars themselves over the denominator 1.  `curvature`
 has no solver caller and stays on values.
 
-The numerators, the connection and the Ricci data are properties of the
-metric algebra: `MetricLieAlgebra._koszul`, `.connection` and `.ricci_data`
-compute them on first use and keep them, and every other caller reads those.
-Zeros in the dense views and results are Fraction(0).  The standard
+The numerators, the connection, the Ricci data and the Killing constants are
+properties of the metric algebra: `MetricLieAlgebra._koszul`, `.connection`,
+`.ricci_data` and `.lambda_candidates` compute them on first use and keep
+them, and every other caller reads those.  The Killing constants
+lambda = +-sqrt(s / (4 n (n-1))) come from the cached scalar curvature s, so
+lambda is derived once per algebra, a Fraction when it is rational.  Zeros in
+the dense views and results are Fraction(0).  The standard
 decompositions read the entries too: phi_alpha and the mixed Ricci block come
 straight from them.
 """
@@ -187,13 +190,22 @@ def lower_central_series(L: LieAlgebra) -> tuple[list[int], bool]:
 
 
 @dataclass(frozen=True)
+class LambdaCandidate:
+    """One branch of lambda = +-sqrt(s / (4 n (n-1)))."""
+
+    lam: object            # a Fraction when rational, else a TowerScalar
+    lam_squared: Fraction
+    branch: int            # +1 or -1
+
+
+@dataclass(frozen=True)
 class MetricLieAlgebra:
     """Lie algebra plus a diagonal +-1 metric in the fixed frame.
 
-    Its Levi-Civita `connection` and `ricci_data`, and the checked Koszul
-    numerators `_koszul` both are read from, are computed on first use and
-    kept, as `LieAlgebra.structure` is; the value is frozen, so they cannot go
-    stale.
+    Its Levi-Civita `connection` and `ricci_data`, the checked Koszul
+    numerators `_koszul` both are read from, and the `lambda_candidates` read
+    from the Ricci data are computed on first use and kept, as
+    `LieAlgebra.structure` is; the value is frozen, so they cannot go stale.
     """
 
     algebra: LieAlgebra
@@ -220,6 +232,29 @@ class MetricLieAlgebra:
     @cached_property
     def ricci_data(self) -> RicciData:
         return ricci(self)
+
+    @cached_property
+    def lambda_candidates(self) -> tuple:
+        return killing_constants(self)
+
+
+def killing_constants(M: MetricLieAlgebra) -> tuple:
+    """The two LambdaCandidates, branch +1 then -1, from the scalar curvature
+    identity s = 4 n (n-1) lambda^2; the one place lambda^2 and lambda are
+    formed.
+
+    The degenerate lambda = 0 case (parallel spinors) is excluded, so s = 0
+    yields no candidates; a dimension below 2 raises ValueError.
+    """
+    n = M.dim
+    if n < 2:
+        raise ValueError("need dimension >= 2")
+    s = to_rational(M.ricci_data.scalar)
+    if s == 0:
+        return ()
+    lam_sq = s / (4 * n * (n - 1))
+    root = sqrt_to_tower(lam_sq)
+    return LambdaCandidate(root, lam_sq, 1), LambdaCandidate(-root, lam_sq, -1)
 
 
 def metric_transpose(f, signs) -> tuple:
@@ -754,8 +789,9 @@ def einstein_extension(M: MetricLieAlgebra, eps0: Optional[int] = None):
     Solves the nilsoliton equation, rescales the derivation so the extended
     metric is Einstein (requires Tr D != 0), and checks the result with
     einstein_check before returning (extension, decomposition, lam).  The
-    scaling is sqrt(1/(eps0 Tr D)): a Fraction when that root is rational, so
-    the extension keeps Fraction brackets, and a TowerScalar otherwise.
+    scaling is sqrt(1/(eps0 Tr D)), which `sqrt_to_tower` returns as a
+    Fraction when it is rational, so the extension keeps Fraction brackets,
+    and as a TowerScalar otherwise.
     """
     res = nilsoliton_solve(M)
     if res is None:
@@ -770,10 +806,7 @@ def einstein_extension(M: MetricLieAlgebra, eps0: Optional[int] = None):
         eps0 = sign_tr
     elif eps0 != sign_tr:
         raise ValueError("eps0 must match the sign of Tr D for a real scaling")
-    c = sqrt_to_tower(1 / (eps0 * tr))
-    if c.is_rational:
-        c = to_rational(c)
-    phi0 = mat_scale(c, D)
+    phi0 = mat_scale(sqrt_to_tower(1 / (eps0 * tr)), D)
     ext, decomp = extend_by_derivation(M, phi0, eps0)
     lam = einstein_check(ext)
     if lam is None:

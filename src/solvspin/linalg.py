@@ -1,7 +1,9 @@
 """Exact linear algebra over duck-typed field scalars.
 
 Everything here works for Fraction and TowerScalar entries alike: the only
-requirements are +, -, *, / and an exact `== 0` test.  Dense matrices are
+requirements are +, -, *, / and an exact `== 0` test, except that
+`normalize_vector` reads its products back through `exact`, so that a
+rational entry of a returned basis is a Fraction.  Dense matrices are
 sequences of rows; functions return tuples of tuples so results stay hashable
 and immutable.
 
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from .exact import scaled
 
 # the most unknowns one system may have: a half-space window, or a spinor space
 # of dimension 2^(n//2); past it the system is refused before anything is built
@@ -246,9 +250,16 @@ def _pin(eq: dict) -> int:
 
 
 def normalize_vector(row: dict) -> dict:
-    """A kernel row scaled so its entry at the lowest column is 1 (deterministic bases).
+    """A kernel row of exact scalars scaled so its entry at the lowest column is
+    1 (deterministic bases).
 
-    The lead is inverted once; the result lists the columns in increasing order.
+    The lead becomes the constant 1, and every other entry is multiplied by
+    the lead's inverse with `exact.scaled`, which reads each product back from
+    integer numerators: the row a solver returns holds a rational entry as a
+    Fraction, whichever type the elimination left it in.  The result lists the
+    columns in increasing order.
     """
-    inv = 1 / row[min(row)]
-    return {c: row[c] * inv for c in sorted(row)}
+    lead, *rest = sorted(row)
+    out = {lead: F1}
+    out.update(zip(rest, scaled([row[c] for c in rest], 1 / row[lead])))
+    return out

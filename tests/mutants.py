@@ -29,6 +29,8 @@ CL = "tests/test_clifford.py::"
 KI = "tests/test_killing.py::"
 LA = "tests/test_linalg.py::"
 LI = "tests/test_liealg.py::"
+EX = "tests/test_exact.py::"
+RR = "tests/test_rational_rule.py::"
 
 MUTANTS = [
     ("window: the outside-pivot test dropped", "halfspace.py",
@@ -61,8 +63,8 @@ MUTANTS = [
     ("derivative: the x-factor without its 2", "halfspace.py",
      "f = 2 * e * step", "f = e * step",
      [HS + "TestModel::test_one_levi_civita_per_model"]),
-    ("residual: the product without its w-part", "halfspace.py",
-     "a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2)", "a1 * a2 - b1 * b2",
+    ("residual: the product without its w-part", "exact.py",
+     "return (a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2), a1 * b2", "return (a1 * a2 - b1 * b2, a1 * b2",
      [HS + "TestIntegerCertificates::test_a_root_of_two_takes_the_w_part"]),
     ("residual: psi's radicand ignored", "halfspace.py",
      "    m = _common_radicand(m, m_psi)\n", "",
@@ -132,6 +134,33 @@ MUTANTS = [
      "    if any(sum(x * v[c] for c, x in eq.items() if c in v) != 0 for v in basis for eq in eqs):\n",
      "    if False:\n",
      [CL + "TestSpinorKernels::test_basis_failing_the_equations_raises"]),
+    ("from_numerators: a rational value read back as a TowerScalar", "exact.py",
+     "    if not (b or c or d):\n        return Fraction(a, q)\n    return _reduced(a, b, c, d, q, m)\n",
+     "    return _reduced(a, b, c, d, q, m)\n",
+     [EX + "test_from_numerators_reads_a_rational_back_as_a_fraction"]),
+    ("sqrt_to_tower: a rational root returned as a TowerScalar", "exact.py",
+     "    return from_numerators(*parts, s.denominator, f if f > 1 else None)\n",
+     "    return _reduced(*parts, s.denominator, f if f > 1 else None)\n",
+     [EX + "test_sqrt_perfect_square_simplifies"]),
+    ("TowerScalar.__reduce__: the pickled form read back by the normalizing from_numerators", "exact.py",
+     "        return (_reduced, self._t)\n", "        return (from_numerators, self._t)\n",
+     [HS + "test_values_and_results_survive_copy_and_pickle"]),
+    ("radicand: the squarefree check dropped", "exact.py",
+     "radicand <= 1\n                                     or _square_part(radicand)[0] != 1):",
+     "radicand <= 1):",
+     [EX + "test_radicands_must_be_squarefree_ints_above_one"]),
+    ("TowerScalar: a float part accepted", "exact.py",
+     "        parts = [to_rational(x) for x in (a, b, c, d)]\n",
+     "        parts = [Fraction(x) for x in (a, b, c, d)]\n",
+     [EX + "test_floats_are_refused_at_every_entry"]),
+    ("normalize_vector: products left in the type the elimination gave them", "linalg.py",
+     "    out.update(zip(rest, scaled([row[c] for c in rest], 1 / row[lead])))\n",
+     "    out.update((c, row[c] / row[lead]) for c in rest)\n",
+     [RR + "test_halfspace_solutions_and_residual_fields"]),
+    ("lambda_candidates: derived again on every call", "killing.py",
+     "    return list(M.lambda_candidates)\n",
+     "    from .liealg import killing_constants\n    return list(killing_constants(M))\n",
+     [KI + "TestLambdaCandidates::test_derived_once_per_algebra"]),
     ("levi_civita: the metric check dropped", "liealg.py",
      "        if not (v * eps[k] + g.get((i, k, j), 0) * eps[j]) == 0:\n", "        if False:\n",
      [LI + "TestLeviCivita::test_check_rejects_metric_defect"]),

@@ -8,7 +8,6 @@ from fractions import Fraction
 from itertools import product
 
 from solvspin.clifford import _check_length, gamma_rows
-from solvspin.exact import to_tower
 from solvspin.halfspace import CoordFunction, CoordSpinorField
 from solvspin.killing import check_signature, killing_operator_rows
 from solvspin.linalg import add_scaled, normalize_vector, sparse_nullspace
@@ -102,7 +101,7 @@ def window_solutions(model, rep, lam, kmax, mmax):
         comps = [{} for _ in range(N)]
         for col, x in normalize_vector(vec).items():
             q, h = divmod(col, N)
-            comps[h][monos[q]] = to_tower(x)
+            comps[h][monos[q]] = x
         fields.append(CoordSpinorField(tuple(CoordFunction(terms) for terms in comps)))
     return fields
 

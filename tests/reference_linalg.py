@@ -15,8 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from solvspin.clifford import CommutantKernel
-from solvspin.exact import TS_ZERO, to_tower
+from solvspin.exact import common_numerators
 from solvspin.linalg import mat_from_rows, rref
+
+F0 = Fraction(0)
 
 
 def matrix_rank(mat) -> int:
@@ -72,15 +74,18 @@ def solve_linear(A, b):
     return tuple(x)
 
 
+def rational_parts(x) -> tuple:
+    """The Fractions (a, b, c, d) of an exact scalar a + b i + c w + d i w."""
+    [parts], q, _ = common_numerators([x])
+    return tuple(Fraction(v, q) for v in parts)
+
+
 def real_component_rows(row) -> list[list[Fraction]]:
     """Split one Q(i)(w)-linear equation in rational unknowns into rational rows."""
     comps = [[], [], [], []]
     for x in row:
-        x = to_tower(x)
-        comps[0].append(x.a)
-        comps[1].append(x.b)
-        comps[2].append(x.c)
-        comps[3].append(x.d)
+        for comp, v in zip(comps, rational_parts(x)):
+            comp.append(v)
     return [c for c in comps if any(v != 0 for v in c)]
 
 
@@ -92,7 +97,7 @@ def _unit(n: int, a: int) -> list:
 
 def _gamma_images(rep, psi) -> list[list]:
     """The images e_a . psi = gamma_a psi, summed over the dense `rep.gammas`."""
-    return [[sum((x * y for x, y in zip(row, psi) if not x == 0), TS_ZERO) for row in g]
+    return [[sum((x * y for x, y in zip(row, psi) if not x == 0), F0) for row in g]
             for g in rep.gammas]
 
 
@@ -113,7 +118,7 @@ def dense_product(A, B) -> list[list]:
     entries of A and B."""
     out = []
     for row in A:
-        acc = [TS_ZERO] * len(B[0])
+        acc = [F0] * len(B[0])
         for k, x in enumerate(row):
             if x == 0:
                 continue
@@ -152,7 +157,7 @@ def commutant_dense(rep, psi) -> CommutantKernel:
         for h in range(N):
             row_c = []
             for (i, j) in pairs:
-                coeff = TS_ZERO
+                coeff = F0
                 if j == k:
                     coeff = coeff + rep.signs[i] * images[i][h]
                 if i == k and i != j:

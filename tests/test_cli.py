@@ -341,11 +341,13 @@ class TestCommands:
             entries = [got["lambda"], *(x for row in got["derivation"] for x in row)]
             assert len(entries) == 5 and all(type(x) is type(zero) and x == zero for x in entries), backend
 
-    def test_env_var_backend(self, heis3_file, capsys, monkeypatch):
+    def test_backend_is_read_from_the_flag_only(self, heis3_file, capsys, monkeypatch):
+        # --backend defaults to exact in the parser; no environment variable
+        # sets it, the retired SOLVSPIN_BACKEND included
         monkeypatch.setenv("SOLVSPIN_BACKEND", "float")
-        assert main(["curvature", heis3_file, "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["backend"] == "float"
+        for argv, want in (([], "exact"), (["--backend", "float"], "float"), (["--backend", "exact"], "exact")):
+            assert main(["curvature", heis3_file, "--json", *argv]) == 0
+            assert json.loads(capsys.readouterr().out)["backend"] == want, argv
 
 
 class TestDeterminism:
@@ -357,26 +359,21 @@ class TestDeterminism:
         rep2.pop("timing_ms")
         assert rep1 == rep2 and code1 == code2 == 0
 
-    def test_consecutive_main_calls_share_no_state(self, heis3_file, capsys, monkeypatch):
-        # main reuses one parser per process; flags and SOLVSPIN_BACKEND must
-        # still be read afresh on every call
+    def test_consecutive_main_calls_share_no_state(self, heis3_file, capsys):
+        # main reuses one parser per process; every flag, --backend's default
+        # included, must still be read afresh on every call
         spec = "halfspace n=3 r=1 signs=1,1,1"
-        monkeypatch.delenv("SOLVSPIN_BACKEND", raising=False)
         calls = [
-            (None, ["killing-halfspace", spec, "--json", "--kmax", "2"],
+            (["killing-halfspace", spec, "--json", "--kmax", "2"],
              JobSpec(command="killing-halfspace", inputs=(spec,), output_format="json", kmax=2)),
-            ("float", ["curvature", heis3_file, "--json"],
+            (["curvature", heis3_file, "--json", "--backend", "float"],
              JobSpec(command="curvature", inputs=(heis3_file,), output_format="json", backend="float")),
-            (None, ["killing-halfspace", spec, "--json"],
+            (["killing-halfspace", spec, "--json"],
              JobSpec(command="killing-halfspace", inputs=(spec,), output_format="json")),
-            (None, ["curvature", heis3_file, "--json"],
+            (["curvature", heis3_file, "--json"],
              JobSpec(command="curvature", inputs=(heis3_file,), output_format="json")),
         ]
-        for env, argv, job in calls:
-            if env is None:
-                monkeypatch.delenv("SOLVSPIN_BACKEND", raising=False)
-            else:
-                monkeypatch.setenv("SOLVSPIN_BACKEND", env)
+        for argv, job in calls:
             assert main(argv) == 0
             got = json.loads(capsys.readouterr().out)
             want, code = run(job)

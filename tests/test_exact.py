@@ -13,9 +13,11 @@ from solvspin.exact import (
     IncompatibleExtensionError,
     TowerScalar,
     common_numerators,
+    format_rational,
     from_numerators,
     split_square,
     sqrt_to_tower,
+    to_dict,
     to_rational,
 )
 
@@ -34,12 +36,13 @@ def tower_scalars(radicand=5):
 
 
 def test_sqrt_zero():
-    assert sqrt_to_tower(0).is_zero
+    s = sqrt_to_tower(0)
+    assert type(s) is Fraction and s == 0
 
 
 def test_sqrt_perfect_square_simplifies():
     s = sqrt_to_tower(Fraction(9, 4))
-    assert s.is_rational and to_rational(s) == Fraction(3, 2)
+    assert type(s) is Fraction and s == Fraction(3, 2)
 
 
 def test_sqrt_negative_is_imaginary():
@@ -83,11 +86,10 @@ def test_inverse_of_zero():
 
 
 def test_formal_square_radicand_norm_zero():
-    # w with w^2 = 4 is not produced by sqrt_to_tower, but the type allows it;
-    # 2 + w is then a zero divisor and must fail to invert
-    z = TowerScalar(2, 0, 1, 0, radicand=4)
-    with pytest.raises((ZeroDivisionError, ValueError)):
-        z.inverse()
+    # w with w^2 = 4 would make 2 + w a zero divisor (and w equal to 2 by
+    # value, but not by representation); the radicand is refused instead
+    with pytest.raises(ValueError, match="squarefree"):
+        TowerScalar(2, 0, 1, 0, radicand=4)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -129,7 +131,7 @@ def test_split_square_reconstructs(n):
 
 def test_tower_serialization_roundtrip():
     x = TowerScalar(Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(0), 3)
-    assert TowerScalar.from_dict(x.to_dict()) == x
+    assert TowerScalar.from_dict(to_dict(x)) == x
 
 
 def test_mixed_fraction_arithmetic():
@@ -183,7 +185,7 @@ def _assert_same(got, want):
     assert type(got) is TowerScalar
     _assert_stored_form(got)
     assert (got.a, got.b, got.c, got.d, got.radicand) == (want.a, want.b, want.c, want.d, want.radicand)
-    assert got.to_dict() == want.to_dict()
+    assert to_dict(got) == want.to_dict()
     assert str(got) == str(want) and repr(got) == repr(want)
     assert got.is_zero == want.is_zero and got.is_rational == want.is_rational
     if want.is_rational:
@@ -219,7 +221,7 @@ def test_operations_match_fraction_reference(p, r):
     assert (x == y) == (x._t == y._t)
     if x == y:
         assert hash(x) == hash(y)
-    assert TowerScalar.from_dict(x.to_dict())._t == x._t
+    assert TowerScalar.from_dict(to_dict(x))._t == x._t
 
 
 @settings(max_examples=250, deadline=None)
@@ -239,7 +241,7 @@ def test_mixed_int_and_fraction_operands(p, k):
 def test_rational_hash_is_the_fraction_hash(x):
     assert hash(TowerScalar.rational(x)) == hash(x)
     assert TowerScalar.rational(x) == x and x == TowerScalar.rational(x)
-    assert hash(TowerScalar.imaginary(x) * TS_I) == hash(-x)
+    assert hash(TowerScalar(0, x) * TS_I) == hash(-x)
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,9 +265,19 @@ def test_common_numerators_match_fraction_reference(items):
     assert all(type(v) is int for t in nums for v in t)
     assert m == (5 if any(r.radicand for r in refs) else None)
     for (a, b, c, d), ref in zip(nums, refs):
-        _assert_same(from_numerators(a, b, c, d, q, m), ref)
+        _assert_read_back(from_numerators(a, b, c, d, q, m), ref)
     total = [sum(t[i] for t in nums) for i in range(4)]
-    _assert_same(from_numerators(*total, q, m), sum(refs, FractionTower()))
+    _assert_read_back(from_numerators(*total, q, m), sum(refs, FractionTower()))
+
+
+def _assert_read_back(got, want):
+    """got, read back by from_numerators, is want: a Fraction when want is
+    rational, else the TowerScalar _assert_same checks."""
+    if want.is_rational:
+        assert type(got) is Fraction and got == want.a
+        assert to_dict(got) == want.to_dict()
+    else:
+        _assert_same(got, want)
 
 
 def test_common_numerators_rejects_inexact_and_mixed():
@@ -320,3 +332,70 @@ def test_assignment_raises():
         with pytest.raises(AttributeError):
             setattr(x, name, 0)
     assert x == TowerScalar(1, 2)
+
+
+# ---- one representation per rational value, and one exact check per entry ----
+
+def test_from_numerators_reads_a_rational_back_as_a_fraction():
+    for args, want in (((3, 0, 0, 0, 6, None), Fraction(1, 2)), ((0, 0, 0, 0, 7, None), 0),
+                       ((-4, 0, 0, 0, 2, 5), -2)):
+        got = from_numerators(*args)
+        assert type(got) is Fraction and got == want
+    for args in ((0, 1, 0, 0, 1, None), (1, 0, 2, 0, 4, 3), (0, 0, 0, 3, 9, 2)):
+        got = from_numerators(*args)
+        assert type(got) is TowerScalar and not got.is_rational
+    assert type(TS_I) is TowerScalar and TS_I * TS_I == -1
+
+
+def test_sqrt_returns_a_fraction_exactly_when_the_root_is_rational():
+    for m in (0, 1, 4, Fraction(9, 4), Fraction(1, 49), 10 ** 6):
+        root = sqrt_to_tower(m)
+        assert type(root) is Fraction and root * root == m and root >= 0
+    for m in (-1, Fraction(-9, 4), 2, Fraction(1, 8), -12):
+        root = sqrt_to_tower(m)
+        assert type(root) is TowerScalar and not root.is_rational and root * root == m
+
+
+def test_operators_stay_closed_on_rational_values():
+    # tower arithmetic keeps its type; only the read-backs normalize
+    x = TowerScalar.rational(Fraction(1, 2))
+    for got in (x + 1, x * 2, x - x, x / 3, -x, TS_I * TS_I, x.inverse()):
+        assert type(got) is TowerScalar and got.is_rational
+
+
+def test_to_dict_writes_every_exact_scalar():
+    want = {"a": "3/2", "b": "0", "c": "0", "d": "0", "radicand": None}
+    for x in (Fraction(3, 2), TowerScalar.rational(Fraction(3, 2))):
+        assert to_dict(x) == want
+    assert to_dict(-4) == {"a": "-4", "b": "0", "c": "0", "d": "0", "radicand": None}
+    assert to_dict(sqrt_to_tower(Fraction(-1, 8))) == {"a": "0", "b": "0", "c": "0", "d": "1/4",
+                                                        "radicand": 2}
+    with pytest.raises(TypeError):
+        to_dict(0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TowerScalar(0.1),
+    lambda: TowerScalar(0, 0.5),
+    lambda: TowerScalar(0, 0, 1.0, 0, 2),
+    lambda: TowerScalar.rational(0.5),
+    lambda: sqrt_to_tower(0.1),
+    lambda: split_square(0.5),
+    lambda: format_rational(0.5),
+], ids=["a", "b", "c", "rational", "sqrt", "split_square", "format_rational"])
+def test_floats_are_refused_at_every_entry(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("radicand", [4, 12, 2.5, 2.0, 1, 0, -3, "2", True])
+def test_radicands_must_be_squarefree_ints_above_one(radicand):
+    with pytest.raises(ValueError, match="squarefree"):
+        TowerScalar(0, 0, 1, 0, radicand)
+    with pytest.raises(ValueError, match="squarefree"):
+        TowerScalar.from_dict({"a": "0", "b": "0", "c": "1", "d": "0", "radicand": radicand})
+
+
+def test_a_squarefree_radicand_is_accepted_and_equal_values_compare_equal():
+    assert TowerScalar(0, 0, 2, 0, 3) == 2 * sqrt_to_tower(3)
+    assert TowerScalar(0, 0, 1, 0, 30) * TowerScalar(0, 0, 1, 0, 30) == 30

@@ -8,7 +8,7 @@ import pytest
 
 import solvspin.killing
 from conftest import abelian_metric, heisenberg3, random_pseudo_iwasawa, semidirect_metric
-from solvspin.exact import TowerScalar, sqrt_to_tower, to_rational, to_tower
+from solvspin.exact import TowerScalar, sqrt_to_tower, to_rational
 from solvspin.clifford import build_gammas, dense_rows, gamma_of_vector
 from solvspin.halfspace import HalfSpaceModel
 from solvspin.killing import (
@@ -55,12 +55,34 @@ class TestLambdaCandidates:
         s = ricci(model.algebra).scalar
         assert s > 0
         cands = lambda_candidates(model.algebra)
-        assert {c.lam for c in cands} == {TowerScalar.rational(F(1, 2)),
-                                          TowerScalar.rational(F(-1, 2))}
+        assert [c.lam for c in cands] == [F(1, 2), F(-1, 2)]
+        assert all(type(c.lam) is Fraction for c in cands)
 
     def test_dimension_one_rejected(self):
         with pytest.raises(ValueError):
             lambda_candidates(abelian_metric((1,)))
+
+    def test_derived_once_per_algebra(self, monkeypatch):
+        # the metric algebra keeps its candidates; every later read, a solve's
+        # included, returns the same objects and derives nothing
+        calls = []
+        real = solvspin.liealg.killing_constants
+
+        def counted(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(solvspin.liealg, "killing_constants", counted)
+        model = HalfSpaceModel(4, (1, -1, 1, -1), F(2, 3))
+        M = model.algebra
+        first = lambda_candidates(M)
+        report = solve_invariant_killing(M, model.clifford_rep())
+        again = lambda_candidates(M)
+        assert len(calls) == 1 and len(first) == 2
+        assert all(a is b is c for a, b, c in zip(first, again, M.lambda_candidates))
+        assert [c.candidate for c in report.candidates] == first
+        again.pop()
+        assert len(lambda_candidates(M)) == 2
 
 
 class TestInvariantConnection:
@@ -68,13 +90,13 @@ class TestInvariantConnection:
         M = abelian_metric((1, -1))
         rep = build_gammas(M.signs)
         ops = invariant_spin_connection(M, rep)
-        assert all(all(x.is_zero for row in op for x in row) for op in ops)
+        assert all(all(x == 0 for row in op for x in row) for op in ops)
 
     def test_halfspace_t_direction_vanishes(self):
         model = HalfSpaceModel(3, (1, 1, 1), F(1, 2))
         rep = model.clifford_rep()
         ops = invariant_spin_connection(model.algebra, rep)
-        assert all(x.is_zero for row in ops[-1] for x in row)
+        assert all(x == 0 for row in ops[-1] for x in row)
 
     def test_halfspace_x_direction_operator(self):
         # with the coordinate frame of the model, phi_0 = -(1/r) id and the
@@ -181,7 +203,7 @@ def _dense_invariant_solve(M, rep):
             rows.extend(list(r) for r in mat_sub(ops[i], mat_scale(cand.lam, rep.gammas[i])))
         basis = [normalize_vector({c: x for c, x in enumerate(v) if not x == 0})
                  for v in nullspace(rows, rep.spinor_dim)]
-        out.append(tuple(tuple(to_tower(x) for x in v) for v in densify(basis, rep.spinor_dim)))
+        out.append(tuple(densify(basis, rep.spinor_dim)))
     return out
 
 
@@ -334,7 +356,7 @@ class TestRicciFilter:
     def test_heis3_filter_small(self):
         M = heisenberg3()
         rep = build_gammas(M.signs)
-        for lam in (TowerScalar.rational(0), TowerScalar.imaginary(F(1, 4)),
+        for lam in (TowerScalar.rational(0), TowerScalar(0, F(1, 4)),
                     TowerScalar.rational(F(1, 2))):
             assert ricci_filter(M, rep, lam) < 2
 

@@ -83,7 +83,7 @@ def test_sparse_matches_dense_over_tower():
         dense = [[_tower_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
         if rng.random() < 0.5 and nrows > 1:
             # a dependent row: i times the first plus the second
-            dense.append([TowerScalar.imaginary(1) * a + b for a, b in zip(dense[0], dense[1])])
+            dense.append([TowerScalar(0, 1) * a + b for a, b in zip(dense[0], dense[1])])
         sparse = [{c: v for c, v in enumerate(row) if not v == 0} for row in dense]
         assert densify(sparse_nullspace(sparse, ncols), ncols) == nullspace([list(r) for r in dense], ncols)
 
@@ -100,13 +100,13 @@ def test_sparse_full_rank_stops_early():
         assert sparse_nullspace(tri + [poisoned], n) == []
         dense = [[row.get(c, F(0)) for c in range(n)] for row in tri]
         assert nullspace(dense, n) == []
-    i = TowerScalar.imaginary(1)
+    i = TowerScalar(0, 1)
     eqs = [{1: i}, {0: TowerScalar(0, 0, 1, 0, 2), 1: TowerScalar.rational(1)}]
     assert sparse_nullspace(eqs, 2) == []
 
 
 def test_sparse_nullspace_over_tower():
-    i = TowerScalar.imaginary(1)
+    i = TowerScalar(0, 1)
     # x + i y = 0
     basis = sparse_nullspace([{0: TowerScalar.rational(1), 1: i}], 2)
     # 1 at the free column 1, minus the pivot row's coefficient at column 0

@@ -138,9 +138,11 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 
 # the one derivation of each algebra's geometry: every other caller reads the
-# cached `MetricLieAlgebra._koszul` numerators, `.connection` and `.ricci_data`
+# cached `MetricLieAlgebra._koszul` numerators, `.connection`, `.ricci_data`
+# and `.lambda_candidates`
 DERIVED_ONLY_IN = {"_koszul_numerators": "MetricLieAlgebra._koszul",
-                   "levi_civita": "MetricLieAlgebra.connection", "ricci": "MetricLieAlgebra.ricci_data"}
+                   "levi_civita": "MetricLieAlgebra.connection", "ricci": "MetricLieAlgebra.ricci_data",
+                   "killing_constants": "MetricLieAlgebra.lambda_candidates"}
 
 
 def _calls_by_scope(node, scope=""):
