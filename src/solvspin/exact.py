@@ -54,12 +54,28 @@ def format_rational(x: RationalLike) -> str:
     return str(to_rational(x))
 
 
+TRIAL_BOUND = 10 ** 6
+
+
 def _square_part(n: int) -> tuple[int, int]:
-    """Return (s, f) with n = s*s*f, f squarefree, for n > 0 (trial division)."""
+    """Return (s, f) with n = s*s*f, f squarefree, for n > 0.
+
+    Trial division stops at TRIAL_BOUND.  A cofactor r left with p*p <= r has
+    no prime factor up to the bound: it is a perfect square, or squarefree
+    when r < TRIAL_BOUND**3 (at most two prime factors, and they differ).  Any
+    other r would need factoring, and ValueError names n."""
     s, f = 1, 1
     m = n
     p = 2
     while p * p <= m:
+        if p > TRIAL_BOUND:
+            r = math.isqrt(m)
+            if r * r == m:
+                return s * r, f
+            if m < TRIAL_BOUND ** 3:
+                return s, f * m
+            raise ValueError("cannot split %d into a square and a squarefree part: its factor %d "
+                             "has no prime factor up to %d" % (n, m, TRIAL_BOUND))
         if m % p == 0:
             e = 0
             while m % p == 0:

@@ -18,13 +18,12 @@ Koszul formula and checks the result; `levi_civita` returns the sorted nonzero
 sums over pairs of nonzero entries, and none forms a dense table, an ad or
 nabla matrix, or the n^4 Riemann tensor.
 
-The Koszul scatter, its check and the Ricci contraction are one loop over
-numerators.  When every entry is an int or a Fraction they run on integers:
-c = C / D with D the lcm of the entries' denominators, Gamma is written over
-2D and Ricci over (2D)^2, and one Fraction is built per stored Gamma entry
-and per nonzero Ricci entry.  Otherwise (TowerScalar or mixed entries) the
-same loop reads the scalars themselves over the denominator 1.  `curvature`
-has no solver caller and stays on values.
+The Koszul scatter, its check, the curvature sums and the Ricci contraction
+run on numerators over one denominator, for every scalar type: c = C / D with
+D the common denominator of the entries, C an int when c is rational and the
+TowerScalar with those integer parts otherwise; Gamma is written over q = 2D
+and curvature and Ricci over q^2.  Each stored Gamma entry and each nonzero
+curvature and Ricci entry is read back once, a Fraction when it is rational.
 
 The numerators, the connection, the Ricci data and the Killing constants are
 properties of the metric algebra: `MetricLieAlgebra._koszul`, `.connection`,
@@ -39,13 +38,12 @@ straight from them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import sqrt_to_tower, to_rational
+from .exact import common_numerators, from_numerators, scaled, sqrt_to_tower, to_rational
 from .linalg import (
     _sparse_echelon,
     add_scaled,
@@ -292,44 +290,39 @@ def _sorted_entries(acc: dict) -> tuple:
 
 
 def _koszul_numerators(M: MetricLieAlgebra) -> tuple:
-    """The connection as numerators over one denominator: (gamma, q, brackets, s).
+    """The connection as numerators over one denominator: (gamma, q, brackets).
 
-    gamma holds the sorted (i, j, k, G) with Gamma_ijk = G / q for every
-    nonzero G, and brackets the (i, j, k, C) of the stored entries, with
-    c_ijk = s C / q.  One preparation step picks the feed:
-
-    - the integer feed, when every entry is an int or a Fraction: C is the
-      integer numerator of c_ijk over the lcm D of the entries' denominators,
-      Gamma is written over q = 2D and s = 2;
-    - the scalar feed otherwise (TowerScalars, or a mix): C is the entry
-      itself, q = s = 1, and the loops below do the scalars' own arithmetic.
+    c_ijk = C / D over the entries' common denominator D, C an int when c_ijk
+    is rational and else the TowerScalar with those integer parts.  gamma
+    holds the sorted (i, j, k, G) with Gamma_ijk = G / q, q = 2D, for every
+    nonzero G, and brackets the (i, j, k, 2C), so c_ijk = 2C / q.
 
     Gamma_ijk = (c_ijk - eps_i eps_k c_jki + eps_j eps_k c_kij) / 2, so each
-    nonzero c_abd lands in three slots: c/2 at (a, b, d), -eps_b eps_d c/2 at
-    (d, a, b) and eps_a eps_d c/2 at (b, d, a); on the integer feed c/2 over q
-    is C itself.  The result is checked to be torsion-free and
-    metric-compatible.  `MetricLieAlgebra` keeps it, and `levi_civita` and
-    `ricci` both read it.
+    nonzero c_abd lands in three slots: c/2 = C / q at (a, b, d), -eps_b eps_d
+    c/2 at (d, a, b) and eps_a eps_d c/2 at (b, d, a).  The result is checked
+    to be torsion-free and metric-compatible.  `MetricLieAlgebra` keeps it,
+    and `levi_civita`, `ricci` and `curvature` read it.
     """
     eps = M.signs
     entries = M.algebra.brackets
-    cs = [e[3] for e in entries]
-    if all(type(c) is Fraction or type(c) is int for c in cs):
-        den = math.lcm(*[c.denominator for c in cs])
-        cs = [c.numerator * (den // c.denominator) for c in cs]
-        half, q, s = 1, 2 * den, 2
-    else:
-        half, q, s = HALF, 1, 1
+    nums, den, m = common_numerators([e[3] for e in entries])
+    cs = [a if not (b or c or d) else from_numerators(a, b, c, d, 1, m) for a, b, c, d in nums]
     acc = {}
-    for (a, b, d, _), c in zip(entries, cs):
-        h = c * half
+    for (a, b, d, _), h in zip(entries, cs):
         _accumulate(acc, (a, b, d), h)
         _accumulate(acc, (d, a, b), h if eps[b] != eps[d] else -h)
         _accumulate(acc, (b, d, a), h if eps[a] == eps[d] else -h)
     gamma = _sorted_entries(acc)
-    brackets = tuple((i, j, k, c) for (i, j, k, _), c in zip(entries, cs))
-    _check_connection(eps, gamma, brackets, s)
-    return gamma, q, brackets, s
+    brackets = tuple((i, j, k, 2 * c) for (i, j, k, _), c in zip(entries, cs))
+    _check_connection(eps, gamma, brackets)
+    return gamma, 2 * den, brackets
+
+
+def _over(x, q: int):
+    """The numerator x over q: a Fraction when it is rational, else a TowerScalar."""
+    if type(x) is int:
+        return Fraction(x, q)
+    return scaled([x], Fraction(1, q))[0]
 
 
 def levi_civita(M: MetricLieAlgebra) -> tuple:
@@ -338,30 +331,26 @@ def levi_civita(M: MetricLieAlgebra) -> tuple:
     Returns (i, j, k, Gamma_ijk), with nabla_{e_i} e_j = sum_k Gamma_ijk e_k,
     for every nonzero Gamma_ijk, sorted by (i, j, k), as
     `LieAlgebra.brackets` stores the c_ijk.  The entries are read off the
-    checked numerators of `_koszul_numerators`: one Fraction per entry on the
-    integer feed, the scalars themselves on the scalar feed.
+    checked numerators of `_koszul_numerators`, each a Fraction when it is
+    rational.
     """
-    gamma, q, _, _ = M._koszul
-    if q == 1:
-        return gamma
-    return tuple((i, j, k, Fraction(x, q)) for i, j, k, x in gamma)
+    gamma, q, _ = M._koszul
+    return tuple((i, j, k, _over(x, q)) for i, j, k, x in gamma)
 
 
-def _check_connection(eps: tuple, gamma: tuple, brackets: tuple, s):
+def _check_connection(eps: tuple, gamma: tuple, brackets: tuple):
     """Raise StructureError unless gamma is metric-compatible and torsion-free.
 
-    gamma and brackets are numerators as `_koszul_numerators` returns them:
-    Gamma_ijk = G / q and c_ijk = s C / q, so both conditions compare
-    numerators over q, the brackets rescaled by s.  Both are checked at every
-    index triple where they read a nonzero entry.  At any other triple they
-    read 0 eps_k + 0 eps_j = 0 and 0 - 0 = 0 = c_ijk, which hold, so this is
-    the full n^3 check.  The metric condition at (i, k, j) is the one at
+    gamma and brackets are numerators as `_koszul_numerators` returns them,
+    Gamma_ijk = G / q and c_ijk = B / q, so both conditions compare
+    numerators over q.  Both are checked at every index triple where they
+    read a nonzero entry.  At any other triple they read 0 eps_k + 0 eps_j = 0
+    and 0 - 0 = 0 = c_ijk, which hold, so this is the full n^3 check.  The metric condition at (i, k, j) is the one at
     (i, j, k), so the nonzero Gamma_ijk cover it; the torsion condition also
     runs at (j, i, k) and wherever c_ijk is nonzero.
     """
     g = {(i, j, k): v for i, j, k, v in gamma}
-    # the brackets over Gamma's denominator; the scalar feed (s = 1) reads its own values
-    c = {(i, j, k): x if s == 1 else x * s for i, j, k, x in brackets}
+    c = {(i, j, k): x for i, j, k, x in brackets}
     # metric compatibility: g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
     for (i, j, k), v in g.items():
         if not (v * eps[k] + g.get((i, k, j), 0) * eps[j]) == 0:
@@ -383,26 +372,29 @@ def curvature(M: MetricLieAlgebra) -> tuple:
         R_ijkl = sum_m (Gamma_jkm Gamma_iml - Gamma_ikm Gamma_jml) - sum_p c_ijp Gamma_pkl,
 
     summed over the pairs of Gamma entries that meet at m and over the
-    brackets.  Sorted by (i, j, k, l), with no zero entry.
+    brackets.  The sums run on the numerators of `_koszul_numerators`: with
+    Gamma = G / q and c = B / q, R is written over q^2, and each entry is read
+    back as a Fraction when it is rational.  Sorted by (i, j, k, l), with no
+    zero entry.
     """
-    conn = M.connection
-    by_middle = {}     # m -> [(i, l, Gamma_iml)]
-    by_first = {}      # p -> [(k, l, Gamma_pkl)]
-    for i, m, l, v in conn:
+    gamma, q, brackets = M._koszul
+    by_middle = {}     # m -> [(i, l, G_iml)]
+    by_first = {}      # p -> [(k, l, G_pkl)]
+    for i, m, l, v in gamma:
         by_middle.setdefault(m, []).append((i, l, v))
         by_first.setdefault(i, []).append((m, l, v))
     acc = {}
-    for j, k, m, v in conn:
+    for j, k, m, v in gamma:
         for i, l, w in by_middle.get(m, ()):
             if i < j:
                 _accumulate(acc, (i, j, k, l), v * w)
             elif j < i:
                 _accumulate(acc, (j, i, k, l), -(v * w))
-    for i, j, p, c in M.algebra.brackets:
+    for i, j, p, c in brackets:
         if i < j:
             for k, l, w in by_first.get(p, ()):
                 _accumulate(acc, (i, j, k, l), -(c * w))
-    return _sorted_entries(acc)
+    return tuple((i, j, k, l, _over(x, q * q)) for i, j, k, l, x in _sorted_entries(acc))
 
 
 @dataclass(frozen=True)
@@ -422,16 +414,16 @@ def _ricci_from_form(ric, signs) -> RicciData:
 
 
 def _ricci_from_numerators(acc: dict, q2: int, signs) -> RicciData:
-    """RicciData from integer numerators acc {(y, z): N} over q2: one Fraction per
-    nonzero entry, the operator from those Fractions and their negatives, and
+    """RicciData from numerators acc {(y, z): N} over q2: one value read back per
+    nonzero entry, the operator from those values and their negatives, and
     the scalar from the diagonal numerators."""
     n = len(signs)
-    vals = {key: Fraction(x, q2) for key, x in acc.items() if x}
+    vals = {key: _over(x, q2) for key, x in acc.items() if x}
     ric = tuple(tuple(vals.get((y, z), F0) for z in range(n)) for y in range(n))
     # row k of the operator is eps_k times column k of ric
     op = tuple(col if signs[k] > 0 else tuple(x if x is F0 else -x for x in col)
                for k, col in enumerate(zip(*ric)))
-    s = Fraction(sum(signs[i] * acc.get((i, i), 0) for i in range(n)), q2)
+    s = _over(sum(signs[i] * acc.get((i, i), 0) for i in range(n)), q2)
     return RicciData(ric, op, s)
 
 
@@ -446,19 +438,17 @@ def ricci(M: MetricLieAlgebra) -> RicciData:
 
     and each sum runs over pairs of nonzero entries only.  The sums run on
     the numerators of `_koszul_numerators`: with Gamma = G / q and
-    c = s C / q, ric is written over q^2 and the bracket term carries the
-    factor s.  The integer feed builds one Fraction per nonzero entry; the
-    scalar feed (q = 1) keeps the scalars' own sums.
+    c = B / q, ric is written over q^2, and each nonzero entry is read back
+    once, a Fraction when it is rational.
 
     The sign convention makes heis3 with the definite metric give
     ric = diag(-1/2, -1/2, 1/2) and hyperbolic models a negative Einstein
     constant.
     """
-    n = M.dim
-    g, q, brackets, s = M._koszul
+    g, q, brackets = M._koszul
     tr = {}
-    by_jk = {}         # (j, k) -> [(i, Gamma_ijk)]
-    by_ik = {}         # (i, k) -> [(j, Gamma_ijk)]
+    by_jk = {}         # (j, k) -> [(i, G_ijk)]
+    by_ik = {}         # (i, k) -> [(j, G_ijk)]
     for i, j, k, v in g:
         if i == k:
             _accumulate(tr, j, v)
@@ -472,14 +462,9 @@ def ricci(M: MetricLieAlgebra) -> RicciData:
         for y, w in by_jk.get((m, i), ()):
             _accumulate(acc, (y, z), -(v * w))
     for i, y, p, c in brackets:
-        if s != 1:
-            c = c * s     # c_iyp over Gamma's denominator
         for z, w in by_ik.get((p, i), ()):
             _accumulate(acc, (y, z), -(c * w))
-    if q != 1:
-        return _ricci_from_numerators(acc, q * q, M.signs)
-    ric = [[acc.get((y, z), F0) for z in range(n)] for y in range(n)]
-    return _ricci_from_form(ric, M.signs)
+    return _ricci_from_numerators(acc, q * q, M.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -763,23 +748,15 @@ def extend_by_derivation(M: MetricLieAlgebra, D, eps0: int):
 
 
 def einstein_check(M: MetricLieAlgebra):
-    """Return lam with ric = lam g (exact entrywise), or None."""
-    n = M.dim
-    ric = M.ricci_data.ric
-    lam = None
+    """Return lam with ric = lam g (exact entrywise), or None: the Ricci
+    operator is then lam times the identity, and lam its first diagonal entry."""
+    op = M.ricci_data.operator
+    n = len(op)
+    lam = op[0][0] if n else None
     for i in range(n):
         for j in range(n):
-            want_zero = i != j
-            entry = ric[i][j]
-            if want_zero:
-                if not entry == 0:
-                    return None
-            else:
-                val = entry * M.signs[i]  # ric_ii = lam * eps_i
-                if lam is None:
-                    lam = val
-                elif not lam == val:
-                    return None
+            if not op[i][j] == (lam if i == j else 0):
+                return None
     return lam
 
 

@@ -168,13 +168,22 @@ MUTANTS = [
      "        if not (g.get((i, j, k), 0) - g.get((j, i, k), 0)) == c.get((i, j, k), 0):\n",
      "        if False:\n",
      [LI + "TestLeviCivita::test_check_rejects_torsion_defect"]),
-    ("levi_civita: the torsion comparison without the brackets rescaled to Gamma's denominator",
-     "liealg.py",
-     "c = {(i, j, k): x if s == 1 else x * s for", "c = {(i, j, k): x for",
+    ("levi_civita: the brackets stored as C, not over Gamma's denominator as 2C", "liealg.py",
+     "brackets = tuple((i, j, k, 2 * c) for", "brackets = tuple((i, j, k, c) for",
      [LI + "TestIntegerFeed::test_mixed_denominators_on_pseudo_iwasawa"]),
-    ("ricci: the bracket term without its scale factor", "liealg.py",
-     "            c = c * s     # c_iyp", "            pass     # c_iyp",
-     [LI + "TestIntegerFeed::test_mixed_denominators_on_pseudo_iwasawa"]),
+    ("geometry: a tower value read back by _reduced, keeping a rational TowerScalar", "liealg.py",
+     "    return scaled([x], Fraction(1, q))[0]\n",
+     "    from .exact import _reduced\n    a, b, c, d, p, m = x._t\n    return _reduced(a, b, c, d, p * q, m)\n",
+     [RR + "test_geometry"]),
+    ("einstein_check: only the diagonal compared", "liealg.py",
+     "            if not op[i][j] == (lam if i == j else 0):\n", "            if i == j and not op[i][j] == lam:\n",
+     [LI + "TestEinsteinCheck"]),
+    ("curvature: the bracket term dropped", "liealg.py",
+     "            for k, l, w in by_first.get(p, ()):\n", "            for k, l, w in ():\n",
+     [LI + "TestCurvature::test_entries_match_dense_oracle"]),
+    ("_square_part: the perfect-square test of the cofactor dropped", "exact.py",
+     "            if r * r == m:\n                return s * r, f\n", "",
+     [EX + "test_split_square_past_the_trial_bound"]),
 ]
 
 

@@ -175,6 +175,18 @@ class TestCommands:
         assert len(cands) == 2
         assert all(c["kernel_dimension"] == 0 for c in cands)
 
+    def test_a_large_prime_coefficient_is_answered_quickly(self, tmp_path, capsys):
+        # lambda^2 = -p^2/48 with p = 1000000007: p^2 is split without trial
+        # division up to p
+        path = tmp_path / "heis3p.alg"
+        path.write_text("dim 3\nsigns +1 +1 +1\n1 2 3 1000000007\n")
+        started = time.perf_counter()
+        assert main(["killing-invariant", str(path), "--json"]) == 0
+        assert time.perf_counter() - started < 1
+        cands = json.loads(capsys.readouterr().out)["results"]["killing"]["candidates"]
+        assert [c["lambda_squared"] for c in cands] == ["-1000000014000000049/48"] * 2
+        assert cands[0]["lambda"] == {"a": "0", "b": "0", "c": "0", "d": "1000000007/12", "radicand": 3}
+
     def test_killing_halfspace(self, capsys):
         assert main(["killing-halfspace", "halfspace n=2 r=1 signs=+1,+1", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

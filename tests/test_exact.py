@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvspin.exact import (
+    TRIAL_BOUND,
     TS_I,
     IncompatibleExtensionError,
     TowerScalar,
@@ -127,6 +128,49 @@ def test_split_square_reconstructs(n):
     while p * p <= f:
         assert f % (p * p) != 0
         p += 1
+
+
+def test_split_square_matches_brute_force():
+    # largest[n] is the largest s with s^2 dividing n
+    N = 10 ** 4
+    largest = [1] * (N + 1)
+    for t in range(2, math.isqrt(N) + 1):
+        for n in range(t * t, N + 1, t * t):
+            largest[n] = t
+    for n in range(1, N + 1):
+        s = largest[n]
+        assert split_square(n) == (s, n // (s * s)), n
+
+
+def _primes_above(n: int, count: int) -> list:
+    out = []
+    while len(out) < count:
+        n += 1
+        if all(n % p for p in range(2, math.isqrt(n) + 1)):
+            out.append(n)
+    return out
+
+
+def test_split_square_past_the_trial_bound():
+    # cofactors whose prime factors all exceed the bound: a prime, a product
+    # of two, a square and a square times small factors split exactly
+    P, Q, R = _primes_above(TRIAL_BOUND, 3)
+    cases = {P: (P, 1, 1), P * Q: (P * Q, 1, 1), P * P: (1, P, 1), 48 * P * P: (3, 4 * P, 1),
+             12 * P * Q: (3 * P * Q, 2, 1), (P * Q * R) ** 2: (1, P * Q * R, 1),
+             Fraction(P * P, 12): (3, P, 6)}
+    for m, (f, num, den) in cases.items():
+        assert split_square(m) == (Fraction(num, den), f), m
+    assert sqrt_to_tower(-P * P * 48) == TowerScalar(0, 0, 0, 4 * P, 3)
+
+
+def test_split_square_refuses_what_it_cannot_split():
+    # past the bound, P^2 Q is neither a square nor below TRIAL_BOUND^3
+    P, Q, R = _primes_above(TRIAL_BOUND, 3)
+    for n in (P * P * Q, P * Q * R, 2 * P * Q * R):
+        with pytest.raises(ValueError, match="cannot split %d " % n):
+            split_square(n)
+    with pytest.raises(ValueError, match="cannot split"):
+        sqrt_to_tower(Fraction(1, P * Q * R))
 
 
 def test_tower_serialization_roundtrip():

@@ -345,11 +345,11 @@ def tampered(M, changes):
     A numerator that sums to zero leaves the stored list; one added where G
     was zero joins it.
     """
-    gamma, _, brackets, s = M._koszul
+    gamma, _, brackets = M._koszul
     g = {(i, j, k): v for i, j, k, v in gamma}
     for key, delta in changes.items():
         g[key] = g.get(key, 0) + delta
-    return M.signs, tuple((*key, g[key]) for key in sorted(g) if g[key] != 0), brackets, s
+    return M.signs, tuple((*key, g[key]) for key in sorted(g) if g[key] != 0), brackets
 
 
 def dense_entries(M):
@@ -508,8 +508,8 @@ class TestIntegerFeed:
 
     def check(self, M):
         n = M.dim
-        _, q, _, s = M._koszul
-        assert (q, s) == (2 * math.lcm(*(c.denominator for *_, c in M.algebra.brackets)), 2)
+        _, q, _ = M._koszul
+        assert q == 2 * math.lcm(*(c.denominator for *_, c in M.algebra.brackets))
         conn = levi_civita(M)
         assert all(type(v) is Fraction and v != 0 for *_, v in conn)
         assert gamma_table(conn, n) == koszul_oracle(M)
@@ -520,12 +520,12 @@ class TestIntegerFeed:
         assert data.operator == tuple(tuple(M.signs[k] * data.ric[j][k] for j in range(n)) for k in range(n))
         assert type(data.scalar) is Fraction
         assert data.scalar == sum((M.signs[i] * data.ric[i][i] for i in range(n)), F(0))
-        # the scalar feed, on the same algebra with rational TowerScalar entries
+        # the same algebra with rational TowerScalar entries has the same numerators
         tower = MetricLieAlgebra(LieAlgebra(n, [(i, j, k, TowerScalar.rational(c))
                                                 for i, j, k, c in M.algebra.brackets]), M.signs)
         assert levi_civita(tower) == conn
         assert ricci(tower) == data
-        assert tower._koszul[1] == 1 or not M.algebra.brackets
+        assert tower._koszul == M._koszul
 
     def test_mixed_denominators_on_pseudo_iwasawa(self, rng):
         lcms = []
@@ -767,8 +767,9 @@ class TestExtension:
 
     def test_rational_scaling_keeps_fraction_brackets(self):
         # every catalog shape under every signature: a rational scaling leaves
-        # only Fraction brackets, which take the integer Koszul feed, and no
-        # extension stores a rational value as a TowerScalar
+        # only Fraction brackets, no extension stores a rational value as a
+        # TowerScalar, and the Koszul numerators of either kind are over twice
+        # the lcm of the brackets' denominators
         kinds = {}
         for dim, slots in NILPOTENT_SHAPES:
             brackets = {pair: {k: F(1)} for pair, k in slots}
@@ -779,8 +780,10 @@ class TestExtension:
                     continue
                 values = [x for *_, x in ext.algebra.brackets]
                 assert not any(type(x) is TowerScalar and x.is_rational for x in values), (slots, signs)
+                dens = [x.denominator if type(x) is F else
+                        math.lcm(*(part.denominator for part in (x.a, x.b, x.c, x.d))) for x in values]
+                assert ext._koszul[1] == 2 * math.lcm(*dens), (slots, signs)
                 if all(type(x) is F for x in values):
-                    assert ext._koszul[1] != 1, (slots, signs)
                     kinds[tuple(slots), signs] = "rational"
                 else:
                     kinds[tuple(slots), signs] = "tower"
@@ -795,6 +798,15 @@ class TestEinsteinCheck:
 
     def test_heis3_not_einstein(self):
         assert einstein_check(heisenberg3()) is None
+
+    def test_constant_diagonal_with_off_diagonal_ricci_is_not_einstein(self):
+        # [e0, e1] = e1, [e0, e2] = -e1, [e1, e2] = e1: every diagonal entry
+        # of the Ricci operator is -3/2, and an off-diagonal one is not 0
+        L = LieAlgebra.from_brackets(3, {(0, 1): {1: F(1)}, (0, 2): {1: F(-1)}, (1, 2): {1: F(1)}})
+        M = MetricLieAlgebra(L, (1, 1, 1))
+        op = M.ricci_data.operator
+        assert [op[i][i] for i in range(3)] == [F(-3, 2)] * 3 and op[0][1] != 0
+        assert einstein_check(M) is None
 
     def test_hyperbolic_model_constant(self):
         for n, r in [(3, F(1)), (4, F(1, 2))]:

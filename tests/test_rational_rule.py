@@ -13,7 +13,7 @@ from solvspin.clifford import build_gammas, two_tensor_action
 from solvspin.exact import TowerScalar, sqrt_to_tower
 from solvspin.halfspace import HalfSpaceModel, killing_residual, solve_killing_halfspace
 from solvspin.killing import killing_operator_rows, lambda_candidates, solve_invariant_killing
-from solvspin.liealg import LieAlgebra, MetricLieAlgebra, einstein_extension
+from solvspin.liealg import LieAlgebra, MetricLieAlgebra, curvature, einstein_check, einstein_extension
 
 F = Fraction
 SEED = 20261020
@@ -31,16 +31,16 @@ def _halfspaces(max_n: int):
 
 
 def _extensions():
-    """The Einstein extension of every catalog shape under every signature
-    that has one: rational scalings and irrational ones."""
+    """(extension, lambda) of the Einstein extension of every catalog shape
+    under every signature that has one: rational scalings and irrational ones."""
     for dim, slots in NILPOTENT_SHAPES:
         brackets = {pair: {k: F(1)} for pair, k in slots}
         for signs in itertools.product((1, -1), repeat=dim):
             try:
-                ext, _, _ = einstein_extension(MetricLieAlgebra(LieAlgebra.from_brackets(dim, brackets), signs))
+                ext, _, lam = einstein_extension(MetricLieAlgebra(LieAlgebra.from_brackets(dim, brackets), signs))
             except ValueError:
                 continue
-            yield ext
+            yield ext, lam
 
 
 def _compact_algebras():
@@ -73,7 +73,7 @@ def test_two_tensor_action_and_operator_rows():
             T[0][0] = T[0][0] + sqrt_to_tower(rng.choice((-1, 2, -5)))
             values = [x for row in two_tensor_action(rep, T) for x in row]
             assert _rational_towers(values) == [], signs
-    for M in [m.algebra for m in _halfspaces(4)] + list(_extensions()):
+    for M in [m.algebra for m in _halfspaces(4)] + [ext for ext, _ in _extensions()]:
         rep = build_gammas(M.signs)
         for cand in lambda_candidates(M):
             try:
@@ -97,11 +97,28 @@ def test_lambda_and_its_root_on_every_halfspace():
 
 def test_einstein_extension_brackets():
     kinds = set()
-    for ext in _extensions():
+    for ext, _ in _extensions():
         values = [x for *_, x in ext.algebra.brackets]
         assert _rational_towers(values) == [], ext.signs
         kinds.update(type(x) for x in values)
     assert kinds == {Fraction, TowerScalar}
+
+
+def test_geometry():
+    # the connection, Ricci data, curvature and Einstein constant of every
+    # catalog extension (filiform 4's included, whose brackets are in the
+    # tower) and of random pseudo-Iwasawa algebras
+    rng = random.Random(SEED)
+    cases = list(_extensions()) + [(random_pseudo_iwasawa(rng)[0], None) for _ in range(50)]
+    kinds = set()
+    for M, lam in cases:
+        data = M.ricci_data
+        values = [x for *_, x in M.connection] + [x for *_, x in curvature(M)]
+        values += [x for mat in (data.ric, data.operator) for row in mat for x in row]
+        values += [data.scalar, einstein_check(M)] + ([] if lam is None else [lam])
+        assert _rational_towers(values) == [], M.signs
+        kinds.update(type(x) for x in values)
+    assert TowerScalar in kinds and Fraction in kinds
 
 
 def test_invariant_solver_bases():
