@@ -55,19 +55,53 @@ def format_rational(x: RationalLike) -> str:
 
 
 TRIAL_BOUND = 10 ** 6
+# Miller-Rabin with the first 13 prime bases is exact below PRIME_BOUND
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _proven_prime(n: int) -> bool:
+    """True when n is a prime below PRIME_BOUND, by the deterministic
+    Miller-Rabin test on PRIME_BASES; False for a composite and for any n at
+    or above the bound, where the test proves nothing.  For n > 41."""
+    if n >= PRIME_BOUND or n % 2 == 0:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _square_part(n: int) -> tuple[int, int]:
     """Return (s, f) with n = s*s*f, f squarefree, for n > 0.
 
-    Trial division stops at TRIAL_BOUND.  A cofactor r left with p*p <= r has
-    no prime factor up to the bound: it is a perfect square, or squarefree
-    when r < TRIAL_BOUND**3 (at most two prime factors, and they differ).  Any
-    other r would need factoring, and ValueError names n."""
+    Trial division stops at TRIAL_BOUND.  A cofactor over TRIAL_BOUND is
+    tested with `_proven_prime` when trial division first reaches it and
+    after each factor divided out, so a prime one is taken as squarefree at
+    once.  A cofactor r left with p*p <= r past the bound has no prime factor
+    up to it: it is a perfect square, or squarefree when r < TRIAL_BOUND**3
+    (at most two prime factors, and they differ).  Any other r would need
+    factoring, and ValueError names n."""
     s, f = 1, 1
     m = n
     p = 2
+    fresh = True
     while p * p <= m:
+        if fresh:
+            fresh = False
+            if m > TRIAL_BOUND and _proven_prime(m):
+                break
         if p > TRIAL_BOUND:
             r = math.isqrt(m)
             if r * r == m:
@@ -84,6 +118,7 @@ def _square_part(n: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e % 2:
                 f *= p
+            fresh = True
         p += 1 if p == 2 else 2
     return s, f * m
 

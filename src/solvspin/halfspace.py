@@ -25,17 +25,21 @@ construction: `killing_residual` re-substitutes a solution through the frame
 derivatives and the branch's columns, and `verify_amended_identity` checks
 the amended identity with one Clifford product per transverse direction.
 Both work on integer numerators: a solution's coefficients are written over
-one denominator (`exact.common_numerators`), as are the operator rows in the
-branch, and with r = p/s the frame factors k/(2r) and e/r are the integers
-k s and 2 e s over 2p.  Each coefficient is summed as an integer 4-tuple in
-the basis 1, i, w, iw, multiplied by a unit i^q by rotating that tuple, and
-is zero exactly when all four integers are.
+one denominator (`exact.common_numerators`) once, as its cached
+`CoordSpinorField.numerators`, which both read; the branch holds the
+operator rows so and the identity's constants 2 lambda^2, -lambda phi_0 and
+phi_0.  With r = p/s the frame factors k/(2r) and e/r are the integers k s
+and 2 e s over 2p.  Each coefficient is summed as an integer 4-tuple in the
+basis 1, i, w, iw, multiplied by a unit i^q by rotating that tuple, and is
+zero exactly when all four integers are.  The derivatives and every zero
+test stay each certificate's own, so neither reads the other's result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .exact import _common_radicand, _mul, _rotations, common_numerators, from_numerators, parse_rational, to_dict
@@ -87,15 +91,19 @@ class HalfSpaceModel:
         vars(self).update(signs=signs, r=r, algebra=algebra, decomposition=decomposition)
 
     def _branch(self, rep: CliffordRep, lam) -> tuple:
-        """(columns, q, m, spinors) of the (rep, lam) branch, built once from
-        one call of `killing_operator_rows`, which refuses a rep of another
-        signature than the model's before anything is held.  The rows are
-        written as integer numerators over one denominator q = 2p q_A, where
-        r = p/s and q_A is the rows' own common denominator, and transposed
-        into columns[i] = {j: ((h, numerators of row h at column j), ...)} per
-        direction i; m is their radicand or None.  `spinors` are the N Killing
-        spinors built from the same rows, none unless lam^2 = -eps_t/(4 r^2),
-        the Einstein value.  Callers must not change any of them."""
+        """(columns, q, m, spinors, constants) of the (rep, lam) branch, built
+        once from one call of `killing_operator_rows`, which refuses a rep of
+        another signature than the model's before anything is held.  The rows
+        are written as integer numerators over one denominator q = 2p q_A,
+        where r = p/s and q_A is the rows' own common denominator, and
+        transposed into columns[i] = {j: ((h, numerators of row h at column j), ...)}
+        per direction i; m is their radicand or None.  `spinors` are the N
+        Killing spinors built from the same rows, none unless
+        lam^2 = -eps_t/(4 r^2), the Einstein value.  `constants` are the
+        amended identity's (2 lam^2, -lam phi_0, phi_0, m_c): with lam and
+        phi_0 over one denominator d and m_c their radicand or None, the first
+        two over 2p d^2 and phi_0 over d^2.  Callers must not change any of
+        them."""
         branch = self._branches.get((rep, lam))
         if branch is None:
             rows = killing_operator_rows(self.algebra, rep, lam)
@@ -112,7 +120,12 @@ class HalfSpaceModel:
                 columns.append(cols)
             einstein = lam * lam == Fraction(-self.signs[-1]) / (4 * self.r * self.r)
             spinors = _build_spinors(self, rep, lam, rows) if einstein else []
-            branch = self._branches[(rep, lam)] = (columns, p2 * q, m, spinors)
+            (lam_n, phi_n), d, m_c = common_numerators([lam, self.decomposition.phi[0][0][0]])
+            mw = m_c or 0
+            constants = (tuple(2 * p2 * x for x in _mul(lam_n, lam_n, mw)),
+                         tuple(-p2 * x for x in _mul(lam_n, phi_n, mw)),
+                         tuple(d * x for x in phi_n), m_c)
+            branch = self._branches[(rep, lam)] = (columns, p2 * q, m, spinors, constants)
         return branch
 
     def killing_spinors(self, rep: CliffordRep, lam) -> list[dict]:
@@ -186,11 +199,19 @@ class CoordFunction:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CoordSpinorField:
-    """Spinor field with CoordFunction components in a fixed trivialization."""
+    """Spinor field with CoordFunction components in a fixed trivialization.
+
+    `numerators` is `_numerators(components)`, derived on first use and kept:
+    both certificates read it, so a solution is written over one denominator
+    once.  Callers must not change it."""
 
     components: tuple
+
+    @cached_property
+    def numerators(self) -> tuple:
+        return _numerators(self.components)
 
     @property
     def is_zero(self) -> bool:
@@ -250,24 +271,26 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
     Killing equation with constant lambda.  Component h of direction i is the
     frame derivative of psi_h plus sum_j A_hj psi_j, with A the branch's
     operator rows.  Both are summed on integer numerators over the
-    denominator q = 2p q_A q_psi: psi's terms over q_psi, the rows over
-    2p q_A, transposed once per branch so that the loops run over psi's
-    stored terms and, for each, over the entries of its column only.  Each
-    nonzero coefficient is read back once (`from_numerators`: a Fraction when
-    it is rational).  It never reads the solver's construction, so it
-    certifies it.  A psi without spinor_dim components raises ValueError, and
-    a psi whose radicand differs from the rows' raises
-    IncompatibleExtensionError.
+    denominator q = 2p q_A q_psi: psi's terms over q_psi, as `psi.numerators`
+    holds them, the rows over 2p q_A, transposed once per branch so that the
+    loops run over psi's stored terms and, for each, over the entries of its
+    column only.  A component whose sums are all zero is one empty
+    `CoordFunction`, shared within the call; each nonzero coefficient of the
+    others is read back once (`from_numerators`: a Fraction when it is
+    rational).  Callers must not change the fields returned.  It never reads
+    the solver's construction, so it certifies it.  A psi without spinor_dim
+    components raises ValueError, and a psi whose radicand differs from the
+    rows' raises IncompatibleExtensionError.
     """
-    comps = psi.components
-    _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
-    columns, q_rows, m, _ = model._branch(rep, lam)
-    terms, q_psi, m_psi = _numerators(comps)
+    _check_length(psi.components, rep.spinor_dim, "psi", "spinor_dim")
+    columns, q_rows, m, _, _ = model._branch(rep, lam)
+    terms, q_psi, m_psi = psi.numerators
     m = _common_radicand(m, m_psi)
     mw = m or 0
     q = q_rows * q_psi
     step = model.r.denominator * (q_rows // (2 * model.r.numerator))
     n = model.n
+    zero = CoordFunction()
     out = []
     for i, cols in enumerate(columns):
         acc = [_derivative(mine, i, n, step) if mine else {} for mine in terms]
@@ -283,7 +306,8 @@ def killing_residual(model: HalfSpaceModel, rep: CliffordRep, psi: CoordSpinorFi
                     y = target.get(mono)   # _add_into, inlined
                     target[mono] = x if y is None else (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
         out.append(CoordSpinorField(tuple(
-            CoordFunction({mono: from_numerators(*x, q, m) for mono, x in sums.items() if any(x)} if sums else {})
+            CoordFunction({mono: from_numerators(*x, q, m) for mono, x in sums.items() if any(x)})
+            if any(map(any, sums.values())) else zero
             for sums in acc)))
     return out
 
@@ -393,27 +417,19 @@ def verify_amended_identity(model: HalfSpaceModel, rep: CliffordRep, psi: CoordS
     identity for v = e_i is gamma_i w + phi_0 d_i psi = 0 with
     w = 2 lambda^2 gamma_t psi - lambda phi_0 psi, formed once: one Clifford
     product per direction.  gamma_i acts through its signed permutation, one
-    unit i**phase per row, which rotates the numerators.  psi's terms and
-    2 lambda^2, -lambda phi_0 and phi_0 are integer numerators, each over
-    one denominator, so both sides are over one denominator and only tested
-    for zero.  A rep of another signature than the model's, or a psi without
-    spinor_dim components, raises ValueError.
+    unit i**phase per row, which rotates the numerators.  psi's terms are
+    read from `psi.numerators`, which the residual shares, and 2 lambda^2,
+    -lambda phi_0 and phi_0 from the branch's constants, the first two times
+    the 2p that the frame derivative carries, so both sides are over one
+    denominator; the derivatives and the zero tests are this check's own.  A psi without spinor_dim components raises ValueError, and
+    so does a rep of another signature than the model's, through the
+    branch's operator rows.
     """
-    check_signature(model, rep)
     n = model.n
-    phi = model.decomposition.phi[0][0][0]
-    comps = psi.components
-    _check_length(comps, rep.spinor_dim, "psi", "spinor_dim")
-    terms, _, m = _numerators(comps)
-    # 2 lambda^2, -lambda phi_0 and phi_0 over q^2, from lambda and phi_0 over q;
-    # the first two times 2p, so that gamma_i w and phi_0 d_i psi share one
-    # denominator
-    (lam, phi), den, m_consts = common_numerators([lam, phi])
-    m = _common_radicand(m_consts, m) or 0
-    p2 = 2 * model.r.numerator
-    lam_sq2 = tuple(2 * p2 * x for x in _mul(lam, lam, m))
-    minus_lam_phi = tuple(-p2 * x for x in _mul(lam, phi, m))
-    phi = tuple(den * x for x in phi)
+    _check_length(psi.components, rep.spinor_dim, "psi", "spinor_dim")
+    lam_sq2, minus_lam_phi, phi, m_c = model._branch(rep, lam)[4]
+    terms, _, m = psi.numerators
+    m = _common_radicand(m_c, m) or 0
     # each nonzero entry of w is held with its four rotations
     w = []
     for h, (j, q) in enumerate(zip(rep.perm[n - 1], rep.phase[n - 1])):

@@ -48,6 +48,15 @@ MUTANTS = [
     ("identity: the zero test reads only the first integer", "halfspace.py",
      "            if any(map(any, acc.values())):\n", "            if any(x[0] for x in acc.values()):\n",
      [HS + "TestTamperedSolutions"]),
+    ("residual: the zero path taken for a nonzero sum", "halfspace.py",
+     "if any(map(any, sums.values())) else zero", "if all(map(any, sums.values())) else zero",
+     [HS + "TestSharedWork::test_zero_components_of_a_residual_are_empty_functions"]),
+    ("identity: the -lambda branch given the +lambda constants", "halfspace.py",
+     "tuple(-p2 * x for x in _mul(lam_n, phi_n, mw))", "tuple(-p2 * x for x in _mul(tuple(map(abs, lam_n)), phi_n, mw))",
+     [HS + "TestSharedWork::test_each_branch_keeps_its_own_constants"]),
+    ("identity: its own numerator pass, not the solution's kept one", "halfspace.py",
+     "    terms, _, m = psi.numerators\n", "    terms, _, m = _numerators(psi.components)\n",
+     [HS + "TestSharedWork::test_numerators_are_read_once_per_solution"]),
     ("residual: the derivative term dropped", "halfspace.py",
      "acc = [_derivative(mine, i, n, step) if mine else {} for mine in terms]", "acc = [{} for mine in terms]",
      [HS + "TestModel::test_one_levi_civita_per_model"]),
@@ -72,9 +81,6 @@ MUTANTS = [
     ("solve: its check_signature dropped", "halfspace.py",
      "    check_signature(model, rep)\n    for name, bound in", "    for name, bound in",
      [HS + "TestSolver::test_representation_of_another_signature_is_refused"]),
-    ("identity: its check_signature dropped", "halfspace.py",
-     "    check_signature(model, rep)\n    n = model.n\n", "    n = model.n\n",
-     [HS + "TestCertificateInputs::test_representation_of_another_signature_is_refused"]),
     ("operator rows: their check_signature dropped", "killing.py",
      "    check_signature(M, rep)\n    by_direction = [[] for _ in range(M.dim)]",
      "    by_direction = [[] for _ in range(M.dim)]",
@@ -184,6 +190,15 @@ MUTANTS = [
     ("_square_part: the perfect-square test of the cofactor dropped", "exact.py",
      "            if r * r == m:\n                return s * r, f\n", "",
      [EX + "test_split_square_past_the_trial_bound"]),
+    ("_square_part: a prime cofactor never tested", "exact.py",
+     "            if m > TRIAL_BOUND and _proven_prime(m):\n", "            if False:\n",
+     [EX + "test_a_prime_cofactor_past_the_trial_bound_is_squarefree"]),
+    ("_proven_prime: the bases 37 and 41 dropped", "exact.py",
+     "29, 31, 37, 41)", "29, 31)",
+     [EX + "test_the_primality_test_needs_all_thirteen_bases"]),
+    ("_proven_prime: a prime past PRIME_BOUND accepted", "exact.py",
+     "    if n >= PRIME_BOUND or n % 2 == 0:\n", "    if n % 2 == 0:\n",
+     [EX + "test_a_prime_past_the_primality_bound_is_refused"]),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvspin.exact import (
+    PRIME_BOUND,
     TRIAL_BOUND,
     TS_I,
     IncompatibleExtensionError,
@@ -20,6 +21,7 @@ from solvspin.exact import (
     sqrt_to_tower,
     to_dict,
     to_rational,
+    _proven_prime,
 )
 
 from reference_tower import FractionTower
@@ -171,6 +173,45 @@ def test_split_square_refuses_what_it_cannot_split():
             split_square(n)
     with pytest.raises(ValueError, match="cannot split"):
         sqrt_to_tower(Fraction(1, P * Q * R))
+
+
+def test_a_prime_cofactor_past_the_trial_bound_is_squarefree():
+    # 2^61 - 1 is prime and above TRIAL_BOUND^3, so only the primality test
+    # accepts it; with small factors beside it, it is tested once they are out
+    M61 = 2 ** 61 - 1
+    cases = {M61: (M61, 1, 1), 48 * M61: (3 * M61, 4, 1), Fraction(M61, 12): (3 * M61, 1, 6)}
+    for m, (f, num, den) in cases.items():
+        assert split_square(m) == (Fraction(num, den), f), m
+    assert TowerScalar(0, 0, 1, 0, M61).radicand == M61
+    # its square is found past the bound; its product with a prime above the
+    # bound is neither prime nor below TRIAL_BOUND^3, so it is refused
+    assert split_square(5 * M61 * M61) == (M61, 5)
+    P = _primes_above(TRIAL_BOUND, 1)[0]
+    with pytest.raises(ValueError, match="cannot split %d " % (P * M61)):
+        split_square(P * M61)
+
+
+def test_a_prime_past_the_primality_bound_is_refused():
+    # 2^89 - 1 is prime, but above PRIME_BOUND the test proves nothing
+    M89 = 2 ** 89 - 1
+    assert M89 > PRIME_BOUND
+    with pytest.raises(ValueError, match="cannot split %d " % M89):
+        split_square(M89)
+
+
+def test_the_primality_test_needs_all_thirteen_bases():
+    # 3825123056546413051 = 149491 * 747451 * 34233211 is a strong pseudoprime
+    # to every prime base up to 31; base 37 shows it composite
+    n = 3825123056546413051
+    assert 149491 * 747451 * 34233211 == n
+    assert not _proven_prime(n)
+    assert split_square(n) == (1, n)
+    assert split_square(149491 * n) == (149491, 747451 * 34233211)
+    # against trial division, past the bases
+    for k in range(43, 20000, 2):
+        assert _proven_prime(k) == all(k % p for p in range(3, math.isqrt(k) + 1, 2)), k
+    assert [_proven_prime(k) for k in (561, 1105, 3215031751, 2 ** 31 - 1, 2 ** 61 - 1)] == \
+        [False, False, False, True, True]
 
 
 def test_tower_serialization_roundtrip():

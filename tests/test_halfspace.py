@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import math
 import pickle
 import re
 import time
@@ -16,7 +17,7 @@ import solvspin.killing
 import solvspin.liealg
 from solvspin.cli import main
 from solvspin.clifford import build_gammas
-from solvspin.exact import TS_I, IncompatibleExtensionError, TowerScalar, sqrt_to_tower
+from solvspin.exact import TS_I, IncompatibleExtensionError, TowerScalar, from_numerators, sqrt_to_tower
 from solvspin.linalg import add_scaled
 from solvspin.killing import killing_operator_rows, lambda_candidates, solve_invariant_killing
 from solvspin.liealg import MetricLieAlgebra, curvature, einstein_extension, levi_civita, ricci
@@ -205,7 +206,7 @@ class TestModel:
         rep = model.clifford_rep()
         for lam in (TowerScalar.rational(F(1, 2)), TowerScalar(0, F(1, 3))):
             assert solve_killing_halfspace(model, rep, lam, 2, 2) == []
-            columns, q, m, spinors = model._branches[(rep, lam)]
+            columns, q, m, spinors, _ = model._branches[(rep, lam)]
             assert spinors == [] and len(columns) == model.n and q > 0
 
     def test_parse_rejects_exponent_radius(self):
@@ -539,9 +540,24 @@ def _tampered(psi, h, mono, delta):
     return CoordSpinorField(tuple(comps))
 
 
+def _verdicts(model, rep, psi, lam, identity_first):
+    """(the residual vanishes, the amended identity holds), the two run in the
+    order given on a fresh copy of psi, whose numerators neither has read yet."""
+    psi = CoordSpinorField(psi.components)
+    if identity_first:
+        holds = verify_amended_identity(model, rep, psi, lam)
+        residual = killing_residual(model, rep, psi, lam)
+    else:
+        residual = killing_residual(model, rep, psi, lam)
+        holds = verify_amended_identity(model, rep, psi, lam)
+    return all(res.is_zero for res in residual), holds
+
+
 class TestTamperedSolutions:
     @pytest.mark.parametrize("n, signs", [(3, (1, -1, 1)), (4, (1, 1, -1, -1)), (5, (1, -1, 1, 1, -1))])
     def test_both_certificates_reject_a_changed_coefficient(self, n, signs):
+        # a solution's numerators are kept once read, so each check runs with
+        # either certificate first
         model = HalfSpaceModel(n, signs, F(2, 3))
         rep = model.clifford_rep()
         x1 = (-1, (1,) + (0,) * (n - 2))  # t^(-1/2) x_1, inside the window
@@ -551,25 +567,26 @@ class TestTamperedSolutions:
             sols = solve_killing_halfspace(model, rep, lam, 1, 1)
             assert sols
             for psi in sols:
-                assert all(res.is_zero for res in killing_residual(model, rep, psi, lam))
-                assert verify_amended_identity(model, rep, psi, lam)
                 assert amended_identity_three_term(model, rep, psi, lam)
                 # t^(-1/2) x_1 e_0 alone is no Killing spinor and breaks the
                 # identity: d_1 sends it to t^(1/2), where no gamma term lands
                 bad = _tampered(psi, 0, x1, F(1))
-                assert not all(res.is_zero for res in killing_residual(model, rep, bad, lam))
-                assert not verify_amended_identity(model, rep, bad, lam)
                 assert not amended_identity_three_term(model, rep, bad, lam)
+                for identity_first in (False, True):
+                    assert _verdicts(model, rep, psi, lam, identity_first) == (True, True)
+                    assert _verdicts(model, rep, bad, lam, identity_first) == (False, False)
                 # every stored coefficient changed in turn: the identity agrees
                 # with the three-term formula, and it holds wherever the
                 # residual vanishes, since it follows from the Killing equation
                 for h, comp in enumerate(psi.components):
                     for mono in comp.terms:
                         bad = _tampered(psi, h, mono, F(1))
-                        ok = verify_amended_identity(model, rep, bad, lam)
-                        assert ok == amended_identity_three_term(model, rep, bad, lam)
-                        if all(res.is_zero for res in killing_residual(model, rep, bad, lam)):
-                            assert ok
+                        three_term = amended_identity_three_term(model, rep, bad, lam)
+                        for identity_first in (False, True):
+                            vanishes, ok = _verdicts(model, rep, bad, lam, identity_first)
+                            assert ok == three_term
+                            if vanishes:
+                                assert ok
                         checked += 1
         assert checked
 
@@ -676,6 +693,75 @@ class TestIntegerCertificates:
         # the count sees a built scalar: a wrong field's residual reads one back
         assert not all(res.is_zero for res in killing_residual(model, rep, _scaled(sols[0], 2), -lam))
         assert made
+
+
+class TestSharedWork:
+    """What the two certificates share: a solution's numerators, read once,
+    and the amended identity's constants, held by each branch."""
+
+    def setup_method(self):
+        self.model = HalfSpaceModel(4, (1, -1, 1, -1), F(2, 3))
+        self.rep = self.model.clifford_rep()
+        self.lams = [c.lam for c in lambda_candidates(self.model.algebra)]
+
+    def test_numerators_are_read_once_per_solution(self, monkeypatch):
+        model, rep = self.model, self.rep
+        numerators = solvspin.halfspace._numerators
+        calls = []
+
+        def counted(comps):
+            calls.append(comps)
+            return numerators(comps)
+
+        monkeypatch.setattr(solvspin.halfspace, "_numerators", counted)
+        for lam in self.lams:
+            sols = solve_killing_halfspace(model, rep, lam, 2, 2)
+            assert sols
+            for psi in sols:
+                assert all(res.is_zero for res in killing_residual(model, rep, psi, lam))
+                assert verify_amended_identity(model, rep, psi, lam)
+                assert not verify_amended_identity(model, rep, psi, -lam)
+                assert psi.numerators == numerators(psi.components)
+            assert calls == [psi.components for psi in sols]
+            calls.clear()
+
+    def test_each_branch_keeps_its_own_constants(self):
+        # built in either order, the -lambda branch holds -lambda's constants:
+        # 2 lambda^2 and -lambda phi_0 over 2p d^2, phi_0 over d^2
+        p = self.model.r.numerator
+        for lams in (self.lams, self.lams[::-1]):
+            model = HalfSpaceModel(self.model.n, self.model.signs, self.model.r)
+            held = {}
+            for lam in lams:
+                for psi in solve_killing_halfspace(model, self.rep, lam, 1, 1):
+                    assert verify_amended_identity(model, self.rep, psi, lam)
+                    assert not verify_amended_identity(model, self.rep, psi, -lam)
+                held[lam] = model._branches[(self.rep, lam)][4]
+            phi0 = model.decomposition.phi[0][0][0]
+            for lam, (lam_sq2, minus_lam_phi, phi, m) in held.items():
+                lam_sq2, minus_lam_phi, phi = (from_numerators(*x, 1, m) for x in (lam_sq2, minus_lam_phi, phi))
+                d2 = phi / phi0
+                assert d2.denominator == 1 and math.isqrt(d2.numerator) ** 2 == d2 > 0
+                assert lam_sq2 == 2 * lam * lam * 2 * p * d2
+                assert minus_lam_phi == -lam * phi0 * 2 * p * d2
+            plus, minus = (held[lam] for lam in self.lams)
+            assert plus[0] == minus[0] and plus[2] == minus[2]
+            assert minus[1] == tuple(-x for x in plus[1]) != plus[1]
+
+    def test_zero_components_of_a_residual_are_empty_functions(self):
+        model, rep = self.model, self.rep
+        x1 = (-1, (1, 0, 0))
+        for lam in self.lams:
+            for psi in solve_killing_halfspace(model, rep, lam, 1, 1):
+                residual = killing_residual(model, rep, psi, lam)
+                assert all(comp == CoordFunction() for res in residual for comp in res.components)
+                # a tampered solution leaves zero and nonzero components side by side
+                bad = _tampered(psi, 0, x1, F(1))
+                residual = killing_residual(model, rep, bad, lam)
+                assert residual == killing_residual_tower(model, rep, bad, lam)
+                comps = [comp for res in residual for comp in res.components]
+                assert any(comp.terms for comp in comps) and CoordFunction() in comps
+                assert all(comp == CoordFunction() for comp in comps if comp.is_zero)
 
 
 class TestAmendedIdentity:
