@@ -28,8 +28,18 @@ rational, a TowerScalar otherwise.  The dense matrices over Q(i), including
 `CliffordRep.gammas`, are views derived from those forms; their zeros are
 Fraction(0) and their real units Fraction(+-1).  For odd n the
 representation is pinned down by normalizing the volume element to act as
-+1 or +i.  The generators of the all-plus signature are built once per n,
-by the one `lru_cache` on `_definite_generators`.
++1 or +i.  The generators of the all-plus signature, and for odd n the
+power of i their volume element acts as, are built once per n, by the one
+`lru_cache` on `_definite_generators`; a signature's generators differ from
+them by units i**c, which factor out of every product.
+
+A unit phase i**c times a generator multiplies its anticommutator with
+each other generator by i**c, which leaves it zero or not, and its square
+by i**(2c), so each relation is decided by the generators' permutations and
+their phases up to one unit each (Lawson-Michelsohn, Spin Geometry, ch. I,
+sec. 5).  `clifford_violations` therefore reads the rows once per such
+shape, which every signature of one n shares, with one bounded `lru_cache`
+on `_relation_failures`, and tests only each square's unit per call.
 """
 
 from __future__ import annotations
@@ -84,9 +94,13 @@ def _kron(x, y) -> tuple:
     return tuple(j * m + k for j in px for k in py), tuple((q + r) % 4 for q in qx for r in qy)
 
 
+# _PLUS[k][q] = q + k mod 4: a phase row times i**k is one map over it
+_PLUS = tuple(tuple((q + k) % 4 for q in range(4)) for k in range(4))
+
+
 def _times_i(x, k: int) -> tuple:
-    """i**k x."""
-    return x[0], tuple((q + k) % 4 for q in x[1])
+    """i**k x, for k in 0..3."""
+    return x[0], tuple(map(_PLUS[k].__getitem__, x[1]))
 
 
 def _scalar_phase(x) -> int | None:
@@ -104,29 +118,41 @@ _X = ((1, 0), (0, 0))   # [[0, 1], [1, 0]]
 
 @lru_cache(maxsize=None)
 def _definite_generators(n: int) -> tuple:
-    """Generators squaring to -I for the all-plus signature (cached per n).
+    """(generators, k) for the all-plus signature (cached per n): generators
+    squaring to -I, and for odd n the k with gamma_1 ... gamma_n = i**k I
+    (None for even n).
 
     n = 1 is the 1 x 1 matrix i; an odd n > 1 adds to the set for n - 1 a
     normalized product of all of them; an even n doubles from n = 2.
     """
     if n == 1:
-        return (((0,), (1,)),)
+        return (((0,), (1,)),), 1
     if n % 2:
-        gens = _definite_generators(n - 1)
+        gens, _ = _definite_generators(n - 1)
         prod = reduce(_compose, gens)
         square = _scalar_phase(_compose(prod, prod))
-        return gens + (_times_i(prod, 0 if square == 2 else 1),)
+        gens += (_times_i(prod, 0 if square == 2 else 1),)
+        k = _scalar_phase(reduce(_compose, gens))
+        if k is None:
+            raise RuntimeError("volume element is not scalar")
+        return gens, k
     gens = [_J, ((1, 0), (1, 1))]
     size = 2
     while len(gens) < n:
         eye = (tuple(range(size)), (0,) * size)
         gens = [_kron(_Z, g) for g in gens] + [_kron(_X, _times_i(eye, 1)), _kron(_J, eye)]
         size *= 2
-    return tuple(gens)
+    return tuple(gens), None
 
 
 def build_gammas(signs: Sequence[int]) -> CliffordRep:
-    """Representation of the Clifford algebra for a +-1 signature list."""
+    """Representation of the Clifford algebra for a +-1 signature list.
+
+    gamma_a is the all-plus generator, times i where eps_a = -1.  For odd n
+    the volume element is then i**(k + number of -1 signs) I, k the all-plus
+    one, since the units factor out of the product; when that is -1 or -i
+    the last generator is negated, so it acts as +1 or +i.
+    """
     signs = tuple(signs)
     n = len(signs)
     if n < 1:
@@ -136,51 +162,63 @@ def build_gammas(signs: Sequence[int]) -> CliffordRep:
     if 2 ** (n // 2) > MAX_UNKNOWNS:
         raise ValueError("n = %d gives spinors of dimension 2^%d, more than the limit of %d"
                          % (n, n // 2, MAX_UNKNOWNS))
-    gens = _definite_generators(n)
-    # sign fix: gamma_a -> i gamma_a wherever eps_a = -1
+    gens, k = _definite_generators(n)
     gammas = [_times_i(g, 1) if s == -1 else g for g, s in zip(gens, signs)]
     volume_power = None
     if n % 2 == 1:
-        k = _scalar_phase(reduce(_compose, gammas))
-        if k is None:
-            raise RuntimeError("volume element is not scalar")
+        k = (k + signs.count(-1)) % 4
         if k >= 2:  # volume acts as -1 or -i: flip the last generator
             gammas[-1] = _times_i(gammas[-1], 2)
             k -= 2
         volume_power = k
-    return CliffordRep(signs, tuple(p for p, _ in gammas), tuple(q for _, q in gammas),
-                       volume_power)
-
-
-def _generators(rep: CliffordRep) -> list:
-    return list(zip(rep.perm, rep.phase))
+    perm, phase = zip(*gammas)
+    return CliffordRep(signs, perm, phase, volume_power)
 
 
 def clifford_violations(rep: CliffordRep) -> list[tuple[int, int]]:
-    """Pairs (a, b) where the anticommutator relation fails (exact check).
+    """Pairs (a, b), a <= b, where the anticommutator relation fails (exact check).
 
-    Row i of gamma_a gamma_b holds i**(qa[i] + qb[pa[i]]) at column pb[pa[i]],
-    for pa, qa = perm[a], phase[a], so each pair is one pass over the rows
-    with no product built.  For a = b the square must be the identity
-    permutation with phase 2 (eps_a = +1) or 0 (eps_a = -1) in every row; for
-    a != b the two products must share their permutation, pb[pa[i]] ==
-    pa[pb[i]], and their phases must differ by 2 in every row.
+    Each generator is written as i**c_a times one whose row 0 has phase 0,
+    c_a = phase[a][0].  A unit phase leaves each relation unchanged:
+    gamma_a gamma_b + gamma_b gamma_a = i**(c_a + c_b) times the same sum of
+    the normalized generators, and gamma_a**2 = i**(2 c_a) times the
+    normalized square.  So the rows are read once per shape, by
+    `_relation_failures` on (perm, normalized phases), which every signature
+    of one n shares, and each call keeps only the square test: the
+    normalized square i**s I must have (s + 2 c_a) mod 4 = 1 + eps_a, that
+    is gamma_a**2 = -eps_a I.  The check is exact for any perm and phase,
+    tampered ones included.
     """
-    gens = _generators(rep)
-    bad = []
+    shifts = [row[0] for row in rep.phase]
+    phase = tuple([tuple(map(_PLUS[-c % 4].__getitem__, row)) for c, row in zip(shifts, rep.phase)])
+    pairs, squares = _relation_failures(rep.perm, phase)
+    bad = [(a, a) for a, (s, c, eps) in enumerate(zip(squares, shifts, rep.signs))
+           if s is None or (s + 2 * c) % 4 != 1 + eps]
+    return sorted(bad + list(pairs))
+
+
+@lru_cache(maxsize=64)
+def _relation_failures(perm: tuple, phase: tuple) -> tuple:
+    """(pairs, squares) of the generators (perm[a], phase[a]), cached per shape.
+
+    pairs lists the a < b whose products gamma_a gamma_b and gamma_b gamma_a
+    do not sum to 0.  Row i of gamma_a gamma_b holds i**(qa[i] + qb[pa[i]])
+    at column pb[pa[i]], for pa, qa = perm[a], phase[a], so each pair is one
+    pass over the rows with no product built: the two products must share
+    their permutation, pb[pa[i]] == pa[pb[i]], and their phases must differ
+    by 2 in every row.  squares[a] is the s with gamma_a**2 = i**s I, None
+    when pa is no involution or the rows' phases disagree.
+    """
+    gens = list(zip(perm, phase))
+    pairs = []
     for a, (pa, qa) in enumerate(gens):
-        want = 1 + rep.signs[a]
-        for i, (j, x) in enumerate(zip(pa, qa)):
-            if pa[j] != i or (x + qa[j]) % 4 != want:
-                bad.append((a, a))
-                break
-        for b in range(a + 1, rep.n):
+        for b in range(a + 1, len(gens)):
             pb, qb = gens[b]
             for j, k, x, y in zip(pa, pb, qa, qb):
                 if pb[j] != pa[k] or (x + qb[j] - y - qa[k]) % 4 != 2:
-                    bad.append((a, b))
+                    pairs.append((a, b))
                     break
-    return bad
+    return tuple(pairs), tuple(_scalar_phase(_compose(g, g)) for g in gens)
 
 
 def clifford_rows(rep: CliffordRep, terms) -> list[dict]:
@@ -340,7 +378,7 @@ def annihilator_kernel(rep: CliffordRep, psi: Sequence) -> list[dict]:
     """
     _check_length(psi, rep.spinor_dim, "psi", "spinor_dim")
     rotations = [_rotations(x) for x in common_numerators(psi)[0]]
-    gens = _generators(rep)
+    gens = list(zip(rep.perm, rep.phase))
     eqs = []
     for h in range(rep.spinor_dim):
         for part in zip(*[rotations[perm[h]][phase[h]] for perm, phase in gens]):

@@ -53,8 +53,9 @@ class HalfSpaceModel:
     """H^eps_r as a metric Lie algebra plus its coordinate frame data.
 
     `signs` is stored as a tuple and `r` as a Fraction; models with equal
-    (n, signs, r) are equal.  `_branches` maps each (rep, lam) that has been
-    asked for to its branch, the one value `_branch` builds.  The model is
+    (n, signs, r) are equal.  `_branches` maps each (rep, lam) at an
+    Einstein value that has been asked for to its branch, the one value
+    `_branch` builds; a branch at any other lam is not kept.  The model is
     frozen, so its branches, like the connection its `algebra` holds, cannot
     go stale; they live as long as the model.  The memo is a dict field, not
     a `cached_property` or an `lru_cache`: a cached property takes no
@@ -102,8 +103,10 @@ class HalfSpaceModel:
         lam^2 = -eps_t/(4 r^2), the Einstein value.  `constants` are the
         amended identity's (2 lam^2, -lam phi_0, phi_0, m_c): with lam and
         phi_0 over one denominator d and m_c their radicand or None, the first
-        two over 2p d^2 and phi_0 over d^2.  Callers must not change any of
-        them."""
+        two over 2p d^2 and phi_0 over d^2.  Only a branch at an Einstein
+        value is kept in `_branches`; any other lam's branch is built on
+        each call and not kept, so asking about many lam holds no memory.
+        Callers must not change any of them."""
         branch = self._branches.get((rep, lam))
         if branch is None:
             rows = killing_operator_rows(self.algebra, rep, lam)
@@ -125,7 +128,9 @@ class HalfSpaceModel:
             constants = (tuple(2 * p2 * x for x in _mul(lam_n, lam_n, mw)),
                          tuple(-p2 * x for x in _mul(lam_n, phi_n, mw)),
                          tuple(d * x for x in phi_n), m_c)
-            branch = self._branches[(rep, lam)] = (columns, p2 * q, m, spinors, constants)
+            branch = (columns, p2 * q, m, spinors, constants)
+            if einstein:
+                self._branches[(rep, lam)] = branch
         return branch
 
     def killing_spinors(self, rep: CliffordRep, lam) -> list[dict]:

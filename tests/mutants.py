@@ -39,6 +39,10 @@ MUTANTS = [
     ("branch: the Einstein test forced true", "halfspace.py",
      "einstein = lam * lam == Fraction(-self.signs[-1]) / (4 * self.r * self.r)", "einstein = True",
      [HS + "TestIntegerCertificates"]),
+    ("branch: a branch off the Einstein value kept", "halfspace.py",
+     "            if einstein:\n                self._branches[(rep, lam)] = branch\n",
+     "            self._branches[(rep, lam)] = branch\n",
+     [HS + "TestSharedWork::test_off_branch_certificates_keep_no_branch"]),
     ("construction: the fewer-than-N check dropped", "halfspace.py",
      "    if len(spinors) < N:\n", "    if False:\n",
      [HS + "TestConstructionMutants::test_a_dropped_v_fails_the_count"]),
@@ -114,8 +118,14 @@ MUTANTS = [
      "(x + qb[j] - y - qa[k]) % 4 != 2", "(x + qb[j] - y - qa[k]) % 2 != 0",
      [CL + "TestViolations::test_repeated_generator_breaks_anticommutation"]),
     ("clifford_violations: the square's permutation check dropped", "clifford.py",
-     "if pa[j] != i or (x + qa[j]) % 4 != want:", "if (x + qa[j]) % 4 != want:",
+     "if perm == tuple(range(len(perm))) and len(set(phase)) == 1:", "if len(set(phase)) == 1:",
      [CL + "TestViolations::test_single_row_tampering_reported_where_dense_fails"]),
+    ("clifford_violations: the square test without the 2 c_a shift", "clifford.py",
+     "if s is None or (s + 2 * c) % 4 != 1 + eps]", "if s is None or s % 4 != 1 + eps]",
+     [CL + "TestViolations::test_unit_multiples_of_each_generator_match_dense_products"]),
+    ("build_gammas: the volume phase without its -1 count", "clifford.py",
+     "        k = (k + signs.count(-1)) % 4\n", "        k = k % 4\n",
+     [CL + "TestBuild::test_volume_power_matches_the_monomial_product"]),
     ("clifford_violations: the anticommutator's permutation check dropped", "clifford.py",
      "if pb[j] != pa[k] or (x + qb[j]", "if (x + qb[j]",
      [CL + "TestViolations::test_single_row_tampering_reported_where_dense_fails"]),

@@ -7,6 +7,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -151,6 +152,15 @@ class TestBuild:
             want = mat_scale((F(1), TS_I)[rep.volume_power], identity(N))
             assert mat_equal(vol, want)
 
+    def test_volume_power_matches_the_monomial_product(self):
+        # build_gammas reads the volume phase off the signs; the product of
+        # the generators it returns must act as that power of i
+        for n in range(1, 10, 2):
+            for signs in itertools.product((1, -1), repeat=n):
+                rep = build_gammas(signs)
+                volume = clifford._scalar_phase(reduce(clifford._compose, zip(rep.perm, rep.phase)))
+                assert rep.volume_power == volume in (0, 1), signs
+
     def test_even_dimension_has_no_volume_power(self):
         assert build_gammas((1, -1)).volume_power is None
 
@@ -184,6 +194,19 @@ class TestViolations:
                 phase[a] = tuple((q + 1) % 4 for q in phase[a])
                 bad = dataclasses.replace(rep, phase=tuple(phase))
                 assert clifford_violations(bad) == [(a, a)]
+
+    def test_unit_multiples_of_each_generator_match_dense_products(self):
+        # i**c gamma_a anticommutes with the others as gamma_a does and
+        # squares to (-1)**c gamma_a**2, so only (a, a) fails, for odd c
+        for n in range(1, 6):
+            for signs in itertools.product((1, -1), repeat=n):
+                rep = build_gammas(signs)
+                for a in range(n):
+                    for c in range(4):
+                        scaled = tuple((q + c) % 4 for q in rep.phase[a])
+                        bad = dataclasses.replace(rep, phase=rep.phase[:a] + (scaled,) + rep.phase[a + 1:])
+                        want = clifford_failures_dense(bad)
+                        assert clifford_violations(bad) == want == ([(a, a)] if c % 2 else []), (signs, a, c)
 
     def test_repeated_generator_breaks_anticommutation(self):
         rep = build_gammas((1, 1, -1, 1))

@@ -206,8 +206,9 @@ class TestModel:
         rep = model.clifford_rep()
         for lam in (TowerScalar.rational(F(1, 2)), TowerScalar(0, F(1, 3))):
             assert solve_killing_halfspace(model, rep, lam, 2, 2) == []
-            columns, q, m, spinors, _ = model._branches[(rep, lam)]
+            columns, q, m, spinors, _ = model._branch(rep, lam)
             assert spinors == [] and len(columns) == model.n and q > 0
+        assert model._branches == {}
 
     def test_parse_rejects_exponent_radius(self):
         # Fraction would expand 1e4000000 in full before anything else ran
@@ -747,6 +748,23 @@ class TestSharedWork:
             plus, minus = (held[lam] for lam in self.lams)
             assert plus[0] == minus[0] and plus[2] == minus[2]
             assert minus[1] == tuple(-x for x in plus[1]) != plus[1]
+
+    def test_off_branch_certificates_keep_no_branch(self):
+        # a lam off the Einstein value gets its branch built for the call
+        # only, so repeated certificates there hold nothing new and agree
+        model, rep = self.model, self.rep
+        psi = solve_killing_halfspace(model, rep, self.lams[0], 2, 2)[0]
+        assert len(model._branches) == 1
+        off = [F(k, 7) for k in (-3, -2, -1, 1, 2, 3)] + [TowerScalar(0, F(1, 3))]
+
+        def verdicts():
+            return [(killing_residual(model, rep, psi, lam), verify_amended_identity(model, rep, psi, lam))
+                    for lam in off]
+
+        first = verdicts()
+        assert verdicts() == first
+        assert len(model._branches) == 1
+        assert not any(ok or all(res.is_zero for res in residual) for residual, ok in first)
 
     def test_zero_components_of_a_residual_are_empty_functions(self):
         model, rep = self.model, self.rep
