@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -123,6 +124,13 @@ def _square_part(n: int) -> tuple[int, int]:
     return s, f * m
 
 
+@lru_cache(maxsize=64)
+def _squarefree(m: int) -> bool:
+    """Whether the int m > 1 has no square factor: the constructor's radicand
+    check, one split per radicand (one past TRIAL_BOUND takes about 0.1 s)."""
+    return _square_part(m)[0] == 1
+
+
 def split_square(m: RationalLike) -> tuple[Fraction, int]:
     """Write m > 0 as s**2 * f with rational s > 0 and squarefree integer f."""
     m = to_rational(m)
@@ -143,7 +151,7 @@ class TowerScalar:
     def __init__(self, a=0, b=0, c=0, d=0, radicand=None):
         parts = [to_rational(x) for x in (a, b, c, d)]
         if radicand is not None and (type(radicand) is not int or radicand <= 1
-                                     or _square_part(radicand)[0] != 1):
+                                     or not _squarefree(radicand)):
             raise ValueError("radicand must be a squarefree integer > 1, not %r" % (radicand,))
         if not (parts[2] or parts[3]):
             radicand = None

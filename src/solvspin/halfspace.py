@@ -40,13 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 
 from .exact import _common_radicand, _mul, _rotations, common_numerators, from_numerators, parse_rational, to_dict
 from .clifford import CliffordRep, _check_length, build_gammas
-from .killing import check_signature, killing_operator_rows
+from .killing import killing_operator_rows
 from .liealg import LieAlgebra, MetricLieAlgebra, StandardDecomposition, extend_by_derivation
-from .linalg import MAX_UNKNOWNS, add_scaled, identity, mat_scale, normalize_vector, sparse_nullspace
+from .linalg import add_scaled, identity, mat_scale, normalize_vector, sparse_nullspace
 
 @dataclass(frozen=True)
 class HalfSpaceModel:
@@ -326,25 +325,21 @@ def solve_killing_halfspace(
 ) -> list[CoordSpinorField]:
     """Exact solution basis of the Killing equation in a bounded monomial window.
 
-    The window runs over t^(k/2) x^m with k in [-kmax, kmax] and |m| <= mmax;
-    one of more than MAX_UNKNOWNS unknowns, (2 kmax + 1) C(n - 1 + mmax, mmax)
-    N, is refused before anything is built.  Its column q N + h, component h at
-    the q-th monomial in (k, m) order, compares as the key ((k, m), h) does.
+    The window runs over t^(k/2) x^m with k in [-kmax, kmax] and |m| <= mmax.
+    Its column q N + h, component h at the q-th monomial in (k, m) order,
+    compares as the key ((k, m), h) does.  Nothing is built per window
+    column, so any window costs the same reduction of the branch's N spinors;
+    `killing_spinors` refuses a rep of another signature than the model's.
     The branch's spinors are fully reduced in one pass with each vector's
     highest column as its pivot, keyed so that every coefficient outside the
     window sorts last; those with their pivot inside are scaled by
     `normalize_vector` and returned in pivot order: the unique basis that
     eliminating the window's equations gives.
     """
-    check_signature(model, rep)
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
         if bound < 0:
             raise ValueError("window bound %s = %d is negative" % (name, bound))
     N = rep.spinor_dim
-    unknowns = (2 * kmax + 1) * comb(model.n - 1 + mmax, mmax) * N
-    if unknowns > MAX_UNKNOWNS:
-        raise ValueError("window kmax = %d, mmax = %d has %d unknowns, more than the limit of %d"
-                         % (kmax, mmax, unknowns, MAX_UNKNOWNS))
     # Keyed (outside, (k, m), h), every coefficient outside the window sorts
     # after every one inside it.  A reduced spinor's pivot is its highest key,
     # so one whose pivot is inside has no entry outside.  A combination with

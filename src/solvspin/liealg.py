@@ -24,6 +24,8 @@ D the common denominator of the entries, C an int when c is rational and the
 TowerScalar with those integer parts otherwise; Gamma is written over q = 2D
 and curvature and Ricci over q^2.  Each stored Gamma entry and each nonzero
 curvature and Ricci entry is read back once, a Fraction when it is rational.
+So is every value `ricci_standard`, `nilsoliton_solve` and `symmetric_part`
+return: the block sums, lambda, the diagonal of D and each (f + f*)/2.
 
 The numerators, the connection, the Ricci data and the Killing constants are
 properties of the metric algebra: `MetricLieAlgebra._koszul`, `.connection`,
@@ -47,7 +49,6 @@ from .exact import common_numerators, from_numerators, scaled, sqrt_to_tower, to
 from .linalg import (
     _sparse_echelon,
     add_scaled,
-    identity,
     mat_equal,
     mat_mul,
     mat_from_rows,
@@ -264,11 +265,9 @@ def metric_transpose(f, signs) -> tuple:
 
 
 def symmetric_part(f, signs) -> tuple:
+    """(f + f*) / 2, each entry read back by `exact.scaled`."""
     ft = metric_transpose(f, signs)
-    return tuple(
-        tuple(HALF * (f[i][j] + ft[i][j]) for j in range(len(signs)))
-        for i in range(len(signs))
-    )
+    return tuple(tuple(scaled([x + y for x, y in zip(row, row_t)], HALF)) for row, row_t in zip(f, ft))
 
 
 def is_metric_symmetric(f, signs) -> bool:
@@ -404,19 +403,11 @@ class RicciData:
     scalar: object    # s = sum_i eps_i ric(e_i, e_i)
 
 
-def _ricci_from_form(ric, signs) -> RicciData:
-    n = len(signs)
-    op = tuple(tuple(signs[k] * ric[j][k] for j in range(n)) for k in range(n))
-    s = F0
-    for i in range(n):
-        s = s + signs[i] * ric[i][i]
-    return RicciData(mat_from_rows(ric), op, s)
-
-
 def _ricci_from_numerators(acc: dict, q2: int, signs) -> RicciData:
     """RicciData from numerators acc {(y, z): N} over q2: one value read back per
     nonzero entry, the operator from those values and their negatives, and
-    the scalar from the diagonal numerators."""
+    the scalar from the diagonal numerators.  With q2 = 1 the N are values,
+    each read back as it is (`ricci_standard`); every RicciData is built here."""
     n = len(signs)
     vals = {key: _over(x, q2) for key, x in acc.items() if x}
     ric = tuple(tuple(vals.get((y, z), F0) for z in range(n)) for y in range(n))
@@ -554,19 +545,19 @@ def ricci_standard(M: MetricLieAlgebra, decomp: StandardDecomposition) -> RicciD
     """Ricci of the full metric from nil-level data and the phi_alpha maps.
 
     Implements the three block formulas relating ric of the nilpotent part to
-    ric of the whole algebra; raises NotStandardError when the decomposition
-    does not validate.
+    ric of the whole algebra, whose sums `_ricci_from_numerators` reads back
+    over q2 = 1; raises NotStandardError when the decomposition does not
+    validate.
     """
     report = check_standard(M, decomp)
     if not report.is_standard:
         raise NotStandardError("not a standard decomposition: %s" % "; ".join(report.failures))
-    n = M.dim
     nil, ab = decomp.nil_indices, decomp.abelian_indices
     nil_signs = tuple(M.signs[i] for i in nil)
     ng = len(nil)
     sub = restrict(M, nil)
     ric_g = sub.ricci_data.ric if ng else ()
-    ric = [[F0] * n for _ in range(n)]
+    ric = {}
     phi_star = [metric_transpose(p, nil_signs) for p in decomp.phi]
     phi_sym = [symmetric_part(p, nil_signs) for p in decomp.phi]
     comm = [mat_sub(mat_mul(p, ps), mat_mul(ps, p)) for p, ps in zip(decomp.phi, phi_star)]
@@ -579,7 +570,7 @@ def ricci_standard(M: MetricLieAlgebra, decomp: StandardDecomposition) -> RicciD
                 eps_a = M.signs[a]
                 acc = acc + HALF * eps_a * _inner_entry(comm[a_pos], p, q, nil_signs)
                 acc = acc - eps_a * tr[a_pos] * _inner_entry(phi_sym[a_pos], p, q, nil_signs)
-            ric[nil[p]][nil[q]] = acc
+            ric[nil[p], nil[q]] = acc
     # mixed block: ric(v, e_alpha) = (1/2) Tr(ad v o phi_alpha*), where
     # Tr(ad e_p o phi_alpha*) = sum_jk c_pjk phi_alpha*[j][k] over the nil entries
     for a_pos, a in enumerate(ab):
@@ -587,14 +578,12 @@ def ricci_standard(M: MetricLieAlgebra, decomp: StandardDecomposition) -> RicciD
         for p, j, k, c in sub.algebra.brackets:
             tr_ad[p] = tr_ad[p] + c * phi_star[a_pos][j][k]
         for p in range(ng):
-            val = HALF * tr_ad[p]
-            ric[nil[p]][a] = val
-            ric[a][nil[p]] = val
+            ric[nil[p], a] = ric[a, nil[p]] = HALF * tr_ad[p]
     # abelian block: ric(e_alpha, e_beta) = -Tr(phi_alpha^s o phi_beta)
     for a_pos, a in enumerate(ab):
         for b_pos, b in enumerate(ab):
-            ric[a][b] = -trace(mat_mul(phi_sym[a_pos], decomp.phi[b_pos]))
-    return _ricci_from_form(ric, M.signs)
+            ric[a, b] = -trace(mat_mul(phi_sym[a_pos], decomp.phi[b_pos]))
+    return _ricci_from_numerators(ric, 1, M.signs)
 
 
 def _inner_entry(f, p, q, signs):
@@ -686,7 +675,9 @@ def nilsoliton_solve(M: MetricLieAlgebra) -> Optional[NilsolitonResult]:
 
     The derivation condition is affine in lam; a unique lam exists whenever the
     bracket is nonzero.  Returns None when no lam works; the abelian case
-    returns lam = 0, D = 0 by convention.
+    returns lam = 0, D = 0 by convention.  lam and the diagonal of
+    D = Ric - lam I are read back, each a Fraction when it is rational; the
+    rest of D is the Ricci operator's.
     """
     L = M.algebra
     if jacobi_check(L):
@@ -711,11 +702,12 @@ def nilsoliton_solve(M: MetricLieAlgebra) -> Optional[NilsolitonResult]:
     if not pending:
         return NilsolitonResult(F0, zeros(n, n))
     coef0, rhs0 = pending[0]
-    lam = rhs0 / coef0
+    lam = _over(rhs0 / coef0, 1)
     for coef, rhs in pending[1:]:
         if not coef * lam == rhs:
             return None
-    D = mat_sub(ric_op, mat_scale(lam, identity(n)))
+    D = tuple(tuple(_over(x - lam, 1) if i == j else x for j, x in enumerate(row))
+              for i, row in enumerate(ric_op))
     if not is_derivation(L, D):
         return None
     return NilsolitonResult(lam, D)

@@ -42,13 +42,12 @@ from solvspin.liealg import (
     einstein_check,
     einstein_extension,
     extend_by_derivation,
-    identity,
     nilsoliton_solve,
     ricci,
     ricci_standard,
     standard_connection_identities,
 )
-from solvspin.linalg import mat_equal, mat_scale
+from solvspin.linalg import identity, mat_equal, mat_scale
 
 from reference_linalg import nullspace, rational_parts, solve_linear
 

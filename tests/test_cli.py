@@ -234,15 +234,20 @@ class TestCommands:
             assert "eps0" not in data["error"]
             assert "error_type" not in data and "results" not in data
 
-    def test_killing_halfspace_window_over_limit_exits_one(self, capsys):
-        started = time.perf_counter()
-        code = main(["killing-halfspace", "halfspace n=3 r=1 signs=1,1,1", "--json",
-                     "--kmax", "100000", "--mmax", "100"])
-        assert time.perf_counter() - started < 1.0
-        assert code == 1
-        data = json.loads(capsys.readouterr().out)
-        assert "kmax = 100000, mmax = 100" in data["error"] and "limit" in data["error"]
-        assert "error_type" not in data and "results" not in data
+    def test_killing_halfspace_huge_window_answers_like_the_small_one(self, capsys):
+        # about 1e9 monomial unknowns: the solve reduces the same N spinors
+        reports = []
+        for kmax, mmax in (("1", "1"), ("100000", "100")):
+            started = time.perf_counter()
+            code = main(["killing-halfspace", "halfspace n=3 r=1 signs=1,1,1", "--json",
+                         "--kmax", kmax, "--mmax", mmax])
+            assert time.perf_counter() - started < 1.0
+            assert code == 0
+            reports.append(json.loads(capsys.readouterr().out)["results"])
+        small, huge = reports
+        assert huge["degree_bounds"] == {"kmax": 100000, "mmax": 100}
+        assert [b["dimension"] for b in huge["branches"]] == [b["dimension"] for b in small["branches"]] == [2, 2]
+        assert huge["branches"] == small["branches"]
 
     def test_duplicate_abelian_line_exits_one(self, tmp_path, capsys):
         # a second abelian line is an error, like a second dim or signs line

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import solvspin.exact
 from solvspin.exact import (
     PRIME_BOUND,
     TRIAL_BOUND,
@@ -479,6 +480,19 @@ def test_radicands_must_be_squarefree_ints_above_one(radicand):
         TowerScalar(0, 0, 1, 0, radicand)
     with pytest.raises(ValueError, match="squarefree"):
         TowerScalar.from_dict({"a": "0", "b": "0", "c": "1", "d": "0", "radicand": radicand})
+
+
+def test_a_radicand_is_split_once(monkeypatch):
+    # 1000003 * 1000033 splits past TRIAL_BOUND; two constructions and the
+    # read-back of their JSON form check that radicand with one split
+    m = 1000003 * 1000033
+    splits = []
+    split = solvspin.exact._square_part
+    monkeypatch.setattr(solvspin.exact, "_square_part", lambda n: splits.append(n) or split(n))
+    solvspin.exact._squarefree.cache_clear()
+    x = TowerScalar(0, 0, 1, 0, m)
+    assert TowerScalar(0, 0, 1, 0, m) == x == TowerScalar.from_dict(to_dict(x))
+    assert splits == [m]
 
 
 def test_a_squarefree_radicand_is_accepted_and_equal_values_compare_equal():

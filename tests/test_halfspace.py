@@ -18,11 +18,10 @@ import solvspin.liealg
 from solvspin.cli import main
 from solvspin.clifford import build_gammas
 from solvspin.exact import TS_I, IncompatibleExtensionError, TowerScalar, from_numerators, sqrt_to_tower
-from solvspin.linalg import add_scaled
+from solvspin.linalg import MAX_UNKNOWNS, add_scaled
 from solvspin.killing import killing_operator_rows, lambda_candidates, solve_invariant_killing
 from solvspin.liealg import MetricLieAlgebra, curvature, einstein_extension, levi_civita, ricci
 from solvspin.halfspace import (
-    MAX_UNKNOWNS,
     CoordFunction,
     CoordSpinorField,
     HalfSpaceModel,
@@ -356,24 +355,22 @@ class TestSolver:
         with pytest.raises(ValueError, match="mmax = -2"):
             solve_killing_halfspace(model, rep, lam, 1, -2)
 
-    def test_window_over_the_limit_is_refused_before_building(self, monkeypatch):
+    def test_a_window_of_a_billion_unknowns_answers_like_the_small_one(self):
+        # the solve reduces the branch's N spinors whatever the window, so a
+        # window of (2 * 100000 + 1) * C(102, 100) * 2 monomial unknowns, about
+        # 1e9, gives the basis of (1, 1), which already holds every spinor
         model = HalfSpaceModel(3, (1, 1, 1), F(1))
         rep = model.clifford_rep()
-        lam = lambda_candidates(model.algebra)[0].lam
-        monkeypatch.setattr(HalfSpaceModel, "killing_spinors", None)  # never reached
-        # (2 * 100000 + 1) * C(102, 100) * 2 unknowns, about 1e9
-        count = 200001 * 5151 * 2
-        started = time.perf_counter()
-        with pytest.raises(ValueError, match="kmax = 100000, mmax = 100 has %d unknowns.*limit of %d"
-                           % (count, MAX_UNKNOWNS)):
-            solve_killing_halfspace(model, rep, lam, 100000, 100)
-        assert time.perf_counter() - started < 0.5
-        # with mmax = 0 a window has (2 kmax + 1) * 2 unknowns: one step past the limit
-        kmax = MAX_UNKNOWNS // 4
-        assert (2 * kmax - 1) * 2 <= MAX_UNKNOWNS < (2 * kmax + 1) * 2
-        with pytest.raises(ValueError, match="kmax = %d, mmax = 0 has %d unknowns"
-                           % (kmax, (2 * kmax + 1) * 2)):
-            solve_killing_halfspace(model, rep, lam, kmax, 0)
+        for cand in lambda_candidates(model.algebra):
+            want = solve_killing_halfspace(model, rep, cand.lam, 1, 1)
+            started = time.perf_counter()
+            got = solve_killing_halfspace(model, rep, cand.lam, 100000, 100)
+            assert time.perf_counter() - started < 0.5
+            assert len(got) == len(want) == 2 and got == want
+            # with mmax = 0 a window has (2 kmax + 1) * 2 unknowns
+            kmax = MAX_UNKNOWNS // 4
+            assert solve_killing_halfspace(model, rep, cand.lam, kmax, 0) == \
+                solve_killing_halfspace(model, rep, cand.lam, 1, 0)
 
     def test_wrong_lambda_gives_nothing(self):
         model = HalfSpaceModel(2, (1, 1), F(1))

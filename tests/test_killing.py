@@ -25,10 +25,9 @@ from solvspin.liealg import (
     LieAlgebra,
     MetricLieAlgebra,
     einstein_extension,
-    identity,
     ricci,
 )
-from solvspin.linalg import mat_equal, mat_mul, mat_scale, mat_sub, normalize_vector
+from solvspin.linalg import identity, mat_equal, mat_mul, mat_scale, mat_sub, normalize_vector
 
 from reference_linalg import densify, nullspace
 

@@ -13,7 +13,18 @@ from solvspin.clifford import build_gammas, two_tensor_action
 from solvspin.exact import TowerScalar, sqrt_to_tower
 from solvspin.halfspace import HalfSpaceModel, killing_residual, solve_killing_halfspace
 from solvspin.killing import killing_operator_rows, lambda_candidates, solve_invariant_killing
-from solvspin.liealg import LieAlgebra, MetricLieAlgebra, curvature, einstein_check, einstein_extension
+from solvspin.liealg import (
+    LieAlgebra,
+    MetricLieAlgebra,
+    curvature,
+    einstein_check,
+    einstein_extension,
+    metric_transpose,
+    nilsoliton_solve,
+    ricci_standard,
+    symmetric_part,
+)
+from solvspin.linalg import mat_sub
 
 F = Fraction
 SEED = 20261020
@@ -31,16 +42,22 @@ def _halfspaces(max_n: int):
 
 
 def _extensions():
-    """(extension, lambda) of the Einstein extension of every catalog shape
-    under every signature that has one: rational scalings and irrational ones."""
+    """(extension, decomposition, lambda) of the Einstein extension of every
+    catalog shape under every signature that has one: rational scalings and
+    irrational ones."""
+    for M in _shapes(F(1)):
+        try:
+            yield einstein_extension(M)
+        except ValueError:
+            continue
+
+
+def _shapes(c):
+    """Every catalog shape under every signature, its brackets scaled by c."""
     for dim, slots in NILPOTENT_SHAPES:
-        brackets = {pair: {k: F(1)} for pair, k in slots}
+        alg = LieAlgebra.from_brackets(dim, {pair: {k: c} for pair, k in slots})
         for signs in itertools.product((1, -1), repeat=dim):
-            try:
-                ext, _, lam = einstein_extension(MetricLieAlgebra(LieAlgebra.from_brackets(dim, brackets), signs))
-            except ValueError:
-                continue
-            yield ext, lam
+            yield MetricLieAlgebra(alg, signs)
 
 
 def _compact_algebras():
@@ -73,7 +90,7 @@ def test_two_tensor_action_and_operator_rows():
             T[0][0] = T[0][0] + sqrt_to_tower(rng.choice((-1, 2, -5)))
             values = [x for row in two_tensor_action(rep, T) for x in row]
             assert _rational_towers(values) == [], signs
-    for M in [m.algebra for m in _halfspaces(4)] + [ext for ext, _ in _extensions()]:
+    for M in [m.algebra for m in _halfspaces(4)] + [ext for ext, _, _ in _extensions()]:
         rep = build_gammas(M.signs)
         for cand in lambda_candidates(M):
             try:
@@ -97,7 +114,7 @@ def test_lambda_and_its_root_on_every_halfspace():
 
 def test_einstein_extension_brackets():
     kinds = set()
-    for ext, _ in _extensions():
+    for ext, _, _ in _extensions():
         values = [x for *_, x in ext.algebra.brackets]
         assert _rational_towers(values) == [], ext.signs
         kinds.update(type(x) for x in values)
@@ -107,18 +124,49 @@ def test_einstein_extension_brackets():
 def test_geometry():
     # the connection, Ricci data, curvature and Einstein constant of every
     # catalog extension (filiform 4's included, whose brackets are in the
-    # tower) and of random pseudo-Iwasawa algebras
+    # tower) and of random pseudo-Iwasawa algebras, and the Ricci data that
+    # the block formulas give each of them
     rng = random.Random(SEED)
-    cases = list(_extensions()) + [(random_pseudo_iwasawa(rng)[0], None) for _ in range(50)]
+    cases = list(_extensions()) + [(*random_pseudo_iwasawa(rng), None) for _ in range(50)]
     kinds = set()
-    for M, lam in cases:
-        data = M.ricci_data
+    for M, decomp, lam in cases:
+        datas = (M.ricci_data, ricci_standard(M, decomp))
+        assert datas[1] == datas[0], M.signs
         values = [x for *_, x in M.connection] + [x for *_, x in curvature(M)]
-        values += [x for mat in (data.ric, data.operator) for row in mat for x in row]
-        values += [data.scalar, einstein_check(M)] + ([] if lam is None else [lam])
+        for data in datas:
+            values += [x for mat in (data.ric, data.operator) for row in mat for x in row] + [data.scalar]
+        values += [einstein_check(M)] + ([] if lam is None else [lam])
         assert _rational_towers(values) == [], M.signs
         kinds.update(type(x) for x in values)
     assert TowerScalar in kinds and Fraction in kinds
+
+
+def test_nilsoliton_and_symmetric_part():
+    # lambda and D of every catalog shape with brackets scaled by 1 and by
+    # sqrt 2, and the symmetric parts of D and of each ad_x - ad_x*, which is
+    # metric-skew, so that its symmetric part is 0
+    r3 = sqrt_to_tower(3)
+    # heis3 + R, (1, 1, 1, -1), in the frame (e_1, e_2, 2 e_3 + r3 e_4,
+    # r3 e_3 + 2 e_4), where D_44 = 0 = Ric_44 - lambda, its brackets scaled
+    # by 1 + r3, so that Ric_44 and lambda are not rational
+    boosted = MetricLieAlgebra(LieAlgebra.from_brackets(4, {(0, 1): {2: 2 + 2 * r3, 3: -3 - r3}}), (1, 1, 1, -1))
+    kinds = set()
+    solved = 0
+    for M in [*_shapes(F(1)), *_shapes(sqrt_to_tower(2)), boosted]:
+        structure, signs = M.algebra.structure, M.signs
+        ads = [tuple(tuple(structure[x][j][k] for j in range(M.dim)) for k in range(M.dim)) for x in range(M.dim)]
+        values = [v for ad in ads for row in symmetric_part(mat_sub(ad, metric_transpose(ad, signs)), signs)
+                  for v in row]
+        assert all(v == 0 for v in values)
+        res = nilsoliton_solve(M)
+        if res is not None:
+            solved += 1
+            D = res.derivation
+            values += [res.lam] + [x for mat in (D, symmetric_part(D, signs)) for row in mat for x in row]
+        assert _rational_towers(values) == [], (M.algebra, signs)
+        kinds.update(type(x) for x in values)
+    assert nilsoliton_solve(boosted).derivation[3][3] == 0
+    assert solved > 0 and kinds == {Fraction, TowerScalar}
 
 
 def test_invariant_solver_bases():

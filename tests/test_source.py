@@ -143,6 +143,9 @@ def test_every_definition_has_a_caller_outside_the_tests():
 DERIVED_ONLY_IN = {"_koszul_numerators": "MetricLieAlgebra._koszul",
                    "levi_civita": "MetricLieAlgebra.connection", "ricci": "MetricLieAlgebra.ricci_data",
                    "killing_constants": "MetricLieAlgebra.lambda_candidates"}
+# the one constructor of each value that reads its entries back, so that a
+# second one, which could skip the read-back, cannot come back
+BUILT_ONLY_IN = {"RicciData": "_ricci_from_numerators"}
 
 
 def _calls_by_scope(node, scope=""):
@@ -159,12 +162,21 @@ def _calls_by_scope(node, scope=""):
         yield from _calls_by_scope(child, inner)
 
 
-def test_geometry_is_derived_only_in_the_cached_properties():
+def _scoped_calls(names) -> list:
+    """(name, scope) of each call in src/ of one of names, sorted."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [(name, scope) for name, scope in _calls_by_scope(tree) if name in DERIVED_ONLY_IN]
-    assert sorted(found) == sorted(DERIVED_ONLY_IN.items())
+        found += [(name, scope) for name, scope in _calls_by_scope(tree) if name in names]
+    return sorted(found)
+
+
+def test_geometry_is_derived_only_in_the_cached_properties():
+    assert _scoped_calls(DERIVED_ONLY_IN) == sorted(DERIVED_ONLY_IN.items())
+
+
+def test_ricci_data_is_built_only_in_its_read_back():
+    assert _scoped_calls(BUILT_ONLY_IN) == sorted(BUILT_ONLY_IN.items())
 
 
 # classes that are no frozen dataclass, each for its reason
