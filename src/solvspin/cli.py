@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .exact import TowerScalar, common_numerators, format_rational, parse_rational, to_dict
@@ -502,6 +503,61 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+def json_text(report) -> str:
+    """`json.dumps(report, indent=2, sort_keys=True)`, written directly.
+
+    With an indent, `json.dumps` takes CPython's pure-Python encoder, since
+    the C one serves only indent=None.  This writer takes a dict (its keys
+    str, written in sorted order), list, tuple, str (ASCII-escaped), bool,
+    None, int and finite float (`float.__repr__`), each as `json.dumps`
+    writes it; anything else raises TypeError, and an infinite or NaN float
+    ValueError, which no report holds.
+    """
+    out: list = []
+    _write_json(report, out, "\n")
+    return "".join(out)
+
+
+def _write_json(x, out: list, pad: str) -> None:
+    """Append x's JSON text to out; pad is a newline and x's own indent."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError("%r has no JSON form" % x)
+        out.append(float.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if not isinstance(key, str):
+                raise TypeError("a JSON object key must be str, not %s" % type(key).__name__)
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write_json(x[key], out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        raise TypeError("%s is not JSON serializable" % type(x).__name__)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; `parse_args` keeps no state.
@@ -546,7 +602,7 @@ def main(argv=None) -> int:
         print("internal error: %s" % exc, file=sys.stderr)
         return 2
     if job.output_format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json_text(report))
     else:
         print(_render_text(report))
     return code

@@ -19,8 +19,11 @@ w_i = -r A_i u and v in E- and in every ker A_i.  A Killing spinor is fixed
 by its value at one point, so the N spinors built so are all of them.  Each
 (representation, lambda) branch is built once, as one value the model holds:
 the operator rows as integer columns and the spinors built from the same
-rows.  A window's solutions are the spinors' combinations that vanish
-outside it, found by one reduction.  The two certificates never read the
+rows, reduced and normalized once into the basis a window holding all of
+them returns.  A window's solutions are the spinors' combinations that
+vanish outside it: a window that holds every spinor's support returns the
+branch's basis as it stands, with no arithmetic, and a window that cuts it
+reduces that basis once more.  The two certificates never read the
 construction: `killing_residual` re-substitutes a solution through the frame
 derivatives and the branch's columns, and `verify_amended_identity` checks
 the amended identity with one Clifford product per transverse direction.
@@ -91,18 +94,21 @@ class HalfSpaceModel:
         vars(self).update(signs=signs, r=r, algebra=algebra, decomposition=decomposition)
 
     def _branch(self, rep: CliffordRep, lam) -> tuple:
-        """(columns, q, m, spinors, constants) of the (rep, lam) branch, built
+        """(columns, q, m, basis, constants) of the (rep, lam) branch, built
         once from one call of `killing_operator_rows`, which refuses a rep of
         another signature than the model's before anything is held.  The rows
         are written as integer numerators over one denominator q = 2p q_A,
         where r = p/s and q_A is the rows' own common denominator, and
         transposed into columns[i] = {j: ((h, numerators of row h at column j), ...)}
-        per direction i; m is their radicand or None.  `spinors` are the N
+        per direction i; m is their radicand or None.  `basis` is the N
         Killing spinors built from the same rows, none unless
-        lam^2 = -eps_t/(4 r^2), the Einstein value.  `constants` are the
-        amended identity's (2 lam^2, -lam phi_0, phi_0, m_c): with lam and
-        phi_0 over one denominator d and m_c their radicand or None, the first
-        two over 2p d^2 and phi_0 over d^2.  Only a branch at an Einstein
+        lam^2 = -eps_t/(4 r^2), the Einstein value, reduced once by
+        `_reduce_by_highest` and each scaled by `normalize_vector`, in pivot
+        order and keyed ((k, m), h): the unique highest-pivot normalized
+        basis of their span.  `constants` are the amended identity's
+        (2 lam^2, -lam phi_0, phi_0, m_c): with lam and phi_0 over one
+        denominator d and m_c their radicand or None, the first two over
+        2p d^2 and phi_0 over d^2.  Only a branch at an Einstein
         value is kept in `_branches`; any other lam's branch is built on
         each call and not kept, so asking about many lam holds no memory.
         Callers must not change any of them."""
@@ -122,20 +128,23 @@ class HalfSpaceModel:
                 columns.append(cols)
             einstein = lam * lam == Fraction(-self.signs[-1]) / (4 * self.r * self.r)
             spinors = _build_spinors(self, rep, lam, rows) if einstein else []
+            basis = [normalize_vector(vec) for vec in _reduce_by_highest(spinors)]
             (lam_n, phi_n), d, m_c = common_numerators([lam, self.decomposition.phi[0][0][0]])
             mw = m_c or 0
             constants = (tuple(2 * p2 * x for x in _mul(lam_n, lam_n, mw)),
                          tuple(-p2 * x for x in _mul(lam_n, phi_n, mw)),
                          tuple(d * x for x in phi_n), m_c)
-            branch = (columns, p2 * q, m, spinors, constants)
+            branch = (columns, p2 * q, m, basis, constants)
             if einstein:
                 self._branches[(rep, lam)] = branch
         return branch
 
     def killing_spinors(self, rep: CliffordRep, lam) -> list[dict]:
-        """The branch's N Killing spinors as rows {((k, m), h): coefficient};
-        none unless lam is an Einstein value.  A rep of another signature than
-        the model's raises ValueError.  Callers must not change them."""
+        """The branch's N Killing spinors as rows {((k, m), h): coefficient},
+        reduced and normalized: the basis that a window holding all of them
+        returns.  None unless lam is an Einstein value.  A rep of another
+        signature than the model's raises ValueError.  Callers must not
+        change them."""
         return self._branch(rep, lam)[3]
 
     def clifford_rep(self) -> CliffordRep:
@@ -328,33 +337,43 @@ def solve_killing_halfspace(
     The window runs over t^(k/2) x^m with k in [-kmax, kmax] and |m| <= mmax.
     Its column q N + h, component h at the q-th monomial in (k, m) order,
     compares as the key ((k, m), h) does.  Nothing is built per window
-    column, so any window costs the same reduction of the branch's N spinors;
-    `killing_spinors` refuses a rep of another signature than the model's.
-    The branch's spinors are fully reduced in one pass with each vector's
-    highest column as its pivot, keyed so that every coefficient outside the
-    window sorts last; those with their pivot inside are scaled by
-    `normalize_vector` and returned in pivot order: the unique basis that
-    eliminating the window's equations gives.
+    column; the branch refuses a rep of another signature than the model's.
+    A window that holds every key of every spinor returns the branch's
+    basis, reduced and normalized when the branch was built, wrapped in new
+    fields with no arithmetic: no key sorts outside it, so that basis is the
+    one the general path gives.  A window that cuts a spinor reduces the
+    basis once more in one pass, with each vector's highest column as its
+    pivot, keyed so that every coefficient outside the window sorts last;
+    those with their pivot inside are scaled by `normalize_vector` and
+    returned in pivot order: the unique basis that eliminating the window's
+    equations gives, whatever basis of the span the pass starts from.  Every
+    call builds new fields, so no cached `numerators` is carried from one
+    call to the next.
     """
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
         if bound < 0:
             raise ValueError("window bound %s = %d is negative" % (name, bound))
+    basis = model.killing_spinors(rep, lam)
+    if not all(abs(k) <= kmax and sum(m) <= mmax for spinor in basis for (k, m), _ in spinor):
+        # Keyed (outside, (k, m), h), every coefficient outside the window
+        # sorts after every one inside it.  A reduced spinor's pivot is its
+        # highest key, so one whose pivot is inside has no entry outside.  A
+        # combination with no entry outside uses no reduced spinor whose pivot
+        # is outside, since the highest such pivot would survive in it.  So
+        # the reduced spinors up to the first pivot outside are the unique
+        # highest-pivot basis of the window's solutions.
+        spinors = [{(abs(k) > kmax or sum(m) > mmax, (k, m), h): c for ((k, m), h), c in spinor.items()}
+                   for spinor in basis]
+        basis = []
+        for vec in _reduce_by_highest(spinors):
+            if max(vec)[0]:
+                break
+            basis.append({key[1:]: x for key, x in normalize_vector(vec).items()})
     N = rep.spinor_dim
-    # Keyed (outside, (k, m), h), every coefficient outside the window sorts
-    # after every one inside it.  A reduced spinor's pivot is its highest key,
-    # so one whose pivot is inside has no entry outside.  A combination with
-    # no entry outside uses no reduced spinor whose pivot is outside, since
-    # the highest such pivot would survive in it.  So the reduced spinors up
-    # to the first pivot outside are the unique highest-pivot basis of the
-    # window's solutions.
-    spinors = [{(abs(k) > kmax or sum(m) > mmax, (k, m), h): c for ((k, m), h), c in spinor.items()}
-               for spinor in model.killing_spinors(rep, lam)]
     fields = []
-    for vec in _reduce_by_highest(spinors):
-        if max(vec)[0]:
-            break
+    for vec in basis:
         comps = [{} for _ in range(N)]
-        for (_, mono, h), x in normalize_vector(vec).items():
+        for (mono, h), x in vec.items():
             comps[h][mono] = x
         fields.append(CoordSpinorField(tuple(CoordFunction(terms) for terms in comps)))
     return fields

@@ -34,8 +34,19 @@ RR = "tests/test_rational_rule.py::"
 
 MUTANTS = [
     ("window: the outside-pivot test dropped", "halfspace.py",
-     "        if max(vec)[0]:\n            break\n", "",
+     "            if max(vec)[0]:\n                break\n", "",
      [HS + "TestWindowAssembly::test_construction_matches_window_elimination"]),
+    ("window: the branch basis returned for a window that cuts it", "halfspace.py",
+     "    if not all(abs(k) <= kmax and sum(m) <= mmax for spinor in basis for (k, m), _ in spinor):\n",
+     "    if False:\n",
+     [HS + "TestWindowAssembly::test_windows_that_cut_spinors_match_window_elimination"]),
+    ("window: the branch basis reduced again for a window that holds it", "halfspace.py",
+     "    if not all(abs(k) <= kmax and sum(m) <= mmax for spinor in basis for (k, m), _ in spinor):\n",
+     "    if True:\n",
+     [HS + "TestWindowAssembly::test_a_window_holding_every_spinor_does_no_elimination"]),
+    ("json: keys not sorted", "cli.py",
+     "        for key in sorted(x):\n", "        for key in x:\n",
+     ["tests/test_cli.py::test_reports_match_golden_digests"]),
     ("branch: the Einstein test forced true", "halfspace.py",
      "einstein = lam * lam == Fraction(-self.signs[-1]) / (4 * self.r * self.r)", "einstein = True",
      [HS + "TestIntegerCertificates"]),

@@ -21,6 +21,7 @@ from solvspin.cli import (
     _IMPLS,
     AlgebraFileError,
     JobSpec,
+    json_text,
     main,
     parse_algebra_text,
     run,
@@ -665,11 +666,38 @@ def golden_runs(tmp_path):
         yield [command, source, "--json", *extra], digest
 
 
+_JSON_STRINGS = st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t\u00e9\u2028\u2603\U0001f600ab') | st.characters())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_refuses_what_json_cannot_hold():
+    assert json_text({"b": [], "a": {}, "c": (1, 2.5)}) == json.dumps({"b": [], "a": {}, "c": (1, 2.5)},
+                                                                      indent=2, sort_keys=True)
+    for bad in (Fraction(1, 2), {1, 2}, {1: "a"}, [b"x"]):
+        with pytest.raises(TypeError):
+            json_text(bad)
+    for bad in (math.nan, math.inf, [-math.inf]):
+        with pytest.raises(ValueError):
+            json_text(bad)
+
+
 def test_reports_match_golden_digests(tmp_path, capsys):
     got, want = [], []
     for argv, digest in golden_runs(tmp_path):
         assert main(argv) == 0
-        report = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        # the report is printed as json.dumps writes it, keys sorted
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
         report["timing_ms"] = 0
         if os.path.isabs(report["input"]):
             report["input"] = os.path.relpath(report["input"], tmp_path)

@@ -466,6 +466,69 @@ class TestWindowAssembly:
                             whole += len(got) == rep.spinor_dim
         assert cut and whole
 
+    def test_each_branch_holds_its_reduced_normalized_basis(self):
+        # every signature with n <= 4 at both Einstein lambdas: the branch's
+        # basis is 1 at each vector's lowest key and 0 at every other
+        # vector's highest key, and it is the basis that eliminating the
+        # window k = m = 1, which holds every spinor, gives
+        for n in range(2, 5):
+            for signs in itertools.product((1, -1), repeat=n):
+                for r in (F(1), F(2, 3)):
+                    model = HalfSpaceModel(n, signs, r)
+                    rep = model.clifford_rep()
+                    for cand in lambda_candidates(model.algebra):
+                        basis = model.killing_spinors(rep, cand.lam)
+                        assert len(basis) == rep.spinor_dim
+                        pivots = [max(vec) for vec in basis]
+                        assert pivots == sorted(pivots)
+                        for vec in basis:
+                            assert vec[min(vec)] == 1
+                            assert all(p not in vec for p in pivots if p != max(vec))
+                        oracle = window_solutions(model, rep, cand.lam, 1, 1)
+                        assert basis == [{(mono, h): c for h, comp in enumerate(psi.components)
+                                          for mono, c in comp.terms.items()} for psi in oracle]
+
+    def test_each_solve_builds_new_fields(self):
+        # two solves of one window are equal and share no field, so a
+        # solution's numerators, once read, are not carried to the next call
+        for n in range(2, 5):
+            for signs in itertools.product((1, -1), repeat=n):
+                for r in (F(1), F(2, 3)):
+                    model = HalfSpaceModel(n, signs, r)
+                    rep = model.clifford_rep()
+                    for cand in lambda_candidates(model.algebra):
+                        for kmax, mmax in ((1, 1), (2, 0)):
+                            first = solve_killing_halfspace(model, rep, cand.lam, kmax, mmax)
+                            for psi in first:
+                                assert verify_amended_identity(model, rep, psi, cand.lam)
+                            second = solve_killing_halfspace(model, rep, cand.lam, kmax, mmax)
+                            assert first == second
+                            assert not {id(psi) for psi in first} & {id(psi) for psi in second}
+                            assert not any("numerators" in vars(psi) for psi in second)
+
+    def test_a_window_holding_every_spinor_does_no_elimination(self, monkeypatch):
+        # once the branch is built, a window that holds its spinors reduces
+        # nothing and a window that cuts them reduces the basis once
+        model = HalfSpaceModel(4, (1, -1, 1, 1), F(2, 3))
+        rep = model.clifford_rep()
+        lam = lambda_candidates(model.algebra)[0].lam
+        model.killing_spinors(rep, lam)
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(solvspin.halfspace, name, wrapped)
+
+        counted("_reduce_by_highest", solvspin.halfspace._reduce_by_highest)
+        counted("normalize_vector", solvspin.halfspace.normalize_vector)
+        for window in (1, 2, 5):
+            assert len(solve_killing_halfspace(model, rep, lam, window, window)) == rep.spinor_dim
+        assert calls == []
+        assert solve_killing_halfspace(model, rep, lam, 2, 0)
+        assert calls[0] == "_reduce_by_highest" and calls.count("_reduce_by_highest") == 1
+
     def test_reduction_pivots_on_the_highest_column(self):
         # the window's spinors arrive reduced, so the solver never needs these
         # steps; here the second row meets the first's pivot 2, and the new
