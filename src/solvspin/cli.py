@@ -57,16 +57,6 @@ from .halfspace import (
 
 SCHEMA_VERSION = 1
 
-COMMANDS = (
-    "validate",
-    "curvature",
-    "nilsoliton",
-    "extend",
-    "killing-invariant",
-    "killing-halfspace",
-    "classify",
-)
-
 EXACT_ONLY = {"killing-invariant", "killing-halfspace", "classify"}
 
 
@@ -358,6 +348,7 @@ _IMPLS = {
     "killing-halfspace": _cmd_killing_halfspace,
     "classify": _cmd_classify,
 }
+COMMANDS = tuple(_IMPLS)
 
 
 # ---------------------------------------------------------------------------

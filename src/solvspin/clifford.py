@@ -50,7 +50,11 @@ from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 from .exact import TS_I, _rotations, common_numerators, from_numerators
-from .linalg import MAX_UNKNOWNS, mat_from_rows, rank_mod_p, sparse_nullspace
+from .linalg import mat_from_rows, rank_mod_p, sparse_nullspace
+
+# the largest spinor dimension 2^(n//2) `build_gammas` accepts; past it a
+# signature is refused before anything is built
+MAX_UNKNOWNS = 100_000
 
 F0 = Fraction(0)
 QUARTER = Fraction(1, 4)

@@ -19,14 +19,15 @@ w_i = -r A_i u and v in E- and in every ker A_i.  A Killing spinor is fixed
 by its value at one point, so the N spinors built so are all of them.  Each
 (representation, lambda) branch is built once, as one value the model holds:
 the operator rows as integer columns and the spinors built from the same
-rows, reduced and normalized once into the basis a window holding all of
-them returns.  A window's solutions are the spinors' combinations that
-vanish outside it: a window that holds every spinor's support returns the
-branch's basis as it stands, with no arithmetic, and a window that cuts it
-reduces that basis once more.  The two certificates never read the
-construction: `killing_residual` re-substitutes a solution through the frame
-derivatives and the branch's columns, and `verify_amended_identity` checks
-the amended identity with one Clifford product per transverse direction.
+rows, normalized once.  On E+, A_i acts as (eps_t/(2 r^2 lambda)) gamma_i, so
+w_i = -(eps_t/(2 r lambda)) gamma_i u, and gamma_i is invertible: a
+combination of the spinors with no x-part has no u-part, and every key has
+|k| = 1.  So a window's solutions are exactly the branch's spinors that lie
+inside it, and a window only filters the branch's basis.  The two
+certificates never read the construction: `killing_residual` re-substitutes
+a solution through the frame derivatives and the branch's columns, and
+`verify_amended_identity` checks the amended identity with one Clifford
+product per transverse direction.
 Both work on integer numerators: a solution's coefficients are written over
 one denominator (`exact.common_numerators`) once, as its cached
 `CoordSpinorField.numerators`, which both read; the branch holds the
@@ -102,15 +103,18 @@ class HalfSpaceModel:
         transposed into columns[i] = {j: ((h, numerators of row h at column j), ...)}
         per direction i; m is their radicand or None.  `basis` is the N
         Killing spinors built from the same rows, none unless
-        lam^2 = -eps_t/(4 r^2), the Einstein value, reduced once by
-        `_reduce_by_highest` and each scaled by `normalize_vector`, in pivot
-        order and keyed ((k, m), h): the unique highest-pivot normalized
-        basis of their span.  `constants` are the amended identity's
-        (2 lam^2, -lam phi_0, phi_0, m_c): with lam and phi_0 over one
-        denominator d and m_c their radicand or None, the first two over
-        2p d^2 and phi_0 over d^2.  Only a branch at an Einstein
-        value is kept in `_branches`; any other lam's branch is built on
-        each call and not kept, so asking about many lam holds no memory.
+        lam^2 = -eps_t/(4 r^2), the Einstein value, keyed ((k, m), h), each
+        scaled by `normalize_vector` and sorted by its highest key.  They
+        arrive reduced: each u and v is a `sparse_nullspace` basis vector, 1
+        at its free column, which is its highest, and 0 at every other
+        vector's free column, and the u-spinors' highest keys have k = 1 and
+        the v-spinors' k = -1, so the two families share no key.  So this is
+        the unique highest-pivot normalized basis of their span.  `constants`
+        are the amended identity's (2 lam^2, -lam phi_0, phi_0, m_c): with lam
+        and phi_0 over one denominator d and m_c their radicand or None, the
+        first two over 2p d^2 and phi_0 over d^2.  Only a branch at an
+        Einstein value is kept in `_branches`; any other lam's branch is built
+        on each call and not kept, so asking about many lam holds no memory.
         Callers must not change any of them."""
         branch = self._branches.get((rep, lam))
         if branch is None:
@@ -128,7 +132,7 @@ class HalfSpaceModel:
                 columns.append(cols)
             einstein = lam * lam == Fraction(-self.signs[-1]) / (4 * self.r * self.r)
             spinors = _build_spinors(self, rep, lam, rows) if einstein else []
-            basis = [normalize_vector(vec) for vec in _reduce_by_highest(spinors)]
+            basis = [normalize_vector(vec) for vec in sorted(spinors, key=max)]
             (lam_n, phi_n), d, m_c = common_numerators([lam, self.decomposition.phi[0][0][0]])
             mw = m_c or 0
             constants = (tuple(2 * p2 * x for x in _mul(lam_n, lam_n, mw)),
@@ -141,8 +145,8 @@ class HalfSpaceModel:
 
     def killing_spinors(self, rep: CliffordRep, lam) -> list[dict]:
         """The branch's N Killing spinors as rows {((k, m), h): coefficient},
-        reduced and normalized: the basis that a window holding all of them
-        returns.  None unless lam is an Einstein value.  A rep of another
+        reduced and normalized, from which every window keeps those that lie
+        inside it.  None unless lam is an Einstein value.  A rep of another
         signature than the model's raises ValueError.  Callers must not
         change them."""
         return self._branch(rep, lam)[3]
@@ -335,40 +339,23 @@ def solve_killing_halfspace(
     """Exact solution basis of the Killing equation in a bounded monomial window.
 
     The window runs over t^(k/2) x^m with k in [-kmax, kmax] and |m| <= mmax.
-    Its column q N + h, component h at the q-th monomial in (k, m) order,
-    compares as the key ((k, m), h) does.  Nothing is built per window
-    column; the branch refuses a rep of another signature than the model's.
-    A window that holds every key of every spinor returns the branch's
-    basis, reduced and normalized when the branch was built, wrapped in new
-    fields with no arithmetic: no key sorts outside it, so that basis is the
-    one the general path gives.  A window that cuts a spinor reduces the
-    basis once more in one pass, with each vector's highest column as its
-    pivot, keyed so that every coefficient outside the window sorts last;
-    those with their pivot inside are scaled by `normalize_vector` and
-    returned in pivot order: the unique basis that eliminating the window's
-    equations gives, whatever basis of the span the pass starts from.  Every
-    call builds new fields, so no cached `numerators` is carried from one
-    call to the next.
+    Its solutions are the combinations of the branch's spinors with no term
+    outside it, and the spinors that lie inside it span them: every key has
+    |k| = 1, and w_i = -(eps_t/(2 r lambda)) gamma_i u with gamma_i
+    invertible, so a combination with no x-part has no u-part and is one of
+    the v-spinors'.  A subset of the branch's reduced, normalized basis is
+    reduced and normalized, so the spinors kept, in the branch's order and
+    wrapped in new fields, are the basis that eliminating the window's
+    equations gives.  Nothing is built per window column and nothing is
+    eliminated; the branch refuses a rep of another signature than the
+    model's.  Every call builds new fields, so no cached `numerators` is
+    carried from one call to the next.
     """
     for name, bound in (("kmax", kmax), ("mmax", mmax)):
         if bound < 0:
             raise ValueError("window bound %s = %d is negative" % (name, bound))
-    basis = model.killing_spinors(rep, lam)
-    if not all(abs(k) <= kmax and sum(m) <= mmax for spinor in basis for (k, m), _ in spinor):
-        # Keyed (outside, (k, m), h), every coefficient outside the window
-        # sorts after every one inside it.  A reduced spinor's pivot is its
-        # highest key, so one whose pivot is inside has no entry outside.  A
-        # combination with no entry outside uses no reduced spinor whose pivot
-        # is outside, since the highest such pivot would survive in it.  So
-        # the reduced spinors up to the first pivot outside are the unique
-        # highest-pivot basis of the window's solutions.
-        spinors = [{(abs(k) > kmax or sum(m) > mmax, (k, m), h): c for ((k, m), h), c in spinor.items()}
-                   for spinor in basis]
-        basis = []
-        for vec in _reduce_by_highest(spinors):
-            if max(vec)[0]:
-                break
-            basis.append({key[1:]: x for key, x in normalize_vector(vec).items()})
+    basis = [s for s in model.killing_spinors(rep, lam)
+             if all(abs(k) <= kmax and sum(m) <= mmax for (k, m), _ in s)]
     N = rep.spinor_dim
     fields = []
     for vec in basis:
@@ -377,24 +364,6 @@ def solve_killing_halfspace(
             comps[h][mono] = x
         fields.append(CoordSpinorField(tuple(CoordFunction(terms) for terms in comps)))
     return fields
-
-
-def _reduce_by_highest(vectors: list[dict]) -> list[dict]:
-    """The unique basis of the span of independent sparse rows in which each
-    row is 1 at its highest column, its pivot, and 0 at every other pivot, in
-    pivot order.  The rows passed in are changed."""
-    reduced: dict = {}
-    for vec in vectors:
-        for p in vec.keys() & reduced.keys():
-            add_scaled(vec, -vec[p], reduced[p])
-        top = max(vec)
-        inv = 1 / vec[top]
-        vec = {key: c * inv for key, c in vec.items()}
-        for row in reduced.values():
-            if top in row:
-                add_scaled(row, -row[top], vec)
-        reduced[top] = vec
-    return [reduced[top] for top in sorted(reduced)]
 
 
 def _build_spinors(model: HalfSpaceModel, rep: CliffordRep, lam, rows) -> list[dict]:

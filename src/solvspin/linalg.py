@@ -10,12 +10,13 @@ and immutable.
 Elimination is sparse: systems and kernel bases are lists of rows
 {column: coefficient}.  The row contract: a row stores no zero coefficient,
 and `add_scaled`, the one update of a row, removes every entry that sums to
-0.  `_sparse_echelon` is the one elimination loop; `sparse_nullspace` pins
-the columns that one-entry equations set to 0 in one pass before it and
-back-substitutes its pivot rows, each once, after it.  `rank_mod_p` bounds
-the rank of integer rows from below with int arithmetic modulo fixed primes,
-which proves a kernel empty without exact elimination.  The dense `rref` is
-kept only as the reference the tests compare against.
+0.  `_sparse_echelon` is the package's one exact elimination loop: no solver
+eliminates anywhere else.  `sparse_nullspace` pins the columns that one-entry
+equations set to 0 in one pass before it and back-substitutes its pivot rows,
+each once, after it.  `rank_mod_p` bounds the rank of integer rows from below
+with int arithmetic modulo fixed primes, which proves a kernel empty without
+exact elimination.  The dense `rref` is kept only as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import scaled
-
-# the most unknowns one system may have: a half-space window, or a spinor space
-# of dimension 2^(n//2); past it the system is refused before anything is built
-MAX_UNKNOWNS = 100_000
 
 # the primes `rank_mod_p` eliminates modulo, in this order: fixed, so that its
 # result is deterministic, and below 2^30, so that a product of two residues

@@ -33,17 +33,17 @@ EX = "tests/test_exact.py::"
 RR = "tests/test_rational_rule.py::"
 
 MUTANTS = [
-    ("window: the outside-pivot test dropped", "halfspace.py",
-     "            if max(vec)[0]:\n                break\n", "",
-     [HS + "TestWindowAssembly::test_construction_matches_window_elimination"]),
-    ("window: the branch basis returned for a window that cuts it", "halfspace.py",
-     "    if not all(abs(k) <= kmax and sum(m) <= mmax for spinor in basis for (k, m), _ in spinor):\n",
-     "    if False:\n",
+    ("window: the filter without the m-bound", "halfspace.py",
+     "if all(abs(k) <= kmax and sum(m) <= mmax for (k, m), _ in s)]",
+     "if all(abs(k) <= kmax for (k, m), _ in s)]",
      [HS + "TestWindowAssembly::test_windows_that_cut_spinors_match_window_elimination"]),
-    ("window: the branch basis reduced again for a window that holds it", "halfspace.py",
-     "    if not all(abs(k) <= kmax and sum(m) <= mmax for spinor in basis for (k, m), _ in spinor):\n",
-     "    if True:\n",
-     [HS + "TestWindowAssembly::test_a_window_holding_every_spinor_does_no_elimination"]),
+    ("window: the filter without the k-bound", "halfspace.py",
+     "if all(abs(k) <= kmax and sum(m) <= mmax for (k, m), _ in s)]",
+     "if all(sum(m) <= mmax for (k, m), _ in s)]",
+     [HS + "TestWindowAssembly::test_windows_that_cut_spinors_match_window_elimination"]),
+    ("branch: the spinors stored in build order", "halfspace.py",
+     "sorted(spinors, key=max)", "spinors",
+     [HS + "TestWindowAssembly::test_each_branch_holds_its_reduced_normalized_basis"]),
     ("json: keys not sorted", "cli.py",
      "        for key in sorted(x):\n", "        for key in x:\n",
      ["tests/test_cli.py::test_reports_match_golden_digests"]),

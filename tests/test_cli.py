@@ -622,6 +622,10 @@ GOLDEN_REPORTS = (
      "e8db2e50b4950945bece83c7eda9ae4441311a250f34299c5b6294fe82f74938"),
     ("validate", "su2.alg", ("--backend", "float"),
      "ac8d93b5eba82782e52226005e929b25dad0f24beaf2a42250bd0df3c6499962"),
+    # a nonempty invariant kernel: dimension 2 at lambda = -1/4, so the basis
+    # and its re-substitution run
+    ("killing-invariant", "su2.alg", (),
+     "0c5bad747b9525a17d89fbe968a1484008a58dfa8eaff7347026bc07fa9b8ff7"),
     ("classify", "not_ideal.alg", (),
      "f7a508234f8c73ff6aa869cf37d72607310c710b0a99153a191d5e5cf3e72d18"),
     ("classify", "flat.alg", (),
@@ -751,6 +755,11 @@ GOLDEN_TEXTS = (
      "input: ext.alg\n"
      "lambda branch +1: invariant kernel dim 0, ricci filter dim 4\n"
      "lambda branch -1: invariant kernel dim 0, ricci filter dim 4\n"),
+    (("killing-invariant", "su2.alg"), 0,
+     "command: killing-invariant (exact backend)\n"
+     "input: su2.alg\n"
+     "lambda branch +1: invariant kernel dim 0, ricci filter dim 2\n"
+     "lambda branch -1: invariant kernel dim 2, ricci filter dim 2\n"),
     (("killing-invariant", "flat.alg"), 0,
      "command: killing-invariant (exact backend)\n"
      "input: flat.alg\n"

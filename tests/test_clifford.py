@@ -14,6 +14,7 @@ import pytest
 from solvspin import clifford, linalg
 from solvspin.exact import TS_I, TowerScalar, sqrt_to_tower, to_dict
 from solvspin.clifford import (
+    MAX_UNKNOWNS,
     annihilator_kernel,
     build_gammas,
     clifford_rows,
@@ -26,7 +27,7 @@ from solvspin.clifford import (
     symmetric_commutant_kernel,
     two_tensor_action,
 )
-from solvspin.linalg import MAX_UNKNOWNS, identity, mat_equal, mat_mul, mat_scale, mat_sub, mat_from_rows, sparse_nullspace, zeros
+from solvspin.linalg import identity, mat_equal, mat_mul, mat_scale, mat_sub, mat_from_rows, sparse_nullspace, zeros
 
 from reference_linalg import (
     annihilator_dense,

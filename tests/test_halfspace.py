@@ -16,9 +16,9 @@ import solvspin.halfspace
 import solvspin.killing
 import solvspin.liealg
 from solvspin.cli import main
-from solvspin.clifford import build_gammas
+from solvspin.clifford import MAX_UNKNOWNS, build_gammas, gamma_rows
 from solvspin.exact import TS_I, IncompatibleExtensionError, TowerScalar, from_numerators, sqrt_to_tower
-from solvspin.linalg import MAX_UNKNOWNS, add_scaled
+from solvspin.linalg import add_scaled
 from solvspin.killing import killing_operator_rows, lambda_candidates, solve_invariant_killing
 from solvspin.liealg import MetricLieAlgebra, curvature, einstein_extension, levi_civita, ricci
 from solvspin.halfspace import (
@@ -429,7 +429,7 @@ def _as_json(fields):
 class TestWindowAssembly:
     def test_construction_matches_window_elimination(self):
         # every signature with n <= 5, both branches and three wrong lambdas:
-        # the basis built from the fiber and reduced to the window is the one
+        # the basis built from the fiber and filtered to the window is the one
         # that eliminating the window's own equations gives
         wrong = (TowerScalar.rational(0), TowerScalar.rational(F(1, 3)), TowerScalar(0, F(1, 3)))
         found = 0
@@ -452,7 +452,7 @@ class TestWindowAssembly:
         # the spinors reach |k| = 1 and |m| = 1, so with one bound past them
         # (2, 0) cuts their x-terms, (0, 2) cuts every spinor and (1, 2) and
         # (2, 1) cut none: every signature with n <= 4 at both Einstein lambdas
-        cut = whole = 0
+        emptied = cut = whole = 0
         for n in range(2, 5):
             for signs in itertools.product((1, -1), repeat=n):
                 for r in (F(1), F(2, 3)):
@@ -462,9 +462,10 @@ class TestWindowAssembly:
                         for kmax, mmax in ((2, 0), (0, 2), (1, 2), (2, 1)):
                             got = solve_killing_halfspace(model, rep, cand.lam, kmax, mmax)
                             assert _as_json(got) == _as_json(window_solutions(model, rep, cand.lam, kmax, mmax))
-                            cut += len(got) < rep.spinor_dim
+                            emptied += not got
+                            cut += 0 < len(got) < rep.spinor_dim
                             whole += len(got) == rep.spinor_dim
-        assert cut and whole
+        assert emptied and cut and whole
 
     def test_each_branch_holds_its_reduced_normalized_basis(self):
         # every signature with n <= 4 at both Einstein lambdas: the branch's
@@ -507,8 +508,8 @@ class TestWindowAssembly:
                             assert not any("numerators" in vars(psi) for psi in second)
 
     def test_a_window_holding_every_spinor_does_no_elimination(self, monkeypatch):
-        # once the branch is built, a window that holds its spinors reduces
-        # nothing and a window that cuts them reduces the basis once
+        # once the branch is built, no window, whether it holds the spinors,
+        # cuts some or cuts all of them, eliminates or scales anything
         model = HalfSpaceModel(4, (1, -1, 1, 1), F(2, 3))
         rep = model.clifford_rep()
         lam = lambda_candidates(model.algebra)[0].lam
@@ -521,22 +522,40 @@ class TestWindowAssembly:
                 return fn(*args)
             monkeypatch.setattr(solvspin.halfspace, name, wrapped)
 
-        counted("_reduce_by_highest", solvspin.halfspace._reduce_by_highest)
-        counted("normalize_vector", solvspin.halfspace.normalize_vector)
-        for window in (1, 2, 5):
-            assert len(solve_killing_halfspace(model, rep, lam, window, window)) == rep.spinor_dim
+        for name in ("sparse_nullspace", "normalize_vector", "add_scaled"):
+            counted(name, getattr(solvspin.halfspace, name))
+        sizes = [len(solve_killing_halfspace(model, rep, lam, kmax, mmax))
+                 for kmax, mmax in ((1, 1), (2, 2), (5, 5), (2, 0), (0, 2))]
+        assert sizes == [rep.spinor_dim] * 3 + [rep.spinor_dim // 2, 0]
         assert calls == []
-        assert solve_killing_halfspace(model, rep, lam, 2, 0)
-        assert calls[0] == "_reduce_by_highest" and calls.count("_reduce_by_highest") == 1
 
-    def test_reduction_pivots_on_the_highest_column(self):
-        # the window's spinors arrive reduced, so the solver never needs these
-        # steps; here the second row meets the first's pivot 2, and the new
-        # pivot 1 is then cleared from the first row
-        got = solvspin.halfspace._reduce_by_highest([{0: F(1), 1: F(1), 2: F(1)}, {0: F(1), 1: F(3), 2: F(2)}])
-        assert got == [{0: F(-1), 1: F(1)}, {0: F(2), 2: F(1)}]
-        got = solvspin.halfspace._reduce_by_highest([{0: F(3)}, {0: F(1), 2: F(-2)}, {1: F(1, 2), 2: F(1)}])
-        assert got == [{0: F(1)}, {1: F(1)}, {2: F(1)}]
+    def test_each_x_part_is_gamma_i_of_the_u_part(self):
+        # the premise of the window filter: on E+, A_i acts as
+        # (eps_t/(2 r^2 lam)) gamma_i, so w_i = -(eps_t/(2 r lam)) gamma_i u,
+        # and gamma_i is invertible: every signature with n <= 5 at both
+        # Einstein lambdas
+        checked = 0
+        for n in range(2, 6):
+            zero = (0,) * (n - 1)
+            for signs in itertools.product((1, -1), repeat=n):
+                for r in (F(1), F(1, 2), F(2, 3)):
+                    model = HalfSpaceModel(n, signs, r)
+                    rep = model.clifford_rep()
+                    for cand in lambda_candidates(model.algebra):
+                        factor = -signs[-1] / (2 * r * cand.lam)
+                        for spinor in model.killing_spinors(rep, cand.lam):
+                            u = {h: c for ((k, m), h), c in spinor.items() if k == 1}
+                            if not u:
+                                continue
+                            assert all(m == zero for (k, m), _ in spinor if k == 1)
+                            for i in range(n - 1):
+                                mono = (-1, zero[:i] + (1,) + zero[i + 1:])
+                                w = {h: c for (key, h), c in spinor.items() if key == mono}
+                                for h, row in enumerate(gamma_rows(rep, i)):
+                                    gu = sum((c * u[j] for j, c in row.items() if j in u), F(0))
+                                    assert w.get(h, 0) - factor * gu == 0
+                                    checked += 1
+        assert checked
 
     def test_t_derivative_cancels_a_diagonal_entry(self):
         # n = 3, r = 1: gamma_t is diagonal with entries +-i, so on either
